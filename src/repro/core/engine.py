@@ -132,6 +132,114 @@ def charge_ring_hulls(
     return new
 
 
+class RingCursor:
+    """One query's previous-round windows and entry ranges, per function.
+
+    Algorithm 4 reads, from round two on, only the *ring* of each
+    function's window — the part outside the window it already scanned.
+    :meth:`split` turns a round's window entry ranges into that ring's
+    left and right runs.  The flat engine and the shard workers share
+    it; a worker's sub-run store restricts the engine's ranges, and the
+    split commutes with that restriction.
+    """
+
+    def __init__(self, eta: int) -> None:
+        self.plos = np.zeros(eta, dtype=np.int64)
+        self.phis = np.zeros(eta, dtype=np.int64)
+        self.pstarts = np.zeros(eta, dtype=np.int64)
+        self.pstops = np.zeros(eta, dtype=np.int64)
+        self.first_round = True
+
+    def split(self, los, his, starts, stops) -> tuple[np.ndarray, np.ndarray]:
+        """Ring segments of this round's windows; advances the cursor.
+
+        ``starts``/``stops`` are the windows' entry ranges (absolute flat
+        positions) for functions ``[0, len(los))``.  Returns
+        ``(seg_starts, seg_lens)`` with the left run of function ``f`` at
+        ``2f`` and its right run at ``2f + 1`` — the engine's scan order.
+        """
+        f = los.shape[0]
+        stops = np.maximum(starts, stops)
+        left_stops = right_starts = stops
+        if not self.first_round:
+            nested = (los <= self.plos[:f]) & (self.phis[:f] <= his)
+            left_stops = np.where(nested, np.minimum(self.pstarts[:f], stops), stops)
+            right_starts = np.where(nested, np.maximum(self.pstops[:f], starts), stops)
+        seg_starts = np.empty(2 * f, dtype=np.int64)
+        seg_starts[0::2] = starts
+        seg_starts[1::2] = right_starts
+        seg_lens = np.empty(2 * f, dtype=np.int64)
+        seg_lens[0::2] = left_stops - starts
+        seg_lens[1::2] = stops - right_starts
+        self.plos[:f], self.phis[:f] = los, his
+        self.pstarts[:f], self.pstops[:f] = starts, stops
+        self.first_round = False
+        return seg_starts, seg_lens
+
+
+def find_crossings(
+    sub: np.ndarray, slack: np.ndarray, lookup: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where each row's collision count crosses ``theta`` in a scan.
+
+    ``sub`` is one block's stream of row ids in scan order, ``slack`` the
+    rows' remaining collisions before they cross, and ``lookup`` an
+    all-False scratch mask over the rows (left all-False on return).
+    Returns ``(elems, add)``: the ascending stream positions of the
+    crossing occurrences and the block's per-row collision counts.
+
+    Avoids sorting the whole stream: one ``bincount`` finds the (few)
+    rows whose count crosses within the block, and only their
+    occurrences are ranked — a row crosses at its occurrence of
+    zero-based rank ``slack`` — to recover the exact function, hence
+    scan position, of each crossing.
+    """
+    add = np.bincount(sub, minlength=slack.shape[0])
+    crossers = np.flatnonzero(add > slack)
+    if not crossers.size:
+        return _EMPTY_I64, add
+    lookup[crossers] = True
+    pos = np.flatnonzero(lookup[sub])
+    lookup[crossers] = False
+    psub = sub[pos]
+    order = np.argsort(psub, kind="stable")
+    sid = psub[order]
+    first = np.empty(sid.size, dtype=bool)
+    first[0] = True
+    np.not_equal(sid[1:], sid[:-1], out=first[1:])
+    group_starts = np.flatnonzero(first)
+    group_idx = np.cumsum(first) - 1
+    rank = np.arange(sid.size, dtype=np.int64) - group_starts[group_idx]
+    elems = pos[order[rank == slack[sid]]]
+    elems.sort()
+    return elems, add
+
+
+def first_stop(
+    cross_func: np.ndarray, inside: np.ndarray, nf: int,
+    n_cand: int, n_within: int, k: int, cap: float,
+) -> tuple[int | None, str]:
+    """The first function at which Algorithm 4 terminates, if any.
+
+    ``cross_func`` holds the (relative) function of each promotion in
+    functions ``[0, nf)`` and ``inside`` whether its distance lies within
+    ``c * delta``; ``n_cand``/``n_within`` are the counts before them.
+    Returns ``(stop, reason)``, or ``(None, "")`` when the query runs
+    through all ``nf`` functions.  The scalar loop tests the
+    within-radius condition before the candidate cap, so it wins when
+    both fire at once.
+    """
+    cum_cand = n_cand + np.cumsum(np.bincount(cross_func, minlength=nf))
+    cum_within = n_within + np.cumsum(np.bincount(cross_func[inside], minlength=nf))
+    stop_mask = (cum_within >= k) | (cum_cand > cap)
+    if not stop_mask.any():
+        return None, ""
+    stop = int(np.argmax(stop_mask))
+    if cum_within[stop] >= k:
+        return stop, TERMINATION_K_WITHIN
+    return stop, TERMINATION_CAP
+
+
 class Lane:
     """Per-(query, metric) Algorithm-4 state inside a lane group."""
 
@@ -273,13 +381,9 @@ class LaneGroup:
         self.eta_max = eta_max
         # Per-function previous-round state: bucket windows, their entry
         # ranges, and the page hull already charged (interval arithmetic).
-        self.plos = np.zeros(eta_max, dtype=np.int64)
-        self.phis = np.zeros(eta_max, dtype=np.int64)
-        self.pstarts = np.zeros(eta_max, dtype=np.int64)
-        self.pstops = np.zeros(eta_max, dtype=np.int64)
+        self.ring = RingCursor(eta_max)
         self.seen_first = np.full(eta_max, _HULL_EMPTY_FIRST, dtype=np.int64)
         self.seen_stop = np.zeros(eta_max, dtype=np.int64)
-        self.first_round = True
         self.level = 0.0
         self.cur_los: np.ndarray | None = None
         self.cur_his: np.ndarray | None = None
@@ -343,36 +447,19 @@ class LaneGroup:
         f_round = self.f_round
         n = self.store.num_points
         base = np.arange(f_round, dtype=np.int64) * n
-        stops = np.maximum(starts, stops)
-        if self.first_round:
-            left_starts, left_stops = starts, stops
-            right_starts = right_stops = stops
-        else:
-            nested = (self.cur_los <= self.plos[:f_round]) & (
-                self.phis[:f_round] <= self.cur_his
-            )
-            pstarts = self.pstarts[:f_round]
-            pstops = self.pstops[:f_round]
-            left_starts = starts
-            left_stops = np.where(nested, np.minimum(pstarts, stops), stops)
-            right_starts = np.where(nested, np.maximum(pstops, starts), stops)
-            right_stops = stops
-        left_lens = left_stops - left_starts
-        right_lens = right_stops - right_starts
-        func_lens = left_lens + right_lens
-        seg_starts = np.empty(2 * f_round, dtype=np.int64)
-        seg_lens = np.empty(2 * f_round, dtype=np.int64)
-        seg_starts[0::2] = left_starts
-        seg_starts[1::2] = right_starts
-        seg_lens[0::2] = left_lens
-        seg_lens[1::2] = right_lens
+        seg_starts, seg_lens = self.ring.split(
+            self.cur_los, self.cur_his, starts, stops
+        )
+        func_lens = seg_lens[0::2] + seg_lens[1::2]
 
         for lane in self.active_lanes:
             lane.i_stop = None
             lane.scan_end = min(lane.eta, f_round)
 
-        rel_left = (left_starts - base, left_stops - base)
-        rel_right = (right_starts - base, right_stops - base)
+        left_starts = seg_starts[0::2] - base
+        right_starts = seg_starts[1::2] - base
+        rel_left = (left_starts, left_starts + seg_lens[0::2])
+        rel_right = (right_starts, right_starts + seg_lens[1::2])
         f0 = 0
         block = _BLOCK_FUNCS
         while True:
@@ -401,12 +488,6 @@ class LaneGroup:
                     io=lane.io, candidates=lane.n_cand, within=lane.n_within
                 )
 
-        # Advance per-function previous-round state.
-        self.plos[:f_round] = self.cur_los
-        self.phis[:f_round] = self.cur_his
-        self.pstarts[:f_round] = starts
-        self.pstops[:f_round] = stops
-        self.first_round = False
         if self.style == "single":
             self.lanes[0].delta *= self.c
 
@@ -481,72 +562,33 @@ class LaneGroup:
         flat_ids: np.ndarray,
         bounds: np.ndarray,
     ) -> None:
-        """Find the block's threshold crossings and the stop function.
-
-        Avoids sorting the block's id stream: one ``bincount`` finds the
-        (few) points whose collision count crosses ``theta`` within the
-        block, and only their occurrences are ranked to recover the exact
-        function — hence scan position — where each crossing happens.
-        """
+        """Find the block's threshold crossings and the stop function."""
         nf = min(lane.scan_end, f1) - f0
         m = int(bounds[nf])
         sub = flat_ids[:m]
         add = None
-        crossers = _EMPTY_I64
+        elems = _EMPTY_I64
         if m:
-            add = np.bincount(sub, minlength=self.n_rows)
-            crossers = np.flatnonzero(add > lane.slack)
-        if not crossers.size:
-            # No promotions in this lane's share of the block, so the
-            # scalar loop's per-function check is the same constant test
-            # at every function of the range.
-            if lane.n_within >= lane.k:
-                lane.i_stop = f0
-                lane.stop_reason = TERMINATION_K_WITHIN
-            elif lane.n_cand > lane.cap:
-                lane.i_stop = f0
-                lane.stop_reason = TERMINATION_CAP
-            if lane.trace is not None:
-                consumed = m if lane.i_stop is None else int(bounds[1])
-                lane.trace.add_collisions(consumed)
-            lane.block_data = (_EMPTY_I64, _EMPTY_I64, _EMPTY_F64, add)
-            return
-        lookup = self._lookup
-        lookup[crossers] = True
-        pos = np.flatnonzero(lookup[sub])
-        lookup[crossers] = False
-        psub = sub[pos]
-        order = np.argsort(psub, kind="stable")
-        sid = psub[order]
-        first = np.empty(sid.size, dtype=bool)
-        first[0] = True
-        np.not_equal(sid[1:], sid[:-1], out=first[1:])
-        group_starts = np.flatnonzero(first)
-        group_idx = np.cumsum(first) - 1
-        rank = np.arange(sid.size, dtype=np.int64) - group_starts[group_idx]
-        # A point's count crosses theta at its (theta - count)-th
-        # occurrence of the block.
-        hits = rank == lane.slack[sid]
-        elems = pos[order[hits]]
-        elems.sort()
-        cross_ids = sub[elems]
-        cross_func = f0 + (np.searchsorted(bounds, elems, side="right") - 1)
-        dists = lp_distance(self.data[cross_ids], self.query, lane.p)
-        promo = np.bincount(cross_func - f0, minlength=nf)
-        within = np.bincount(cross_func[dists < lane.c_delta] - f0, minlength=nf)
-        cum_cand = lane.n_cand + np.cumsum(promo)
-        cum_within = lane.n_within + np.cumsum(within)
-        stop_mask = (cum_within >= lane.k) | (cum_cand > lane.cap)
-        if stop_mask.any():
-            stop = int(np.argmax(stop_mask))
+            elems, add = find_crossings(sub, lane.slack, self._lookup)
+        if elems.size:
+            cross_ids = sub[elems]
+            cross_func = f0 + (np.searchsorted(bounds, elems, side="right") - 1)
+            dists = lp_distance(self.data[cross_ids], self.query, lane.p)
+        else:
+            cross_ids = cross_func = _EMPTY_I64
+            dists = _EMPTY_F64
+        stop, reason = first_stop(
+            cross_func - f0,
+            dists < lane.c_delta,
+            nf,
+            lane.n_cand,
+            lane.n_within,
+            lane.k,
+            lane.cap,
+        )
+        if stop is not None:
             lane.i_stop = f0 + stop
-            # The scalar loop tests the within-radius condition before
-            # the candidate cap, so it wins when both fire at once.
-            lane.stop_reason = (
-                TERMINATION_K_WITHIN
-                if cum_within[stop] >= lane.k
-                else TERMINATION_CAP
-            )
+            lane.stop_reason = reason
         if lane.trace is not None:
             consumed = (
                 m if lane.i_stop is None else int(bounds[lane.i_stop - f0 + 1])

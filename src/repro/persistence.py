@@ -512,6 +512,17 @@ def _load_v3(path: Path, backend: str) -> LazyLSH:
     index, layout = _assemble_index(
         path, header, data, alive, arrays["projections"], arrays["offsets"]
     )
+    backend_cls = MmapBackend if backend == "mmap" else EagerBackend
+    index._store = InvertedListStore.from_backend(
+        _v3_backend(backend_cls, path, header, arrays), layout
+    )
+    index._data = data if backend == "mmap" else np.ascontiguousarray(data)
+    index._alive = alive
+    return index
+
+
+def _v3_backend(backend_cls, path: Path, header: dict, arrays: dict):
+    """The store backend over a v3 file's run and search sections."""
     rel32 = arrays.get("rel32")
     state = header.get("v3")
     search = None
@@ -521,8 +532,7 @@ def _load_v3(path: Path, backend: str) -> LazyLSH:
             stride=int(state["stride"]),
             top_per_row=int(state["top_per_row"]),
         )
-    backend_cls = MmapBackend if backend == "mmap" else EagerBackend
-    store_backend = backend_cls(
+    return backend_cls(
         values=arrays["values"],
         ids=arrays["ids"],
         ids32=arrays.get("ids32"),
@@ -531,10 +541,25 @@ def _load_v3(path: Path, backend: str) -> LazyLSH:
         search_state=search,
         source_path=path,
     )
-    index._store = InvertedListStore.from_backend(store_backend, layout)
-    index._data = data if backend == "mmap" else np.ascontiguousarray(data)
-    index._alive = alive
-    return index
+
+
+def open_v3_store(
+    path: str | Path,
+) -> tuple[InvertedListStore, dict[str, np.ndarray]]:
+    """Memory-map a v3 file's inverted lists as a store.
+
+    Shard workers attach this way in O(1): no ``ParameterEngine`` and no
+    hash bank, just a read-only mmap-backed store (with the saved search
+    state) plus every section's memmap by name.
+    """
+    header, arrays = open_v3_arrays(path)
+    missing = {"data", "alive", "values", "ids"} - arrays.keys()
+    if missing:
+        raise IndexFormatError(
+            f"{path} is missing field {min(missing)!r}; not a LazyLSH index file"
+        )
+    backend = _v3_backend(MmapBackend, Path(path), header, arrays)
+    return InvertedListStore.from_backend(backend), arrays
 
 
 def load_index(path: str | Path, *, backend: str = "eager") -> LazyLSH:

@@ -27,12 +27,11 @@ from repro.serve.sharding import (
     pack_shard,
     plan_shards,
 )
-from repro.serve.worker import MmapShardSearcher, ShardSearcher, worker_main
+from repro.serve.worker import ShardSearcher, worker_main
 
 __all__ = [
     "Frontend",
     "HTTP_STATUS_BY_CODE",
-    "MmapShardSearcher",
     "MmapShardSpec",
     "ShardSearcher",
     "ShardSpec",

@@ -1,25 +1,17 @@
 """Benchmark harness for the sharded query service (honest numbers).
 
-Measures, for a sweep of shard counts, the wall-clock batch latency of
-:class:`~repro.serve.ShardedSearchService` against the single-process
-flat engine, verifies bit-identity of the merged results, and reports a
-*load-balance model* of the attainable parallel speedup:
-
-* ``busy_seconds`` — each worker's cumulative in-op wall time;
-* ``critical_path_seconds`` — the slowest worker (a perfectly parallel
-  run cannot finish faster than this);
-* ``modeled_speedup`` — total shard work divided by the critical path,
-  i.e. the speedup an adequately provisioned host (>= one core per
-  worker) would see from sharding the scan, ignoring coordinator
-  overhead;
-* ``parallel_efficiency`` — ``modeled_speedup / n_shards`` (1.0 means
-  perfectly balanced shards).
-
-Wall-clock speedup additionally requires real cores: on a host with
-``cpu_count < n_shards`` the workers time-slice one CPU and wall time
-cannot improve, which is why the report always records ``cpu_count``
-and keeps the measured and modeled numbers separate — measured wall
-time is never extrapolated.
+Measures, for a sweep of shard counts, what serving a query batch
+through :class:`~repro.serve.ShardedSearchService` costs next to the
+single-process ``knn_batch`` engine on the same queries, and verifies
+bit-identity of the merged results.  The headline figures are CPU
+seconds per query, comparable even on a host with fewer cores than
+workers: the shard workers' in-op process time (``service.cpu_seconds``,
+summed), the coordinator's, and ``knn_batch``'s
+(``worker_cpu_vs_knn_batch`` is the ratio).  ``modeled_speedup`` is the
+load-balance bound total worker CPU / the busiest shard's.  Each figure
+is the fastest of ``_REPEATS`` identical waves (and ``knn_batch``
+calls).  Wall-clock times are reported next to ``host.cpu_count`` and
+never extrapolated: a wall-clock speedup needs one core per worker.
 """
 
 from __future__ import annotations
@@ -33,6 +25,10 @@ from repro.core.batch import knn_batch
 from repro.core.config import LazyLSHConfig
 from repro.core.lazylsh import LazyLSH
 from repro.serve.service import ShardedSearchService
+
+#: Identical waves (and ``knn_batch`` calls) per measurement; the
+#: fastest one is reported.
+_REPEATS = 3
 
 
 def _results_match(single, sharded) -> dict:
@@ -222,10 +218,15 @@ def run_serve_benchmark(
     )
     index = LazyLSH(cfg).build(data)
 
-    t0 = time.perf_counter()
-    baseline = knn_batch(index, queries, k, p=p)
-    single_seconds = time.perf_counter() - t0
+    single_seconds = single_cpu = float("inf")
+    for _ in range(_REPEATS):
+        t0 = time.perf_counter()
+        c0 = time.process_time()
+        baseline = knn_batch(index, queries, k, p=p)
+        single_cpu = min(single_cpu, time.process_time() - c0)
+        single_seconds = min(single_seconds, time.perf_counter() - t0)
     single = baseline.results
+    single_cpu_per_query = single_cpu / n_queries
 
     configs = []
     for n_shards in shard_counts:
@@ -233,19 +234,28 @@ def run_serve_benchmark(
             index, n_shards=n_shards, start_method=start_method
         ) as service:
             # Warm wave: absorbs worker start-up/page-in effects so the
-            # measured wave reflects steady-state serving.
+            # measured waves reflect steady-state serving.
             service.search_batch(queries[:1], k, p=p)
-            busy_before = list(service.busy_seconds)
-            t0 = time.perf_counter()
-            results = service.search_batch(queries, k, p=p)
-            wall = time.perf_counter() - t0
-            busy = [
-                after - before
-                for after, before in zip(service.busy_seconds, busy_before)
-            ]
+            best = None
+            for _ in range(_REPEATS):
+                cpu_before = list(service.cpu_seconds)
+                t0 = time.perf_counter()
+                c0 = time.process_time()
+                results = service.search_batch(queries, k, p=p)
+                coordinator = time.process_time() - c0
+                wall = time.perf_counter() - t0
+                cpu = [
+                    after - before
+                    for after, before in zip(service.cpu_seconds, cpu_before)
+                ]
+                if best is None or sum(cpu) < sum(best[2]):
+                    best = (wall, coordinator, cpu, results)
             stats = service.stats()
-        total_work = float(sum(busy))
-        critical_path = float(max(busy)) if busy else 0.0
+        assert best is not None
+        wall, coordinator, cpu, results = best
+        total_cpu = float(sum(cpu))
+        critical_path = float(max(cpu))
+        worker_per_query = total_cpu / n_queries
         configs.append(
             {
                 "n_shards": int(stats["n_shards"]),
@@ -254,14 +264,18 @@ def run_serve_benchmark(
                 "wall_speedup_vs_single": single_seconds / wall
                 if wall
                 else None,
-                "busy_seconds_per_shard": busy,
-                "total_work_seconds": total_work,
-                "critical_path_seconds": critical_path,
-                "modeled_speedup": total_work / critical_path
+                "worker_cpu_seconds_per_query": worker_per_query,
+                "coordinator_cpu_seconds_per_query": coordinator / n_queries,
+                "worker_cpu_vs_knn_batch": worker_per_query
+                / single_cpu_per_query,
+                "cpu_seconds_per_shard": cpu,
+                "total_cpu_seconds": total_cpu,
+                "critical_path_cpu_seconds": critical_path,
+                "modeled_speedup": total_cpu / critical_path
                 if critical_path
                 else None,
                 "parallel_efficiency": (
-                    total_work / critical_path / stats["n_shards"]
+                    total_cpu / critical_path / stats["n_shards"]
                     if critical_path
                     else None
                 ),
@@ -299,16 +313,18 @@ def run_serve_benchmark(
             "queries_per_second": n_queries / single_seconds
             if single_seconds
             else None,
+            "cpu_seconds_per_query": single_cpu_per_query,
             "io_total": baseline.io.to_dict(),
         },
         "sharded": configs,
         "telemetry_overhead": overhead,
         "note": (
             "Results and simulated I/O are verified bit-identical to the "
-            "single-process flat engine. modeled_speedup is the "
-            "load-balance bound total_work / critical_path over per-shard "
-            "busy time; realising it as wall-clock speedup requires at "
-            "least n_shards physical cores (see host.cpu_count). Measured "
-            "wall times are reported as-is and never extrapolated."
+            "single-process flat engine. CPU figures are the fastest of "
+            f"{_REPEATS} identical waves (knn_batch calls); modeled_speedup "
+            "is the load-balance bound total worker CPU / the busiest "
+            "shard's CPU, and realising it as wall-clock speedup requires "
+            "at least n_shards physical cores (see host.cpu_count). "
+            "Measured wall times are reported as-is and never extrapolated."
         ),
     }

@@ -219,6 +219,7 @@ class Frontend:
         self._inflight = 0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
+        self._conns: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._thread: threading.Thread | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._port = 0
@@ -357,6 +358,15 @@ class Frontend:
             loop.run_forever()
         finally:
             server.close()
+            # A handler parked in a keep-alive read would be destroyed
+            # pending with the loop: end every connection as a client
+            # hangup would, and let the handlers finish on the loop.
+            handlers = list(self._conns)
+            for writer in self._conns.values():
+                writer.close()
+            loop.run_until_complete(
+                asyncio.gather(*handlers, return_exceptions=True)
+            )
             loop.run_until_complete(server.wait_closed())
             # Fail any requests still waiting for a flush.
             for item in self._queue:
@@ -417,6 +427,9 @@ class Frontend:
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._conns[task] = writer
         try:
             while True:
                 request_line = await reader.readline()
@@ -464,6 +477,7 @@ class Frontend:
         ):
             pass
         finally:
+            del self._conns[task]
             writer.close()
             try:
                 await writer.wait_closed()

@@ -14,21 +14,25 @@ function, ids, distances, and the simulated sequential/random I/O
 counts — are bit-identical to the single-process flat engine.  Three
 observations make this work:
 
-* **Shard scans restrict engine scans.**  Each shard's per-function
-  sub-run preserves the full run's order, so ``searchsorted`` over the
-  shard restricts the engine's window endpoints exactly, and the ring
-  split (left/right of the previous window) commutes with the
-  restriction.  A shard therefore sees precisely its share of every
-  window the engine would scan.
-* **Speculation is unobservable.**  Workers scan each round in full
-  even though the engine may stop mid-round at some hash function
-  ``i_stop``.  On any round the query *continues*, the engine consumed
-  the whole round too, so worker state matches; on the round it stops,
-  the post-``i_stop`` shard state is never read again.  The coordinator
-  recovers ``i_stop`` exactly by replaying the engine's promotion order
-  (function-major, left ring run before right — a ``lexsort`` on
-  (function, full-run position)) through one cumulative sum of the
-  per-function within-radius and candidate counts.
+* **Shard scans restrict engine scans.**  Workers run the engine's own
+  round kernel over their shard (:mod:`repro.serve.worker`).  Each
+  shard's per-function sub-run preserves the full run's order, so a
+  window search over it restricts the engine's endpoints exactly, and
+  the ring split commutes with the restriction.  A shard therefore sees
+  precisely its share of every window the engine would scan.
+* **The local stop bound is exact.**  Each round request carries the
+  query's pre-round candidate and within-radius counts; a worker stops
+  at the first function ``f_stop`` where those counts plus its own
+  crossings meet the termination test.  Other shards only add
+  crossings, so the engine's stop function ``i_stop`` is at or before
+  every shard's ``f_stop``, and up to the smallest ``f_stop`` every
+  crossing has been reported.  The coordinator recovers ``i_stop``
+  exactly by replaying the engine's promotion order over those
+  functions (function-major, left ring run before right — a
+  ``lexsort`` on (function, full-run position)) through the engine's
+  :func:`~repro.core.engine.first_stop`.  A round the query continues
+  past had no local stop, so every shard consumed it whole and worker
+  state matches the engine's.
 * **Positions are dense.**  Every reported crossing and scan extent
   carries its position in the *full* run, and shard sub-runs partition
   the run, so the full scan interval per function is just the min/max
@@ -65,9 +69,10 @@ import numpy as np
 
 from repro.api import SearchRequest, SearchResult
 from repro.core.engine import (
-    TERMINATION_CAP,
-    TERMINATION_K_WITHIN,
+    _HULL_EMPTY_FIRST,
+    _MAX_ROUNDS,
     charge_ring_hulls,
+    first_stop,
 )
 from repro.errors import (
     IndexNotBuiltError,
@@ -85,11 +90,6 @@ from repro.serve.worker import worker_main
 from repro.storage.io_stats import IOStats
 
 logger = logging.getLogger("repro.serve.service")
-
-#: Mirror of the engine's round cap and hull sentinel (kept local so the
-#: service depends only on the engine's public charging primitive).
-_MAX_ROUNDS = 128
-_HULL_EMPTY_FIRST = 2**62
 
 _KNN_ABORT = "knn did not terminate; this indicates a corrupted index"
 
@@ -1330,7 +1330,16 @@ class ShardedSearchService:
                     base = np.floor_divide(hq, width)
                     r.cur_los = base * width
                     r.cur_his = r.cur_los + width - 1
-            requests = [(r.qid, r.cur_los, r.cur_his) for r in active]
+            # Each query's pre-round counts let a worker stop at the
+            # first function where its own crossings already terminate
+            # the query (the local stop bound, DESIGN §9).
+            requests = [
+                (
+                    r.qid, r.cur_los, r.cur_his, r.n_cand, r.n_within,
+                    r.c_delta, r.k, r.cap,
+                )
+                for r in active
+            ]
             if self._wave_obs is None:
                 payload = requests
             else:
@@ -1350,10 +1359,14 @@ class ShardedSearchService:
         """Fold one round's per-shard replies into the query's state.
 
         Recovers the engine's stop function by replaying its promotion
-        order, then charges exactly the I/O the single-process engine
-        would have charged for functions up to (and including) the stop.
+        order over the functions every shard scanned (up to the smallest
+        local ``f_stop``, which bounds the global stop), then charges
+        exactly the I/O the single-process engine would have charged for
+        functions up to (and including) the stop.
         """
         eta = r.eta
+        f_stops = [part["f_stop"] for part in parts if part["f_stop"] is not None]
+        limit = min(f_stops) + 1 if f_stops else eta
         gids = np.concatenate([part["gids"] for part in parts])
         funcs = np.concatenate([part["funcs"] for part in parts])
         pos = np.concatenate([part["pos"] for part in parts])
@@ -1361,27 +1374,19 @@ class ShardedSearchService:
         # Engine promotion order: function-major, then full-run position
         # (left ring run positions precede right ring run positions).
         order = np.lexsort((pos, funcs))
+        order = order[: int(np.count_nonzero(funcs < limit))]
         funcs_s = funcs[order]
-        # Per-function promotion / within-radius counts -> the first
-        # function where the engine's termination condition holds.
-        promo = np.bincount(funcs_s, minlength=eta)
-        within = np.bincount(funcs[dists < r.c_delta], minlength=eta)
-        cum_cand = r.n_cand + np.cumsum(promo)
-        cum_within = r.n_within + np.cumsum(within)
-        stop_mask = (cum_within >= r.k) | (cum_cand > r.cap)
-        if stop_mask.any():
-            i_stop = int(np.argmax(stop_mask))
-            reason = (
-                TERMINATION_K_WITHIN
-                if cum_within[i_stop] >= r.k
-                else TERMINATION_CAP
-            )
+        i_stop, reason = first_stop(
+            funcs_s, dists[order] < r.c_delta, limit, r.n_cand, r.n_within,
+            r.k, r.cap,
+        )
+        if i_stop is None and f_stops:  # pragma: no cover - protocol bug
+            raise ReproError("a shard stopped before the query terminated")
+        if i_stop is not None:
             kept = int(np.searchsorted(funcs_s, i_stop, side="right"))
             consumed = np.arange(eta) <= i_stop
         else:
-            i_stop = None
-            reason = ""
-            kept = int(gids.size)
+            kept = int(order.size)
             consumed = np.ones(eta, dtype=bool)
         # Full-run scan intervals per function: positions are dense and
         # the shards partition each run, so min/max over the shards'

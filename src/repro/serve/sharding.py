@@ -2,12 +2,13 @@
 
 The sharded service partitions the point set into ``n_shards``
 contiguous id ranges.  For each shard it extracts, per hash function,
-the sub-run of inverted-list entries owned by the shard
-(:meth:`~repro.storage.inverted_index.InvertedListStore.shard_view`)
-plus the shard's data rows and alive mask, and publishes all of it
-through one :class:`multiprocessing.shared_memory.SharedMemory` block.
-Workers attach read-only views — queries ship only window bounds and
-crossing summaries over the pipes, never index data.
+the sub-run of inverted-list entries owned by the shard in the round
+kernel's compact int32 form (:meth:`~repro.storage.inverted_index.
+InvertedListStore.compact_shard`) plus the shard's data rows and alive
+mask, and publishes all of it through one
+:class:`multiprocessing.shared_memory.SharedMemory` block.  Workers
+attach read-only views as a compact store — queries ship only window
+bounds and crossing summaries over the pipes, never index data.
 
 Shared-memory lifetime rules (see DESIGN.md section 9):
 
@@ -30,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import InvalidParameterError
+from repro.storage.backend import SearchState
 
 #: Serialises the Python < 3.13 ``resource_tracker.register`` patch in
 #: :func:`attach_shard`: the patch swaps a process-global attribute, so
@@ -66,7 +68,8 @@ class ShardSpec:
     """Everything a worker needs to attach one shard (picklable).
 
     ``arrays`` maps array name to ``(offset, shape, dtype_str)`` inside
-    the shared-memory block named ``shm_name``.
+    the shared-memory block named ``shm_name``; ``search_state`` is the
+    packed sub-runs' window-search state.
     """
 
     shard_id: int
@@ -74,6 +77,7 @@ class ShardSpec:
     hi: int
     shm_name: str
     arrays: dict = field(default_factory=dict)
+    search_state: SearchState | None = None
 
 
 @dataclass(frozen=True)
@@ -96,26 +100,23 @@ class MmapShardSpec:
 def open_mmap_shard(spec: MmapShardSpec) -> dict:
     """Open a worker's view of an mmap-attached shard.
 
-    Returns the full-index ``values``/``ids``/``data`` sections as
-    read-only memmaps plus a private, writable RAM copy of the shard's
-    ``alive`` slice (tombstones are per-worker copy-on-write state).
+    Returns the *full-index* mmap-backed ``store`` (the round kernel keeps
+    the entries the shard owns), the shard's ``data`` rows as a read-only
+    memmap slice, and a private, writable RAM copy of its ``alive`` slice
+    (tombstones are per-worker copy-on-write state).
     """
-    from repro.persistence import open_v3_arrays
+    from repro.persistence import open_v3_store
 
-    _header, arrays = open_v3_arrays(
-        Path(spec.path), names=("values", "ids", "data", "alive")
-    )
-    alive = np.array(arrays["alive"][spec.lo : spec.hi], dtype=bool)
+    store, arrays = open_v3_store(Path(spec.path))
     return {
-        "values": arrays["values"],
-        "ids": arrays["ids"],
-        "data": arrays["data"],
-        "alive": alive,
+        "store": store,
+        "data": arrays["data"][spec.lo : spec.hi],
+        "alive": np.array(arrays["alive"][spec.lo : spec.hi], dtype=bool),
     }
 
 
 #: Array layout of one shard segment, in packing order.
-_SHARD_ARRAYS = ("values", "ids", "positions", "data", "alive")
+_SHARD_ARRAYS = ("rel32", "ids32", "positions", "row_top", "data", "alive")
 
 
 def pack_shard(
@@ -131,14 +132,9 @@ def pack_shard(
     Returns the spec to hand to the worker and the parent-side handle
     (the caller owns closing and unlinking it).
     """
-    values, ids, positions = store.shard_view(lo, hi)
-    arrays = {
-        "values": values,
-        "ids": ids,
-        "positions": positions,
-        "data": np.ascontiguousarray(data[lo:hi]),
-        "alive": np.ascontiguousarray(alive[lo:hi]),
-    }
+    arrays, state = store.compact_shard(lo, hi)
+    arrays["data"] = np.ascontiguousarray(data[lo:hi])
+    arrays["alive"] = np.ascontiguousarray(alive[lo:hi])
     manifest: dict = {}
     offset = 0
     for name in _SHARD_ARRAYS:
@@ -154,7 +150,12 @@ def pack_shard(
         view = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=off)
         view[...] = arr
     spec = ShardSpec(
-        shard_id=shard_id, lo=lo, hi=hi, shm_name=shm.name, arrays=manifest
+        shard_id=shard_id,
+        lo=lo,
+        hi=hi,
+        shm_name=shm.name,
+        arrays=manifest,
+        search_state=state,
     )
     return spec, shm
 

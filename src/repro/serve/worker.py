@@ -1,24 +1,40 @@
 """Shard worker: the per-process half of the sharded query service.
 
-Each worker owns one contiguous id-range shard of the inverted index
-(attached zero-copy from shared memory) and answers *round* requests:
-given one rehashing round's window bounds it scans its shard's sub-runs
-speculatively in full and reports
+Each worker owns one contiguous id-range shard of the inverted index and
+answers *round* requests with the flat engine's round kernel
+(:mod:`repro.core.engine`): one round op answers every active query's
+windows with two batched
+:meth:`~repro.storage.inverted_index.InvertedListStore.batch_entry_positions`
+calls, splits them into ring runs with the engine's
+:class:`~repro.core.engine.RingCursor`, and consumes each query's scan in
+the engine's doubling blocks of hash functions with its crossing recovery
+(:func:`~repro.core.engine.find_crossings`).  Both attach modes run this
+one kernel.  Under shm attach the store is a compact int32 store over the
+shard's own sub-runs, packed in a shared-memory segment; under mmap
+attach it is the memory-mapped full index, and the kernel keeps the
+entries the shard owns.  Sub-runs preserve run order, so both yield the
+same entries in the same order and their replies are identical.
 
-* every collision-threshold crossing in its shard — point id, the hash
-  function where the count crossed ``theta``, the crossing entry's
-  position in the **full** run, and the true ``lp`` distance (computed
-  from the shard's own data rows), and
+For each query of a round the worker reports
+
+* its threshold crossings — point id, the hash function where the count
+  crossed ``theta``, the crossing entry's position in the **full** run,
+  and the true ``lp`` distance (computed from the shard's own data rows);
 * per-function scan extents (min/max full-run positions of the left and
   right ring runs), from which the coordinator reconstructs the exact
-  full-run page intervals for sequential-I/O charging.
+  full-run page intervals for sequential-I/O charging;
+* ``f_stop``: the first function at which the query's pre-round counts
+  (shipped on the request) plus this shard's own crossings already meet
+  Algorithm 4's termination test, or ``None``.  The worker scans no
+  further and reports no crossing past it.
 
-The worker never decides termination: the coordinator merges the
-per-shard crossings in the engine's promotion order, finds the global
-stop function, and discards crossings past it.  Speculative over-scan
-past the stop function only ever happens in a query's final round, so
-the worker's per-point collision state never diverges from the
-single-process engine's on any round that continues.
+The worker never decides termination.  Other shards only add crossings,
+so the global stop function is at or before every shard's ``f_stop``;
+the coordinator replays the merged crossings over functions up to the
+smallest ``f_stop`` in the engine's promotion order (DESIGN §9).  A round
+the query continues past had no local stop anywhere, so every shard
+consumed it whole and the per-point collision state never diverges from
+the single-process engine's.
 
 The wire protocol is one ``(op_id, op, payload)`` tuple per request with
 one ``(op_id, "ok", payload)`` or ``(op_id, "err", traceback)`` reply.
@@ -30,7 +46,8 @@ wave.  Ops:
 =============  ======================================================
 ``ping``       liveness / warm-up check, returns the shard id
 ``begin``      register a wave of queries (id, vector, metric params)
-``round``      scan one round for a list of active queries
+``round``      scan one round for a list of active queries, each
+               ``(qid, los, his, n_cand, n_within, c_delta, k, cap)``
 ``end``        drop the listed queries' state
 ``reset``      drop *all* query state (coordinator repair/replay)
 ``update``     apply one WAL record's delta to the shard (epoch/LSN
@@ -47,19 +64,20 @@ Live updates (DESIGN §11): an ``update`` payload carries one committed
 WAL record translated into shard terms — for an insert, the store's
 :class:`~repro.storage.inverted_index.InsertPlan` (full-run insertion
 and destination positions) plus the batch's points and owner
-assignment; for a remove, the tombstoned ids.  The worker applies it
-copy-on-write (the shared-memory arrays stay pristine for future
-respawns): old sub-run positions shift by the number of plan entries at
-or before them, owned new entries merge into the sub-runs at their
-plan-given positions, so the shard arrays stay exactly the restriction
-of the coordinator's full index and query waves remain bit-identical to
-single-process execution.  Updates are sequenced by LSN: a record at or
-below the shard's acked LSN is acknowledged but not re-applied, which
-makes coordinator replay after a repair idempotent.
+assignment; for a remove, the tombstoned ids.  The first insert widens
+the shard into private sub-runs with int64 values (the shared segment or
+mapped file stays pristine for respawned workers); old sub-run positions shift
+by the number of plan entries at or before them and owned new entries
+merge in at their plan-given positions, so the shard stays exactly the
+restriction of the coordinator's full index.  The kernel's search keys
+are rebuilt from the widened runs lazily, once before the next round, so
+a catch-up of many records rebuilds once.  Updates are sequenced by
+LSN: a record at or below the shard's acked LSN is acknowledged but not
+re-applied, which makes coordinator replay after a repair idempotent.
 
 Telemetry piggyback (DESIGN §10): each worker runs its *own*
 :class:`~repro.obs.registry.MetricsRegistry` and :class:`~repro.obs.
-tracer.SpanTracer`.  A ``round`` payload may be the legacy request list
+tracer.SpanTracer`.  A ``round`` payload may be the bare request list
 or ``{"requests": [...], "obs": bool}``; with ``obs`` set the reply
 payload carries an ``"obs"`` dict of deltas since the last ship —
 rows scanned, crossings found, and the finished span dicts of this
@@ -78,6 +96,14 @@ import traceback
 
 import numpy as np
 
+from repro.core.engine import (
+    _BLOCK_FUNCS,
+    _EMPTY_F64,
+    _SLACK_DEAD,
+    RingCursor,
+    find_crossings,
+    first_stop,
+)
 from repro.errors import ReproError
 from repro.metrics.lp import lp_distance
 from repro.obs.registry import MetricsRegistry
@@ -89,61 +115,38 @@ from repro.serve.sharding import (
     attach_shard,
     open_mmap_shard,
 )
+from repro.storage.backend import EagerBackend
+from repro.storage.inverted_index import InvertedListStore
 
 logger = logging.getLogger("repro.serve.worker")
-
-#: Mirrors the engine's dead-row slack sentinel (see repro.core.engine):
-#: rows that can never cross the threshold again.
-_SLACK_DEAD = 2**30
-
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_F64 = np.empty(0, dtype=np.float64)
 
 
 class _QueryState:
     """Per-query Algorithm-4 collision state restricted to one shard."""
 
-    __slots__ = (
-        "query",
-        "p",
-        "theta",
-        "eta",
-        "slack",
-        "plos",
-        "phis",
-        "pstarts",
-        "pstops",
-        "first_round",
-    )
+    __slots__ = ("query", "p", "eta", "slack", "ring")
 
-    def __init__(
-        self, query: np.ndarray, p: float, theta: int, eta: int, m: int,
-        alive: np.ndarray,
-    ) -> None:
+    def __init__(self, query, p: float, theta: int, eta: int, alive) -> None:
         self.query = query
         self.p = p
-        self.theta = theta
         self.eta = eta
-        # Fused crossing test (same idiom as the engine's Lane): a local
-        # row crosses theta in a round iff the round adds more than
-        # ``slack`` collisions; dead rows carry _SLACK_DEAD.
-        self.slack = np.full(m, _SLACK_DEAD, dtype=np.int32)
+        # Fused crossing test (the engine's Lane idiom): a local row
+        # crosses theta in a block iff the block adds more than ``slack``
+        # collisions; dead rows carry _SLACK_DEAD.
+        self.slack = np.full(alive.shape[0], _SLACK_DEAD, dtype=np.int32)
         np.copyto(self.slack, theta, where=alive)
-        # Previous-round windows (hash-value bounds, shared with the
-        # coordinator) and this shard's previous raw sub-run endpoints.
-        self.plos = np.zeros(eta, dtype=np.int64)
-        self.phis = np.zeros(eta, dtype=np.int64)
-        self.pstarts = np.zeros(eta, dtype=np.int64)
-        self.pstops = np.zeros(eta, dtype=np.int64)
-        self.first_round = True
+        self.ring = RingCursor(eta)
 
 
 class ShardSearcher:
     """Executes rounds over one attached shard.
 
-    ``values``/``ids``/``positions`` are ``(num_functions, m)`` views of
-    the shard's per-function sorted sub-runs (``positions`` holds each
-    entry's index in the full run); ``data`` the shard's point rows.
+    ``store`` answers the kernel's window searches and int32 id gathers.
+    With ``positions`` — each sub-run entry's full-run position, flat —
+    it is a store over the shard's sub-runs whose ids are local rows;
+    with ``positions=None`` it is the full index and the kernel keeps the
+    entries with ``lo <= id < hi``.  ``data``/``alive`` are the shard's
+    rows (local row ``j`` is point ``lo + j`` until the first insert).
     """
 
     def __init__(
@@ -151,38 +154,38 @@ class ShardSearcher:
         shard_id: int,
         lo: int,
         hi: int,
-        values: np.ndarray,
-        ids: np.ndarray,
-        positions: np.ndarray,
+        store: InvertedListStore,
+        positions: np.ndarray | None,
         data: np.ndarray,
         alive: np.ndarray,
     ) -> None:
         self.shard_id = shard_id
         self.lo = lo
         self.hi = hi
-        self.values = values
-        self.ids = ids
+        self.store = store
         self.positions = positions
         self.data = data
         self.alive = alive
         self.m = int(hi - lo)
         self.queries: dict[int, _QueryState] = {}
+        self._marks = np.zeros(self.m, dtype=bool)  # find_crossings scratch
         # Always-on scan accumulators (two int adds per scan); the
         # obs-enabled reply path ships deltas of these.
         self.rows_scanned = 0
         self.crossings = 0
-        # Live-update state (DESIGN §11).  Until the first insert update
-        # the shard's point ids are exactly [lo, hi) and local rows are
-        # ``gid - lo``; afterwards ``_gid_of`` maps local row -> global id
-        # and ``_lookup`` (sized to the full index) maps back.  ``alive``
-        # starts as a read-only shared-memory view and is copied on the
-        # first tombstone (copy-on-write keeps the segment pristine for
-        # respawned workers, which catch up by replay instead).
+        # Live-update state (DESIGN §11).  ``values``/``ids`` are the
+        # private sub-runs (int64 values, int32 local ids), created by the
+        # first insert; from then on ``_gid_of`` maps local row -> global
+        # id and ``_lookup`` (sized to the full index) maps back.  A
+        # read-only ``alive`` view is copied on the first tombstone.
         self.epoch = 0
         self.acked_lsn = 0
+        self.values: np.ndarray | None = None
+        self.ids: np.ndarray | None = None
         self._gid_of: np.ndarray | None = None
         self._lookup: np.ndarray | None = None
-        self._owns_alive = False
+        self._owns_alive = bool(alive.flags.writeable)
+        self._stale = False
 
     # -- protocol ops ---------------------------------------------------
 
@@ -193,7 +196,6 @@ class ShardSearcher:
                 float(p),
                 int(theta),
                 int(eta),
-                self.m,
                 self.alive,
             )
 
@@ -205,10 +207,29 @@ class ShardSearcher:
         self.queries.clear()
 
     def round(self, requests: list) -> dict:
-        return {
-            qid: self._round_one(self.queries[qid], los, his)
-            for qid, los, his in requests
-        }
+        """One round for every listed query: one batched window search."""
+        if self._stale:
+            self._rebuild_store()
+        if not requests:
+            return {}
+        states = [self.queries[req[0]] for req in requests]
+        funcs = np.concatenate(
+            [np.arange(q.eta, dtype=np.int64) for q in states]
+        )
+        los = np.concatenate([req[1] for req in requests]).astype(np.int64)
+        his = np.concatenate([req[2] for req in requests]).astype(np.int64)
+        starts = self.store.batch_entry_positions(funcs, los, side="left")
+        stops = self.store.batch_entry_positions(funcs, his, side="right")
+        replies = {}
+        offset = 0
+        for req, q in zip(requests, states):
+            span = slice(offset, offset + q.eta)
+            offset += q.eta
+            seg_starts, seg_lens = q.ring.split(
+                los[span], his[span], starts[span], stops[span]
+            )
+            replies[req[0]] = self._scan(q, seg_starts, seg_lens, *req[3:])
+        return replies
 
     def apply_update(self, delta: dict) -> dict:
         """Apply one WAL record's shard delta (idempotent by LSN)."""
@@ -234,6 +255,111 @@ class ShardSearcher:
             "applied": applied,
         }
 
+    # -- the round kernel -----------------------------------------------
+
+    def _scan(
+        self,
+        q: _QueryState,
+        seg_starts: np.ndarray,
+        seg_lens: np.ndarray,
+        n_cand: int,
+        n_within: int,
+        c_delta: float,
+        k: int,
+        cap: float,
+    ) -> dict:
+        """Consume one query's round in doubling blocks of functions.
+
+        Stops after the first block in which the query's pre-round
+        counts plus this shard's crossings meet the termination test,
+        keeping only the crossings up to that function (``f_stop``).
+        """
+        eta = q.eta
+        # Flat store index of each ring run's first/last owned entry.
+        ext = np.full((2, 2 * eta), -1, dtype=np.int64)
+        found: list[tuple[np.ndarray, ...]] = []
+        f_stop: int | None = None
+        f0 = 0
+        block = _BLOCK_FUNCS
+        while f0 < eta and f_stop is None:
+            f1 = min(eta, f0 + block)
+            block *= 2
+            starts = seg_starts[2 * f0 : 2 * f1]
+            lens = seg_lens[2 * f0 : 2 * f1]
+            raw = self.store.gather_segments32(starts, lens)
+            ends = np.cumsum(lens)
+            shift = starts - (ends - lens)  # stream index -> flat index
+            keep: np.ndarray | None = None
+            if self.positions is None:
+                # Full-index store: keep the owned entries, in scan order.
+                keep = np.flatnonzero((raw >= self.lo) & (raw < self.hi))
+                sub = raw[keep] - self.lo
+                a = np.searchsorted(keep, ends - lens)
+                b = np.searchsorted(keep, ends)
+                segs = np.flatnonzero(b > a)
+                ext[0, 2 * f0 + segs] = keep[a[segs]] + shift[segs]
+                ext[1, 2 * f0 + segs] = keep[b[segs] - 1] + shift[segs]
+            else:
+                sub = raw
+                segs = np.flatnonzero(lens)
+                ext[0, 2 * f0 + segs] = starts[segs]
+                ext[1, 2 * f0 + segs] = starts[segs] + lens[segs] - 1
+            self.rows_scanned += int(sub.size)
+            elems, add = find_crossings(sub, q.slack, self._marks)
+            local = sub[elems]
+            at = elems if keep is None else keep[elems]
+            seg = np.searchsorted(ends, at, side="right")
+            funcs = f0 + seg // 2
+            flat = at + shift[seg]
+            dists = (
+                lp_distance(self.data[local], q.query, q.p)
+                if local.size
+                else _EMPTY_F64
+            )
+            inside = dists < c_delta
+            stop, _reason = first_stop(
+                funcs - f0, inside, f1 - f0, n_cand, n_within, k, cap
+            )
+            if stop is None:
+                n_cand += int(local.size)
+                n_within += int(np.count_nonzero(inside))
+                np.subtract(q.slack, add, out=q.slack, casting="unsafe")
+                q.slack[local] = _SLACK_DEAD
+            else:
+                f_stop = f0 + stop
+                kept = int(np.searchsorted(funcs, f_stop, side="right"))
+                local, funcs, flat, dists = (
+                    local[:kept], funcs[:kept], flat[:kept], dists[:kept]
+                )
+            found.append((local, funcs, flat, dists))
+            f0 = f1
+        local, funcs, flat, dists = (np.concatenate(col) for col in zip(*found))
+        self.crossings += int(local.size)
+        if self._gid_of is None:
+            gids = local.astype(np.int64) + self.lo
+        else:
+            gids = self._gid_of[local]
+        ext = np.where(ext >= 0, self._run_pos(np.maximum(ext, 0)), -1)
+        return {
+            "gids": gids,
+            "funcs": funcs,
+            "pos": self._run_pos(flat),
+            "dists": dists,
+            "l_lo": ext[0, 0::2],
+            "l_hi": ext[1, 0::2],
+            "r_lo": ext[0, 1::2],
+            "r_hi": ext[1, 1::2],
+            "f_stop": f_stop,
+        }
+
+    def _run_pos(self, flat: np.ndarray) -> np.ndarray:
+        """Full-run positions of the store's flat entry indices."""
+        if self.positions is None:
+            return flat % self.store.num_points
+        return self.positions[flat].astype(np.int64)
+
+    # -- live updates ---------------------------------------------------
+
     def _apply_insert_delta(self, delta: dict) -> None:
         """Merge an insert batch's plan into the shard's sub-runs.
 
@@ -251,8 +377,11 @@ class ShardSearcher:
         start = int(delta["batch_start"])
         owners = np.asarray(delta["owners"], dtype=np.int64)
         num_funcs, m_batch = plan_values.shape
-        if self._gid_of is None:
-            self._gid_of = np.arange(self.lo, self.hi, dtype=np.int64)
+        if self.values is None:
+            self._widen()
+        assert self.values is not None and self.ids is not None
+        assert self._gid_of is not None and self.positions is not None
+        positions = self.positions.reshape(self.values.shape)
         # Points this shard now owns (ascending gid order).
         sel = np.flatnonzero(owners == self.shard_id)
         new_gids = start + sel
@@ -266,20 +395,23 @@ class ShardSearcher:
         m_old = int(self.values.shape[1])
         m_new = m_old + m_own
         new_values = np.empty((num_funcs, m_new), dtype=np.int64)
-        new_ids = np.empty((num_funcs, m_new), dtype=np.int64)
-        new_positions = np.empty((num_funcs, m_new), dtype=np.int64)
+        new_ids = np.empty((num_funcs, m_new), dtype=np.int32)
+        new_positions = np.empty((num_funcs, m_new), dtype=np.int32)
         if m_own:
             own_mask = (owners[plan_ids - start] == self.shard_id)
             vals_own = plan_values[own_mask].reshape(num_funcs, m_own)
-            gids_own = plan_ids[own_mask].reshape(num_funcs, m_own)
+            # New points take local rows m_old.. in ascending gid order.
+            local_own = m_old + np.searchsorted(
+                new_gids, plan_ids[own_mask]
+            ).reshape(num_funcs, m_own)
             dest_own = plan_dest[own_mask].reshape(num_funcs, m_own)
         for f in range(num_funcs):
             old_v = self.values[f]
             # Old entries shift right by the number of batch entries whose
             # old-run insertion position is <= theirs (ties resolve after
             # equal-valued old entries, so "<=" is exact).
-            shifted = self.positions[f] + np.searchsorted(
-                rel[f], self.positions[f], side="right"
+            shifted = positions[f] + np.searchsorted(
+                rel[f], positions[f], side="right"
             )
             if m_own:
                 loc = np.searchsorted(
@@ -289,7 +421,7 @@ class ShardSearcher:
                 taken[loc] = True
                 new_values[f, loc] = vals_own[f]
                 new_values[f, ~taken] = old_v
-                new_ids[f, loc] = gids_own[f]
+                new_ids[f, loc] = local_own[f]
                 new_ids[f, ~taken] = self.ids[f]
                 new_positions[f, loc] = dest_own[f]
                 new_positions[f, ~taken] = shifted
@@ -299,12 +431,34 @@ class ShardSearcher:
                 new_positions[f] = shifted
         self.values = new_values
         self.ids = new_ids
-        self.positions = new_positions
+        self.positions = new_positions.ravel()
         self.m = m_new
         # Global id -> local row map over the grown index.
-        lookup = np.full(start + m_batch, -1, dtype=np.int64)
-        lookup[self._gid_of] = np.arange(self.m, dtype=np.int64)
+        lookup = np.full(start + m_batch, -1, dtype=np.int32)
+        lookup[self._gid_of] = np.arange(self.m, dtype=np.int32)
         self._lookup = lookup
+        self._stale = True
+
+    def _widen(self) -> None:
+        """Private sub-runs for the insert path (first insert only)."""
+        if self.positions is None:
+            values, ids, positions = self.store.shard_view(self.lo, self.hi)
+            self.ids = (ids - self.lo).astype(np.int32)
+        else:
+            values, self.ids = self.store.runs()
+            positions = self.positions
+        self.values = values
+        self.positions = positions.ravel()
+        self._gid_of = np.arange(self.lo, self.hi, dtype=np.int64)
+
+    def _rebuild_store(self) -> None:
+        """Search keys over the widened sub-runs (once per catch-up)."""
+        assert self.values is not None and self.ids is not None
+        self.store = InvertedListStore.from_backend(
+            EagerBackend(values=self.values, ids=self.ids)
+        )
+        self._marks = np.zeros(self.m, dtype=bool)
+        self._stale = False
 
     def _apply_remove_delta(self, gids: np.ndarray) -> None:
         """Tombstone the removed ids this shard owns (copy-on-write)."""
@@ -321,358 +475,6 @@ class ShardSearcher:
             self._owns_alive = True
         self.alive[local] = False
 
-    # -- the per-round shard scan --------------------------------------
-
-    def _round_one(
-        self, q: _QueryState, los: np.ndarray, his: np.ndarray
-    ) -> dict:
-        """One round's speculative full scan of this shard.
-
-        Replicates the engine's ring split exactly, restricted to the
-        shard: sub-runs preserve full-run order, so ``searchsorted`` on
-        the shard's values restricts the full run's window endpoints and
-        the per-function left/right ring runs are the shard's share of
-        the engine's runs.
-        """
-        eta = q.eta
-        los = np.asarray(los, dtype=np.int64)
-        his = np.asarray(his, dtype=np.int64)
-        starts = np.empty(eta, dtype=np.int64)
-        stops = np.empty(eta, dtype=np.int64)
-        for i in range(eta):
-            row = self.values[i]
-            starts[i] = np.searchsorted(row, los[i], side="left")
-            stops[i] = np.searchsorted(row, his[i], side="right")
-        stops = np.maximum(starts, stops)
-        if q.first_round:
-            left_starts, left_stops = starts, stops
-            right_starts = right_stops = stops
-        else:
-            nested = (los <= q.plos) & (q.phis <= his)
-            left_starts = starts
-            left_stops = np.where(
-                nested, np.minimum(q.pstarts, stops), stops
-            )
-            right_starts = np.where(
-                nested, np.maximum(q.pstops, starts), stops
-            )
-            right_stops = stops
-        reply = self._scan(
-            q, left_starts, left_stops, right_starts, right_stops
-        )
-        q.plos[:] = los
-        q.phis[:] = his
-        q.pstarts[:] = starts
-        q.pstops[:] = stops
-        q.first_round = False
-        return reply
-
-    def _scan(
-        self,
-        q: _QueryState,
-        left_starts: np.ndarray,
-        left_stops: np.ndarray,
-        right_starts: np.ndarray,
-        right_stops: np.ndarray,
-    ) -> dict:
-        eta = q.eta
-        m = self.m
-        # Gather the round's entries function-major, left run before
-        # right run — the engine's scan order.
-        seg_rows = np.repeat(np.arange(eta, dtype=np.int64), 2)
-        seg_starts = np.empty(2 * eta, dtype=np.int64)
-        seg_stops = np.empty(2 * eta, dtype=np.int64)
-        seg_starts[0::2] = left_starts
-        seg_stops[0::2] = left_stops
-        seg_starts[1::2] = right_starts
-        seg_stops[1::2] = right_stops
-        seg_lens = seg_stops - seg_starts
-        total = int(seg_lens.sum())
-        self.rows_scanned += total
-        # Per-function full-run extents of the two ring runs (-1 = empty).
-        l_lo, l_hi = self._extents(left_starts, left_stops)
-        r_lo, r_hi = self._extents(right_starts, right_stops)
-        if total == 0:
-            return {
-                "gids": _EMPTY_I64,
-                "funcs": _EMPTY_I64,
-                "pos": _EMPTY_I64,
-                "dists": _EMPTY_F64,
-                "l_lo": l_lo,
-                "l_hi": l_hi,
-                "r_lo": r_lo,
-                "r_hi": r_hi,
-            }
-        flat_base = seg_rows * m
-        offsets = np.empty(2 * eta, dtype=np.int64)
-        offsets[0] = 0
-        np.cumsum(seg_lens[:-1], out=offsets[1:])
-        idx = np.repeat(flat_base + seg_starts - offsets, seg_lens)
-        idx += np.arange(total, dtype=np.int64)
-        if self._lookup is None:
-            sub = self.ids.ravel()[idx] - self.lo  # shard-local point rows
-        else:
-            sub = self._lookup[self.ids.ravel()[idx]]
-        subpos = self.positions.ravel()[idx]
-        func_lens = seg_lens[0::2] + seg_lens[1::2]
-        bounds = np.empty(eta + 1, dtype=np.int64)
-        bounds[0] = 0
-        np.cumsum(func_lens, out=bounds[1:])
-        # Threshold crossings, engine idiom: bincount finds the few rows
-        # whose count crosses theta this round, a stable rank over just
-        # their occurrences recovers the exact crossing entry.
-        add = np.bincount(sub, minlength=m)
-        crossers = np.flatnonzero(add > q.slack)
-        if crossers.size:
-            lookup = np.zeros(m, dtype=bool)
-            lookup[crossers] = True
-            pos = np.flatnonzero(lookup[sub])
-            psub = sub[pos]
-            order = np.argsort(psub, kind="stable")
-            sid = psub[order]
-            first = np.empty(sid.size, dtype=bool)
-            first[0] = True
-            np.not_equal(sid[1:], sid[:-1], out=first[1:])
-            group_starts = np.flatnonzero(first)
-            group_idx = np.cumsum(first) - 1
-            rank = np.arange(sid.size, dtype=np.int64) - group_starts[group_idx]
-            hits = rank == q.slack[sid]
-            elems = pos[order[hits]]
-            elems.sort()
-            cross_local = sub[elems]
-            cross_func = np.searchsorted(bounds, elems, side="right") - 1
-            cross_pos = subpos[elems]
-            dists = lp_distance(self.data[cross_local], q.query, q.p)
-            if self._gid_of is None:
-                gids = cross_local + self.lo
-            else:
-                gids = self._gid_of[cross_local]
-        else:
-            gids = cross_func = cross_pos = _EMPTY_I64
-            dists = _EMPTY_F64
-            cross_local = _EMPTY_I64
-        self.crossings += int(gids.size)
-        np.subtract(q.slack, add, out=q.slack, casting="unsafe")
-        if cross_local.size:
-            q.slack[cross_local] = _SLACK_DEAD
-        return {
-            "gids": gids,
-            "funcs": cross_func,
-            "pos": cross_pos,
-            "dists": dists,
-            "l_lo": l_lo,
-            "l_hi": l_hi,
-            "r_lo": r_lo,
-            "r_hi": r_hi,
-        }
-
-    def _extents(
-        self, run_starts: np.ndarray, run_stops: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Full-run positions (min, max) of each function's sub-run."""
-        eta = run_starts.shape[0]
-        lo = np.full(eta, -1, dtype=np.int64)
-        hi = np.full(eta, -1, dtype=np.int64)
-        nonempty = run_stops > run_starts
-        for i in np.flatnonzero(nonempty):
-            row = self.positions[i]
-            lo[i] = row[run_starts[i]]
-            hi[i] = row[run_stops[i] - 1]
-        return lo, hi
-
-
-class MmapShardSearcher(ShardSearcher):
-    """A shard searcher over the memory-mapped *full* index file.
-
-    Nothing is packed per shard: ``values``/``ids``/``data`` are
-    read-only memmaps of the whole v3 file, shared byte-for-byte with
-    every other worker through the OS page cache.  The per-round window
-    search runs directly on the full runs; the scan then keeps only the
-    entries this shard owns (``lo <= id < hi``).  Because a shard's
-    sub-run preserves full-run order, restricting the full-run ring
-    segments to owned entries yields exactly the entry set, order and
-    extents the shm-packed :class:`ShardSearcher` scans — replies are
-    bit-identical, so the coordinator cannot tell the attach modes apart.
-
-    Live updates mutate shard-private arrays, so the first ``update`` op
-    makes ``worker_main`` swap this searcher for a materialised
-    :class:`ShardSearcher` via :meth:`materialize`; the memmap pages are
-    dropped and the classic copy-on-write delta path takes over.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        lo: int,
-        hi: int,
-        values: np.ndarray,
-        ids: np.ndarray,
-        data: np.ndarray,
-        alive: np.ndarray,
-    ) -> None:
-        super().__init__(shard_id, lo, hi, values, ids, None, data, alive)
-        # ``open_mmap_shard`` hands each worker a private alive slice.
-        self._owns_alive = True
-        self.num_rows = int(values.shape[1])
-
-    def materialize(self) -> ShardSearcher:
-        """Copy the owned sub-runs into RAM and return a classic searcher.
-
-        The extraction is exactly ``InvertedListStore.shard_view`` (same
-        mask, same flat order), so the materialised worker starts from
-        the same arrays a shm pack would have shipped — the update path
-        stays bit-identical across attach modes.
-        """
-        n = self.num_rows
-        mask = (self.ids >= self.lo) & (self.ids < self.hi)
-        flat = np.flatnonzero(mask.ravel())
-        shape = (self.values.shape[0], self.m)
-        searcher = ShardSearcher(
-            self.shard_id,
-            self.lo,
-            self.hi,
-            np.ascontiguousarray(self.values.ravel()[flat].reshape(shape)),
-            np.ascontiguousarray(self.ids.ravel()[flat].reshape(shape)),
-            np.ascontiguousarray((flat % n).reshape(shape)),
-            np.array(self.data[self.lo : self.hi]),
-            self.alive,
-        )
-        searcher._owns_alive = True
-        searcher.queries = self.queries
-        searcher.rows_scanned = self.rows_scanned
-        searcher.crossings = self.crossings
-        searcher.epoch = self.epoch
-        searcher.acked_lsn = self.acked_lsn
-        return searcher
-
-    def _scan(
-        self,
-        q: _QueryState,
-        left_starts: np.ndarray,
-        left_stops: np.ndarray,
-        right_starts: np.ndarray,
-        right_stops: np.ndarray,
-    ) -> dict:
-        eta = q.eta
-        n = self.num_rows
-        m = self.m
-        seg_starts = np.empty(2 * eta, dtype=np.int64)
-        seg_stops = np.empty(2 * eta, dtype=np.int64)
-        seg_starts[0::2] = left_starts
-        seg_stops[0::2] = left_stops
-        seg_starts[1::2] = right_starts
-        seg_stops[1::2] = right_stops
-        seg_lens = seg_stops - seg_starts
-        total_full = int(seg_lens.sum())
-        l_lo = np.full(eta, -1, dtype=np.int64)
-        l_hi = np.full(eta, -1, dtype=np.int64)
-        r_lo = np.full(eta, -1, dtype=np.int64)
-        r_hi = np.full(eta, -1, dtype=np.int64)
-        if total_full == 0:
-            return {
-                "gids": _EMPTY_I64,
-                "funcs": _EMPTY_I64,
-                "pos": _EMPTY_I64,
-                "dists": _EMPTY_F64,
-                "l_lo": l_lo,
-                "l_hi": l_hi,
-                "r_lo": r_lo,
-                "r_hi": r_hi,
-            }
-        seg_rows = np.repeat(np.arange(eta, dtype=np.int64), 2)
-        offsets = np.empty(2 * eta, dtype=np.int64)
-        offsets[0] = 0
-        np.cumsum(seg_lens[:-1], out=offsets[1:])
-        # Full-run positions of every scanned entry, segment-major: this
-        # gather is the real disk read the simulated charge models.
-        run_pos = np.repeat(seg_starts - offsets, seg_lens)
-        run_pos += np.arange(total_full, dtype=np.int64)
-        flat_idx = run_pos + np.repeat(seg_rows * n, seg_lens)
-        gid_all = self.ids.ravel()[flat_idx]
-        keep = (gid_all >= self.lo) & (gid_all < self.hi)
-        seg_col = np.repeat(np.arange(2 * eta, dtype=np.int64), seg_lens)
-        kept_seg = seg_col[keep]
-        sub = gid_all[keep] - self.lo
-        subpos = run_pos[keep]
-        total = int(sub.size)
-        self.rows_scanned += total
-        # Per-segment owned extents: kept_seg is sorted (segments were
-        # gathered in order) and subpos ascends within each segment, so
-        # the extents are the first/last owned entry of each slice.
-        seg_ids = np.arange(2 * eta, dtype=np.int64)
-        first = np.searchsorted(kept_seg, seg_ids, side="left")
-        last = np.searchsorted(kept_seg, seg_ids, side="right")
-        for i in range(eta):
-            a, b = first[2 * i], last[2 * i]
-            if b > a:
-                l_lo[i] = subpos[a]
-                l_hi[i] = subpos[b - 1]
-            a, b = first[2 * i + 1], last[2 * i + 1]
-            if b > a:
-                r_lo[i] = subpos[a]
-                r_hi[i] = subpos[b - 1]
-        if total == 0:
-            return {
-                "gids": _EMPTY_I64,
-                "funcs": _EMPTY_I64,
-                "pos": _EMPTY_I64,
-                "dists": _EMPTY_F64,
-                "l_lo": l_lo,
-                "l_hi": l_hi,
-                "r_lo": r_lo,
-                "r_hi": r_hi,
-            }
-        func_lens = (last - first)[0::2] + (last - first)[1::2]
-        bounds = np.empty(eta + 1, dtype=np.int64)
-        bounds[0] = 0
-        np.cumsum(func_lens, out=bounds[1:])
-        add = np.bincount(sub, minlength=m)
-        crossers = np.flatnonzero(add > q.slack)
-        if crossers.size:
-            lookup = np.zeros(m, dtype=bool)
-            lookup[crossers] = True
-            pos = np.flatnonzero(lookup[sub])
-            psub = sub[pos]
-            order = np.argsort(psub, kind="stable")
-            sid = psub[order]
-            first_occ = np.empty(sid.size, dtype=bool)
-            first_occ[0] = True
-            np.not_equal(sid[1:], sid[:-1], out=first_occ[1:])
-            group_starts = np.flatnonzero(first_occ)
-            group_idx = np.cumsum(first_occ) - 1
-            rank = np.arange(sid.size, dtype=np.int64) - group_starts[group_idx]
-            hits = rank == q.slack[sid]
-            elems = pos[order[hits]]
-            elems.sort()
-            cross_local = sub[elems]
-            cross_func = np.searchsorted(bounds, elems, side="right") - 1
-            cross_pos = subpos[elems]
-            # Distances come straight off the mapped data rows (global
-            # row index == global id until the first update, which
-            # materialises this searcher away).
-            dists = lp_distance(
-                self.data[cross_local + self.lo], q.query, q.p
-            )
-            gids = cross_local + self.lo
-        else:
-            gids = cross_func = cross_pos = _EMPTY_I64
-            dists = _EMPTY_F64
-            cross_local = _EMPTY_I64
-        self.crossings += int(gids.size)
-        np.subtract(q.slack, add, out=q.slack, casting="unsafe")
-        if cross_local.size:
-            q.slack[cross_local] = _SLACK_DEAD
-        return {
-            "gids": gids,
-            "funcs": cross_func,
-            "pos": cross_pos,
-            "dists": dists,
-            "l_lo": l_lo,
-            "l_hi": l_hi,
-            "r_lo": r_lo,
-            "r_hi": r_hi,
-        }
-
 
 def worker_main(conn, spec: ShardSpec | MmapShardSpec) -> None:
     """Worker process entry point (importable, spawn-safe).
@@ -684,30 +486,30 @@ def worker_main(conn, spec: ShardSpec | MmapShardSpec) -> None:
     scheduler-noise-immune cost accounting on oversubscribed hosts).
     """
     try:
+        positions: np.ndarray | None = None
         if isinstance(spec, MmapShardSpec):
             shm = None
             arrays = open_mmap_shard(spec)
-            searcher: ShardSearcher = MmapShardSearcher(
-                spec.shard_id,
-                spec.lo,
-                spec.hi,
-                arrays["values"],
-                arrays["ids"],
-                arrays["data"],
-                arrays["alive"],
-            )
+            store = arrays["store"]
         else:
             arrays, shm = attach_shard(spec)
-            searcher = ShardSearcher(
-                spec.shard_id,
-                spec.lo,
-                spec.hi,
-                arrays["values"],
-                arrays["ids"],
-                arrays["positions"],
-                arrays["data"],
-                arrays["alive"],
+            assert spec.search_state is not None
+            store = InvertedListStore.from_compact(
+                arrays["rel32"],
+                arrays["ids32"],
+                arrays["row_top"],
+                spec.search_state,
             )
+            positions = arrays["positions"].ravel()
+        searcher = ShardSearcher(
+            spec.shard_id,
+            spec.lo,
+            spec.hi,
+            store,
+            positions,
+            arrays["data"],
+            arrays["alive"],
+        )
     except Exception:  # pragma: no cover - attach failures are fatal
         logger.exception(
             "shard %d worker failed to attach its segment", spec.shard_id
@@ -803,10 +605,6 @@ def worker_main(conn, spec: ShardSpec | MmapShardSpec) -> None:
                     crash_in_updates -= 1
                     if crash_in_updates <= 0:
                         os._exit(1)
-                if isinstance(searcher, MmapShardSearcher):
-                    # The delta path mutates shard-private arrays; leave
-                    # the read-only mapping behind first.
-                    searcher = searcher.materialize()
                 result = searcher.apply_update(payload)
             elif op == "crash":
                 if isinstance(payload, dict) and payload.get("after_updates"):

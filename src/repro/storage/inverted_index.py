@@ -26,12 +26,13 @@ per-page Python loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro._typing import IdArray
 from repro.errors import InvalidParameterError
-from repro.storage.backend import StorageBackend
+from repro.storage.backend import SearchState, StorageBackend
 from repro.storage.io_stats import IOStats
 from repro.storage.pages import PageLayout, PageTracker
 
@@ -135,29 +136,62 @@ class InvertedListStore:
         acceleration arrays (old files, wide hash domains) fall back to
         :meth:`_rebuild_search_keys`.
         """
+        store = cls._adopt(
+            backend.values, backend.ids, backend.values.shape,
+            backend.search_state, backend.rel32, backend.row_top,
+            backend.ids32, layout,
+        )
+        store._backend = backend
+        return store
+
+    @classmethod
+    def from_compact(
+        cls,
+        rel32: np.ndarray,
+        ids32: np.ndarray,
+        row_top: np.ndarray,
+        state: SearchState,
+    ) -> "InvertedListStore":
+        """A search-only store over compact runs (no int64 copies).
+
+        ``rel32``/``ids32`` are ``(num_functions, num_points)`` int32 runs
+        (values relative to ``state.vmin``, and ids) and ``row_top`` their
+        coarse search index, as :meth:`compact_shard` writes them.  The
+        store answers :meth:`batch_entry_positions` and
+        :meth:`gather_segments32`, the round kernel's two primitives, and
+        :meth:`runs` widens it; other reads and :meth:`insert` need int64
+        runs it does not hold.
+        """
+        return cls._adopt(
+            None, None, rel32.shape, state, rel32.ravel(), row_top,
+            ids32.ravel(), None,
+        )
+
+    @classmethod
+    def _adopt(
+        cls, values: Any, ids: Any, shape: tuple, state: SearchState | None,
+        rel32, row_top, ids32, layout: PageLayout | None,
+    ) -> "InvertedListStore":
         store = cls.__new__(cls)
         store.observer = None
         store._layout = layout or PageLayout()
-        num_functions, num_points = backend.values.shape
-        store._num_functions = int(num_functions)
-        store._num_points = int(num_points)
-        store._values = backend.values
-        store._ids = backend.ids
-        state = backend.search_state
-        if state is None or backend.rel32 is None:  # pragma: no cover
+        store._num_functions, store._num_points = (int(x) for x in shape)
+        store._values = values
+        store._ids = ids
+        store._backend = None
+        store._iota_cache = None
+        store._id_order = None
+        store._ids_by_id = None
+        if state is None or rel32 is None:
             store._rebuild_search_keys()
         else:
             store._keys = None
             store._vmin = int(state.vmin)
             store._stride = int(state.stride)
             store._top_per_row = int(state.top_per_row)
-            store._rel32 = backend.rel32
-            store._row_top = backend.row_top
-            store._ids32_flat = backend.ids32
-        store._backend = backend
-        store._iota_cache = None
-        store._id_order = None
-        store._ids_by_id = None
+            store._rel32 = rel32
+            store._row_top = row_top
+            store._ids32_flat = ids32
         return store
 
     @property
@@ -218,8 +252,9 @@ class InvertedListStore:
             self._stride = 2
             self._keys: np.ndarray | None = self._values.ravel()
             return
-        vmin = int(self._values.min())
-        vmax = int(self._values.max())
+        # Runs are sorted, so their first and last columns bound them.
+        vmin = int(self._values[:, 0].min())
+        vmax = int(self._values[:, -1].max())
         stride = vmax - vmin + 2
         self._vmin = vmin
         self._stride = stride
@@ -231,7 +266,11 @@ class InvertedListStore:
             # refinement window inside a single run, where int32
             # comparisons are order-faithful.
             self._keys = None
-            self._rel32 = (self._values - vmin).astype(np.int32).ravel()
+            self._rel32 = np.subtract(
+                self._values.ravel(), vmin,
+                out=np.empty(self._values.size, dtype=np.int32),
+                casting="unsafe",
+            )
             self._top_per_row = -(-self._num_points // _TOP_STRIDE)
             funcs = np.arange(self._num_functions, dtype=np.int64)[:, None]
             self._row_top = (
@@ -392,7 +431,7 @@ class InvertedListStore:
             self.observer.on_gather(int(idx.size))
         ids32 = self._ids32_flat
         if ids32 is None:
-            ids32 = self._ids.ravel().astype(np.int32)
+            ids32 = self._ids.ravel().astype(np.int32, copy=False)
             self._ids32_flat = ids32
         return ids32[idx]
 
@@ -633,6 +672,22 @@ class InvertedListStore:
     # Sharding (repro.serve)
     # ------------------------------------------------------------------
 
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted runs as ``(values, ids)`` matrices, values int64.
+
+        A :meth:`from_compact` store widens its int32 values into a fresh
+        array and returns a view of its int32 ids; any other store returns
+        its own arrays.
+        """
+        if self._values is not None:
+            return self._values, self._ids
+        assert self._rel32 is not None and self._ids32_flat is not None
+        shape = (self._num_functions, self._num_points)
+        return (
+            self._rel32.reshape(shape) + np.int64(self._vmin),
+            self._ids32_flat.reshape(shape),
+        )
+
     def shard_view(
         self, lo: int, hi: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -651,19 +706,50 @@ class InvertedListStore:
         The returned arrays are fresh copies, safe to export through
         shared memory while the store keeps serving queries.
         """
+        flat = self._shard_entries(lo, hi)
+        shape = (self._num_functions, hi - lo)
+        positions = (flat % self._num_points).reshape(shape)
+        values = self._values.ravel()[flat].reshape(shape)
+        ids = self._ids.ravel()[flat].reshape(shape)
+        return values, ids, positions
+
+    def compact_shard(
+        self, lo: int, hi: int
+    ) -> tuple[dict[str, np.ndarray], SearchState]:
+        """Shard ``[lo, hi)`` in the round kernel's compact form.
+
+        Returns the arrays of a :meth:`from_compact` store over the
+        shard's sub-runs — ``rel32`` (values relative to this store's
+        ``vmin``), ``ids32`` (local ids ``id - lo``) and ``row_top`` —
+        plus ``positions`` (each entry's int32 position in the full run)
+        and the sub-runs' search state.  Everything is gathered from the
+        int32 search shadows, so no int64 copy of the runs is made.
+        """
+        if self._rel32 is None:  # pragma: no cover - >int32 hash domains
+            raise InvalidParameterError("compact shards need int32 runs")
+        flat = self._shard_entries(lo, hi)
+        m = hi - lo
+        ids = self._ids.ravel() if self._ids32_flat is None else self._ids32_flat
+        shape = (self._num_functions, m)
+        rel32 = self._rel32[flat].reshape(shape)
+        funcs = np.arange(self._num_functions, dtype=np.int64)[:, None]
+        arrays = {
+            "rel32": rel32,
+            "ids32": (ids[flat] - lo).astype(np.int32, copy=False).reshape(shape),
+            "positions": (flat % self._num_points).astype(np.int32).reshape(shape),
+            "row_top": (rel32[:, ::_TOP_STRIDE] + funcs * self._stride).ravel(),
+        }
+        return arrays, SearchState(self._vmin, self._stride, -(-m // _TOP_STRIDE))
+
+    def _shard_entries(self, lo: int, hi: int) -> np.ndarray:
+        """Flat positions of the entries with ``lo <= id < hi``, in order."""
         if not 0 <= lo < hi <= self._num_points:
             raise InvalidParameterError(
                 f"shard range [{lo}, {hi}) must satisfy 0 <= lo < hi <= "
                 f"{self._num_points}"
             )
-        mask = (self._ids >= lo) & (self._ids < hi)
-        flat = np.flatnonzero(mask.ravel())
-        m = hi - lo
-        shape = (self._num_functions, m)
-        positions = (flat % self._num_points).reshape(shape)
-        values = self._values.ravel()[flat].reshape(shape)
-        ids = self._ids.ravel()[flat].reshape(shape)
-        return values, ids, positions
+        ids = self._ids.ravel() if self._ids32_flat is None else self._ids32_flat
+        return np.flatnonzero((ids >= lo) & (ids < hi))
 
     # ------------------------------------------------------------------
     # Mutation

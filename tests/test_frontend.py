@@ -16,7 +16,11 @@ Pins the front door's three contracts (DESIGN §14):
   stamping from arrival time.
 """
 
+import gc
 import json
+import logging
+import socket
+import sys
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -372,3 +376,30 @@ class TestOpsEndpoints:
         stats = door.stats()
         assert stats["cache"]["hits"] == int(door._m_cache_hits.total())
         assert stats["scans"] == int(door._m_waves.total())
+
+
+class TestStop:
+    def test_stop_under_open_keep_alive_connection_is_clean(
+        self, stack, caplog, monkeypatch
+    ):
+        """A client still holding a keep-alive connection must not leave a
+        handler pending on the closed loop: no "Task was destroyed but it
+        is pending!" log and no "Event loop is closed" error."""
+        _data, service, _door = stack
+        unraisable = []
+        monkeypatch.setattr(
+            sys, "unraisablehook", lambda info: unraisable.append(info)
+        )
+        door = Frontend(service).start()
+        with socket.create_connection(("127.0.0.1", door.port), timeout=10) as sock:
+            sock.sendall(b"GET /v1/health HTTP/1.1\r\nHost: test\r\n\r\n")
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                door.stop()
+                gc.collect()
+        gc.collect()
+        reported = caplog.text + "".join(
+            f"{info.exc_type.__name__}: {info.exc_value}" for info in unraisable
+        )
+        assert "Task was destroyed but it is pending" not in reported
+        assert "Event loop is closed" not in reported

@@ -2,7 +2,8 @@
 
 These cover the mathematical backbone the paper's guarantees stand on:
 norm identities, the Eq. 11 bounds, Lemma 2/3 scale invariance, window
-arithmetic and page accounting.
+arithmetic and page accounting — plus the sharded service's
+bit-identity to the single-process engine.
 """
 
 import math
@@ -13,10 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro import LazyLSH, LazyLSHConfig, ShardedSearchService
 from repro.core.hashing import original_window, query_centric_window
+from repro.durability import WalRecord
 from repro.eval.ratio import overall_ratio
 from repro.metrics.collision import collision_probability
 from repro.metrics.lp import l1_bounds, lp_distance, lp_norm, norm_equivalence_bounds
+from repro.persistence import load_index, save_index
 from repro.storage.pages import PageLayout
 
 # Strategies ---------------------------------------------------------------
@@ -251,3 +255,56 @@ class TestRatioProperties:
     def test_identity_ratio(self, true):
         true = np.sort(true)
         assert overall_ratio(true, true) == pytest.approx(1.0)
+
+
+# Sharded service ---------------------------------------------------------
+
+
+class TestShardedServiceIdentity:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        p=st.floats(min_value=0.5, max_value=1.1),
+        k=st.integers(min_value=1, max_value=8),
+        n_shards=st.sampled_from([1, 2, 3]),
+        attach=st.sampled_from(["shm", "mmap"]),
+        update=st.sampled_from([None, "insert", "remove"]),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_matches_single_process_knn(
+        self, tmp_path_factory, seed, p, k, n_shards, attach, update
+    ):
+        """Every attach mode and shard count answers bit-identically to
+        ``index.knn``, also after an insert or remove through ``ingest``
+        (the service owns a loaded copy; ``index`` is the reference)."""
+        rng = np.random.default_rng(seed)
+        data = rng.uniform(0.0, 100.0, size=(150, 6))
+        config = LazyLSHConfig(
+            c=3.0, p_min=0.5, seed=seed, mc_samples=20_000, mc_buckets=100
+        )
+        index = LazyLSH(config).build(data)
+        path = save_index(
+            index, tmp_path_factory.mktemp("served") / "index.npz",
+            format_version=3,
+        )
+        served = load_index(path, backend="mmap" if attach == "mmap" else "eager")
+        queries = [data[int(rng.integers(150))] + 1.0, rng.uniform(0, 100, 6)]
+        with ShardedSearchService(served, n_shards=n_shards, attach=attach) as svc:
+            if update == "insert":
+                batch = rng.uniform(0.0, 100.0, size=(5, 6))
+                ids = index.insert(batch)
+                svc.ingest([WalRecord(lsn=1, op="insert", ids=ids, points=batch)])
+                queries.append(batch[0])
+            elif update == "remove":
+                ids = rng.choice(150, size=6, replace=False)
+                index.remove(ids)
+                svc.ingest([WalRecord(lsn=1, op="remove", ids=ids)])
+            for query in queries:
+                flat = index.knn(query, k, p=p)
+                sharded = svc.search(query, k, p=p)
+                np.testing.assert_array_equal(flat.ids, sharded.ids)
+                np.testing.assert_array_equal(flat.distances, sharded.distances)
+                assert flat.io.sequential == sharded.io.sequential
+                assert flat.io.random == sharded.io.random
+                assert flat.termination == sharded.termination
+                assert flat.rounds == sharded.rounds
+                assert sum(s.random for s in sharded.shard_io) == flat.io.random

@@ -130,6 +130,40 @@ class TestBitIdentity:
             assert not np.any(result.ids < 60)
 
 
+class TestLocalStopBound:
+    def test_shard_stop_mid_round_is_exact(
+        self, built_index, small_split, service, monkeypatch
+    ):
+        """Each shard stops at the first function where the query's
+        pre-round counts plus its own crossings terminate the query; the
+        merge replays only up to the smallest such stop.  The far query
+        runs 11 rounds at p=0.5, so its last round is cut."""
+        replies = []
+        merge = service._merge_round
+
+        def spy(run, parts):
+            replies.append((run.rounds, run.eta, parts))
+            merge(run, parts)
+
+        monkeypatch.setattr(service, "_merge_round", spy)
+        queries = [small_split.queries[0], small_split.data[0] + 3000.0]
+        results = [service.search(q, 10, p=0.5) for q in queries]
+        assert results[1].rounds == 11
+        stopped = [
+            (rounds, eta, part)
+            for rounds, eta, parts in replies
+            for part in parts
+            if part["f_stop"] is not None
+        ]
+        assert any(r == 11 and 0 < part["f_stop"] < eta - 1
+                   for r, eta, part in stopped)
+        for _rounds, _eta, part in stopped:
+            assert np.all(part["funcs"] <= part["f_stop"])
+        for query, result in zip(queries, results):
+            _assert_identical(built_index.knn(query, 10, p=0.5), result)
+            assert sum(s.random for s in result.shard_io) == result.io.random
+
+
 class TestPersistenceRoundTrip:
     def test_sharded_service_over_restored_index(
         self, built_index, small_split, tmp_path

@@ -355,10 +355,9 @@ def states_identical(a, b, *, queries: np.ndarray | None = None, k: int = 5) -> 
         return False
     if not np.array_equal(a._alive, b._alive):
         return False
-    if not np.array_equal(a._store._values, b._store._values):
-        return False
-    if not np.array_equal(a._store._ids, b._store._ids):
-        return False
+    for run_a, run_b in zip(a._store.runs(), b._store.runs()):
+        if not np.array_equal(run_a, run_b):
+            return False
     if queries is not None:
         for q in np.atleast_2d(queries):
             ra = a.knn(q, k, p=1.0)

@@ -27,11 +27,12 @@ Format history
   superblock (magic ``LZLSHIX3``, version, section count, wal_lsn/epoch,
   JSON header locator), a section table, the JSON header, then the
   arrays as 4096-byte-aligned sections — ``data``, ``alive``,
-  ``projections``, ``offsets`` plus the store's sorted runs (``values``,
-  ``ids``) and search-acceleration shadows (``ids32``, ``rel32``,
-  ``row_top``).  Migration: ``save_index(load_index(old), new,
-  format_version=3)`` upgrades any v1/v2 file; v3 files load through
-  either the eager or the mmap backend, v1/v2 only eagerly.
+  ``projections``, ``offsets`` plus the store's sorted runs widened to
+  int64 (``values``, ``ids``) and its compact runs (``ids32``,
+  ``rel32``, ``row_top``), from which it loads.  Migration:
+  ``save_index(load_index(old), new, format_version=3)`` upgrades any
+  v1/v2 file; v3 files load through either the eager or the mmap
+  backend, v1/v2 only eagerly.
 
 Writers are atomic (tmp file + ``os.replace``), so a reader never
 observes a partially written index.
@@ -77,6 +78,9 @@ _V3_SECTION = struct.Struct("<16s8sIIQQQQ")
 #: Section payloads start on 4096-byte boundaries so ``np.memmap`` views
 #: are page-aligned and a run's simulated pages line up with real pages.
 _V3_ALIGN = 4096
+
+#: The compact run sections a v3 store opens from when a file has them.
+_V3_COMPACT = ("rel32", "ids32", "row_top")
 
 
 class IndexFormatError(ReproError):
@@ -171,27 +175,31 @@ def save_index(
 
 
 def _v3_sections(index: LazyLSH) -> list[tuple[str, np.ndarray]]:
-    """The arrays a v3 file materialises, in on-disk order."""
+    """The arrays a v3 file materialises, in on-disk order.
+
+    The int64 ``values``/``ids`` runs are widened from the store for
+    format compatibility; the compact ``ids32``/``rel32``/``row_top``
+    sections are the store's own arrays, written whenever its runs are
+    int32 (the hash domain fits).
+    """
     store = index._store
     bank = index._bank
     assert store is not None and bank is not None
+    values, ids = store.runs()
     sections = [
         ("data", np.ascontiguousarray(index.data)),
         ("alive", np.ascontiguousarray(index._alive.astype(bool))),
         ("projections", np.ascontiguousarray(bank._projections)),
         ("offsets", np.ascontiguousarray(bank._offsets)),
-        ("values", np.ascontiguousarray(store._values)),
-        ("ids", np.ascontiguousarray(store._ids)),
+        ("values", values),
+        ("ids", ids),
     ]
-    if store._rel32 is not None:
-        ids32 = store._ids32_flat
-        if ids32 is None:
-            ids32 = store._ids.ravel().astype(np.int32)
+    if store._rel.dtype == np.int32:
         sections.extend(
             [
-                ("ids32", np.ascontiguousarray(ids32)),
-                ("rel32", np.ascontiguousarray(store._rel32)),
-                ("row_top", np.ascontiguousarray(store._row_top)),
+                ("ids32", store._ids),
+                ("rel32", store._rel),
+                ("row_top", store._row_top),
             ]
         )
     return sections
@@ -212,7 +220,10 @@ def _save_v3(
     header["v3"] = {
         "vmin": int(store._vmin),
         "stride": int(store._stride),
-        "top_per_row": int(store._top_per_row),
+        # Files without compact sections record no coarse keys.
+        "top_per_row": (
+            int(store._top_per_row) if store._rel.dtype == np.int32 else 0
+        ),
         "top_stride": int(_TOP_STRIDE),
     }
     header_bytes = json.dumps(header).encode("utf-8")
@@ -500,11 +511,14 @@ def _load_v3(path: Path, backend: str) -> LazyLSH:
             raise IndexFormatError(
                 f"{path} is missing field {name!r}; not a LazyLSH index file"
             )
+    compact = "v3" in header and all(n in sections for n in _V3_COMPACT)
+    runs = _V3_COMPACT if compact else ("values", "ids")
+    wanted = ("data", "alive", "projections", "offsets") + runs
     if backend == "mmap":
-        arrays = {n: _mmap_section(path, s) for n, s in sections.items()}
+        arrays = {n: _mmap_section(path, sections[n]) for n in wanted}
     else:
         with open(path, "rb") as fh:
-            arrays = {n: _load_section(fh, s) for n, s in sections.items()}
+            arrays = {n: _load_section(fh, sections[n]) for n in wanted}
     data = arrays["data"]
     # The tombstone mask is mutated in place by ``remove``; always own a
     # writable RAM copy even when everything else stays mapped.
@@ -513,34 +527,45 @@ def _load_v3(path: Path, backend: str) -> LazyLSH:
         path, header, data, alive, arrays["projections"], arrays["offsets"]
     )
     backend_cls = MmapBackend if backend == "mmap" else EagerBackend
-    index._store = InvertedListStore.from_backend(
-        _v3_backend(backend_cls, path, header, arrays), layout
+    index._store = _v3_store(
+        path, header, arrays, sections["values"].shape, backend_cls, layout
     )
     index._data = data if backend == "mmap" else np.ascontiguousarray(data)
     index._alive = alive
     return index
 
 
-def _v3_backend(backend_cls, path: Path, header: dict, arrays: dict):
-    """The store backend over a v3 file's run and search sections."""
-    rel32 = arrays.get("rel32")
-    state = header.get("v3")
-    search = None
-    if rel32 is not None and state is not None:
+def _v3_store(
+    path: Path,
+    header: dict,
+    arrays: dict,
+    shape: tuple,
+    backend_cls,
+    layout: PageLayout | None = None,
+) -> InvertedListStore:
+    """The store over a v3 file's compact run sections.
+
+    A file without them (hash domains wider than int32) opens by
+    compacting its int64 ``values``/``ids`` runs in RAM.
+    """
+    if "rel32" in arrays and "v3" in header:
+        state = header["v3"]
+        rel = arrays["rel32"].reshape(shape)
+        ids = arrays["ids32"].reshape(shape)
+        row_top = arrays["row_top"]
         search = SearchState(
             vmin=int(state["vmin"]),
             stride=int(state["stride"]),
             top_per_row=int(state["top_per_row"]),
         )
-    return backend_cls(
-        values=arrays["values"],
-        ids=arrays["ids"],
-        ids32=arrays.get("ids32"),
-        rel32=rel32,
-        row_top=arrays.get("row_top"),
-        search_state=search,
-        source_path=path,
+    else:
+        wide = InvertedListStore.from_runs(arrays["values"], arrays["ids"])
+        compact, search = wide.compact_shard(0, shape[1])
+        rel, ids, row_top = compact["rel"], compact["ids"], compact["row_top"]
+    backend = backend_cls(
+        rel=rel, ids=ids, row_top=row_top, search_state=search, source_path=path
     )
+    return InvertedListStore.from_backend(backend, layout)
 
 
 def open_v3_store(
@@ -558,8 +583,10 @@ def open_v3_store(
         raise IndexFormatError(
             f"{path} is missing field {min(missing)!r}; not a LazyLSH index file"
         )
-    backend = _v3_backend(MmapBackend, Path(path), header, arrays)
-    return InvertedListStore.from_backend(backend), arrays
+    store = _v3_store(
+        Path(path), header, arrays, arrays["values"].shape, MmapBackend
+    )
+    return store, arrays
 
 
 def load_index(path: str | Path, *, backend: str = "eager") -> LazyLSH:

@@ -777,10 +777,7 @@ class ShardedSearchService:
                     "op": "insert",
                     "lsn": lsn,
                     "epoch": self.epoch + 1,
-                    "rel": plan.rel_positions,
-                    "values": plan.values,
-                    "ids": plan.ids,
-                    "dest": plan.dest_positions,
+                    "plan": plan,
                     "points": np.ascontiguousarray(
                         record.points, dtype=np.float64
                     ),

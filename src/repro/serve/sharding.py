@@ -116,7 +116,7 @@ def open_mmap_shard(spec: MmapShardSpec) -> dict:
 
 
 #: Array layout of one shard segment, in packing order.
-_SHARD_ARRAYS = ("rel32", "ids32", "positions", "row_top", "data", "alive")
+_SHARD_ARRAYS = ("rel", "ids", "positions", "row_top", "data", "alive")
 
 
 def pack_shard(
@@ -139,12 +139,14 @@ def pack_shard(
     offset = 0
     for name in _SHARD_ARRAYS:
         arr = arrays[name]
+        if arr is None:  # no coarse keys for very wide hash domains
+            continue
         # 8-byte alignment keeps every int64/float64 view well-formed.
         offset = (offset + 7) & ~7
         manifest[name] = (offset, arr.shape, arr.dtype.str)
         offset += arr.nbytes
     shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-    for name in _SHARD_ARRAYS:
+    for name in manifest:
         arr = arrays[name]
         off, shape, dtype = manifest[name]
         view = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=off)

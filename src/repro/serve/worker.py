@@ -62,18 +62,19 @@ wave.  Ops:
 
 Live updates (DESIGN §11): an ``update`` payload carries one committed
 WAL record translated into shard terms — for an insert, the store's
-:class:`~repro.storage.inverted_index.InsertPlan` (full-run insertion
-and destination positions) plus the batch's points and owner
-assignment; for a remove, the tombstoned ids.  The first insert widens
-the shard into private sub-runs with int64 values (the shared segment or
-mapped file stays pristine for respawned workers); old sub-run positions shift
-by the number of plan entries at or before them and owned new entries
-merge in at their plan-given positions, so the shard stays exactly the
-restriction of the coordinator's full index.  The kernel's search keys
-are rebuilt from the widened runs lazily, once before the next round, so
-a catch-up of many records rebuilds once.  Updates are sequenced by
-LSN: a record at or below the shard's acked LSN is acknowledged but not
-re-applied, which makes coordinator replay after a repair idempotent.
+:class:`~repro.storage.inverted_index.InsertPlan` (the batch's compact
+hash values and full-run insertion positions) plus the batch's points
+and owner assignment; for a remove, the tombstoned ids.  The worker
+merges its owned new points with the store's own
+:meth:`~repro.storage.inverted_index.InvertedListStore.insert` on its
+compact sub-run store, then shifts its int32 full-run positions in one
+vectorised pass, so the shard stays exactly the restriction of the
+coordinator's full index and the next round needs no rebuild.  The
+merge writes private arrays: the shared segment or mapped file stays
+pristine for respawned workers (an mmap worker first takes the compact
+shard of its mapped store).  Updates are sequenced by LSN: a record at
+or below the shard's acked LSN is acknowledged but not re-applied,
+which makes coordinator replay after a repair idempotent.
 
 Telemetry piggyback (DESIGN §10): each worker runs its *own*
 :class:`~repro.obs.registry.MetricsRegistry` and :class:`~repro.obs.
@@ -115,8 +116,7 @@ from repro.serve.sharding import (
     attach_shard,
     open_mmap_shard,
 )
-from repro.storage.backend import EagerBackend
-from repro.storage.inverted_index import InvertedListStore
+from repro.storage.inverted_index import InvertedListStore, merge_runs
 
 logger = logging.getLogger("repro.serve.worker")
 
@@ -173,19 +173,15 @@ class ShardSearcher:
         # obs-enabled reply path ships deltas of these.
         self.rows_scanned = 0
         self.crossings = 0
-        # Live-update state (DESIGN §11).  ``values``/``ids`` are the
-        # private sub-runs (int64 values, int32 local ids), created by the
-        # first insert; from then on ``_gid_of`` maps local row -> global
-        # id and ``_lookup`` (sized to the full index) maps back.  A
-        # read-only ``alive`` view is copied on the first tombstone.
+        # Live-update state (DESIGN §11).  From the first insert on,
+        # ``_gid_of`` maps local row -> global id and ``_lookup`` (sized
+        # to the full index) maps back.  A read-only ``alive`` view is
+        # copied on the first tombstone.
         self.epoch = 0
         self.acked_lsn = 0
-        self.values: np.ndarray | None = None
-        self.ids: np.ndarray | None = None
         self._gid_of: np.ndarray | None = None
         self._lookup: np.ndarray | None = None
         self._owns_alive = bool(alive.flags.writeable)
-        self._stale = False
 
     # -- protocol ops ---------------------------------------------------
 
@@ -208,8 +204,6 @@ class ShardSearcher:
 
     def round(self, requests: list) -> dict:
         """One round for every listed query: one batched window search."""
-        if self._stale:
-            self._rebuild_store()
         if not requests:
             return {}
         states = [self.queries[req[0]] for req in requests]
@@ -364,101 +358,70 @@ class ShardSearcher:
         """Merge an insert batch's plan into the shard's sub-runs.
 
         Every worker receives the *full* batch plan plus the owner
-        assignment; it extends its data rows with the points it owns and
-        splices its share of each run in at the plan's positions, while
-        shifting every pre-existing entry's full-run position by the
-        number of plan entries inserted at or before it.
+        assignment.  It extends its data rows with the points it owns and
+        merges them into its sub-runs with the store's own ``insert``
+        (ties land after equal-valued old entries in batch order, as in
+        the full runs, so the sub-runs stay the full runs' restriction).
+        Every batch entry — owned or not — lands in the full run before
+        the old entries whose values exceed it, so each old entry's
+        full-run position shifts by the count of batch entries whose
+        sub-run insertion point is at or before it: one vectorised pass
+        over the sorted batch's insertion points.
         """
-        rel = np.asarray(delta["rel"], dtype=np.int64)
-        plan_values = np.asarray(delta["values"], dtype=np.int64)
-        plan_ids = np.asarray(delta["ids"], dtype=np.int64)
-        plan_dest = np.asarray(delta["dest"], dtype=np.int64)
+        plan = delta["plan"]
         points = np.asarray(delta["points"], dtype=np.float64)
         start = int(delta["batch_start"])
         owners = np.asarray(delta["owners"], dtype=np.int64)
-        num_funcs, m_batch = plan_values.shape
-        if self.values is None:
-            self._widen()
-        assert self.values is not None and self.ids is not None
-        assert self._gid_of is not None and self.positions is not None
-        positions = self.positions.reshape(self.values.shape)
-        # Points this shard now owns (ascending gid order).
-        sel = np.flatnonzero(owners == self.shard_id)
-        new_gids = start + sel
-        m_own = int(sel.size)
-        self.data = np.vstack([self.data, points[sel]])
-        self.alive = np.concatenate(
-            [self.alive, np.ones(m_own, dtype=bool)]
-        )
-        self._owns_alive = True
-        self._gid_of = np.concatenate([self._gid_of, new_gids])
-        m_old = int(self.values.shape[1])
-        m_new = m_old + m_own
-        new_values = np.empty((num_funcs, m_new), dtype=np.int64)
-        new_ids = np.empty((num_funcs, m_new), dtype=np.int32)
-        new_positions = np.empty((num_funcs, m_new), dtype=np.int32)
-        if m_own:
-            own_mask = (owners[plan_ids - start] == self.shard_id)
-            vals_own = plan_values[own_mask].reshape(num_funcs, m_own)
-            # New points take local rows m_old.. in ascending gid order.
-            local_own = m_old + np.searchsorted(
-                new_gids, plan_ids[own_mask]
-            ).reshape(num_funcs, m_own)
-            dest_own = plan_dest[own_mask].reshape(num_funcs, m_own)
-        for f in range(num_funcs):
-            old_v = self.values[f]
-            # Old entries shift right by the number of batch entries whose
-            # old-run insertion position is <= theirs (ties resolve after
-            # equal-valued old entries, so "<=" is exact).
-            shifted = positions[f] + np.searchsorted(
-                rel[f], positions[f], side="right"
+        if self.positions is None:
+            # mmap attach: continue on the compact shard of the mapped store.
+            arrays, state = self.store.compact_shard(self.lo, self.hi)
+            self.store = InvertedListStore.from_compact(
+                arrays["rel"], arrays["ids"], arrays["row_top"], state
             )
-            if m_own:
-                loc = np.searchsorted(
-                    old_v, vals_own[f], side="right"
-                ) + np.arange(m_own, dtype=np.int64)
-                taken = np.zeros(m_new, dtype=bool)
-                taken[loc] = True
-                new_values[f, loc] = vals_own[f]
-                new_values[f, ~taken] = old_v
-                new_ids[f, loc] = local_own[f]
-                new_ids[f, ~taken] = self.ids[f]
-                new_positions[f, loc] = dest_own[f]
-                new_positions[f, ~taken] = shifted
-            else:
-                new_values[f] = old_v
-                new_ids[f] = self.ids[f]
-                new_positions[f] = shifted
-        self.values = new_values
-        self.ids = new_ids
-        self.positions = new_positions.ravel()
-        self.m = m_new
+            self.positions = arrays["positions"].ravel()
+        if self._gid_of is None:
+            self._gid_of = np.arange(self.lo, self.hi, dtype=np.int64)
+        values = plan.hash_values()
+        num_funcs, m_batch = values.shape
+        m_old = self.m
+        order = np.argsort(values, axis=1, kind="stable")
+        funcs = np.repeat(np.arange(num_funcs, dtype=np.int64), m_batch)
+        at = self.store.batch_entry_positions(
+            funcs, np.take_along_axis(values, order, axis=1).ravel(), "right"
+        ) - funcs * m_old
+        # Old entries between the sub-run insertion points of sorted batch
+        # entries r - 1 and r shift by r (past the last one, by m_batch).
+        lens = np.diff(
+            at.reshape(num_funcs, m_batch), axis=1, prepend=0, append=m_old
+        )
+        shifted = self.positions + np.repeat(
+            np.tile(np.arange(m_batch + 1, dtype=np.int32), num_funcs),
+            lens.ravel(),
+        )
+        # Points this shard now owns (ascending gid order) take local rows
+        # m_old.. ; their full-run destinations, in each function's
+        # sorted batch order, are the plan's positions plus batch rank.
+        mine = owners == self.shard_id
+        sel = np.flatnonzero(mine)
+        dest = (plan.positions + np.arange(m_batch, dtype=np.int32))[mine[order]]
+        sub_plan = self.store.insert(
+            values[:, sel], m_old + np.arange(sel.size, dtype=np.int64)
+        )
+        (self.positions,) = merge_runs(
+            [shifted],
+            [dest.reshape(num_funcs, sel.size)],
+            sub_plan.positions,
+        )
+        self.m = m_old + int(sel.size)
+        self.data = np.vstack([self.data, points[sel]])
+        self.alive = np.concatenate([self.alive, np.ones(sel.size, dtype=bool)])
+        self._owns_alive = True
+        self._gid_of = np.concatenate([self._gid_of, start + sel])
+        self._marks = np.zeros(self.m, dtype=bool)
         # Global id -> local row map over the grown index.
         lookup = np.full(start + m_batch, -1, dtype=np.int32)
         lookup[self._gid_of] = np.arange(self.m, dtype=np.int32)
         self._lookup = lookup
-        self._stale = True
-
-    def _widen(self) -> None:
-        """Private sub-runs for the insert path (first insert only)."""
-        if self.positions is None:
-            values, ids, positions = self.store.shard_view(self.lo, self.hi)
-            self.ids = (ids - self.lo).astype(np.int32)
-        else:
-            values, self.ids = self.store.runs()
-            positions = self.positions
-        self.values = values
-        self.positions = positions.ravel()
-        self._gid_of = np.arange(self.lo, self.hi, dtype=np.int64)
-
-    def _rebuild_store(self) -> None:
-        """Search keys over the widened sub-runs (once per catch-up)."""
-        assert self.values is not None and self.ids is not None
-        self.store = InvertedListStore.from_backend(
-            EagerBackend(values=self.values, ids=self.ids)
-        )
-        self._marks = np.zeros(self.m, dtype=bool)
-        self._stale = False
 
     def _apply_remove_delta(self, gids: np.ndarray) -> None:
         """Tombstone the removed ids this shard owns (copy-on-write)."""
@@ -495,9 +458,9 @@ def worker_main(conn, spec: ShardSpec | MmapShardSpec) -> None:
             arrays, shm = attach_shard(spec)
             assert spec.search_state is not None
             store = InvertedListStore.from_compact(
-                arrays["rel32"],
-                arrays["ids32"],
-                arrays["row_top"],
+                arrays["rel"],
+                arrays["ids"],
+                arrays.get("row_top"),
                 spec.search_state,
             )
             positions = arrays["positions"].ravel()

@@ -1,17 +1,17 @@
 """Storage backends for :class:`~repro.storage.inverted_index.InvertedListStore`.
 
-The store's execution engine only ever *reads* its arrays (sorted runs,
-int32 shadows, coarse search keys); mutation allocates fresh arrays.  That
-makes the array source pluggable: an :class:`EagerBackend` owns plain
-in-RAM ``ndarray`` objects (the classic path), while an
+The store's execution engine only ever *reads* its arrays (the compact
+value-relative runs, int32 ids and coarse search keys); mutation
+allocates fresh arrays.  That makes the array source pluggable: an
+:class:`EagerBackend` owns plain in-RAM ``ndarray`` objects, while an
 :class:`MmapBackend` holds read-only ``np.memmap`` views into the
-page-aligned sections of a format-v3 index file
-(:mod:`repro.persistence`).  Opening an mmap-backed store is O(1) in index
-size — the kernel maps the file and faults pages in on first touch, so the
-OS page cache plays the role of the buffer pool that
+page-aligned ``rel32``/``ids32``/``row_top`` sections of a format-v3
+index file (:mod:`repro.persistence`).  Opening an mmap-backed store is
+O(1) in index size — the kernel maps the file and faults pages in on
+first touch, so the OS page cache plays the role of the buffer pool that
 :class:`~repro.storage.pages.PageTracker` merely simulates.
 
-Both backends can carry the precomputed two-level search state
+Both backends carry the precomputed two-level search state
 (:class:`SearchState`) written by the v3 saver, so a store restored
 through :meth:`InvertedListStore.from_backend` never scans the runs at
 open time.
@@ -31,11 +31,12 @@ __all__ = ["SearchState", "StorageBackend", "EagerBackend", "MmapBackend"]
 
 @dataclass(frozen=True)
 class SearchState:
-    """Precomputed two-level window-search state of a sorted store.
+    """Two-level window-search state of a compact sorted store.
 
-    Mirrors what ``InvertedListStore._rebuild_search_keys`` derives from
-    the runs (``vmin``, ``stride``, coarse rows per run) so a reader can
-    restore the search index without touching the value arrays.
+    ``vmin`` is the value the runs are relative to, ``stride`` the value
+    range plus two (the gap separating neighbouring runs' composite
+    search keys) and ``top_per_row`` the coarse keys per run, so a reader
+    can restore the search index without touching the runs.
     """
 
     vmin: int
@@ -47,47 +48,26 @@ class SearchState:
 class StorageBackend:
     """Array source for an :class:`InvertedListStore`.
 
-    ``values``/``ids`` are the mandatory ``(num_functions, num_points)``
-    sorted runs.  ``ids32``/``rel32``/``row_top`` are the optional
-    flat search-acceleration arrays (present whenever the hash-value
-    stride fits int32); when given alongside ``search_state`` the store
-    skips ``_rebuild_search_keys`` entirely.
+    ``rel``/``ids`` are the ``(num_functions, num_points)`` compact runs
+    — hash values relative to ``search_state.vmin`` (int32, or int64 for
+    wide hash domains) and int32 point ids — and ``row_top`` their flat
+    coarse search keys (``None`` for domains too wide for them).
     """
 
     kind = "eager"
 
-    values: np.ndarray
+    rel: np.ndarray
     ids: np.ndarray
-    ids32: np.ndarray | None = None
-    rel32: np.ndarray | None = None
-    row_top: np.ndarray | None = None
-    search_state: SearchState | None = None
+    row_top: np.ndarray | None
+    search_state: SearchState
     source_path: Path | None = field(default=None)
 
     def __post_init__(self) -> None:
-        if self.values.ndim != 2 or self.values.shape != self.ids.shape:
+        if self.rel.ndim != 2 or self.rel.shape != self.ids.shape:
             raise InvalidParameterError(
-                "backend values/ids must be matching 2-D run matrices, got "
-                f"{self.values.shape} / {self.ids.shape}"
+                "backend rel/ids must be matching 2-D run matrices, got "
+                f"{self.rel.shape} / {self.ids.shape}"
             )
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """Every array the backend holds (present ones only)."""
-        out: list[np.ndarray] = [self.values, self.ids]
-        for arr in (self.ids32, self.rel32, self.row_top):
-            if arr is not None:
-                out.append(arr)
-        return tuple(out)
-
-    def resident_bytes(self) -> int:
-        """Bytes held in ordinary RAM arrays."""
-        return sum(
-            a.nbytes for a in self.arrays() if not isinstance(a, np.memmap)
-        )
-
-    def mapped_bytes(self) -> int:
-        """Bytes backed by file mappings (paged in lazily by the OS)."""
-        return sum(a.nbytes for a in self.arrays() if isinstance(a, np.memmap))
 
 
 class EagerBackend(StorageBackend):

@@ -11,16 +11,26 @@ Storage layout (flat-array execution engine)
 --------------------------------------------
 
 All runs have the same length (every point is hashed by every function),
-so the store keeps two contiguous ``(num_functions, num_points)`` int64
-matrices — ``values`` and ``ids`` — whose rows are the sorted runs.  The
-row-major flat view of ``values`` is globally sorted under the composite
-key ``func * stride + (value - vmin)``, which lets a *batched* window
-query — all ``eta`` windows of one rehashing round, or all windows of a
-whole query batch — be answered with two vectorised ``np.searchsorted``
-calls over one flat key array (:meth:`batch_entry_positions`,
-:meth:`read_windows`).  Sequential I/O for a batch is charged by interval
-arithmetic (:class:`~repro.storage.pages.PageTracker`) rather than a
-per-page Python loop.
+so the store keeps each run as a row of two flat ``(num_functions *
+num_points)`` arrays: ``rel``, the hash values relative to the smallest
+one (``vmin``), and ``ids``, the int32 point ids — 8 bytes per entry.
+``rel`` is int32 whenever the value range ``stride = vmax - vmin + 2``
+fits (``stride <= 2**31 - 2``) and int64 only for wider hash domains.
+A row-aligned coarse sample of every ``_TOP_STRIDE``-th entry, as int64
+composite keys ``func * stride + rel`` (``row_top``), lets a *batched*
+window query — all ``eta`` windows of one rehashing round, or all
+windows of a whole query batch — be answered with one small
+``np.searchsorted`` plus a vectorised binary-search refinement
+(:meth:`batch_entry_positions`, :meth:`read_windows`).  Sequential I/O
+for a batch is charged by interval arithmetic
+(:class:`~repro.storage.pages.PageTracker`) rather than a per-page
+Python loop.
+
+:meth:`insert` merges a batch straight into fresh ``rel``/``ids`` arrays
+and recomputes only ``row_top``; ``vmin``/``stride`` always bound the
+stored values exactly, so a store that received inserts equals a fresh
+build over the same points.  :meth:`runs` widens the runs to int64
+``(values, ids)`` matrices on demand (the v3 writer, tests).
 """
 
 from __future__ import annotations
@@ -41,31 +51,35 @@ from repro.storage.pages import PageLayout, PageTracker
 class InsertPlan:
     """Where an :meth:`InvertedListStore.insert` batch landed, per run.
 
-    All matrices have shape ``(num_functions, m)``; row ``f`` is sorted
-    by hash value (ties in original batch order, matching the store's
-    stable per-function batch sort).
-
-    ``rel_positions[f, r]`` is the ``side="right"`` insertion position of
-    entry ``r`` in function ``f``'s *old* run — every old entry at
-    position ``p`` therefore shifts right by the count of plan entries
-    with ``rel_positions <= p`` (strictly ``< p`` never occurs at equal
-    positions because new entries land after equal-valued old ones).
-    ``dest_positions[f, r] = rel_positions[f, r] + r`` is the entry's
-    final position in the new, ``old_rows + m``-long run.  A replica that
-    holds only a sub-run of each list (a shard worker) can replay this
-    plan and end up bit-identical to a fresh rebuild — the contract the
-    sharded service's live update path relies on (DESIGN §11).
+    ``rel_values`` holds the batch's hash values (shape ``(num_functions,
+    m)``, batch column order) relative to the store's post-insert
+    ``vmin``, in the store's run dtype.  Row ``f`` of ``positions``
+    lists, in the stable sorted order of row ``f`` of the hash values,
+    each entry's ``side="right"`` insertion position in function ``f``'s
+    *old* run: sorted entry ``r`` lands at ``positions[f, r] + r``, and
+    an old entry at position ``p`` shifts right by the count of
+    ``positions[f] <= p`` (new entries land after equal-valued old
+    ones).  A replica that holds only a sub-run of each list (a shard
+    worker) can replay this plan and end up bit-identical to a fresh
+    rebuild — the contract the sharded service's live update path relies
+    on (DESIGN §11).
     """
 
-    values: np.ndarray
-    ids: np.ndarray
-    rel_positions: np.ndarray
-    dest_positions: np.ndarray
-    old_rows: int
+    rel_values: np.ndarray
+    vmin: int
+    positions: np.ndarray
 
-#: Composite window-search keys must stay well inside int64; wider value
-#: ranges fall back to a per-function ``searchsorted`` loop.
+    def hash_values(self) -> np.ndarray:
+        """The batch's absolute int64 hash values, batch column order."""
+        return self.rel_values.astype(np.int64) + np.int64(self.vmin)
+
+
+#: Composite ``row_top`` keys (``func * stride + rel``) must stay well
+#: inside int64; wider hash domains fall back to a per-needle search.
 _MAX_COMPOSITE_KEY = 2**62
+
+#: Widest value range whose value-relative runs are stored as int32.
+_MAX_INT32_STRIDE = 2**31 - 2
 
 #: Coarse sampling stride of the two-level window search: every
 #: ``_TOP_STRIDE``-th composite key forms a cache-resident top index, so a
@@ -75,6 +89,37 @@ _MAX_COMPOSITE_KEY = 2**62
 #: probes into a few *independent* bulk gathers is what makes the batched
 #: search memory-parallel.
 _TOP_STRIDE = 256
+
+
+def merge_runs(
+    olds: list[np.ndarray], news: list[np.ndarray], positions: np.ndarray
+) -> list[np.ndarray]:
+    """Merge sorted batches into flat row-major runs, one pass per array.
+
+    ``olds`` are flat ``(F * n)`` arrays whose rows are parallel runs;
+    ``news`` the matching ``(F, m)`` batch entries in sorted order and
+    ``positions`` their ``(F, m)`` insertion positions in the old rows.
+    Batch entry ``r`` of row ``f`` lands at ``positions[f, r] + r`` of the
+    merged ``(F * (n + m))`` array and the old entries fill the rest in
+    order.  The store's :meth:`~InvertedListStore.insert` and the shard
+    workers' position arrays share this one merge.
+    """
+    num_rows, m = positions.shape
+    new_n = olds[0].shape[0] // num_rows + m
+    dest = (
+        np.arange(num_rows, dtype=np.int64)[:, None] * new_n
+        + positions
+        + np.arange(m, dtype=np.int64)
+    ).ravel()
+    keep = np.ones(num_rows * new_n, dtype=bool)
+    keep[dest] = False
+    merged = []
+    for old, new in zip(olds, news):
+        out = np.empty(num_rows * new_n, dtype=new.dtype)
+        out[dest] = new.ravel()
+        out[keep] = old
+        merged.append(out)
+    return merged
 
 
 class InvertedListStore:
@@ -103,43 +148,33 @@ class InvertedListStore:
             raise InvalidParameterError(
                 f"hash values must be integers, got dtype {hash_values.dtype}"
             )
-        # Optional telemetry hook (see repro.obs.StoreObserver); must be
-        # bound before any method that reads it runs.  ``None`` keeps the
-        # hot paths on a single ``is None`` check.
-        self.observer = None
-        self._layout = layout or PageLayout()
-        num_functions, num_points = hash_values.shape
-        self._num_functions = int(num_functions)
-        self._num_points = int(num_points)
         order = np.argsort(hash_values, axis=1, kind="stable")
-        self._ids = np.ascontiguousarray(order.astype(np.int64))
-        self._values = np.ascontiguousarray(
-            np.take_along_axis(hash_values.astype(np.int64), order, axis=1)
-        )
-        self._rebuild_search_keys()
-        self._backend: StorageBackend | None = None
-        self._iota_cache: np.ndarray | None = None
-        # Lazy inverse permutation for bucket_of (diagnostics only).
-        self._id_order: np.ndarray | None = None
-        self._ids_by_id: np.ndarray | None = None
+        values = np.take_along_axis(hash_values, order, axis=1)
+        self._set_runs(values.astype(np.int64, copy=False), order, layout)
+
+    @classmethod
+    def from_runs(
+        cls, values: np.ndarray, ids: np.ndarray, layout: PageLayout | None = None
+    ) -> "InvertedListStore":
+        """A store over already sorted int64 ``(values, ids)`` run matrices."""
+        store = cls.__new__(cls)
+        store._set_runs(np.asarray(values), np.asarray(ids), layout)
+        return store
 
     @classmethod
     def from_backend(
         cls, backend: StorageBackend, layout: PageLayout | None = None
     ) -> "InvertedListStore":
-        """Adopt pre-sorted runs (and search state) from a storage backend.
+        """Adopt compact runs and search state from a storage backend.
 
-        Unlike ``__init__``, which sorts the raw hash values and rebuilds
-        the two-level search index, this constructor trusts the backend's
-        arrays verbatim — the v3 saver materialised them from an already
-        consistent store, so opening is O(1) array bookkeeping.  Missing
-        acceleration arrays (old files, wide hash domains) fall back to
-        :meth:`_rebuild_search_keys`.
+        Unlike ``__init__``, which sorts the raw hash values, this
+        constructor trusts the backend's arrays verbatim — the v3 saver
+        materialised them from an already consistent store, so opening is
+        O(1) array bookkeeping.
         """
-        store = cls._adopt(
-            backend.values, backend.ids, backend.values.shape,
-            backend.search_state, backend.rel32, backend.row_top,
-            backend.ids32, layout,
+        store = cls.from_compact(
+            backend.rel, backend.ids, backend.row_top, backend.search_state,
+            layout,
         )
         store._backend = backend
         return store
@@ -147,52 +182,85 @@ class InvertedListStore:
     @classmethod
     def from_compact(
         cls,
-        rel32: np.ndarray,
-        ids32: np.ndarray,
-        row_top: np.ndarray,
+        rel: np.ndarray,
+        ids: np.ndarray,
+        row_top: np.ndarray | None,
         state: SearchState,
+        layout: PageLayout | None = None,
     ) -> "InvertedListStore":
-        """A search-only store over compact runs (no int64 copies).
+        """A store over compact runs, adopted without a copy.
 
-        ``rel32``/``ids32`` are ``(num_functions, num_points)`` int32 runs
-        (values relative to ``state.vmin``, and ids) and ``row_top`` their
-        coarse search index, as :meth:`compact_shard` writes them.  The
-        store answers :meth:`batch_entry_positions` and
-        :meth:`gather_segments32`, the round kernel's two primitives, and
-        :meth:`runs` widens it; other reads and :meth:`insert` need int64
-        runs it does not hold.
+        ``rel``/``ids`` are ``(num_functions, num_points)`` runs (values
+        relative to ``state.vmin``, and int32 ids) and ``row_top`` their
+        coarse search index, as :meth:`compact_shard` and the v3 file
+        hold them.
         """
-        return cls._adopt(
-            None, None, rel32.shape, state, rel32.ravel(), row_top,
-            ids32.ravel(), None,
+        store = cls.__new__(cls)
+        store._init_common(rel.shape, layout)
+        store._rel = rel.ravel()
+        store._ids = ids.ravel()
+        store._row_top = row_top
+        store._vmin = int(state.vmin)
+        store._stride = int(state.stride)
+        store._top_per_row = int(state.top_per_row)
+        return store
+
+    def _init_common(self, shape: tuple, layout: PageLayout | None) -> None:
+        # Optional telemetry hook (see repro.obs.StoreObserver); ``None``
+        # keeps the hot paths on a single ``is None`` check.
+        self.observer = None
+        self._layout = layout or PageLayout()
+        self._num_functions, self._num_points = (int(x) for x in shape)
+        self._check_ids_fit(self._num_points)
+        self._backend: StorageBackend | None = None
+        self._iota_cache: np.ndarray | None = None
+
+    def _set_runs(
+        self, values: np.ndarray, ids: np.ndarray, layout: PageLayout | None
+    ) -> None:
+        """Compact sorted int64 runs: exact domain, ``rel``, ids, ``row_top``."""
+        self._init_common(values.shape, layout)
+        if values.size:
+            # Runs are sorted, so their first and last columns bound them.
+            self._set_domain(int(values[:, 0].min()), int(values[:, -1].max()))
+        else:
+            self._set_domain(0, 0)
+        self._rel = np.subtract(
+            values.ravel(), self._vmin,
+            out=np.empty(values.size, dtype=self._rel_dtype()),
+            casting="unsafe",
+        )
+        self._ids = ids.ravel().astype(np.int32)
+        self._refresh_row_top()
+
+    def _set_domain(self, vmin: int, vmax: int) -> None:
+        """Adopt the exact value range ``[vmin, vmax]``."""
+        stride = vmax - vmin + 2
+        if stride > 2**63 - 1:
+            raise InvalidParameterError(
+                f"hash values span [{vmin}, {vmax}], wider than int64"
+            )
+        self._vmin = vmin
+        self._stride = stride
+
+    def _rel_dtype(self) -> type:
+        return np.int32 if self._stride <= _MAX_INT32_STRIDE else np.int64
+
+    def _refresh_row_top(self) -> None:
+        """Rebuild the coarse row-aligned search keys from ``rel``."""
+        self._top_per_row = -(-self._num_points // _TOP_STRIDE)
+        self._row_top = _top_keys(
+            self._rel.reshape(self._num_functions, self._num_points),
+            self._stride,
         )
 
-    @classmethod
-    def _adopt(
-        cls, values: Any, ids: Any, shape: tuple, state: SearchState | None,
-        rel32, row_top, ids32, layout: PageLayout | None,
-    ) -> "InvertedListStore":
-        store = cls.__new__(cls)
-        store.observer = None
-        store._layout = layout or PageLayout()
-        store._num_functions, store._num_points = (int(x) for x in shape)
-        store._values = values
-        store._ids = ids
-        store._backend = None
-        store._iota_cache = None
-        store._id_order = None
-        store._ids_by_id = None
-        if state is None or rel32 is None:
-            store._rebuild_search_keys()
-        else:
-            store._keys = None
-            store._vmin = int(state.vmin)
-            store._stride = int(state.stride)
-            store._top_per_row = int(state.top_per_row)
-            store._rel32 = rel32
-            store._row_top = row_top
-            store._ids32_flat = ids32
-        return store
+    @staticmethod
+    def _check_ids_fit(id_bound: int) -> None:
+        """Refuse ids at or above ``id_bound`` once it passes int32."""
+        if id_bound > 2**31 - 1:
+            raise InvalidParameterError(
+                f"int32 id shadow cannot represent ids up to {id_bound}"
+            )
 
     @property
     def backend_kind(self) -> str:
@@ -201,10 +269,7 @@ class InvertedListStore:
 
     def storage_info(self) -> dict:
         """Open-mode and memory accounting for health/metrics surfaces."""
-        arrays: list[np.ndarray] = [self._values, self._ids]
-        for arr in (self._ids32_flat, self._rel32, self._row_top, self._keys):
-            if arr is not None:
-                arrays.append(arr)
+        arrays = [a for a in (self._rel, self._ids, self._row_top) if a is not None]
         resident = sum(
             a.nbytes for a in arrays if not isinstance(a, np.memmap)
         )
@@ -223,65 +288,12 @@ class InvertedListStore:
         The ops plane probes these regions with ``mincore(2)`` to
         publish page-cache residency gauges.
         """
-        named = {
-            "values": self._values,
-            "ids": self._ids,
-            "ids32": self._ids32_flat,
-            "rel32": self._rel32,
-            "row_top": self._row_top,
-            "keys": self._keys,
-        }
+        named = {"rel32": self._rel, "ids32": self._ids, "row_top": self._row_top}
         return {
             name: arr
             for name, arr in named.items()
             if isinstance(arr, np.memmap)
         }
-
-    # ------------------------------------------------------------------
-    # Flat-layout internals
-    # ------------------------------------------------------------------
-
-    def _rebuild_search_keys(self) -> None:
-        """(Re)build the composite flat search keys after any mutation."""
-        self._ids32_flat: np.ndarray | None = None
-        self._rel32: np.ndarray | None = None
-        self._row_top: np.ndarray | None = None
-        self._top_per_row = 0
-        if self._values.size == 0:
-            self._vmin = 0
-            self._stride = 2
-            self._keys: np.ndarray | None = self._values.ravel()
-            return
-        # Runs are sorted, so their first and last columns bound them.
-        vmin = int(self._values[:, 0].min())
-        vmax = int(self._values[:, -1].max())
-        stride = vmax - vmin + 2
-        self._vmin = vmin
-        self._stride = stride
-        if stride <= 2**31 - 2:
-            # Two-level search state: int32 value-relative runs plus a
-            # row-aligned coarse sample (every _TOP_STRIDE-th entry of
-            # each run, as int64 composite keys so one searchsorted
-            # covers all functions).  Row alignment keeps every
-            # refinement window inside a single run, where int32
-            # comparisons are order-faithful.
-            self._keys = None
-            self._rel32 = np.subtract(
-                self._values.ravel(), vmin,
-                out=np.empty(self._values.size, dtype=np.int32),
-                casting="unsafe",
-            )
-            self._top_per_row = -(-self._num_points // _TOP_STRIDE)
-            funcs = np.arange(self._num_functions, dtype=np.int64)[:, None]
-            self._row_top = (
-                (self._values[:, ::_TOP_STRIDE] - vmin) + funcs * stride
-            ).ravel()
-        elif self._num_functions * stride < _MAX_COMPOSITE_KEY:
-            # pragma: no cover - hash domains wider than int32
-            funcs = np.arange(self._num_functions, dtype=np.int64)[:, None]
-            self._keys = ((self._values - vmin) + funcs * stride).ravel()
-        else:  # pragma: no cover - astronomically wide hash domains
-            self._keys = None
 
     @property
     def num_functions(self) -> int:
@@ -308,9 +320,13 @@ class InvertedListStore:
 
     def _entry_range(self, func: int, lo: int, hi: int) -> tuple[int, int]:
         """Half-open entry range of hash values inside ``[lo, hi]``."""
-        values = self._values[func]
-        start = int(np.searchsorted(values, lo, side="left"))
-        stop = int(np.searchsorted(values, hi, side="right"))
+        n = self._num_points
+        row = self._rel[func * n : (func + 1) * n]
+        bounds = np.clip(
+            np.array([lo, hi], dtype=np.int64) - self._vmin, -1, self._stride - 1
+        ).astype(row.dtype)
+        start = int(np.searchsorted(row, bounds[0], side="left"))
+        stop = int(np.searchsorted(row, bounds[1], side="right"))
         return start, stop
 
     def _check_func(self, func: int) -> None:
@@ -327,37 +343,11 @@ class InvertedListStore:
     def batch_entry_positions(
         self, funcs: np.ndarray, bounds: np.ndarray, side: str
     ) -> np.ndarray:
-        """Vectorised ``searchsorted`` into many runs at once.
+        """Exact batched per-run ``searchsorted``.
 
         For every pair ``(funcs[j], bounds[j])`` returns the *absolute*
         flat position ``funcs[j] * num_points + searchsorted(run_values,
-        bounds[j], side)`` — one ``np.searchsorted`` call over the
-        composite key array answers all pairs.
-        """
-        funcs = np.asarray(funcs, dtype=np.int64)
-        bounds = np.asarray(bounds, dtype=np.int64)
-        if self.observer is not None:
-            self.observer.on_search(int(funcs.shape[0]))
-        if self._rel32 is not None:
-            return self._two_level_search(funcs, bounds, side)
-        if self._keys is not None:  # pragma: no cover - >int32 hash domains
-            clipped = np.clip(
-                bounds, self._vmin - 1, self._vmin + self._stride - 1
-            )
-            keys = (clipped - self._vmin) + funcs * self._stride
-            return np.searchsorted(self._keys, keys, side=side)
-        out = np.empty(funcs.shape[0], dtype=np.int64)  # pragma: no cover
-        for j in range(funcs.shape[0]):  # pragma: no cover
-            f = int(funcs[j])
-            out[j] = f * self._num_points + np.searchsorted(
-                self._values[f], bounds[j], side=side
-            )
-        return out  # pragma: no cover
-
-    def _two_level_search(
-        self, funcs: np.ndarray, bounds: np.ndarray, side: str
-    ) -> np.ndarray:
-        """Exact batched per-run ``searchsorted``.
+        bounds[j], side)``.
 
         A direct composite-key ``np.searchsorted`` binary-searches each
         needle serially: ~``log2(F * n)`` *dependent* probes scattered
@@ -365,23 +355,39 @@ class InvertedListStore:
         coarse ``searchsorted`` over the small row-aligned top index
         narrows every needle to one ``_TOP_STRIDE``-entry window of its
         own run, and a fixed number of vectorised refinement steps finish
-        the search — each step is one *bulk* int32 gather whose cache
-        misses overlap across all needles.
+        the search — each step is one *bulk* gather whose cache misses
+        overlap across all needles.
         """
+        funcs = np.asarray(funcs, dtype=np.int64)
+        bounds = np.asarray(bounds, dtype=np.int64)
+        if self.observer is not None:
+            self.observer.on_search(int(funcs.shape[0]))
         n = self._num_points
+        base = funcs * n
+        if n == 0:
+            return base
         rel = np.clip(bounds - self._vmin, -1, self._stride - 1)
+        if self._row_top is None:
+            # Hash domains too wide for composite keys: one search per needle.
+            return base + np.array(
+                [
+                    np.searchsorted(self._rel[b : b + n], r, side=side)
+                    for b, r in zip(base.tolist(), rel.tolist())
+                ],
+                dtype=np.int64,
+            )
         t = np.searchsorted(
             self._row_top, rel + funcs * self._stride, side=side
         )
         # ``t`` stays inside the needle's own function block (the +2
         # margin in ``stride`` separates neighbouring blocks strictly),
-        # so the refinement window sits inside one run.
+        # so the refinement window sits inside one run, where comparisons
+        # in the runs' own dtype are order-faithful.
         j = t - funcs * self._top_per_row
         lo = np.maximum(j - 1, 0) * _TOP_STRIDE
         hi = np.minimum(j * _TOP_STRIDE, n)
-        rel = rel.astype(np.int32)
-        rel32 = self._rel32
-        base = funcs * n
+        runs = self._rel
+        rel = rel.astype(runs.dtype)
         # The window brackets the answer, so ceil(log2(_TOP_STRIDE)) + 1
         # halvings converge for every needle; once lo == hi == answer the
         # clamped probe keeps both updates no-ops (probe at ``answer``
@@ -391,7 +397,7 @@ class InvertedListStore:
         steps = int(_TOP_STRIDE - 1).bit_length() + 1
         for _ in range(steps):
             mid = np.minimum((lo + hi) >> 1, n - 1)
-            probe = rel32[base + mid]
+            probe = runs[base + mid]
             if side == "left":
                 go_right = probe < rel
             else:
@@ -401,39 +407,26 @@ class InvertedListStore:
         return base + lo
 
     def gather_segments(self, starts: np.ndarray, lens: np.ndarray) -> IdArray:
-        """Concatenated ids of entry segments ``[starts[j], starts[j] +
-        lens[j])`` of the flat layout, in segment order."""
-        idx = self._segment_indices(starts, lens)
-        if idx is None:
-            return np.empty(0, dtype=np.int64)
-        if self.observer is not None:
-            self.observer.on_gather(int(idx.size))
-        return self._ids.ravel()[idx]
+        """Concatenated int64 ids of entry segments ``[starts[j], starts[j]
+        + lens[j])`` of the flat layout, in segment order."""
+        return self._gather(starts, lens).astype(np.int64)
 
     def gather_segments32(self, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-        """:meth:`gather_segments` from a compact int32 id shadow.
+        """:meth:`gather_segments` as the store's own int32 ids.
 
         The flat engine's block scans are bandwidth-bound streaming reads;
-        halving the entry width halves the traffic.  Point ids index the
-        data matrix, so they fit int32 for any store this engine can hold;
-        the guard below keeps the invariant explicit rather than letting a
-        hypothetical >2**31-point store silently truncate ids.
+        int32 ids halve the traffic of an int64 copy.
         """
-        if self._num_points > 2**31 - 1:
-            raise InvalidParameterError(
-                f"int32 id shadow cannot represent {self._num_points} points;"
-                " use gather_segments"
-            )
+        self._check_ids_fit(self._num_points)
+        return self._gather(starts, lens)
+
+    def _gather(self, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
         idx = self._segment_indices(starts, lens)
         if idx is None:
             return np.empty(0, dtype=np.int32)
         if self.observer is not None:
             self.observer.on_gather(int(idx.size))
-        ids32 = self._ids32_flat
-        if ids32 is None:
-            ids32 = self._ids.ravel().astype(np.int32, copy=False)
-            self._ids32_flat = ids32
-        return ids32[idx]
+        return self._ids[idx]
 
     def _segment_indices(self, starts: np.ndarray, lens: np.ndarray):
         total = int(lens.sum())
@@ -632,7 +625,8 @@ class InvertedListStore:
             self.observer.on_window_read(int(stop - start))
         if stop > start:
             self._charge_pages(func, start, stop, stats, seen_pages)
-        return self._ids[func, start:stop]
+        base = func * self._num_points
+        return self._ids[base + start : base + stop].astype(np.int64)
 
     def read_ring(
         self,
@@ -669,105 +663,69 @@ class InvertedListStore:
         return np.concatenate([left, right])
 
     # ------------------------------------------------------------------
-    # Sharding (repro.serve)
+    # Whole runs and shards (persistence, repro.serve)
     # ------------------------------------------------------------------
 
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted runs as ``(values, ids)`` matrices, values int64.
-
-        A :meth:`from_compact` store widens its int32 values into a fresh
-        array and returns a view of its int32 ids; any other store returns
-        its own arrays.
-        """
-        if self._values is not None:
-            return self._values, self._ids
-        assert self._rel32 is not None and self._ids32_flat is not None
+        """The sorted runs as fresh int64 ``(values, ids)`` matrices."""
         shape = (self._num_functions, self._num_points)
-        return (
-            self._rel32.reshape(shape) + np.int64(self._vmin),
-            self._ids32_flat.reshape(shape),
-        )
-
-    def shard_view(
-        self, lo: int, hi: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Extract the contiguous id-range shard ``[lo, hi)`` of every run.
-
-        Returns ``(values, ids, positions)``, each of shape
-        ``(num_functions, hi - lo)``: for every hash function, the sorted
-        sub-run of entries whose point id lies in ``[lo, hi)``, in
-        original run order, plus each entry's position in the full run.
-        Every run contains each point id exactly once, so the extraction
-        is rectangular, and because the sub-runs preserve run order their
-        window endpoints (``searchsorted`` on ``values``) restrict the
-        full run's endpoints exactly — the property the sharded service's
-        bit-identical I/O reconstruction relies on.
-
-        The returned arrays are fresh copies, safe to export through
-        shared memory while the store keeps serving queries.
-        """
-        flat = self._shard_entries(lo, hi)
-        shape = (self._num_functions, hi - lo)
-        positions = (flat % self._num_points).reshape(shape)
-        values = self._values.ravel()[flat].reshape(shape)
-        ids = self._ids.ravel()[flat].reshape(shape)
-        return values, ids, positions
+        values = self._rel.reshape(shape).astype(np.int64)
+        values += self._vmin
+        return values, self._ids.reshape(shape).astype(np.int64)
 
     def compact_shard(
         self, lo: int, hi: int
-    ) -> tuple[dict[str, np.ndarray], SearchState]:
-        """Shard ``[lo, hi)`` in the round kernel's compact form.
+    ) -> tuple[dict[str, Any], SearchState]:
+        """Extract the contiguous id-range shard ``[lo, hi)`` of every run.
 
         Returns the arrays of a :meth:`from_compact` store over the
-        shard's sub-runs — ``rel32`` (values relative to this store's
-        ``vmin``), ``ids32`` (local ids ``id - lo``) and ``row_top`` —
-        plus ``positions`` (each entry's int32 position in the full run)
-        and the sub-runs' search state.  Everything is gathered from the
-        int32 search shadows, so no int64 copy of the runs is made.
+        shard's sub-runs — ``rel`` (values relative to this store's
+        ``vmin``), ``ids`` (int32 local ids ``id - lo``) and ``row_top``
+        — plus ``positions`` (each entry's int32 position in the full
+        run) and the sub-runs' search state, all of shape
+        ``(num_functions, hi - lo)`` but ``row_top``.  Every run contains
+        each point id exactly once, so the extraction is rectangular, and
+        because the sub-runs preserve run order their window endpoints
+        restrict the full run's endpoints exactly — the property the
+        sharded service's bit-identical I/O reconstruction relies on.
+        The arrays are fresh copies, safe to export through shared memory
+        while the store keeps serving queries.
         """
-        if self._rel32 is None:  # pragma: no cover - >int32 hash domains
-            raise InvalidParameterError("compact shards need int32 runs")
-        flat = self._shard_entries(lo, hi)
-        m = hi - lo
-        ids = self._ids.ravel() if self._ids32_flat is None else self._ids32_flat
-        shape = (self._num_functions, m)
-        rel32 = self._rel32[flat].reshape(shape)
-        funcs = np.arange(self._num_functions, dtype=np.int64)[:, None]
-        arrays = {
-            "rel32": rel32,
-            "ids32": (ids[flat] - lo).astype(np.int32, copy=False).reshape(shape),
-            "positions": (flat % self._num_points).astype(np.int32).reshape(shape),
-            "row_top": (rel32[:, ::_TOP_STRIDE] + funcs * self._stride).ravel(),
-        }
-        return arrays, SearchState(self._vmin, self._stride, -(-m // _TOP_STRIDE))
-
-    def _shard_entries(self, lo: int, hi: int) -> np.ndarray:
-        """Flat positions of the entries with ``lo <= id < hi``, in order."""
         if not 0 <= lo < hi <= self._num_points:
             raise InvalidParameterError(
                 f"shard range [{lo}, {hi}) must satisfy 0 <= lo < hi <= "
                 f"{self._num_points}"
             )
-        ids = self._ids.ravel() if self._ids32_flat is None else self._ids32_flat
-        return np.flatnonzero((ids >= lo) & (ids < hi))
+        flat = np.flatnonzero((self._ids >= lo) & (self._ids < hi))
+        m = hi - lo
+        shape = (self._num_functions, m)
+        rel = self._rel[flat].reshape(shape)
+        arrays = {
+            "rel": rel,
+            "ids": (self._ids[flat] - np.int32(lo)).reshape(shape),
+            "positions": (flat % self._num_points).astype(np.int32).reshape(shape),
+            "row_top": _top_keys(rel, self._stride),
+        }
+        return arrays, SearchState(self._vmin, self._stride, -(-m // _TOP_STRIDE))
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
 
-    def insert(self, hash_values: np.ndarray, ids: np.ndarray) -> "InsertPlan":
+    def insert(self, hash_values: np.ndarray, ids: np.ndarray) -> InsertPlan:
         """Insert new points into every function's sorted run.
 
-        One allocation pass: the destination slot of every old and new
-        entry is computed up front (a batched ``searchsorted`` for the
-        insertion positions plus a boolean scatter mask), then values and
-        ids are placed into freshly allocated ``(functions, points + m)``
-        matrices — instead of reallocating every run twice via per-function
-        ``np.insert`` calls.
+        One batched ``searchsorted`` finds every new entry's insertion
+        position, then :func:`merge_runs` writes the new ``rel`` and id
+        arrays directly and only ``row_top`` is recomputed.  A batch value
+        outside the current range moves ``vmin``/``stride`` to the exact
+        new bounds; the old runs are rebased only when ``vmin`` falls (or
+        the range outgrows int32).  New entries land after equal-valued
+        old ones, and equal new values keep their batch order.
 
         Returns an :class:`InsertPlan` recording exactly where every new
         entry landed, so a replica holding a sub-run of each list (a shard
-        worker) can apply the same placement without re-sorting.
+        worker) can apply the same placement.
 
         Parameters
         ----------
@@ -780,9 +738,10 @@ class InvertedListStore:
         """
         hash_values = np.asarray(hash_values)
         ids = np.asarray(ids, dtype=np.int64)
-        if hash_values.ndim != 2 or hash_values.shape[0] != self._num_functions:
+        num_funcs, n = self._num_functions, self._num_points
+        if hash_values.ndim != 2 or hash_values.shape[0] != num_funcs:
             raise InvalidParameterError(
-                f"hash_values must have shape ({self._num_functions}, m), "
+                f"hash_values must have shape ({num_funcs}, m), "
                 f"got {hash_values.shape}"
             )
         if ids.shape != (hash_values.shape[1],):
@@ -793,59 +752,47 @@ class InvertedListStore:
             raise InvalidParameterError(
                 f"hash values must be integers, got dtype {hash_values.dtype}"
             )
-        if ids.size == 0:
-            empty = np.empty((self._num_functions, 0), dtype=np.int64)
-            return InsertPlan(
-                values=empty, ids=empty, rel_positions=empty,
-                dest_positions=empty, old_rows=self._num_points,
-            )
-        num_funcs = self._num_functions
-        n = self._num_points
-        m = int(ids.size)
         values = hash_values.astype(np.int64)
-        # Values sharing an insertion position keep their given order, so
-        # sort each function's batch first to preserve the run's sortedness.
-        batch_order = np.argsort(values, axis=1, kind="stable")
-        values = np.take_along_axis(values, batch_order, axis=1)
-        batch_ids = ids[batch_order]
+        m = int(ids.size)
+        if m == 0:
+            return InsertPlan(
+                values.astype(self._rel.dtype), self._vmin,
+                np.empty((num_funcs, 0), dtype=np.int32),
+            )
+        self._check_ids_fit(max(int(ids.max()) + 1, n + m))
+        # Sort each function's batch (stably) so the merged runs stay
+        # sorted and equal new values keep their batch order.
+        order = np.argsort(values, axis=1, kind="stable")
+        sorted_values = np.take_along_axis(values, order, axis=1)
         funcs_rep = np.repeat(np.arange(num_funcs, dtype=np.int64), m)
-        positions = self.batch_entry_positions(
-            funcs_rep, values.ravel(), side="right"
+        positions = (
+            self.batch_entry_positions(funcs_rep, sorted_values.ravel(), "right")
+            - funcs_rep * n
+        ).reshape(num_funcs, m).astype(np.int32)
+        lo = int(sorted_values[:, 0].min())
+        hi = int(sorted_values[:, -1].max())
+        old_vmin, old_rel = self._vmin, self._rel
+        if n:
+            lo = min(lo, old_vmin)
+            hi = max(hi, old_vmin + self._stride - 2)
+        self._set_domain(lo, hi)
+        dtype = self._rel_dtype()
+        if self._vmin != old_vmin or old_rel.dtype != dtype:
+            old_rel = np.add(old_rel, old_vmin - self._vmin, dtype=dtype)
+        self._rel, self._ids = merge_runs(
+            [old_rel, self._ids],
+            [
+                (sorted_values - self._vmin).astype(dtype),
+                ids[order].astype(np.int32),
+            ],
+            positions,
         )
-        rel_positions = (positions - funcs_rep * n).reshape(num_funcs, m)
-        new_n = n + m
-        # Destination of new entry r of function f: its insertion position
-        # shifted by the r new entries placed before it and the function's
-        # new row offset.
-        dest = (
-            np.arange(num_funcs, dtype=np.int64)[:, None] * new_n
-            + rel_positions
-            + np.arange(m, dtype=np.int64)[None, :]
-        ).ravel()
-        taken = np.zeros(num_funcs * new_n, dtype=bool)
-        taken[dest] = True
-        new_values = np.empty(num_funcs * new_n, dtype=np.int64)
-        new_ids = np.empty(num_funcs * new_n, dtype=np.int64)
-        new_values[dest] = values.ravel()
-        new_ids[dest] = batch_ids.ravel()
-        new_values[~taken] = self._values.ravel()
-        new_ids[~taken] = self._ids.ravel()
-        self._values = new_values.reshape(num_funcs, new_n)
-        self._ids = new_ids.reshape(num_funcs, new_n)
-        self._num_points = new_n
-        self._rebuild_search_keys()
+        self._num_points = n + m
+        self._refresh_row_top()
         # The fresh runs live in RAM regardless of how the old ones were
         # held: a previously mmap-backed store materialises on mutation.
         self._backend = None
-        self._id_order = None
-        self._ids_by_id = None
-        return InsertPlan(
-            values=values,
-            ids=batch_ids,
-            rel_positions=rel_positions,
-            dest_positions=rel_positions + np.arange(m, dtype=np.int64)[None, :],
-            old_rows=n,
-        )
+        return InsertPlan((values - self._vmin).astype(dtype), self._vmin, positions)
 
     # ------------------------------------------------------------------
     # Diagnostics
@@ -863,18 +810,25 @@ class InvertedListStore:
         """Base hash value of ``point_id`` under function ``func``.
 
         Intended for tests and diagnostics (the forward map is normally the
-        hash bank's job, not the store's).  The id -> run-position map is a
-        lazily built inverse permutation, so lookups are O(log n) instead
-        of an O(n) scan.
+        hash bank's job, not the store's): one O(n) scan of the run.
         """
         self._check_func(func)
-        if self._id_order is None or self._ids_by_id is None:
-            self._id_order = np.argsort(self._ids, axis=1, kind="stable")
-            self._ids_by_id = np.take_along_axis(self._ids, self._id_order, axis=1)
-        row = self._ids_by_id[func]
-        pos = int(np.searchsorted(row, point_id))
-        if pos >= row.shape[0] or int(row[pos]) != int(point_id):
+        base = func * self._num_points
+        hits = np.flatnonzero(
+            self._ids[base : base + self._num_points] == point_id
+        )
+        if hits.size == 0:
             raise InvalidParameterError(
                 f"point id {point_id} is not stored in the inverted lists"
             )
-        return int(self._values[func, self._id_order[func, pos]])
+        return int(self._rel[base + hits[0]]) + self._vmin
+
+
+def _top_keys(rel: np.ndarray, stride: int) -> np.ndarray | None:
+    """Row-aligned coarse search keys ``func * stride + rel`` of every
+    ``_TOP_STRIDE``-th entry of the ``(F, n)`` runs ``rel``, flat int64
+    (``None`` when the keys would not fit)."""
+    if rel.shape[0] * stride >= _MAX_COMPOSITE_KEY:
+        return None
+    funcs = np.arange(rel.shape[0], dtype=np.int64)[:, None]
+    return (rel[:, ::_TOP_STRIDE] + funcs * stride).ravel()

@@ -96,7 +96,7 @@ class TestStoreInsert:
         )
         assert store.num_points == 60
         for func in range(4):
-            values = store._values[func]
+            values = store.runs()[0][func]
             assert (np.diff(values) >= 0).all()
             assert values.size == 60
 

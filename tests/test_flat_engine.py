@@ -97,6 +97,22 @@ class TestFlatMatchesScalar:
                 assert_results_identical(flat, scalar)
 
 
+class TestWideHashDomain:
+    def test_flat_matches_scalar_past_int32(self):
+        """Coordinates large enough that the hash values span more than
+        int32 (the store keeps int64 relative runs) answer identically."""
+        data = make_synthetic(300, 6, seed=5) * 100.0
+        index = LazyLSH(_config(seed=3)).build(data)
+        values, _ids = index.store.runs()
+        assert int(values.max()) - int(values.min()) + 2 > 2**31 - 2
+        index.insert(data[:4] * 1.5)
+        for query in (data[7], data[123] + 50.0, data[0] * 1.5):
+            for p in P_VALUES:
+                flat = index.knn(query, 5, p=p, engine="flat")
+                scalar = index.knn(query, 5, p=p, engine="scalar")
+                assert_results_identical(flat, scalar)
+
+
 class TestMultiQuery:
     def test_flat_matches_scalar(self, engine_split):
         index = LazyLSH(_config()).build(engine_split.data)
@@ -259,10 +275,11 @@ class TestTwoLevelSearch:
         funcs = rng.integers(0, num_functions, size=4_000)
         bounds = rng.integers(-span - 5, span + 5, size=4_000)
         got = store.batch_entry_positions(funcs, bounds, side)
+        values = store.runs()[0]
         for j in range(funcs.size):
             f = int(funcs[j])
             expect = f * n + int(
-                np.searchsorted(store._values[f], bounds[j], side=side)
+                np.searchsorted(values[f], bounds[j], side=side)
             )
             assert got[j] == expect
 
@@ -279,5 +296,5 @@ class TestTwoLevelSearch:
         funcs = np.zeros(bounds.size, dtype=np.int64)
         for side in ("left", "right"):
             got = store.batch_entry_positions(funcs, bounds, side)
-            expect = np.searchsorted(store._values[0], bounds, side=side)
+            expect = np.searchsorted(store.runs()[0][0], bounds, side=side)
             assert np.array_equal(got, expect)

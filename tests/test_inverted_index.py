@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import LazyLSH, LazyLSHConfig
+from repro.datasets import make_synthetic
 from repro.errors import InvalidParameterError
-from repro.storage.inverted_index import InvertedListStore
+from repro.persistence import load_index, save_index
+from repro.serve.worker import ShardSearcher
+from repro.storage.inverted_index import _TOP_STRIDE, InvertedListStore
 from repro.storage.io_stats import IOStats
 from repro.storage.pages import PageLayout
 
@@ -144,11 +148,17 @@ class TestBucketOf:
         assert tiny_store.bucket_of(1, 5) == 4
 
 
+def _shard(store, lo, hi):
+    """``compact_shard`` widened to (values, global ids, positions)."""
+    arrays, state = store.compact_shard(lo, hi)
+    return arrays["rel"] + state.vmin, arrays["ids"] + lo, arrays["positions"]
+
+
 class TestShardView:
     def test_full_range_is_whole_store(self, tiny_store):
-        values, ids, positions = tiny_store.shard_view(0, 6)
-        assert np.array_equal(values, tiny_store._values)
-        assert np.array_equal(ids, tiny_store._ids)
+        values, ids, positions = _shard(tiny_store, 0, 6)
+        assert np.array_equal(values, tiny_store.runs()[0])
+        assert np.array_equal(ids, tiny_store.runs()[1])
         assert np.array_equal(
             positions, np.tile(np.arange(6), (2, 1))
         )
@@ -157,7 +167,7 @@ class TestShardView:
         hash_values = rng.integers(-50, 50, size=(3, 40)).astype(np.int64)
         store = InvertedListStore(hash_values)
         for lo, hi in [(0, 40), (0, 7), (13, 14), (25, 40)]:
-            values, ids, positions = store.shard_view(lo, hi)
+            values, ids, positions = _shard(store, lo, hi)
             assert values.shape == ids.shape == positions.shape == (3, hi - lo)
             for func in range(3):
                 # Entries come back in full-run order (positions strictly
@@ -165,13 +175,13 @@ class TestShardView:
                 assert np.all(np.diff(positions[func]) > 0)
                 assert sorted(ids[func].tolist()) == list(range(lo, hi))
                 assert np.array_equal(
-                    values[func], store._values[func, positions[func]]
+                    values[func], store.runs()[0][func, positions[func]]
                 )
 
     def test_bounds_validated(self, tiny_store):
         for lo, hi in [(-1, 3), (3, 3), (4, 2), (0, 7)]:
             with pytest.raises(InvalidParameterError):
-                tiny_store.shard_view(lo, hi)
+                tiny_store.compact_shard(lo, hi)
 
 
 class _GatherObserver:
@@ -254,3 +264,113 @@ class TestLargeStore:
                     ).tolist()
                 )
                 assert got == want
+
+
+class TestWideHashDomain:
+    """Value ranges past int32 (int64 relative runs) and past the
+    composite-key range (per-needle search) against per-row searches."""
+
+    @pytest.mark.parametrize("span", [2**33, 2**61])
+    def test_reads_and_insert_match_searchsorted(self, rng, span):
+        hash_values = rng.integers(-span, span, size=(4, 600), dtype=np.int64)
+        hash_values[:, :40] = hash_values[:, 40:80]  # ties
+        store = InvertedListStore(hash_values, PageLayout(page_size=64, entry_size=8))
+        assert store.compact_shard(0, 600)[0]["rel"].dtype == np.int64
+        values, ids = store.runs()
+        funcs = rng.integers(0, 4, size=300)
+        bounds = np.concatenate(
+            [rng.integers(-span - 9, span + 9, size=200), values[funcs[200:], 7]]
+        )
+        for side in ("left", "right"):
+            got = store.batch_entry_positions(funcs, bounds, side)
+            want = [
+                f * 600 + np.searchsorted(values[f], b, side=side)
+                for f, b in zip(funcs, bounds)
+            ]
+            assert got.tolist() == want
+        for f in range(4):
+            lo, ilo, ihi, hi = np.sort(rng.integers(-span, span, size=4))
+            start = np.searchsorted(values[f], lo, side="left")
+            stop = np.searchsorted(values[f], hi, side="right")
+            assert store.read_window(f, lo, hi).tolist() == ids[f, start:stop].tolist()
+            left = np.searchsorted(values[f], ilo, side="left")
+            right = np.searchsorted(values[f], ihi, side="right")
+            ring = np.concatenate([ids[f, start:left], ids[f, right:stop]])
+            got_ring = store.read_ring(f, lo, hi, ilo, ihi)
+            assert got_ring.tolist() == ring.tolist()
+        starts = np.array([0, 650, 1_799], dtype=np.int64)
+        lens = np.array([30, 0, 400], dtype=np.int64)
+        want = np.concatenate([ids.ravel()[a : a + b] for a, b in zip(starts, lens)])
+        assert store.gather_segments32(starts, lens).tolist() == want.tolist()
+
+        wider = span + span // 2  # extends the domain both ways
+        batch = rng.integers(-wider, wider, size=(4, 9), dtype=np.int64)
+        batch[:, 0] = values[:, 5]
+        plan = store.insert(batch, np.arange(600, 609))
+        order = np.argsort(batch, axis=1, kind="stable")
+        for f in range(4):
+            sorted_batch = batch[f, order[f]]
+            assert plan.positions[f].tolist() == np.searchsorted(
+                values[f], sorted_batch, side="right"
+            ).tolist()
+        fresh = InvertedListStore(np.concatenate([hash_values, batch], axis=1))
+        for got, want in zip(store.runs(), fresh.runs()):
+            assert np.array_equal(got, want)
+        np.testing.assert_array_equal(plan.hash_values(), batch)
+
+    def test_span_wider_than_int64_rejected(self):
+        with pytest.raises(InvalidParameterError, match="wider than int64"):
+            InvertedListStore(np.array([[-(2**62), 2**62]], dtype=np.int64))
+
+
+class TestFootprint:
+    """Compact runs only: 8 bytes per entry (int32 relative values and
+    int32 ids) plus the coarse ``row_top`` keys — never an int64 copy."""
+
+    @staticmethod
+    def _bound(store):
+        entries = store.num_functions * store.num_points
+        top = store.num_functions * -(-store.num_points // _TOP_STRIDE)
+        return 8 * entries + 8 * top
+
+    def test_build_insert_and_v3_load(self, tmp_path):
+        data = make_synthetic(700, 8, seed=11)
+        config = LazyLSHConfig(c=3.0, p_min=0.5, seed=4, mc_samples=10_000, mc_buckets=60)
+        index = LazyLSH(config).build(data[:600])
+        store = index.store
+        assert store.storage_info()["resident_bytes"] <= self._bound(store)
+        index.insert(data[600:])
+        assert store.storage_info()["resident_bytes"] <= self._bound(store)
+        path = save_index(index, tmp_path / "idx.npz", format_version=3)
+        loaded = load_index(path).store
+        assert loaded.storage_info()["resident_bytes"] <= self._bound(loaded)
+        for got, want in zip(loaded.runs(), store.runs()):
+            assert np.array_equal(got, want)
+
+    def test_shard_searcher_after_insert(self):
+        rng = np.random.default_rng(5)
+        store = InvertedListStore(rng.integers(-500, 500, size=(300, 40)))
+        arrays, state = store.compact_shard(0, 40)
+        searcher = ShardSearcher(
+            0, 0, 40,
+            InvertedListStore.from_compact(
+                arrays["rel"], arrays["ids"], arrays["row_top"], state
+            ),
+            arrays["positions"].ravel(), np.zeros((40, 2)), np.ones(40, dtype=bool),
+        )
+        batch = rng.integers(-600, 600, size=(300, 6))
+        plan = store.insert(batch, np.arange(40, 46))
+        searcher.apply_update({
+            "op": "insert", "lsn": 1, "epoch": 1, "plan": plan,
+            "points": np.zeros((6, 2)), "batch_start": 40,
+            "owners": np.zeros(6, dtype=np.int64),
+        })
+        searcher.round([])
+        assert searcher.store.storage_info()["resident_bytes"] <= self._bound(
+            searcher.store
+        )
+        runs = [
+            value for value in vars(searcher).values()
+            if isinstance(value, np.ndarray) and value.size >= 300 * searcher.m
+        ]
+        assert runs and all(value.dtype == np.int32 for value in runs)

@@ -105,8 +105,8 @@ class TestV3RoundTrip:
         index, _ = corpus
         header, arrays = open_v3_arrays(v3_path, names=("values", "ids"))
         assert header["format_version"] == 3
-        assert np.array_equal(arrays["values"], index.store._values)
-        assert np.array_equal(arrays["ids"], index.store._ids)
+        assert np.array_equal(arrays["values"], index.store.runs()[0])
+        assert np.array_equal(arrays["ids"], index.store.runs()[1])
 
     def test_insert_materialises_mmap_index(self, corpus, v3_path):
         _, data = corpus

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,6 +21,8 @@ from repro.eval.ratio import overall_ratio
 from repro.metrics.collision import collision_probability
 from repro.metrics.lp import l1_bounds, lp_distance, lp_norm, norm_equivalence_bounds
 from repro.persistence import load_index, save_index
+from repro.serve.worker import ShardSearcher
+from repro.storage.inverted_index import InvertedListStore
 from repro.storage.pages import PageLayout
 
 # Strategies ---------------------------------------------------------------
@@ -308,3 +310,133 @@ class TestShardedServiceIdentity:
                 assert flat.termination == sharded.termination
                 assert flat.rounds == sharded.rounds
                 assert sum(s.random for s in sharded.shard_io) == flat.io.random
+
+
+# Store inserts -----------------------------------------------------------
+
+
+def _insert_batches(rng, base, n_batches, wide):
+    """1-4 batches per function: ties, values below the current minimum,
+    above the current maximum, and (``wide``) one past the int32 range."""
+    runs = base.copy()
+    batches = []
+    for b in range(n_batches):
+        m = int(rng.integers(1, 17))
+        kind = rng.integers(0, 4, size=(base.shape[0], m))
+        lo, hi = runs.min(axis=1, keepdims=True), runs.max(axis=1, keepdims=True)
+        ties = np.take_along_axis(
+            runs, rng.integers(0, runs.shape[1], size=kind.shape), axis=1
+        )
+        batch = np.select(
+            [kind == 0, kind == 1, kind == 2],
+            [ties, lo - rng.integers(1, 6, kind.shape), hi + rng.integers(1, 6, kind.shape)],
+            rng.integers(-60, 60, size=kind.shape),
+        )
+        if wide and b == n_batches - 1:
+            batch[0, 0] = hi[0, 0] + 2**32
+        batches.append(batch.astype(np.int64))
+        runs = np.concatenate([runs, batches[-1]], axis=1)
+    return batches
+
+
+def _searcher(shard_id, store, lo, hi, mapped):
+    """Shard ``shard_id``'s searcher over ``[lo, hi)`` of ``store``: the
+    full store (mmap attach) or its compact shard (shm attach)."""
+    data, alive = np.zeros((hi - lo, 1)), np.ones(hi - lo, dtype=bool)
+    if mapped:
+        return ShardSearcher(shard_id, lo, hi, store, None, data, alive)
+    arrays, state = store.compact_shard(lo, hi)
+    sub = InvertedListStore.from_compact(
+        arrays["rel"], arrays["ids"], arrays["row_top"], state
+    )
+    positions = arrays["positions"].ravel()
+    return ShardSearcher(shard_id, lo, hi, sub, positions, data, alive)
+
+
+def _shard_state(store, lo, hi):
+    """``compact_shard`` widened: (values, global ids, positions)."""
+    arrays, state = store.compact_shard(lo, hi)
+    return arrays["rel"] + state.vmin, arrays["ids"] + lo, arrays["positions"]
+
+
+class TestStoreInsertProperties:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        eta=st.integers(min_value=1, max_value=6),
+        n=st.integers(min_value=2, max_value=40),
+        n_batches=st.integers(min_value=1, max_value=4),
+        wide=st.booleans(),
+    )
+    @example(seed=7, eta=3, n=9, n_batches=2, wide=True)
+    @settings(max_examples=20, deadline=None)
+    def test_inserts_equal_a_rebuild(self, seed, eta, n, n_batches, wide):
+        """Inserted runs, window searches and shard replicas equal a fresh
+        build over all the columns; one merged insert of every batch
+        equals the sequential ones (the precondition of group apply)."""
+        rng = np.random.default_rng(seed)
+        base = rng.integers(-50, 50, size=(eta, n)).astype(np.int64)
+        batches = _insert_batches(rng, base, n_batches, wide)
+        store = InvertedListStore(base)
+        split = n // 2
+        searchers = [
+            _searcher(0, store, 0, split, False),
+            _searcher(1, store, split, n, False),
+            # An mmap worker maps its own copy of the base index.
+            _searcher(1, InvertedListStore(base), split, n, True),
+        ]
+        start = n
+        for lsn, batch in enumerate(batches, start=1):
+            ids = np.arange(start, start + batch.shape[1])
+            plan = store.insert(batch, ids)
+            delta = {
+                "op": "insert", "lsn": lsn, "epoch": lsn, "plan": plan,
+                "points": np.zeros((batch.shape[1], 1)), "batch_start": start,
+                # Every new point joins the last shard, so each replica
+                # stays an id range compact_shard can extract.
+                "owners": np.ones(batch.shape[1], dtype=np.int64),
+            }
+            for searcher in searchers:
+                searcher.apply_update(delta)
+            start += batch.shape[1]
+
+        columns = np.concatenate([base] + batches, axis=1)
+        fresh = InvertedListStore(columns)
+        for got, want in zip(store.runs(), fresh.runs()):
+            np.testing.assert_array_equal(got, want)
+        arrays, state = store.compact_shard(0, start)
+        fresh_arrays, fresh_state = fresh.compact_shard(0, start)
+        assert state == fresh_state
+        for name in arrays:
+            np.testing.assert_array_equal(arrays[name], fresh_arrays[name])
+        assert arrays["rel"].dtype == (
+            np.int32 if state.stride <= 2**31 - 2 else np.int64
+        )
+        assert (state.stride > 2**31 - 2) == wide
+
+        merged = InvertedListStore(base)
+        merged.insert(np.concatenate(batches, axis=1), np.arange(n, start))
+        for got, want in zip(merged.runs(), store.runs()):
+            np.testing.assert_array_equal(got, want)
+
+        funcs = rng.integers(0, eta, size=64)
+        bounds = rng.integers(columns.min() - 3, columns.max() + 3, size=64)
+        for side in ("left", "right"):
+            np.testing.assert_array_equal(
+                store.batch_entry_positions(funcs, bounds, side),
+                fresh.batch_entry_positions(funcs, bounds, side),
+            )
+        for f, lo in zip(funcs[:16].tolist(), bounds[:16].tolist()):
+            hi = lo + int(rng.integers(0, 40))
+            np.testing.assert_array_equal(
+                store.read_window(f, lo, hi), fresh.read_window(f, lo, hi)
+            )
+
+        for searcher in searchers:
+            lo, hi = (0, split) if searcher.shard_id == 0 else (split, start)
+            values, gids, positions = _shard_state(store, lo, hi)
+            sub_values, sub_ids = searcher.store.runs()
+            np.testing.assert_array_equal(sub_values, values)
+            np.testing.assert_array_equal(searcher._gid_of[sub_ids], gids)
+            np.testing.assert_array_equal(
+                searcher.positions.reshape(positions.shape), positions
+            )

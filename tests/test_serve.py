@@ -63,14 +63,16 @@ class TestShardView:
         store = built_index.store
         n = store.num_points
         lo, hi = n // 3, 2 * n // 3
-        values, ids, positions = store.shard_view(lo, hi)
+        arrays, state = store.compact_shard(lo, hi)
+        values = arrays["rel"] + state.vmin
+        ids, positions = arrays["ids"] + lo, arrays["positions"]
         assert values.shape == ids.shape == positions.shape
         for f in range(min(4, values.shape[0])):
             # Sub-runs stay sorted and point back into the full run.
             assert np.all(np.diff(values[f]) >= 0)
             assert np.all((ids[f] >= lo) & (ids[f] < hi))
             np.testing.assert_array_equal(
-                store._values[f, positions[f]], values[f]
+                store.runs()[0][f, positions[f]], values[f]
             )
 
 

@@ -37,7 +37,7 @@ def _avg_ratio(engine, name: str, k: int) -> float:
     _, true_dists = ground_truth(name, k, P)
     ratios = []
     for qi, query in enumerate(split.queries):
-        result = engine.knn(query, k, P)
+        result = engine.knn(query, k, p=P)
         ratios.append(overall_ratio(result.distances, true_dists[qi]))
     return float(np.mean(ratios))
 

@@ -23,7 +23,7 @@ def _avg_ratio(index, name: str) -> float:
     _, true_dists = ground_truth(name, K, P)
     ratios = []
     for qi, query in enumerate(split.queries):
-        result = index.knn(query, K, P)
+        result = index.knn(query, K, p=P)
         ratios.append(overall_ratio(result.distances, true_dists[qi]))
     return float(np.mean(ratios))
 

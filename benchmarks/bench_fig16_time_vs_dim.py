@@ -42,7 +42,7 @@ def run() -> list[ResultTable]:
         lazy_times, scan_times = [], []
         for query in split.queries:
             with Timer() as t_lazy:
-                engine.knn(query, K, P_SWEEP)
+                engine.knn(query, K, metrics=P_SWEEP)
             lazy_times.append(t_lazy.seconds)
             with Timer() as t_scan:
                 for p in P_SWEEP:

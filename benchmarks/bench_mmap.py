@@ -17,8 +17,9 @@ what it costs, against the eager loader on the same format-v3 file:
 * **Real vs simulated I/O** — ``/proc/self/io`` read bytes and major
   faults alongside the paper's simulated ``PageTracker`` charge, which
   is backend-independent by construction (and asserted identical here).
-* **Worker start** — ``ShardedSearchService`` construction time with
-  shm packing vs mmap attach (workers open the same file, O(1)).
+* **Worker start** — ``ShardedSearchService`` construction time over
+  the in-memory index (shm packing) vs the mapped one (mmap attach:
+  workers open the same file, O(1)).
 
 Every configuration asserts bit-identical kNN answers (ids, distances,
 simulated I/O, termination) between the eager and mapped opens — the
@@ -158,11 +159,11 @@ def _evict(path: Path) -> bool:
         return False
 
 
-def _service_start_seconds(index, n_shards: int, attach: str) -> float:
+def _service_start_seconds(index, n_shards: int) -> float:
     from repro.serve import ShardedSearchService
 
     t0 = time.perf_counter()
-    service = ShardedSearchService(index, n_shards=n_shards, attach=attach)
+    service = ShardedSearchService(index, n_shards=n_shards)
     elapsed = time.perf_counter() - t0
     service.close()
     return elapsed
@@ -177,7 +178,7 @@ def bench_size(
         LazyLSHConfig(p_min=workload["p_min"], seed=SEED, mc_samples=50_000)
     ).build(data)
     path = scratch / f"idx-{n}x{d}.npz"
-    save_index(index, path, format_version=3)
+    save_index(index, path)
     file_bytes = path.stat().st_size
 
     k, p = workload["k"], workload["p"]
@@ -207,12 +208,8 @@ def bench_size(
 
     mmap_index = load_index(path, backend="mmap")
     row["service_start"] = {
-        "shm_seconds": _service_start_seconds(
-            index, workload["shards"], "shm"
-        ),
-        "mmap_seconds": _service_start_seconds(
-            mmap_index, workload["shards"], "mmap"
-        ),
+        "shm_seconds": _service_start_seconds(index, workload["shards"]),
+        "mmap_seconds": _service_start_seconds(mmap_index, workload["shards"]),
     }
     if check_sharded:
         from repro.serve import ShardedSearchService
@@ -221,8 +218,12 @@ def bench_size(
         with ShardedSearchService(
             index, n_shards=workload["shards"]
         ) as shm_svc, ShardedSearchService(
-            mmap_index, n_shards=workload["shards"], attach="mmap"
+            mmap_index, n_shards=workload["shards"]
         ) as mm_svc:
+            if (shm_svc.attach, mm_svc.attach) != ("shm", "mmap"):
+                raise AssertionError(
+                    f"attach modes {shm_svc.attach}/{mm_svc.attach}, want shm/mmap"
+                )
             for query in queries:
                 a = shm_svc.search(query, k, p=p)
                 b = mm_svc.search(query, k, p=p)

@@ -23,8 +23,6 @@ layer can import it without cycles.
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
@@ -425,36 +423,3 @@ def aggregate_io(parts) -> IOStats:
     for part in parts:
         total.merge(part.io if hasattr(part, "io") else part)
     return total
-
-
-def strict_api_enabled() -> bool:
-    """True when ``REPRO_STRICT_API=1``: deprecations become errors.
-
-    Checked at call time (not import time) so a test suite can flip the
-    environment variable per test.  Any value other than the empty
-    string or ``"0"`` enables strict mode.
-    """
-    return os.environ.get("REPRO_STRICT_API", "0") not in ("", "0")
-
-
-def warn_deprecated(message: str, *, stacklevel: int = 3) -> None:
-    """Emit a DeprecationWarning, or raise it under ``REPRO_STRICT_API=1``.
-
-    The strict-mode error is :class:`~repro.errors.InvalidParameterError`
-    so HTTP callers see a 400 (``invalid_parameter``), not a 500.
-    """
-    if strict_api_enabled():
-        raise InvalidParameterError(
-            f"{message} (rejected because REPRO_STRICT_API=1)"
-        )
-    warnings.warn(message, DeprecationWarning, stacklevel=stacklevel + 1)
-
-
-def warn_positional(callable_name: str, replacement: str) -> None:
-    """Flag legacy positional args: warn, or error under strict mode."""
-    warn_deprecated(
-        f"passing {replacement} to {callable_name} positionally is "
-        f"deprecated; use the keyword form ({replacement}=...) or a "
-        "SearchRequest",
-        stacklevel=3,
-    )

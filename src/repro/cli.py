@@ -81,7 +81,7 @@ from repro.datasets import (
 from repro.errors import ReproError, UnsupportedMetricError
 from repro.eval.harness import ResultTable, Timer
 from repro.obs import Telemetry
-from repro.persistence import load_index, mmap_capable, save_index
+from repro.persistence import load_index, save_index
 
 
 def _parse_p_list(text: str) -> list[float]:
@@ -149,11 +149,11 @@ def cmd_build(args: argparse.Namespace) -> int:
         mc_samples=args.mc_samples,
     )
     index = LazyLSH(config).build(data)
-    path = save_index(index, args.output, format_version=args.format_version)
+    path = save_index(index, args.output)
     print(
         f"built index over {index.num_points} x {index.dimensionality} points: "
         f"eta={index.eta}, {index.index_size_mb():.1f} MB (simulated), "
-        f"saved to {path} (format v{args.format_version or 2})"
+        f"saved to {path}"
     )
     return 0
 
@@ -257,8 +257,7 @@ def _run_sharded_workload(
     """The ``stats --shards N`` workload: run through the service."""
     from repro.serve import ShardedSearchService
 
-    backend = getattr(args, "backend", "eager")
-    index = load_index(args.index, backend=backend)
+    index = load_index(args.index, backend=getattr(args, "backend", "eager"))
     queries = _workload_queries(index, args)
     metrics = _parse_p_list(args.p)
     if len(metrics) != 1:
@@ -266,10 +265,7 @@ def _run_sharded_workload(
             "stats --shards answers one metric per wave; pass a single --p"
         )
     telemetry = Telemetry()
-    attach = "mmap" if backend == "mmap" else "shm"
-    with ShardedSearchService(
-        index, n_shards=args.shards, attach=attach
-    ) as service:
+    with ShardedSearchService(index, n_shards=args.shards) as service:
         results = service.search_batch(
             queries, args.k, p=metrics[0], telemetry=telemetry
         )
@@ -366,14 +362,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 durable.remove(_parse_id_list(args.remove))
                 records += 1
         if args.checkpoint:
-            report["checkpoint"] = str(
-                durability.checkpoint_now(
-                    durable,
-                    home,
-                    format_version=args.format_version,
-                    compress=not args.no_compress,
-                )
-            )
+            report["checkpoint"] = str(durability.checkpoint_now(durable, home))
         report.update(
             {
                 "fsync": not args.no_fsync,
@@ -476,14 +465,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"{home} --init <dataset>` first"
             )
         base_lsn, ckpt_path = found
-        # Old-format checkpoints cannot be mapped; degrade quietly.
-        backend = args.backend if mmap_capable(ckpt_path) else "eager"
-        index = load_index(ckpt_path, backend=backend)
+        index = load_index(ckpt_path, backend=args.backend)
         # Read-only tail of the (possibly live) log: never truncates.
         feed = WalFeed(home / WAL_SUBDIR, start_lsn=base_lsn)
         print(
             f"serving from {ckpt_path.name} (LSN {base_lsn}, "
-            f"{backend} open), tailing {home / WAL_SUBDIR}",
+            f"{index.storage_info()['backend']} open), tailing "
+            f"{home / WAL_SUBDIR}",
             file=sys.stderr,
         )
     elif args.index is not None:
@@ -617,7 +605,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             telemetry=telemetry,
             auditor=auditor,
             base_lsn=base_lsn,
-            attach="mmap" if storage["backend"] == "mmap" else "shm",
         ) as service:
             if feed is not None:
                 applied = service.ingest(feed.poll())
@@ -772,8 +759,7 @@ def cmd_cluster_lead(args: argparse.Namespace) -> int:
             f"{home} --init <dataset>` first"
         )
     base_lsn, ckpt_path = found
-    backend = args.backend if mmap_capable(ckpt_path) else "eager"
-    index = load_index(ckpt_path, backend=backend)
+    index = load_index(ckpt_path, backend=args.backend)
     feed = WalFeed(home / WAL_SUBDIR, start_lsn=base_lsn)
     registry = MetricsRegistry()
     frontend = exporter = None
@@ -781,10 +767,7 @@ def cmd_cluster_lead(args: argparse.Namespace) -> int:
     # listening socket exists, so no worker inherits (and pins) the
     # replication or HTTP port — see DESIGN §16.
     with ShardedSearchService(
-        index,
-        n_shards=args.shards,
-        base_lsn=base_lsn,
-        attach="mmap" if index.storage_info()["backend"] == "mmap" else "shm",
+        index, n_shards=args.shards, base_lsn=base_lsn
     ) as service:
         service.ingest(feed.poll())
         shipper = WalShipper(
@@ -982,11 +965,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
         index = load_index(args.index, backend=args.backend)
         queries = _workload_queries(index, args)
-        with ShardedSearchService(
-            index,
-            n_shards=args.shards,
-            attach="mmap" if args.backend == "mmap" else "shm",
-        ) as service:
+        with ShardedSearchService(index, n_shards=args.shards) as service:
             results = service.search_batch(
                 queries, args.k, p=p, explain=True
             )
@@ -1381,14 +1360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--p-min", type=float, default=0.5)
     p_build.add_argument("--mc-samples", type=int, default=50_000)
     p_build.add_argument("--seed", type=int, default=7)
-    p_build.add_argument(
-        "--format-version",
-        type=int,
-        choices=(2, 3),
-        default=None,
-        help="on-disk format: 2 = compressed npz (default), 3 = page-aligned "
-        "binary that `--backend mmap` can open without reading it",
-    )
     p_build.set_defaults(func=cmd_build)
 
     p_query = sub.add_parser("query", help="query a saved index")
@@ -1448,7 +1419,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("eager", "mmap"),
         default="eager",
         help="how to open the index: eager loads every array into RAM, "
-        "mmap maps a format-v3 file and pages on demand",
+        "mmap maps a format-v3 file and pages on demand (v1/v2 files "
+        "load eagerly)",
     )
     p_stats.set_defaults(func=cmd_stats)
 
@@ -1490,24 +1462,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="compact the WAL into a checkpoint after applying updates",
     )
     p_ingest.add_argument(
-        "--format-version",
-        type=int,
-        choices=(2, 3),
-        default=None,
-        help="checkpoint format: 2 = compressed npz (default), 3 = "
-        "page-aligned binary for mmap cold starts (needs --checkpoint)",
-    )
-    p_ingest.add_argument(
-        "--no-compress",
-        action="store_true",
-        help="skip zlib on v2 checkpoints (bigger file, faster write)",
-    )
-    p_ingest.add_argument(
         "--backend",
         choices=("eager", "mmap"),
         default="eager",
-        help="how to open the recovered checkpoint (mmap needs a "
-        "format-v3 checkpoint; older ones fall back to eager)",
+        help="how to open the recovered checkpoint (v1/v2 checkpoints "
+        "load eagerly)",
     )
     p_ingest.add_argument(
         "--no-fsync",
@@ -1577,8 +1536,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="eager",
         help="how to open the index: eager loads into RAM and ships shards "
         "over shared memory; mmap maps a format-v3 file and workers attach "
-        "to the same file in O(1) (a non-v3 --wal checkpoint falls back "
-        "to eager)",
+        "to the same file in O(1) (v1/v2 files load eagerly)",
     )
     p_serve.add_argument(
         "--start-method",
@@ -1750,7 +1708,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="mmap",
         choices=("mmap", "eager"),
-        help="checkpoint open mode (old formats degrade to eager)",
+        help="checkpoint open mode (v1/v2 checkpoints load eagerly)",
     )
     p_lead.add_argument(
         "--poll-interval",

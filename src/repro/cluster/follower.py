@@ -58,7 +58,7 @@ from repro.durability.checkpoint import (
 )
 from repro.durability.wal import decode_wal_record
 from repro.errors import ReproError, WalGapError
-from repro.persistence import load_index, mmap_capable
+from repro.persistence import load_index
 
 logger = logging.getLogger("repro.cluster.follower")
 
@@ -83,7 +83,8 @@ class FollowerNode:
         (``0`` picks a free one).
     backend:
         Index open mode for the bootstrap checkpoint (``"eager"`` or
-        ``"mmap"``; old-format checkpoints degrade to eager).
+        ``"mmap"``; v1/v2 checkpoints load eagerly).  A mapped index's
+        shard workers map the checkpoint file too.
     registry:
         Optional metrics registry publishing the ``lazylsh_replica_*``
         family.
@@ -241,8 +242,7 @@ class FollowerNode:
         if found is None:
             found = self._fetch_checkpoint(ckpt_dir)
         self.base_lsn, ckpt_path = found
-        backend = self.backend if mmap_capable(ckpt_path) else "eager"
-        index = load_index(ckpt_path, backend=backend)
+        index = load_index(ckpt_path, backend=self.backend)
         service = ShardedSearchService(
             index,
             n_shards=self.n_shards,
@@ -263,7 +263,7 @@ class FollowerNode:
             "follower bootstrapped from %s (LSN %d, %s open)",
             ckpt_path.name,
             self.base_lsn,
-            backend,
+            index.storage_info()["backend"],
         )
 
     def _teardown_serving(self) -> None:

@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro._typing import PointMatrix
-from repro.api import SearchRequest, aggregate_io, warn_positional
+from repro.api import SearchRequest, aggregate_io
 from repro.core.engine import Lane, LaneGroup, execute_rounds
 from repro.core.lazylsh import _KNN_ABORT, KnnResult, LazyLSH, _lane_result
 from repro.core.multiquery import MultiQueryEngine, MultiQueryResult
@@ -111,7 +111,7 @@ def knn_batch(
     index: LazyLSH,
     queries: PointMatrix | SearchRequest,
     k: int | None = None,
-    *args,
+    *,
     p: float | None = None,
     metrics: Sequence[float] | None = None,
     engine: str = "flat",
@@ -132,8 +132,8 @@ def knn_batch(
     ``query`` holds the ``(m, d)`` query matrix; every other argument
     but ``share_pages`` and ``telemetry`` must then be left at its
     default.  Tuning knobs are keyword-only and shared with
-    ``LazyLSH.knn``/``MultiQueryEngine.knn``: ``p`` (passing it
-    positionally is deprecated), ``metrics``, ``engine``, ``cap``
+    ``LazyLSH.knn``/``MultiQueryEngine.knn``: ``p``, ``metrics``,
+    ``engine``, ``cap``
     (candidate-budget override) and ``radius`` (starting-radius
     override, single-metric only).
 
@@ -143,7 +143,7 @@ def knn_batch(
     no-op fast path.
     """
     if isinstance(queries, SearchRequest):
-        if k is not None or args or p is not None or metrics is not None:
+        if k is not None or p is not None or metrics is not None:
             raise InvalidParameterError(
                 "pass either a SearchRequest or explicit queries/k "
                 "arguments, not both"
@@ -170,14 +170,6 @@ def knn_batch(
             raise InvalidParameterError(
                 "k is required when not passing a SearchRequest"
             )
-        if args:
-            if len(args) > 1 or p is not None:
-                raise TypeError(
-                    "knn_batch() accepts at most one legacy positional "
-                    "argument (p); tuning arguments are keyword-only"
-                )
-            warn_positional("knn_batch", "p")
-            p = args[0]
     if not index.is_built:
         raise InvalidParameterError("knn_batch needs a built LazyLSH index")
     if engine not in ("flat", "scalar"):

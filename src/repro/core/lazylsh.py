@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro._typing import IdArray, PointMatrix, PointVector
-from repro.api import SearchRequest, SearchResult, warn_positional
+from repro.api import SearchRequest, SearchResult
 from repro.core.config import LazyLSHConfig
 from repro.core.engine import (
     TERMINATION_CAP,
@@ -550,7 +550,7 @@ class LazyLSH:
         self,
         query: PointVector | SearchRequest,
         k: int | None = None,
-        *args,
+        *,
         p: float = 1.0,
         engine: str = "flat",
         telemetry=None,
@@ -573,8 +573,7 @@ class LazyLSH:
         knobs are keyword-only and shared verbatim with
         ``MultiQueryEngine.knn`` and ``knn_batch``:
 
-        * ``p`` — the ``lp`` metric (passing it positionally is
-          deprecated);
+        * ``p`` — the ``lp`` metric;
         * ``engine`` — ``"flat"`` (vectorised, default) or ``"scalar"``
           (reference loop); both are bit-identical in results and I/O;
         * ``cap`` — candidate-budget override (default ``k + beta * n``);
@@ -588,7 +587,7 @@ class LazyLSH:
         trace_context = None
         deadline_ms: float | None = None
         if isinstance(query, SearchRequest):
-            if k is not None or args:
+            if k is not None:
                 raise InvalidParameterError(
                     "pass either a SearchRequest or explicit query/k "
                     "arguments, not both"
@@ -609,19 +608,10 @@ class LazyLSH:
             request_id = request.request_id
             trace_context = request.trace_context
             deadline_ms = request.deadline_ms
-        else:
-            if k is None:
-                raise InvalidParameterError(
-                    "k is required when not passing a SearchRequest"
-                )
-            if args:
-                if len(args) > 1:
-                    raise TypeError(
-                        "knn() accepts at most one legacy positional "
-                        "argument (p); tuning arguments are keyword-only"
-                    )
-                warn_positional("LazyLSH.knn", "p")
-                p = args[0]
+        elif k is None:
+            raise InvalidParameterError(
+                "k is required when not passing a SearchRequest"
+            )
         if engine not in ("flat", "scalar"):
             raise InvalidParameterError(
                 f"engine must be 'flat' or 'scalar', got {engine!r}"

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro._typing import PointVector
-from repro.api import SearchRequest, warn_deprecated, warn_positional
+from repro.api import SearchRequest
 from repro.core.engine import (
     TERMINATION_CAP,
     TERMINATION_K_WITHIN,
@@ -155,9 +155,8 @@ class MultiQueryEngine:
         self,
         query: PointVector | SearchRequest,
         k: int | None = None,
-        *args,
+        *,
         metrics: Sequence[float] | None = None,
-        p_values: Sequence[float] | None = None,
         engine: str = "flat",
         telemetry=None,
         cap: float | None = None,
@@ -175,14 +174,13 @@ class MultiQueryEngine:
         single ``p`` — is answered); every other argument but
         ``telemetry`` must then be left at its default.  Tuning knobs
         are keyword-only and shared with ``LazyLSH.knn``/``knn_batch``:
-        ``metrics`` (passing it positionally, or via the old ``p_values``
-        name, is deprecated), ``engine`` (``"flat"`` or ``"scalar"``,
+        ``metrics``, ``engine`` (``"flat"`` or ``"scalar"``,
         bit-identical), ``cap`` (candidate-budget override, applied to
         every metric) and ``telemetry`` (one
         :class:`~repro.obs.QueryTrace` per metric).
         """
         if isinstance(query, SearchRequest):
-            if k is not None or args or metrics is not None or p_values is not None:
+            if k is not None or metrics is not None:
                 raise InvalidParameterError(
                     "pass either a SearchRequest or explicit query/k "
                     "arguments, not both"
@@ -209,26 +207,6 @@ class MultiQueryEngine:
                 raise InvalidParameterError(
                     "k is required when not passing a SearchRequest"
                 )
-            if args:
-                if len(args) > 1 or metrics is not None or p_values is not None:
-                    raise TypeError(
-                        "knn() accepts at most one legacy positional "
-                        "argument (the metrics list); tuning arguments "
-                        "are keyword-only"
-                    )
-                warn_positional("MultiQueryEngine.knn", "metrics")
-                metrics = args[0]
-            elif p_values is not None:
-                if metrics is not None:
-                    raise InvalidParameterError(
-                        "pass either metrics or p_values, not both"
-                    )
-                warn_deprecated(
-                    "the p_values argument of MultiQueryEngine.knn is "
-                    "deprecated; use metrics=...",
-                    stacklevel=2,
-                )
-                metrics = p_values
         if engine not in ("flat", "scalar"):
             raise InvalidParameterError(
                 f"engine must be 'flat' or 'scalar', got {engine!r}"

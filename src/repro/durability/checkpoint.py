@@ -44,13 +44,7 @@ from repro.durability.wal import (
     apply_record,
 )
 from repro.errors import InvalidParameterError, ReproError
-from repro.persistence import (
-    IndexFormatError,
-    load_index,
-    mmap_capable,
-    read_header,
-    save_index,
-)
+from repro.persistence import IndexFormatError, load_index, read_header, save_index
 
 _CHECKPOINT_PREFIX = "checkpoint-"
 _CHECKPOINT_TMP_PREFIX = "tmp-checkpoint-"
@@ -103,28 +97,18 @@ def write_checkpoint(
     *,
     lsn: int,
     epoch: int = 0,
-    format_version: int | None = None,
-    compress: bool = True,
 ) -> Path:
     """Atomically snapshot ``index`` as the checkpoint covering ``lsn``.
 
-    ``format_version=3`` writes the mmap-able binary layout so a later
-    ``recover(..., backend="mmap")`` or worker attach opens in O(1);
-    ``compress=False`` skips zlib on the v2 npz path, trading checkpoint
-    size for write latency on hot WAL-triggered snapshots.
+    The snapshot is a format-v3 file, so recovery opens it without
+    re-hashing and ``recover(..., backend="mmap")`` or a worker attach
+    maps it in O(1).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     final = directory / checkpoint_name(lsn)
     tmp = directory / f"{_CHECKPOINT_TMP_PREFIX}{lsn:020d}{_CHECKPOINT_SUFFIX}"
-    save_index(
-        index,
-        tmp,
-        wal_lsn=lsn,
-        wal_epoch=epoch,
-        format_version=format_version,
-        compress=compress,
-    )
+    save_index(index, tmp, wal_lsn=lsn, wal_epoch=epoch)
     # fsync file contents, atomically rename, then fsync the directory so
     # the new name itself survives power loss.
     fd = os.open(tmp, os.O_RDONLY)
@@ -208,9 +192,9 @@ def recover(
     dropped, and checkpoints skipped as corrupt.
 
     ``backend="mmap"`` opens the checkpoint without reading its pages
-    eagerly (format-v3 checkpoints only) — cold recovery of a large,
-    mostly-checkpointed index starts in milliseconds and pages in on
-    demand.  WAL replay onto a mapped index materialises the mutated
+    eagerly — cold recovery of a large, mostly-checkpointed index starts
+    in milliseconds and pages in on demand (a v1/v2 checkpoint loads
+    eagerly).  WAL replay onto a mapped index materialises the mutated
     arrays in RAM, exactly as live inserts do.
     """
     directory = Path(directory)
@@ -233,10 +217,7 @@ def recover(
                     f"{path} header LSN {header.get('wal_lsn')} does not "
                     f"match its file name"
                 )
-            # Older (npz) checkpoints cannot be mapped — degrade to an
-            # eager load rather than skipping a perfectly good snapshot.
-            use = backend if mmap_capable(path) else "eager"
-            index = load_index(path, backend=use)
+            index = load_index(path, backend=backend)
         except (IndexFormatError, InvalidParameterError, zipfile.BadZipFile,
                 OSError, ValueError, KeyError) as exc:
             skipped.append(f"{path.name}: {exc}")
@@ -295,21 +276,11 @@ def recover(
     return durable, report
 
 
-def checkpoint_now(
-    durable: DurableIndex,
-    directory: str | Path,
-    *,
-    format_version: int | None = None,
-    compress: bool = True,
-) -> Path:
+def checkpoint_now(durable: DurableIndex, directory: str | Path) -> Path:
     """Checkpoint a durable index's home ``directory`` and prune the log."""
     directory = Path(directory)
     path = write_checkpoint(
-        durable.index,
-        directory / CHECKPOINT_SUBDIR,
-        lsn=durable.wal.last_lsn,
-        format_version=format_version,
-        compress=compress,
+        durable.index, directory / CHECKPOINT_SUBDIR, lsn=durable.wal.last_lsn
     )
     durable.wal.truncate_through(durable.wal.last_lsn)
     return path

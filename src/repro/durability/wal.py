@@ -595,23 +595,11 @@ class DurableIndex:
 
     # -- checkpointing --------------------------------------------------
 
-    def checkpoint(
-        self,
-        directory: str | Path,
-        *,
-        format_version: int | None = None,
-        compress: bool = True,
-    ) -> Path:
+    def checkpoint(self, directory: str | Path) -> Path:
         """Compact the log into a snapshot (see ``repro.durability.checkpoint``)."""
         from repro.durability.checkpoint import write_checkpoint
 
-        path = write_checkpoint(
-            self.index,
-            directory,
-            lsn=self.wal.last_lsn,
-            format_version=format_version,
-            compress=compress,
-        )
+        path = write_checkpoint(self.index, directory, lsn=self.wal.last_lsn)
         self.wal.truncate_through(self.wal.last_lsn)
         return path
 

@@ -1,41 +1,36 @@
 """Saving and loading built LazyLSH indexes.
 
 An index is fully determined by its configuration, the indexed data and
-the materialised hash bank (projection vectors + offsets).  Two on-disk
-representations exist:
-
-* the ``.npz`` formats (v1/v2) store exactly those inputs and rebuild the
-  inverted lists deterministically by re-hashing the data on load — small
-  files, linear-time open;
-* the binary v3 format additionally materialises the *sorted runs and
-  search keys* into page-aligned sections behind a fixed superblock, so
-  :func:`load_index` can memory-map the file and answer queries without
-  re-hashing — O(1) open, and the OS page cache becomes the buffer pool.
+the materialised hash bank (projection vectors + offsets).
+:func:`save_index` writes one format, v3: those inputs plus the store's
+*sorted runs and search keys* as page-aligned sections behind a fixed
+superblock, so :func:`load_index` reads or memory-maps the runs instead
+of re-hashing the data — O(1) open on the mmap backend, and the OS page
+cache becomes the buffer pool.
 
 Format history
 --------------
 
-* **version 1** — header (config, rehashing, eta, beta) + ``data``,
-  ``alive``, ``projections``, ``offsets``.
-* **version 2** — adds durability metadata to the header: ``wal_lsn``
-  (the write-ahead-log sequence number the snapshot covers), ``wal_epoch``
-  (the serving fleet's update-epoch counter at checkpoint time) and
-  ``live_count`` (non-tombstoned rows, cross-checked against ``alive``
-  on load).  The array payload is unchanged, so version-1 files still
-  load — their WAL fields default to zero.
+* **version 1** — ``.npz`` archive: header (config, rehashing, eta,
+  beta) + ``data``, ``alive``, ``projections``, ``offsets``.
+* **version 2** — adds durability metadata to the v1 header:
+  ``wal_lsn`` (the write-ahead-log sequence number the snapshot covers),
+  ``wal_epoch`` (the serving fleet's update-epoch counter at checkpoint
+  time) and ``live_count`` (non-tombstoned rows, cross-checked against
+  ``alive`` on load).  v1 files load with their WAL fields zeroed.
 * **version 3** — raw binary layout (no zip container): a 48-byte
   superblock (magic ``LZLSHIX3``, version, section count, wal_lsn/epoch,
   JSON header locator), a section table, the JSON header, then the
   arrays as 4096-byte-aligned sections — ``data``, ``alive``,
-  ``projections``, ``offsets`` plus the store's sorted runs widened to
-  int64 (``values``, ``ids``) and its compact runs (``ids32``,
-  ``rel32``, ``row_top``), from which it loads.  Migration:
-  ``save_index(load_index(old), new, format_version=3)`` upgrades any
-  v1/v2 file; v3 files load through either the eager or the mmap
-  backend, v1/v2 only eagerly.
+  ``projections``, ``offsets`` and the store's compact runs (``ids32``,
+  ``rel32``, ``row_top``; 8 bytes per entry).  A hash domain too wide
+  for int32 runs stores int64 ``values``/``ids`` runs instead, and older
+  v3 files may carry both run sets; the loader reads either.
 
-Writers are atomic (tmp file + ``os.replace``), so a reader never
-observes a partially written index.
+v1/v2 files still load, eagerly, by re-hashing the data;
+``save_index(load_index(old), new)`` upgrades one.  The writer is
+atomic (tmp file + ``os.replace``), so a reader never observes a
+partially written index.
 """
 
 from __future__ import annotations
@@ -57,11 +52,8 @@ from repro.storage.backend import EagerBackend, MmapBackend, SearchState
 from repro.storage.inverted_index import _TOP_STRIDE, InvertedListStore
 from repro.storage.pages import PageLayout
 
-#: Bumped when the *default* on-disk layout changes incompatibly.
-FORMAT_VERSION = 2
-
-#: The mmap-able binary layout (opt-in via ``format_version=3``).
-MMAP_FORMAT_VERSION = 3
+#: The layout :func:`save_index` writes.
+FORMAT_VERSION = 3
 
 #: Versions :func:`load_index` knows how to read.
 SUPPORTED_FORMAT_VERSIONS = frozenset({1, 2, 3})
@@ -98,18 +90,31 @@ class _Section:
     nbytes: int
 
 
-def _check_wal_stamp(wal_lsn: int, wal_epoch: int) -> None:
+def save_index(
+    index: LazyLSH, path: str | Path, *, wal_lsn: int = 0, wal_epoch: int = 0
+) -> Path:
+    """Serialise a built index to ``path`` (``.npz`` appended if absent).
+
+    Writes the format-v3 layout atomically (tmp file + rename).
+    ``wal_lsn``/``wal_epoch`` stamp the snapshot with the write-ahead-log
+    position it covers (zero for a plain manual save); recovery replays
+    only records newer than ``wal_lsn``.  Returns the path written.
+    """
+    if not index.is_built:
+        raise IndexNotBuiltError("cannot save an index that was never built")
     if wal_lsn < 0 or wal_epoch < 0:
         raise InvalidParameterError(
             f"wal_lsn/wal_epoch must be >= 0, got {wal_lsn}/{wal_epoch}"
         )
-
-
-def _index_header(
-    index: LazyLSH, *, format_version: int, wal_lsn: int, wal_epoch: int
-) -> dict:
-    return {
-        "format_version": int(format_version),
+    path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_suffix(path.suffix + ".npz")
+    store = index._store
+    bank = index._bank
+    assert store is not None and bank is not None
+    compact = store._rel.dtype == np.int32
+    header = {
+        "format_version": FORMAT_VERSION,
         "library": "repro-lazylsh",
         "config": asdict(index.config),
         "rehashing": index.rehashing,
@@ -118,116 +123,29 @@ def _index_header(
         "wal_lsn": int(wal_lsn),
         "wal_epoch": int(wal_epoch),
         "live_count": int(index._alive.sum()),
+        "v3": {
+            "vmin": int(store._vmin),
+            "stride": int(store._stride),
+            # Wide-domain files record no coarse keys.
+            "top_per_row": int(store._top_per_row) if compact else 0,
+            "top_stride": int(_TOP_STRIDE),
+        },
     }
-
-
-def save_index(
-    index: LazyLSH,
-    path: str | Path,
-    *,
-    wal_lsn: int = 0,
-    wal_epoch: int = 0,
-    format_version: int | None = None,
-    compress: bool = True,
-) -> Path:
-    """Serialise a built index to ``path`` (``.npz`` appended if absent).
-
-    ``wal_lsn``/``wal_epoch`` stamp the snapshot with the write-ahead-log
-    position it covers (zero for a plain manual save); recovery replays
-    only records newer than ``wal_lsn``.
-
-    ``format_version`` selects the layout: ``2`` (default) writes the
-    compact ``.npz`` snapshot, ``3`` the mmap-able binary layout with the
-    sorted runs materialised.  ``compress=False`` switches the v2 writer
-    from ``np.savez_compressed`` to plain ``np.savez`` — WAL checkpoints
-    on the hot path use it to skip zlib; v3 is never compressed (its
-    sections must stay byte-addressable).  Returns the path written.
-    """
-    if not index.is_built:
-        raise IndexNotBuiltError("cannot save an index that was never built")
-    _check_wal_stamp(wal_lsn, wal_epoch)
-    version = FORMAT_VERSION if format_version is None else int(format_version)
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(path.suffix + ".npz")
-    if version == MMAP_FORMAT_VERSION:
-        return _save_v3(index, path, wal_lsn=wal_lsn, wal_epoch=wal_epoch)
-    if version != FORMAT_VERSION:
-        raise InvalidParameterError(
-            f"save_index writes format versions {FORMAT_VERSION} and "
-            f"{MMAP_FORMAT_VERSION}, got {version}"
-        )
-    bank = index._bank
-    assert bank is not None
-    header = _index_header(
-        index, format_version=version, wal_lsn=wal_lsn, wal_epoch=wal_epoch
-    )
-    saver = np.savez_compressed if compress else np.savez
-    saver(
-        path,
-        header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-        data=index.data,
-        alive=index._alive,
-        projections=bank._projections,
-        offsets=bank._offsets,
-    )
-    return path
-
-
-def _v3_sections(index: LazyLSH) -> list[tuple[str, np.ndarray]]:
-    """The arrays a v3 file materialises, in on-disk order.
-
-    The int64 ``values``/``ids`` runs are widened from the store for
-    format compatibility; the compact ``ids32``/``rel32``/``row_top``
-    sections are the store's own arrays, written whenever its runs are
-    int32 (the hash domain fits).
-    """
-    store = index._store
-    bank = index._bank
-    assert store is not None and bank is not None
-    values, ids = store.runs()
+    header_bytes = json.dumps(header).encode("utf-8")
     sections = [
         ("data", np.ascontiguousarray(index.data)),
         ("alive", np.ascontiguousarray(index._alive.astype(bool))),
         ("projections", np.ascontiguousarray(bank._projections)),
         ("offsets", np.ascontiguousarray(bank._offsets)),
-        ("values", values),
-        ("ids", ids),
     ]
-    if store._rel.dtype == np.int32:
-        sections.extend(
-            [
-                ("ids32", store._ids),
-                ("rel32", store._rel),
-                ("row_top", store._row_top),
-            ]
-        )
-    return sections
-
-
-def _save_v3(
-    index: LazyLSH, path: Path, *, wal_lsn: int, wal_epoch: int
-) -> Path:
-    """Write the page-aligned binary layout atomically (tmp + rename)."""
-    store = index._store
-    assert store is not None
-    header = _index_header(
-        index,
-        format_version=MMAP_FORMAT_VERSION,
-        wal_lsn=wal_lsn,
-        wal_epoch=wal_epoch,
-    )
-    header["v3"] = {
-        "vmin": int(store._vmin),
-        "stride": int(store._stride),
-        # Files without compact sections record no coarse keys.
-        "top_per_row": (
-            int(store._top_per_row) if store._rel.dtype == np.int32 else 0
-        ),
-        "top_stride": int(_TOP_STRIDE),
-    }
-    header_bytes = json.dumps(header).encode("utf-8")
-    sections = _v3_sections(index)
+    if compact:
+        sections += [
+            ("ids32", store._ids),
+            ("rel32", store._rel),
+            ("row_top", store._row_top),
+        ]
+    else:
+        sections += list(zip(("values", "ids"), store.runs()))
     table_size = len(sections) * _V3_SECTION.size
     json_offset = _V3_SUPERBLOCK.size + table_size
     cursor = json_offset + len(header_bytes)
@@ -241,7 +159,7 @@ def _save_v3(
         fh.write(
             _V3_SUPERBLOCK.pack(
                 _V3_MAGIC,
-                MMAP_FORMAT_VERSION,
+                FORMAT_VERSION,
                 len(sections),
                 int(wal_lsn),
                 int(wal_epoch),
@@ -280,17 +198,6 @@ def _is_v3(path: Path) -> bool:
             return fh.read(len(_V3_MAGIC)) == _V3_MAGIC
     except OSError:  # pragma: no cover - racing deletion
         return False
-
-
-def mmap_capable(path: str | Path) -> bool:
-    """True when ``path`` is a format-v3 file that ``backend="mmap"`` can open.
-
-    v1/v2 archives always return False — callers that accept either
-    format (e.g. checkpoint recovery) use this to fall back to an eager
-    load instead of erroring on older snapshots.
-    """
-    path = Path(path)
-    return path.is_file() and _is_v3(path)
 
 
 def _read_v3_layout(path: Path) -> tuple[dict, dict[str, _Section]]:
@@ -473,14 +380,12 @@ def _load_section(fh, section: _Section) -> np.ndarray:
     return arr.reshape(section.shape)
 
 
-def open_v3_arrays(
-    path: str | Path, names: tuple[str, ...] | None = None
-) -> tuple[dict, dict[str, np.ndarray]]:
-    """Memory-map sections of a v3 file without restoring a :class:`LazyLSH`.
+def open_v3_arrays(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Memory-map every section of a v3 file without restoring a :class:`LazyLSH`.
 
     Shard workers use this for O(1) attach: no ``ParameterEngine``, no
     hash bank — just the header and read-only ``np.memmap`` views of the
-    requested sections (all of them when ``names`` is ``None``).
+    sections by name.
     """
     path = Path(path)
     if not path.exists():
@@ -492,28 +397,32 @@ def open_v3_arrays(
         )
     header, sections = _read_v3_layout(path)
     _validate_header(path, header)
-    if names is not None:
-        missing = [n for n in names if n not in sections]
-        if missing:
-            raise IndexFormatError(
-                f"{path} is missing field {missing[0]!r}; not a LazyLSH "
-                "index file"
-            )
-        sections = {n: sections[n] for n in names}
     return header, {n: _mmap_section(path, s) for n, s in sections.items()}
+
+
+def _run_sections(path: Path, header: dict, sections: dict) -> tuple[str, ...]:
+    """The run sections a v3 file opens from, checked present.
+
+    The compact ``rel32``/``ids32``/``row_top`` runs when the file has
+    them, else the int64 ``values``/``ids`` of a hash domain too wide
+    for int32.
+    """
+    compact = "v3" in header and all(n in sections for n in _V3_COMPACT)
+    runs = _V3_COMPACT if compact else ("values", "ids")
+    for name in ("data", "alive", "projections", "offsets") + runs:
+        if name not in sections:
+            raise IndexFormatError(
+                f"{path} is missing field {name!r}; not a LazyLSH index file"
+            )
+    return runs
 
 
 def _load_v3(path: Path, backend: str) -> LazyLSH:
     header, sections = _read_v3_layout(path)
     _validate_header(path, header)
-    for name in ("data", "alive", "projections", "offsets", "values", "ids"):
-        if name not in sections:
-            raise IndexFormatError(
-                f"{path} is missing field {name!r}; not a LazyLSH index file"
-            )
-    compact = "v3" in header and all(n in sections for n in _V3_COMPACT)
-    runs = _V3_COMPACT if compact else ("values", "ids")
-    wanted = ("data", "alive", "projections", "offsets") + runs
+    wanted = ("data", "alive", "projections", "offsets") + _run_sections(
+        path, header, sections
+    )
     if backend == "mmap":
         arrays = {n: _mmap_section(path, sections[n]) for n in wanted}
     else:
@@ -527,9 +436,7 @@ def _load_v3(path: Path, backend: str) -> LazyLSH:
         path, header, data, alive, arrays["projections"], arrays["offsets"]
     )
     backend_cls = MmapBackend if backend == "mmap" else EagerBackend
-    index._store = _v3_store(
-        path, header, arrays, sections["values"].shape, backend_cls, layout
-    )
+    index._store = _v3_store(path, header, arrays, backend_cls, layout)
     index._data = data if backend == "mmap" else np.ascontiguousarray(data)
     index._alive = alive
     return index
@@ -539,16 +446,17 @@ def _v3_store(
     path: Path,
     header: dict,
     arrays: dict,
-    shape: tuple,
     backend_cls,
     layout: PageLayout | None = None,
 ) -> InvertedListStore:
-    """The store over a v3 file's compact run sections.
+    """The store over a v3 file's run sections.
 
-    A file without them (hash domains wider than int32) opens by
-    compacting its int64 ``values``/``ids`` runs in RAM.
+    The runs are ``(eta, n)``: one per hash function, one entry per data
+    row.  A file without compact runs opens by compacting its int64
+    ``values``/``ids`` runs in RAM.
     """
-    if "rel32" in arrays and "v3" in header:
+    shape = (int(header["eta"]), int(arrays["data"].shape[0]))
+    if "rel32" in arrays:
         state = header["v3"]
         rel = arrays["rel32"].reshape(shape)
         ids = arrays["ids32"].reshape(shape)
@@ -577,14 +485,11 @@ def open_v3_store(
     hash bank, just a read-only mmap-backed store (with the saved search
     state) plus every section's memmap by name.
     """
+    path = Path(path)
     header, arrays = open_v3_arrays(path)
-    missing = {"data", "alive", "values", "ids"} - arrays.keys()
-    if missing:
-        raise IndexFormatError(
-            f"{path} is missing field {min(missing)!r}; not a LazyLSH index file"
-        )
+    runs = _run_sections(path, header, arrays)
     store = _v3_store(
-        Path(path), header, arrays, arrays["values"].shape, MmapBackend
+        path, header, {n: arrays[n] for n in ("data",) + runs}, MmapBackend
     )
     return store, arrays
 
@@ -599,7 +504,7 @@ def load_index(path: str | Path, *, backend: str = "eager") -> LazyLSH:
     ``backend`` selects how a format-v3 file's arrays are held:
     ``"eager"`` reads them into RAM, ``"mmap"`` maps them read-only so
     open cost and resident memory are O(1) in index size.  v1/v2 files
-    only support the eager path (they must re-hash on load).
+    hold no runs, so they always load eagerly by re-hashing the data.
     """
     if backend not in ("eager", "mmap"):
         raise InvalidParameterError(
@@ -609,12 +514,6 @@ def load_index(path: str | Path, *, backend: str = "eager") -> LazyLSH:
     header = read_header(path)
     if _is_v3(path):
         return _load_v3(path, backend)
-    if backend == "mmap":
-        raise IndexFormatError(
-            f"{path} uses format version {header['format_version']}, which "
-            "cannot be memory-mapped; re-save it with "
-            "save_index(..., format_version=3)"
-        )
     with np.load(path, allow_pickle=False) as archive:
         try:
             data = archive["data"]

@@ -272,18 +272,15 @@ class ShardedSearchService:
         checkpoint's ``wal_lsn`` when serving a recovered index);
         :meth:`ingest` expects the next record at ``base_lsn + 1`` and
         silently skips anything at or below it.
-    attach:
-        How workers get their shard: ``"shm"`` (default) packs each
-        shard's sub-runs into a shared-memory segment; ``"mmap"`` skips
-        packing entirely — every worker memory-maps the same format-v3
-        index file read-only (O(1) start, the OS page cache is the
-        shared buffer pool).  ``"mmap"`` needs the index to have been
-        opened from a v3 file (``load_index(..., backend=...)``), or an
-        explicit ``index_path``; results are bit-identical either way.
-    index_path:
-        Path of the v3 file backing ``attach="mmap"``.  Defaults to the
-        file the index was loaded from; required when the index was
-        built in-process.  The file must match the index state exactly.
+
+    The index decides how workers get their shard (:attr:`attach`).  An
+    index whose runs are mapped from a v3 file
+    (``load_index(..., backend="mmap")``, with no insert or ``compact``
+    since) is served by ``"mmap"`` attach: every worker maps that file
+    read-only (O(1) start, the OS page cache is the shared buffer pool)
+    and receives its alive slice from the coordinator.  Any other index
+    is served by ``"shm"`` attach: each shard's sub-runs are packed into
+    a shared-memory segment.  Results are bit-identical either way.
 
     Use as a context manager (or call :meth:`close`) to release the
     worker processes and shared-memory segments::
@@ -301,29 +298,16 @@ class ShardedSearchService:
         telemetry=None,
         auditor=None,
         base_lsn: int = 0,
-        attach: str = "shm",
-        index_path=None,
     ) -> None:
         if not getattr(index, "is_built", False):
             raise IndexNotBuiltError(
                 "ShardedSearchService needs a built index; call build(data)"
             )
-        if attach not in ("shm", "mmap"):
-            raise InvalidParameterError(
-                f"attach must be 'shm' or 'mmap', got {attach!r}"
-            )
-        self.attach = attach
-        self._index_path = None
-        if attach == "mmap":
-            if index_path is None:
-                index_path = index.store.storage_info().get("source_path")
-            if index_path is None:
-                raise InvalidParameterError(
-                    "attach='mmap' needs an index opened from a format-v3 "
-                    "file (load_index(..., backend='mmap')) or an explicit "
-                    "index_path"
-                )
-            self._index_path = str(index_path)
+        storage = index.storage_info()
+        self._index_path = (
+            storage["source_path"] if storage["backend"] == "mmap" else None
+        )
+        self.attach = "shm" if self._index_path is None else "mmap"
         self.index = index
         self.ranges = plan_shards(index.num_rows, n_shards)
         self.n_shards = len(self.ranges)
@@ -370,12 +354,13 @@ class ShardedSearchService:
         # health() (never poked from the exporter thread).
         self._last_reply = [0.0] * self.n_shards
         try:
-            if self.attach == "mmap":
+            if self._index_path is not None:
                 # Zero-copy: no packing, no segments — every worker maps
                 # the v3 file itself, so startup cost is O(1) in index
-                # size and the only copy is each worker's alive slice.
+                # size.  Tombstones may have changed since the file was
+                # written, so each worker gets its alive slice from here.
                 self._specs = [
-                    MmapShardSpec(sid, lo, hi, self._index_path)
+                    MmapShardSpec(sid, lo, hi, self._index_path, index._alive[lo:hi].copy())
                     for sid, (lo, hi) in enumerate(self.ranges)
                 ]
             else:

@@ -84,17 +84,21 @@ class ShardSpec:
 class MmapShardSpec:
     """Zero-copy attach: the worker maps the v3 index file itself.
 
-    Nothing is packed or copied — the spec is just the shard's id range
-    plus the path of the format-v3 index file every worker opens
-    read-only (:func:`open_mmap_shard`), which makes worker start O(1)
-    in index size and lets the OS page cache act as the shared buffer
-    pool the shm path emulates with an explicit segment.
+    Nothing is packed — the spec is the shard's id range, the path of
+    the format-v3 index file every worker opens read-only
+    (:func:`open_mmap_shard`) and the coordinator's ``alive`` slice for
+    the range.  Worker start stays O(1) in index size and the OS page
+    cache acts as the shared buffer pool the shm path emulates with an
+    explicit segment.  The file's own ``alive`` section is never read:
+    tombstones set after the file was written live only in the
+    coordinator's mask.
     """
 
     shard_id: int
     lo: int
     hi: int
     path: str
+    alive: np.ndarray
 
 
 def open_mmap_shard(spec: MmapShardSpec) -> dict:
@@ -102,8 +106,8 @@ def open_mmap_shard(spec: MmapShardSpec) -> dict:
 
     Returns the *full-index* mmap-backed ``store`` (the round kernel keeps
     the entries the shard owns), the shard's ``data`` rows as a read-only
-    memmap slice, and a private, writable RAM copy of its ``alive`` slice
-    (tombstones are per-worker copy-on-write state).
+    memmap slice, and a private, writable copy of the spec's ``alive``
+    slice (tombstones are per-worker copy-on-write state).
     """
     from repro.persistence import open_v3_store
 
@@ -111,7 +115,7 @@ def open_mmap_shard(spec: MmapShardSpec) -> dict:
     return {
         "store": store,
         "data": arrays["data"][spec.lo : spec.hi],
-        "alive": np.array(arrays["alive"][spec.lo : spec.hi], dtype=bool),
+        "alive": np.array(spec.alive, dtype=bool),
     }
 
 

@@ -8,6 +8,7 @@ query under a second while still exercising multi-round rehashing.
 from __future__ import annotations
 
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,11 @@ from repro.datasets.queries import QuerySplit
 #: Monte-Carlo resolution used throughout the tests (fast but stable).
 MC_SAMPLES = 20_000
 MC_BUCKETS = 100
+
+#: Index files written by retired writers (see ``test_persistence``'s
+#: ``TestLegacyFiles``): ``legacy_v2.npz`` by the v2 ``.npz`` writer and
+#: ``legacy_v3.npz`` by a v3 writer that also stored int64 runs.
+LEGACY_FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(autouse=True)
@@ -69,6 +75,18 @@ def small_split() -> QuerySplit:
 def built_index(small_config: LazyLSHConfig, small_split: QuerySplit) -> LazyLSH:
     """A LazyLSH index built over the small synthetic dataset."""
     return LazyLSH(small_config).build(small_split.data)
+
+
+@pytest.fixture(scope="session")
+def legacy_v2_path() -> Path:
+    """A format-v2 ``.npz`` index (read-only: copy before tampering)."""
+    return LEGACY_FIXTURES / "legacy_v2.npz"
+
+
+@pytest.fixture(scope="session")
+def legacy_v3_path() -> Path:
+    """A format-v3 index that carries int64 runs beside the compact ones."""
+    return LEGACY_FIXTURES / "legacy_v3.npz"
 
 
 @pytest.fixture(scope="session")

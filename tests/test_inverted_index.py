@@ -6,7 +6,7 @@ import pytest
 from repro import LazyLSH, LazyLSHConfig
 from repro.datasets import make_synthetic
 from repro.errors import InvalidParameterError
-from repro.persistence import load_index, save_index
+from repro.persistence import load_index, open_v3_arrays, save_index
 from repro.serve.worker import ShardSearcher
 from repro.storage.inverted_index import _TOP_STRIDE, InvertedListStore
 from repro.storage.io_stats import IOStats
@@ -318,6 +318,27 @@ class TestWideHashDomain:
             assert np.array_equal(got, want)
         np.testing.assert_array_equal(plan.hash_values(), batch)
 
+    def test_save_load_round_trip(self, tmp_path):
+        """A wide-domain index writes int64 ``values``/``ids`` runs and
+        loads them back identically, eager and mapped."""
+        data = make_synthetic(300, 6, seed=5) * 100.0
+        config = LazyLSHConfig(c=3.0, p_min=0.5, seed=3, mc_samples=10_000, mc_buckets=60)
+        index = LazyLSH(config).build(data)
+        assert index.store.compact_shard(0, 1)[0]["rel"].dtype == np.int64
+        path = save_index(index, tmp_path / "wide.npz")
+        header, arrays = open_v3_arrays(path)
+        assert list(arrays) == ["data", "alive", "projections", "offsets", "values", "ids"]
+        assert header["v3"]["top_per_row"] == 0
+        for backend in ("eager", "mmap"):
+            loaded = load_index(path, backend=backend)
+            for got, want in zip(loaded.store.runs(), index.store.runs()):
+                assert np.array_equal(got, want)
+            for query in (data[7], data[123] + 50.0):
+                a, b = index.knn(query, 5, p=0.8), loaded.knn(query, 5, p=0.8)
+                np.testing.assert_array_equal(a.ids, b.ids)
+                np.testing.assert_array_equal(a.distances, b.distances)
+                assert (a.io.sequential, a.io.random) == (b.io.sequential, b.io.random)
+
     def test_span_wider_than_int64_rejected(self):
         with pytest.raises(InvalidParameterError, match="wider than int64"):
             InvertedListStore(np.array([[-(2**62), 2**62]], dtype=np.int64))
@@ -341,7 +362,7 @@ class TestFootprint:
         assert store.storage_info()["resident_bytes"] <= self._bound(store)
         index.insert(data[600:])
         assert store.storage_info()["resident_bytes"] <= self._bound(store)
-        path = save_index(index, tmp_path / "idx.npz", format_version=3)
+        path = save_index(index, tmp_path / "idx.npz")
         loaded = load_index(path).store
         assert loaded.storage_info()["resident_bytes"] <= self._bound(loaded)
         for got, want in zip(loaded.runs(), store.runs()):

@@ -3,22 +3,29 @@
 Covers the format-v3 binary layout (round trip, header, corruption
 errors), the eager/mmap open modes of ``load_index`` — which must answer
 every query bit-identically — the sharded service's mmap attach at 1, 2
-and 4 shards (including an all-tombstoned shard), WAL ingest against a
-mapped fleet (materialise-on-update), and v3 checkpoint/recovery.
+and 4 shards (including an all-tombstoned shard and tombstones set after
+load), WAL ingest against a mapped fleet (materialise-on-update), and v3
+checkpoint/recovery.
 """
+
+import shutil
 
 import numpy as np
 import pytest
 
 from repro import LazyLSH, LazyLSHConfig
 from repro.datasets import make_synthetic
-from repro.durability import WAL_SUBDIR, WalFeed, create, recover
-from repro.durability.checkpoint import checkpoint_now, states_identical
+from repro.durability import CHECKPOINT_SUBDIR, WAL_SUBDIR, WalFeed, create, recover
+from repro.durability.checkpoint import (
+    checkpoint_name,
+    checkpoint_now,
+    states_identical,
+    write_checkpoint,
+)
 from repro.errors import InvalidParameterError
 from repro.persistence import (
     IndexFormatError,
     load_index,
-    mmap_capable,
     open_v3_arrays,
     read_header,
     save_index,
@@ -45,7 +52,7 @@ def corpus():
 def v3_path(corpus, tmp_path_factory):
     index, _ = corpus
     path = tmp_path_factory.mktemp("v3") / "idx.npz"
-    return save_index(index, path, wal_lsn=9, wal_epoch=2, format_version=3)
+    return save_index(index, path, wal_lsn=9, wal_epoch=2)
 
 
 def _queries(data):
@@ -94,19 +101,14 @@ class TestV3RoundTrip:
         assert header["wal_epoch"] == 2
         assert header["live_count"] == 300 - len(TOMBSTONES)
 
-    def test_mmap_capable(self, v3_path, tmp_path, corpus):
-        assert mmap_capable(v3_path)
-        index, _ = corpus
-        v2 = save_index(index, tmp_path / "v2.npz")
-        assert not mmap_capable(v2)
-        assert not mmap_capable(tmp_path / "missing.npz")
-
     def test_open_v3_arrays(self, corpus, v3_path):
         index, _ = corpus
-        header, arrays = open_v3_arrays(v3_path, names=("values", "ids"))
+        header, arrays = open_v3_arrays(v3_path)
         assert header["format_version"] == 3
-        assert np.array_equal(arrays["values"], index.store.runs()[0])
-        assert np.array_equal(arrays["ids"], index.store.runs()[1])
+        values, ids = index.store.runs()
+        rel = arrays["rel32"].reshape(values.shape)
+        assert np.array_equal(rel + header["v3"]["vmin"], values)
+        assert np.array_equal(arrays["ids32"].reshape(ids.shape), ids)
 
     def test_insert_materialises_mmap_index(self, corpus, v3_path):
         _, data = corpus
@@ -129,22 +131,13 @@ class TestV3RoundTrip:
         for q in _queries(data):
             _assert_identical(twin.knn(q, 5, p=1.0), mapped.knn(q, 5, p=1.0))
 
-    def test_uncompressed_v2_round_trip(self, corpus, tmp_path):
-        index, data = corpus
-        plain = save_index(index, tmp_path / "plain.npz", compress=False)
-        packed = save_index(index, tmp_path / "packed.npz", compress=True)
-        assert plain.stat().st_size > packed.stat().st_size
-        restored = load_index(plain)
-        for q in _queries(data)[:1]:
-            _assert_identical(index.knn(q, 5, p=1.0), restored.knn(q, 5, p=1.0))
-
 
 class TestErrors:
-    def test_mmap_rejected_for_v2(self, corpus, tmp_path):
-        index, _ = corpus
-        path = save_index(index, tmp_path / "old.npz")
-        with pytest.raises(IndexFormatError, match="cannot be memory-mapped"):
-            load_index(path, backend="mmap")
+    def test_mmap_rejected_for_v2(self, legacy_v2_path):
+        # A v2 file holds no runs to map, so backend="mmap" loads it eagerly.
+        index = load_index(legacy_v2_path, backend="mmap")
+        assert index.storage_info()["backend"] == "eager"
+        assert index.num_points == read_header(legacy_v2_path)["live_count"]
 
     def test_unknown_backend_rejected(self, v3_path):
         with pytest.raises(InvalidParameterError, match="backend"):
@@ -156,16 +149,17 @@ class TestErrors:
         with pytest.raises(IndexFormatError, match="truncated or corrupt"):
             load_index(stub)
 
-    def test_open_v3_arrays_rejects_npz(self, corpus, tmp_path):
-        index, _ = corpus
-        path = save_index(index, tmp_path / "old.npz")
+    def test_open_v3_arrays_rejects_npz(self, legacy_v2_path):
         with pytest.raises(IndexFormatError, match="only v3"):
-            open_v3_arrays(path)
+            open_v3_arrays(legacy_v2_path)
 
     def test_unwritable_format_version(self, corpus, tmp_path):
+        # v3 is the one written format: no writer takes a format choice.
         index, _ = corpus
-        with pytest.raises(InvalidParameterError, match="format versions"):
-            save_index(index, tmp_path / "x.npz", format_version=1)
+        with pytest.raises(TypeError, match="format_version"):
+            save_index(index, tmp_path / "x.npz", format_version=2)
+        with pytest.raises(TypeError, match="compress"):
+            write_checkpoint(index, tmp_path, lsn=0, compress=False)
 
 
 class TestShardedIdentity:
@@ -180,7 +174,7 @@ class TestShardedIdentity:
         with ShardedSearchService(
             index, n_shards=n_shards
         ) as shm_svc, ShardedSearchService(
-            mapped, n_shards=n_shards, attach="mmap"
+            mapped, n_shards=n_shards
         ) as mm_svc:
             for q in _queries(data):
                 for p in (0.7, 1.0):
@@ -200,12 +194,12 @@ class TestShardedIdentity:
         # With 4 contiguous shards over 200 points, shard 0 owns [0, 50):
         # tombstone all of it so one worker scans only dead entries.
         index.remove(np.arange(50))
-        path = save_index(index, tmp_path / "dead.npz", format_version=3)
+        path = save_index(index, tmp_path / "dead.npz")
         mapped = load_index(path, backend="mmap")
         with ShardedSearchService(
             index, n_shards=4
         ) as shm_svc, ShardedSearchService(
-            mapped, n_shards=4, attach="mmap"
+            mapped, n_shards=4
         ) as mm_svc:
             for q in (data[0], data[120]):
                 flat = index.knn(q, 5, p=1.0)
@@ -213,23 +207,36 @@ class TestShardedIdentity:
                 _assert_identical(flat, shm_svc.search(q, 5, p=1.0))
                 _assert_identical(flat, mm_svc.search(q, 5, p=1.0))
 
+    @pytest.mark.parametrize("n_shards", [1, 2, 3])
+    def test_tombstones_set_after_load(self, corpus, v3_path, n_shards):
+        """Workers serve the coordinator's tombstones, not the file's."""
+        from repro.serve import ShardedSearchService
+
+        _, data = corpus
+        mapped = load_index(v3_path, backend="mmap")
+        queries = _queries(data)
+        mapped.remove(
+            np.unique(np.concatenate([mapped.knn(q, 3, p=1.0).ids for q in queries]))
+        )
+        with ShardedSearchService(mapped, n_shards=n_shards) as svc:
+            assert svc.attach == "mmap"
+            for q in queries:
+                for p in (0.7, 1.0):
+                    _assert_identical(mapped.knn(q, 5, p=p), svc.search(q, 5, p=p))
+
 
 class TestWalIngestMmap:
     def test_mmap_fleet_tracks_wal_bit_identically(self, tmp_path):
         from repro.serve import ShardedSearchService
 
         writer_index, data = _build(n=240, seed=47)
-        path = save_index(
-            writer_index, tmp_path / "snap.npz", format_version=3
-        )
+        path = save_index(writer_index, tmp_path / "snap.npz")
         writer = create(writer_index, tmp_path / "home", sync=False)
         mapped = load_index(path, backend="mmap")
         feed = WalFeed(tmp_path / "home" / WAL_SUBDIR)
         queries = [data[5], data[100]]
         try:
-            with ShardedSearchService(
-                mapped, n_shards=2, attach="mmap"
-            ) as svc:
+            with ShardedSearchService(mapped, n_shards=2) as svc:
                 for q in queries:
                     _assert_identical(
                         writer.knn(q, 5, p=1.0), svc.search(q, 5, p=1.0)
@@ -262,9 +269,9 @@ class TestCheckpointRecovery:
         durable.remove([17])
         reference.insert(batch)
         reference.remove([17])
-        ckpt = checkpoint_now(durable, tmp_path, format_version=3)
+        ckpt = checkpoint_now(durable, tmp_path)
         durable.close()
-        assert mmap_capable(ckpt)
+        assert read_header(ckpt)["format_version"] == 3
         for backend in ("eager", "mmap"):
             recovered, report = recover(tmp_path, sync=False, backend=backend)
             try:
@@ -275,10 +282,12 @@ class TestCheckpointRecovery:
             finally:
                 recovered.close()
 
-    def test_mmap_recovery_falls_back_on_v2_checkpoint(self, tmp_path):
-        index, _data = _build(n=200, seed=51)
-        durable = create(index, tmp_path, sync=False)  # v2 LSN-0 checkpoint
-        durable.close()
+    def test_mmap_recovery_falls_back_on_v2_checkpoint(
+        self, legacy_v2_path, tmp_path
+    ):
+        ckpt_dir = tmp_path / CHECKPOINT_SUBDIR
+        ckpt_dir.mkdir()
+        shutil.copy(legacy_v2_path, ckpt_dir / checkpoint_name(0))
         recovered, report = recover(tmp_path, sync=False, backend="mmap")
         try:
             assert report["backend"] == "eager"
@@ -291,7 +300,7 @@ class TestCheckpointRecovery:
         durable = create(index, tmp_path, sync=False)
         durable.remove([5, 6])
         reference.remove([5, 6])
-        checkpoint_now(durable, tmp_path, compress=False)
+        checkpoint_now(durable, tmp_path)
         durable.close()
         recovered, _report = recover(tmp_path, sync=False)
         try:

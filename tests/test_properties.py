@@ -284,13 +284,11 @@ class TestShardedServiceIdentity:
             c=3.0, p_min=0.5, seed=seed, mc_samples=20_000, mc_buckets=100
         )
         index = LazyLSH(config).build(data)
-        path = save_index(
-            index, tmp_path_factory.mktemp("served") / "index.npz",
-            format_version=3,
-        )
+        path = save_index(index, tmp_path_factory.mktemp("served") / "index.npz")
         served = load_index(path, backend="mmap" if attach == "mmap" else "eager")
         queries = [data[int(rng.integers(150))] + 1.0, rng.uniform(0, 100, 6)]
-        with ShardedSearchService(served, n_shards=n_shards, attach=attach) as svc:
+        with ShardedSearchService(served, n_shards=n_shards) as svc:
+            assert svc.attach == attach
             if update == "insert":
                 batch = rng.uniform(0.0, 100.0, size=(5, 6))
                 ids = index.insert(batch)

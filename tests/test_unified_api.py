@@ -1,15 +1,10 @@
 """Tests for the unified search API surface (repro.api).
 
 Covers the shared ``SearchRequest``/``SearchResult`` core: request
-dispatch on every query path, the versioned wire codec, the deprecation
-of legacy positional tuning arguments (which escalate to errors under
-``REPRO_STRICT_API=1`` — these tests pass in either mode), the common
-result protocol, and the streaming ``IOStats.merge``/``aggregate_io``
-aggregation.
+dispatch on every query path, the versioned wire codec, the rejection of
+positional tuning arguments, the common result protocol, and the
+streaming ``IOStats.merge``/``aggregate_io`` aggregation.
 """
-
-import contextlib
-import warnings
 
 import numpy as np
 import pytest
@@ -25,26 +20,8 @@ from repro import (
     aggregate_io,
     knn_batch,
 )
-from repro.api import WIRE_VERSION, SearchResultLike, strict_api_enabled
+from repro.api import WIRE_VERSION, SearchResultLike
 from repro.errors import InvalidParameterError, WireFormatError
-
-
-@contextlib.contextmanager
-def _no_deprecations():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        yield
-
-
-@contextlib.contextmanager
-def _expect_deprecated(match: str):
-    """The legacy form warns — or raises when REPRO_STRICT_API=1."""
-    if strict_api_enabled():
-        with pytest.raises(InvalidParameterError, match=match):
-            yield
-    else:
-        with pytest.warns(DeprecationWarning, match=match):
-            yield
 
 
 class TestSearchRequestValidation:
@@ -221,75 +198,20 @@ class TestRequestDispatch:
 
 
 class TestDeprecatedPositionals:
-    def test_knn_positional_p_warns_and_matches(
-        self, built_index, small_split
-    ):
-        query = small_split.queries[0]
-        with _no_deprecations():
-            keyword = built_index.knn(query, 5, p=0.8)
-        with _expect_deprecated("positionally"):
-            legacy = built_index.knn(query, 5, 0.8)
-            np.testing.assert_array_equal(legacy.ids, keyword.ids)
-
-    def test_knn_batch_positional_p_warns_and_matches(
-        self, built_index, small_split
-    ):
-        queries = small_split.queries[:2]
-        with _no_deprecations():
-            keyword = knn_batch(built_index, queries, 5, p=0.8)
-        with _expect_deprecated("positionally"):
-            legacy = knn_batch(built_index, queries, 5, 0.8)
-            for a, b in zip(legacy.results, keyword.results):
-                np.testing.assert_array_equal(a.ids, b.ids)
-
-    def test_multiquery_positional_metrics_warns_and_matches(
-        self, built_index, small_split
-    ):
-        engine = MultiQueryEngine(built_index)
-        query = small_split.queries[0]
-        with _no_deprecations():
-            keyword = engine.knn(query, 5, metrics=(0.5, 1.0))
-        with _expect_deprecated("positionally"):
-            legacy = engine.knn(query, 5, (0.5, 1.0))
-            assert legacy.metrics == keyword.metrics
-
-    def test_multiquery_p_values_keyword_warns(
-        self, built_index, small_split
-    ):
-        engine = MultiQueryEngine(built_index)
-        with _expect_deprecated("p_values"):
-            engine.knn(small_split.queries[0], 5, p_values=(0.5, 1.0))
-
-    def test_strict_mode_escalates_to_error(
-        self, built_index, small_split, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_STRICT_API", "1")
-        assert strict_api_enabled()
-        query = small_split.queries[0]
-        with pytest.raises(InvalidParameterError, match="REPRO_STRICT_API"):
-            built_index.knn(query, 5, 0.8)
-        with pytest.raises(InvalidParameterError, match="REPRO_STRICT_API"):
-            MultiQueryEngine(built_index).knn(
-                query, 5, p_values=(0.5, 1.0)
-            )
-        # The keyword forms stay valid under strict mode.
-        with _no_deprecations():
-            built_index.knn(query, 5, p=0.8)
-
-    def test_strict_mode_off_by_default_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT_API", "0")
-        assert not strict_api_enabled()
-        monkeypatch.delenv("REPRO_STRICT_API")
-        assert not strict_api_enabled()
+    """The positional tuning forms were deprecated and are now removed:
+    ``p``/``metrics`` are keyword-only on every entry point."""
 
     def test_extra_positionals_are_type_errors(
         self, built_index, small_split
     ):
         query = small_split.queries[0]
-        with pytest.raises(TypeError, match="keyword-only"):
-            built_index.knn(query, 5, 0.8, "flat")
-        with pytest.raises(TypeError, match="keyword-only"):
-            knn_batch(built_index, small_split.queries, 5, 0.8, "flat")
+        for extra in ((0.8,), (0.8, "flat")):
+            with pytest.raises(TypeError, match="positional argument"):
+                built_index.knn(query, 5, *extra)
+            with pytest.raises(TypeError, match="positional argument"):
+                knn_batch(built_index, small_split.queries, 5, *extra)
+        with pytest.raises(TypeError, match="positional argument"):
+            MultiQueryEngine(built_index).knn(query, 5, (0.5, 1.0))
 
 
 class TestResultProtocol:

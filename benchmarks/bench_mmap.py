@@ -17,13 +17,15 @@ what it costs, against the eager loader on the same format-v3 file:
 * **Real vs simulated I/O** — ``/proc/self/io`` read bytes and major
   faults alongside the paper's simulated ``PageTracker`` charge, which
   is backend-independent by construction (and asserted identical here).
-* **Worker start** — ``ShardedSearchService`` construction time over
-  the in-memory index (shm packing) vs the mapped one (mmap attach:
-  workers open the same file, O(1)).
+* **Service start** — ``ShardedSearchService`` construction time over
+  the in-memory index and over the mapped one.  Workers attach one way
+  either way: each compacts its shard out of a v3 file, a spill of the
+  in-memory index or the mapped index's own file.
 
 Every configuration asserts bit-identical kNN answers (ids, distances,
-simulated I/O, termination) between the eager and mapped opens — the
-benchmark doubles as an end-to-end identity check.
+simulated I/O, termination) between the eager and mapped opens, and
+between ``index.knn`` and a sharded service over each — the benchmark
+doubles as an end-to-end identity check.
 
 Run ``--smoke`` for the seconds-scale CI version (writes
 ``BENCH_mmap.smoke.json`` so checked-in full numbers are not
@@ -169,9 +171,7 @@ def _service_start_seconds(index, n_shards: int) -> float:
     return elapsed
 
 
-def bench_size(
-    n: int, d: int, workload: dict, scratch: Path, *, check_sharded: bool
-) -> dict:
+def bench_size(n: int, d: int, workload: dict, scratch: Path) -> dict:
     rng = np.random.default_rng(SEED)
     data = rng.standard_normal((n, d))
     index = LazyLSH(
@@ -206,27 +206,18 @@ def bench_size(
         )
     row["identical"] = True
 
+    from repro.serve import ShardedSearchService
+
     mmap_index = load_index(path, backend="mmap")
     row["service_start"] = {
-        "shm_seconds": _service_start_seconds(index, workload["shards"]),
-        "mmap_seconds": _service_start_seconds(mmap_index, workload["shards"]),
+        "in_memory_seconds": _service_start_seconds(index, workload["shards"]),
+        "mapped_seconds": _service_start_seconds(mmap_index, workload["shards"]),
     }
-    if check_sharded:
-        from repro.serve import ShardedSearchService
-
-        queries = data[:4]
-        with ShardedSearchService(
-            index, n_shards=workload["shards"]
-        ) as shm_svc, ShardedSearchService(
-            mmap_index, n_shards=workload["shards"]
-        ) as mm_svc:
-            if (shm_svc.attach, mm_svc.attach) != ("shm", "mmap"):
-                raise AssertionError(
-                    f"attach modes {shm_svc.attach}/{mm_svc.attach}, want shm/mmap"
-                )
-            for query in queries:
-                a = shm_svc.search(query, k, p=p)
-                b = mm_svc.search(query, k, p=p)
+    for label, served in (("in-memory", index), ("mapped", mmap_index)):
+        with ShardedSearchService(served, n_shards=workload["shards"]) as svc:
+            for query in data[:4]:
+                a = index.knn(query, k, p=p)
+                b = svc.search(query, k, p=p)
                 if not (
                     np.array_equal(a.ids, b.ids)
                     and np.array_equal(a.distances, b.distances)
@@ -235,17 +226,18 @@ def bench_size(
                     and a.termination == b.termination
                 ):
                     raise AssertionError(
-                        f"sharded shm/mmap answers diverged at n={n}"
+                        f"sharded service over the {label} index diverged "
+                        f"from index.knn at n={n}"
                     )
-        row["sharded_identical"] = True
+    row["sharded_identical"] = True
     return row
 
 
-def run_report(workload: dict, *, check_sharded: bool) -> dict:
+def run_report(workload: dict) -> dict:
     scratch = Path(tempfile.mkdtemp(prefix="bench-mmap-"))
     try:
         rows = [
-            bench_size(n, d, workload, scratch, check_sharded=check_sharded)
+            bench_size(n, d, workload, scratch)
             for n, d in workload["sizes"]
         ]
     finally:
@@ -276,9 +268,9 @@ def _print_summary(report: dict) -> None:
         )
         svc = row["service_start"]
         print(
-            f"          service start: shm "
-            f"{svc['shm_seconds'] * 1e3:8.1f} ms, mmap "
-            f"{svc['mmap_seconds'] * 1e3:8.1f} ms"
+            f"          service start: in-memory "
+            f"{svc['in_memory_seconds'] * 1e3:8.1f} ms, mapped "
+            f"{svc['mapped_seconds'] * 1e3:8.1f} ms"
         )
 
 
@@ -286,7 +278,7 @@ def run():
     """run_all.py hook: smoke-scale run rendered as a table."""
     from repro.eval.harness import ResultTable
 
-    report = run_report(SMOKE, check_sharded=True)
+    report = run_report(SMOKE)
     table = ResultTable(
         "storage backends: eager vs mmap (smoke scale)",
         [
@@ -322,7 +314,7 @@ def main() -> None:
     )
     args = parser.parse_args()
     workload = SMOKE if args.smoke else FULL
-    report = run_report(workload, check_sharded=True)
+    report = run_report(workload)
     name = "BENCH_mmap.smoke.json" if args.smoke else "BENCH_mmap.json"
     out_path = Path(__file__).parent / "results" / name
     out_path.parent.mkdir(parents=True, exist_ok=True)

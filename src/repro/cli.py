@@ -1534,9 +1534,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("eager", "mmap"),
         default="eager",
-        help="how to open the index: eager loads into RAM and ships shards "
-        "over shared memory; mmap maps a format-v3 file and workers attach "
-        "to the same file in O(1) (v1/v2 files load eagerly)",
+        help="how to open the index: eager loads it into RAM, mmap maps a "
+        "format-v3 file (v1/v2 files load eagerly); workers compact their "
+        "shards from that file, or from a spill of an in-memory index",
     )
     p_serve.add_argument(
         "--start-method",

@@ -9,9 +9,10 @@ observability objects:
     exposition format (``text/plain; version=0.0.4``).
 ``/healthz``
     JSON from the ``health`` callable (e.g. ``ShardedSearchService.
-    health``): per-shard worker liveness, last-heartbeat age and shm
-    attachment status.  Responds 200 when ``healthy`` is true, 503
-    otherwise — so a load balancer can act on the status code alone.
+    health``): per-shard worker liveness, point count and
+    last-heartbeat age, plus the index's storage.  Responds 200 when
+    ``healthy`` is true, 503 otherwise — so a load balancer can act on
+    the status code alone.
 ``/slowlog``
     The :class:`~repro.obs.slowlog.SlowQueryLog` ring as JSON.
 ``/trace`` and ``/trace/<trace_id>``

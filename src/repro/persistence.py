@@ -383,9 +383,8 @@ def _load_section(fh, section: _Section) -> np.ndarray:
 def open_v3_arrays(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Memory-map every section of a v3 file without restoring a :class:`LazyLSH`.
 
-    Shard workers use this for O(1) attach: no ``ParameterEngine``, no
-    hash bank — just the header and read-only ``np.memmap`` views of the
-    sections by name.
+    No ``ParameterEngine``, no hash bank — just the header and read-only
+    ``np.memmap`` views of the sections by name.
     """
     path = Path(path)
     if not path.exists():
@@ -468,7 +467,7 @@ def _v3_store(
         )
     else:
         wide = InvertedListStore.from_runs(arrays["values"], arrays["ids"])
-        compact, search = wide.compact_shard(0, shape[1])
+        compact, search = wide.compact_shard(np.arange(shape[1]))
         rel, ids, row_top = compact["rel"], compact["ids"], compact["row_top"]
     backend = backend_cls(
         rel=rel, ids=ids, row_top=row_top, search_state=search, source_path=path
@@ -481,9 +480,10 @@ def open_v3_store(
 ) -> tuple[InvertedListStore, dict[str, np.ndarray]]:
     """Memory-map a v3 file's inverted lists as a store.
 
-    Shard workers attach this way in O(1): no ``ParameterEngine`` and no
-    hash bank, just a read-only mmap-backed store (with the saved search
-    state) plus every section's memmap by name.
+    Shard workers open their attach file this way and compact their
+    shard out of it: no ``ParameterEngine`` and no hash bank, just a
+    read-only mmap-backed store (with the saved search state) plus every
+    section's memmap by name.
     """
     path = Path(path)
     header, arrays = open_v3_arrays(path)

@@ -11,8 +11,10 @@ between the socket and the shard fleet (DESIGN §14):
   (:class:`~repro.errors.OverloadedError`) *before* any index work
   happens, so overload sheds cheaply at the edge.  An unhealthy fleet
   (dead worker, closed service) rejects with 503 without attempting the
-  query.  Deadlines (``deadline_ms``) are stamped from each request's
-  *arrival* time, so queue wait counts against the budget.
+  query; a dead worker on an open service also queues one repair, so a
+  fleet that lost a worker while idle heals.  Deadlines
+  (``deadline_ms``) are stamped from each request's *arrival* time, so
+  queue wait counts against the budget.
 * **Request coalescing.**  Admitted requests buffer for up to
   ``coalesce_ms``; each flush plans one batch.  Identical single-metric
   requests dedup to one wave row, requests sharing ``(k, p, cap,
@@ -222,6 +224,7 @@ class Frontend:
         self._conns: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._thread: threading.Thread | None = None
         self._executor: ThreadPoolExecutor | None = None
+        self._repairing: asyncio.Future | None = None
         self._port = 0
         self._started = threading.Event()
         self._startup_error: BaseException | None = None
@@ -324,6 +327,7 @@ class Frontend:
             thread.join(timeout=10)
         if self._executor is not None:
             self._executor.shutdown(wait=True)
+        self._repairing = None
         self._thread = None
         self._loop = None
         self._server = None
@@ -573,6 +577,7 @@ class Frontend:
             # Mid-failover (dead worker, detached storage): reject with
             # a retryable typed error instead of queueing a request the
             # fleet may never answer.
+            self._queue_repair()
             raise UnavailableError(
                 "the shard fleet is unhealthy (mid-failover); retry "
                 "after a backoff"
@@ -611,6 +616,28 @@ class Frontend:
                     request_id=request.request_id,
                 )
         return 200, payload
+
+    def _queue_repair(self) -> None:
+        """Queue one fleet repair on the plan executor (loop thread only).
+
+        Waves and ingest repair a worker that dies under them, but
+        admission turns requests away before any wave runs, so without
+        this a worker lost while idle would keep the door at 503 for
+        good.  The repair takes ``service.lock`` like any plan.
+        """
+        if self._repairing is not None:
+            return
+        loop = asyncio.get_running_loop()
+        self._repairing = loop.run_in_executor(
+            self._executor, self.service.repair
+        )
+
+        def _on_done(fut: "asyncio.Future") -> None:
+            self._repairing = None
+            if not fut.cancelled() and fut.exception() is not None:
+                logger.error("fleet repair failed: %s", fut.exception())
+
+        self._repairing.add_done_callback(_on_done)
 
     async def _await_result(self, item: _Pending) -> SearchResult:
         """Wait for the planned result; bounded when a deadline is set.

@@ -2,9 +2,10 @@
 
 :class:`ShardedSearchService` snapshots a built :class:`~repro.core.
 lazylsh.LazyLSH` index into ``n_shards`` contiguous point-id ranges
-(one shared-memory segment and one persistent worker process each) and
-answers the same ``Np(q, k, c)`` queries as :meth:`LazyLSH.knn` by
-fanning every rehashing round out to all shards and merging.
+(one persistent worker process each, holding its shard's compact
+sub-runs) and answers the same ``Np(q, k, c)`` queries as
+:meth:`LazyLSH.knn` by fanning every rehashing round out to all shards
+and merging.
 
 Exactness
 ---------
@@ -48,11 +49,11 @@ property of the full run, not of any shard.  The totals in
 ``SearchResult.io`` equal the single-process engine's exactly.
 
 Fault tolerance: a worker death (detected as a broken pipe) triggers a
-repair — dead workers are respawned against the still-live shared
-memory, survivors are reset, stale replies are discarded by sequence
-number — and the whole wave is replayed once from round zero (the scan
-is deterministic, so the replay returns the same results).  A second
-failure raises :class:`~repro.errors.ReproError`.
+repair — dead workers are respawned from a v3 file of the coordinator's
+current index, survivors are reset, stale replies are discarded by
+sequence number — and the whole wave is replayed once from round zero
+(the scan is deterministic, so the replay returns the same results).  A
+second failure raises :class:`~repro.errors.ReproError`.
 """
 
 from __future__ import annotations
@@ -61,9 +62,11 @@ import hashlib
 import logging
 import multiprocessing as mp
 import os
+import shutil
+import tempfile
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -85,13 +88,18 @@ from repro.obs.explain import build_explain
 from repro.obs.query_trace import QueryTraceBuilder
 from repro.obs.trace_context import new_request_id
 from repro.obs.tracer import Span
-from repro.serve.sharding import MmapShardSpec, pack_shard, plan_shards
+from repro.persistence import save_index
+from repro.serve.sharding import ShardSpec, plan_shards
 from repro.serve.worker import worker_main
 from repro.storage.io_stats import IOStats
 
 logger = logging.getLogger("repro.serve.service")
 
 _KNN_ABORT = "knn did not terminate; this indicates a corrupted index"
+
+#: Parent directory of attach spills when the host has it: tmpfs, so a
+#: spill costs memory bandwidth, not disk writes.
+_SPILL_ROOT = "/dev/shm"
 
 #: Pipe round-trip latency buckets (seconds): a round trip is one op's
 #: send → worker scan → reply receipt, so sub-millisecond to ~1s.
@@ -273,17 +281,19 @@ class ShardedSearchService:
         :meth:`ingest` expects the next record at ``base_lsn + 1`` and
         silently skips anything at or below it.
 
-    The index decides how workers get their shard (:attr:`attach`).  An
-    index whose runs are mapped from a v3 file
-    (``load_index(..., backend="mmap")``, with no insert or ``compact``
-    since) is served by ``"mmap"`` attach: every worker maps that file
-    read-only (O(1) start, the OS page cache is the shared buffer pool)
-    and receives its alive slice from the coordinator.  Any other index
-    is served by ``"shm"`` attach: each shard's sub-runs are packed into
-    a shared-memory segment.  Results are bit-identical either way.
+    Every worker attaches one way, at start and at respawn: it opens a
+    v3 file of the coordinator's *current* index, compacts the sub-runs
+    of the ids it owns, copies their data rows and takes their alive
+    bits, acked LSN and epoch from the coordinator.  The file is the
+    index's own while its runs are still mapped from it
+    (``load_index(..., backend="mmap")``, no insert since); otherwise it
+    is a spill the service writes with :func:`~repro.persistence.
+    save_index` into a private temporary directory and deletes as soon
+    as the workers have attached.  A respawned worker therefore starts
+    from the same state the survivors hold.
 
     Use as a context manager (or call :meth:`close`) to release the
-    worker processes and shared-memory segments::
+    worker processes::
 
         with ShardedSearchService(index, n_shards=4) as service:
             result = service.search(query, k=10, p=0.5)
@@ -303,19 +313,13 @@ class ShardedSearchService:
             raise IndexNotBuiltError(
                 "ShardedSearchService needs a built index; call build(data)"
             )
-        storage = index.storage_info()
-        self._index_path = (
-            storage["source_path"] if storage["backend"] == "mmap" else None
-        )
-        self.attach = "shm" if self._index_path is None else "mmap"
         self.index = index
         self.ranges = plan_shards(index.num_rows, n_shards)
         self.n_shards = len(self.ranges)
         self._shard_los = np.array([lo for lo, _hi in self.ranges], dtype=np.int64)
-        # Live-update plane (DESIGN §11): rows beyond the packed base are
+        # Live-update plane (DESIGN §11): rows beyond the base ranges are
         # owned per _extra_owner; epoch counts applied updates, acked_lsn
-        # the newest WAL record folded in.  _update_log keeps every
-        # shipped delta so a respawned worker can catch up by replay.
+        # the newest WAL record folded in.
         self._base_rows = int(index.num_rows)
         self._extra_owner = np.empty(0, dtype=np.int64)
         self._shard_points = np.array(
@@ -323,12 +327,9 @@ class ShardedSearchService:
         )
         self.epoch = 0
         self.acked_lsn = int(base_lsn)
-        self._update_log: list[dict] = []
         self.updates_applied = 0
         self._epp = int(index.store.layout.entries_per_page)
         self._ctx = mp.get_context(start_method)
-        self._specs = []
-        self._shms = []
         self._procs: list = [None] * self.n_shards
         self._conns: list = [None] * self.n_shards
         self.busy_seconds = [0.0] * self.n_shards
@@ -348,31 +349,15 @@ class ShardedSearchService:
         # the service's own acquisition.  Single-threaded callers never
         # contend on it.
         self.lock = threading.RLock()
-        self._test_kill_during_catchup: int | None = None
         self._wave_obs: _WaveObs | None = None
         # Wall-clock time of each shard's last successful reply; read by
         # health() (never poked from the exporter thread).
         self._last_reply = [0.0] * self.n_shards
         try:
-            if self._index_path is not None:
-                # Zero-copy: no packing, no segments — every worker maps
-                # the v3 file itself, so startup cost is O(1) in index
-                # size.  Tombstones may have changed since the file was
-                # written, so each worker gets its alive slice from here.
-                self._specs = [
-                    MmapShardSpec(sid, lo, hi, self._index_path, index._alive[lo:hi].copy())
-                    for sid, (lo, hi) in enumerate(self.ranges)
-                ]
-            else:
-                for sid, (lo, hi) in enumerate(self.ranges):
-                    spec, shm = pack_shard(
-                        sid, lo, hi, index.store, index.data, index._alive
-                    )
-                    self._specs.append(spec)
-                    self._shms.append(shm)
-            for sid in range(self.n_shards):
-                self._spawn(sid)
-            self._broadcast("ping")
+            with self._attach_file() as path:
+                for sid in range(self.n_shards):
+                    self._spawn(sid, path)
+                self._broadcast("ping")
         except BaseException:
             self.close()
             raise
@@ -381,7 +366,40 @@ class ShardedSearchService:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def _spawn(self, sid: int) -> None:
+    @contextmanager
+    def _attach_file(self):
+        """Path of a v3 file of the current index for workers to attach.
+
+        The index's own file while its runs are still mapped from it;
+        otherwise a spill written by :func:`save_index` into a private
+        temporary directory and removed when the block exits.  Workers
+        spawned inside the block must have answered an op before it
+        exits: a worker answers only once attached, and attaching leaves
+        it no reference to the file.
+        """
+        storage = self.index.storage_info()
+        if storage["backend"] == "mmap":
+            yield storage["source_path"]
+            return
+        spill_dir = tempfile.mkdtemp(
+            prefix="repro-spill-",
+            dir=_SPILL_ROOT if os.path.isdir(_SPILL_ROOT) else None,
+        )
+        try:
+            yield str(save_index(self.index, os.path.join(spill_dir, "index")))
+        finally:
+            shutil.rmtree(spill_dir, ignore_errors=True)
+
+    def _spawn(self, sid: int, path: str) -> None:
+        """Start shard ``sid``'s worker on the coordinator's current state."""
+        lo, hi = self.ranges[sid]
+        ids = np.concatenate([
+            np.arange(lo, hi, dtype=np.int64),
+            self._base_rows + np.flatnonzero(self._extra_owner == sid),
+        ])
+        spec = ShardSpec(
+            sid, path, ids, self.index._alive[ids], self.acked_lsn, self.epoch
+        )
         parent_conn, child_conn = self._ctx.Pipe()
         # Under fork the child's fd table carries the coordinator's end
         # of this very pipe; unless the worker drops it, coordinator
@@ -395,7 +413,7 @@ class ShardedSearchService:
         )
         proc = self._ctx.Process(
             target=_worker_entry,
-            args=(child_conn, self._specs[sid], parent_fd),
+            args=(child_conn, spec, parent_fd),
             daemon=True,
             name=f"repro-shard-{sid}",
         )
@@ -407,11 +425,7 @@ class ShardedSearchService:
         self._conns[sid] = parent_conn
 
     def close(self) -> None:
-        """Shut workers down and release the shared-memory segments.
-
-        Idempotent; also invoked by ``__exit__``.  The parent is the
-        sole unlinker of the segments (see ``repro.serve.sharding``).
-        """
+        """Shut the workers down.  Idempotent; also invoked by ``__exit__``."""
         if self._closed:
             return
         self._closed = True
@@ -439,13 +453,6 @@ class ShardedSearchService:
         for conn in self._conns:
             if conn is not None:
                 conn.close()
-        for shm in self._shms:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-        self._shms = []
 
     def __enter__(self) -> "ShardedSearchService":
         return self
@@ -457,7 +464,6 @@ class ShardedSearchService:
         """Service-level counters (JSON-serialisable)."""
         return {
             "n_shards": self.n_shards,
-            "attach": self.attach,
             "shard_ranges": [list(r) for r in self.ranges],
             "shard_points": [int(x) for x in self._shard_points],
             "busy_seconds": list(self.busy_seconds),
@@ -473,9 +479,9 @@ class ShardedSearchService:
     def health(self) -> dict:
         """Read-only health report (safe from the exporter thread).
 
-        Per-shard worker liveness, last-heartbeat age and shared-memory
-        attachment status; ``healthy`` is true iff the service is open
-        and every worker process is alive.  Strictly reads cached state
+        Per-shard worker liveness, point count and last-heartbeat age,
+        plus the index's storage; ``healthy`` is true iff the service is
+        open and every worker process is alive.  Strictly reads cached state
         — no pipe traffic — so a scrape can never interleave with (or
         block on) an in-flight wave's op sequence.
         """
@@ -487,31 +493,14 @@ class ShardedSearchService:
             alive = bool(proc is not None and proc.is_alive())
             healthy = healthy and alive
             last = self._last_reply[sid]
-            entry = {
+            shards.append({
                 "shard": sid,
                 "alive": alive,
                 "points": int(self._shard_points[sid]),
                 "last_heartbeat_age_seconds": (
                     now - last if last else None
                 ),
-            }
-            if self.attach == "mmap":
-                entry["mmap"] = {
-                    "path": self._index_path,
-                    "attached": alive,
-                }
-            else:
-                attached = not self._closed and sid < len(self._shms)
-                entry["shm"] = {
-                    "name": self._specs[sid].shm_name,
-                    "size": (
-                        int(self._shms[sid].size) if attached else 0
-                    ),
-                    "attached": attached,
-                }
-            shards.append(entry)
-        storage = {"attach": self.attach}
-        storage.update(self.index.storage_info())
+            })
         return {
             "healthy": bool(healthy),
             "closed": self._closed,
@@ -519,7 +508,7 @@ class ShardedSearchService:
             "restarts": self.restarts,
             "replays": self.replays,
             "queries_served": self.queries_served,
-            "storage": storage,
+            "storage": self.index.storage_info(),
             "shards": shards,
             "wal": {
                 "epoch": self.epoch,
@@ -594,81 +583,68 @@ class ShardedSearchService:
         return replies
 
     def _repair(self, known_dead: int | None = None) -> list[int]:
-        """Respawn dead workers, replay updates to them, reset survivors.
+        """Respawn dead workers from the current index, reset survivors.
 
         ``known_dead`` is the shard whose pipe broke: its EOF can arrive
         before ``waitpid`` observes the exit, so it is joined first
         rather than trusting ``is_alive()``.  A respawned worker attaches
-        the *original* shared-memory snapshot, so it catches up by
-        replaying the whole update log (cheap idempotent skip for
-        records at or below its acked LSN — zero for a fresh attach).
-        A worker dying again mid-catch-up restarts the repair, up to
-        three attempts.  Returns the shard ids that were respawned.
+        the coordinator's current state — the state every survivor
+        holds — so nothing is replayed to it.  A worker dying again
+        during the repair restarts it, up to three attempts, from the
+        same attach file: the index cannot change under the lock, and a
+        worker spawned by a failed attempt may still be opening it.
+        Returns the shard ids that were respawned.
         """
         all_respawned: set[int] = set()
-        for _attempt in range(3):
-            try:
-                if known_dead is not None:
-                    self._procs[known_dead].join(timeout=5)
-                respawned = []
-                for sid in range(self.n_shards):
-                    proc = self._procs[sid]
-                    if sid != known_dead and proc.is_alive():
-                        continue
-                    self._conns[sid].close()
-                    self._spawn(sid)
-                    self.restarts += 1
-                    respawned.append(sid)
-                all_respawned.update(respawned)
-                if respawned:
+        with self._attach_file() as path:
+            for _attempt in range(3):
+                try:
+                    if known_dead is not None:
+                        self._procs[known_dead].join(timeout=5)
+                    dead = [
+                        sid
+                        for sid in range(self.n_shards)
+                        if sid == known_dead
+                        or not self._procs[sid].is_alive()
+                    ]
+                    known_dead = None
+                    for sid in dead:
+                        self._conns[sid].close()
+                        self._spawn(sid, path)
+                        self.restarts += 1
+                    all_respawned.update(dead)
                     logger.warning(
                         "respawned shard worker(s) %s after a death "
                         "(restarts=%d)",
-                        respawned,
+                        dead,
                         self.restarts,
                     )
-                known_dead = None
-                self._catch_up(respawned)
-                # Survivors may hold per-query state and queued replies
-                # from the aborted wave; the reset's fresh op id flushes
-                # both (stale replies are skipped by _recv's check).
-                self._broadcast("reset")
-                return sorted(all_respawned)
-            except _WorkerDied as died:
-                known_dead = died.shard_id
+                    # Survivors may hold per-query state and queued
+                    # replies from the aborted wave; the reset's fresh op
+                    # id flushes both (stale replies are skipped by
+                    # _recv's check).  It is also the respawned workers'
+                    # first op, so it returns only once they attached.
+                    self._broadcast("reset")
+                    return sorted(all_respawned)
+                except _WorkerDied as died:
+                    known_dead = died.shard_id
         raise ReproError(
             "sharded service: workers kept dying during repair; giving up"
         )
 
-    def _catch_up(self, shard_ids: list[int]) -> None:
-        """Replay the update log to the given (freshly spawned) shards."""
-        tracer = (
-            self.telemetry.tracer if self.telemetry is not None else None
-        )
-        # Catch-up spans only join an already-open trace (a traced wave's
-        # repair or a sampled ingest); untraced repairs open no spans.
-        traced = tracer is not None and tracer.current_context() is not None
-        for sid in shard_ids:
-            cm = (
-                tracer.span(
-                    "serve.catch_up",
-                    shard=sid,
-                    records=len(self._update_log),
-                )
-                if traced
-                else nullcontext()
-            )
-            with cm:
-                for j, delta in enumerate(self._update_log):
-                    if (
-                        self._test_kill_during_catchup == sid and j == 1
-                    ):  # deterministic mid-catch-up death (test hook)
-                        self._test_kill_during_catchup = None
-                        self._send(sid, self._next_op(), "crash", None)
-                        self._procs[sid].join(timeout=5)
-                    op_id = self._next_op()
-                    self._send(sid, op_id, "update", delta)
-                    self._recv(sid, op_id)
+    def repair(self) -> list[int]:
+        """Respawn any dead worker now; returns the respawned shard ids.
+
+        Waves and :meth:`ingest` repair the fleet themselves when a pipe
+        breaks under them.  This heals a fleet that lost a worker while
+        idle, so that :meth:`health` reports it healthy again.
+        """
+        with self.lock:
+            if self._closed:
+                raise ReproError("service is closed")
+            if all(proc.is_alive() for proc in self._procs):
+                return []
+            return self._repair()
 
     def _crash_worker(
         self, shard_id: int, after_rounds: int | None = None
@@ -781,7 +757,6 @@ class ShardedSearchService:
                 }
             else:
                 raise ReproError(f"unknown WAL op {record.op!r} at LSN {lsn}")
-            self._update_log.append(delta)
             self.epoch += 1
             self.acked_lsn = lsn
             self.updates_applied += 1
@@ -807,9 +782,9 @@ class ShardedSearchService:
     def _ship(self, delta: dict) -> None:
         """Broadcast one update delta, repairing on a worker death.
 
-        The delta is already in the update log, so the repair's catch-up
-        replays it to respawned workers; survivors that applied it before
-        the death skip the retry by LSN.
+        The coordinator's index already holds the delta, so a worker the
+        repair respawns attaches with it applied and skips the retry by
+        LSN, as do survivors that applied it before the death.
         """
         for attempt in range(2):
             try:

@@ -8,12 +8,11 @@ windows with two batched
 calls, splits them into ring runs with the engine's
 :class:`~repro.core.engine.RingCursor`, and consumes each query's scan in
 the engine's doubling blocks of hash functions with its crossing recovery
-(:func:`~repro.core.engine.find_crossings`).  Both attach modes run this
-one kernel.  Under shm attach the store is a compact int32 store over the
-shard's own sub-runs, packed in a shared-memory segment; under mmap
-attach it is the memory-mapped full index, and the kernel keeps the
-entries the shard owns.  Sub-runs preserve run order, so both yield the
-same entries in the same order and their replies are identical.
+(:func:`~repro.core.engine.find_crossings`).  The store it scans is a
+compact int32 store over the shard's own sub-runs, which the worker
+extracts from a v3 file of the coordinator's current index when it
+starts (:meth:`ShardSearcher.attach`).  Sub-runs preserve run order, so
+the worker sees its entries of every window in the engine's order.
 
 For each query of a round the worker reports
 
@@ -54,9 +53,7 @@ wave.  Ops:
                sequenced, idempotent by LSN — see DESIGN §11)
 ``crash``      ``os._exit(1)`` — test hook for worker-death recovery;
                an int payload ``n`` arms a deferred crash during the
-               n-th subsequent ``round`` op instead (mid-wave death),
-               ``{"after_updates": n}`` the same for ``update`` ops
-               (death mid-catch-up)
+               n-th subsequent ``round`` op instead (mid-wave death)
 ``shutdown``   clean exit
 =============  ======================================================
 
@@ -69,12 +66,10 @@ merges its owned new points with the store's own
 :meth:`~repro.storage.inverted_index.InvertedListStore.insert` on its
 compact sub-run store, then shifts its int32 full-run positions in one
 vectorised pass, so the shard stays exactly the restriction of the
-coordinator's full index and the next round needs no rebuild.  The
-merge writes private arrays: the shared segment or mapped file stays
-pristine for respawned workers (an mmap worker first takes the compact
-shard of its mapped store).  Updates are sequenced by LSN: a record at
-or below the shard's acked LSN is acknowledged but not re-applied,
-which makes coordinator replay after a repair idempotent.
+coordinator's full index and the next round needs no rebuild.  Updates
+are sequenced by LSN: a record at or below the shard's acked LSN is
+acknowledged but not re-applied, which makes the coordinator's retry
+after a repair idempotent.
 
 Telemetry piggyback (DESIGN §10): each worker runs its *own*
 :class:`~repro.obs.registry.MetricsRegistry` and :class:`~repro.obs.
@@ -110,12 +105,8 @@ from repro.metrics.lp import lp_distance
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace_context import TraceContext
 from repro.obs.tracer import SpanTracer
-from repro.serve.sharding import (
-    MmapShardSpec,
-    ShardSpec,
-    attach_shard,
-    open_mmap_shard,
-)
+from repro.persistence import open_v3_store
+from repro.serve.sharding import ShardSpec
 from repro.storage.inverted_index import InvertedListStore, merge_runs
 
 logger = logging.getLogger("repro.serve.worker")
@@ -141,47 +132,62 @@ class _QueryState:
 class ShardSearcher:
     """Executes rounds over one attached shard.
 
-    ``store`` answers the kernel's window searches and int32 id gathers.
-    With ``positions`` — each sub-run entry's full-run position, flat —
-    it is a store over the shard's sub-runs whose ids are local rows;
-    with ``positions=None`` it is the full index and the kernel keeps the
-    entries with ``lo <= id < hi``.  ``data``/``alive`` are the shard's
-    rows (local row ``j`` is point ``lo + j`` until the first insert).
+    ``store`` is a compact store over the shard's sub-runs whose ids are
+    local rows, and ``positions`` each of its entries' full-run
+    position, flat.  Local row ``j`` is global point ``gids[j]`` (sorted
+    ascending; inserted points append), with data row ``data[j]`` and
+    tombstone bit ``alive[j]``.
     """
 
     def __init__(
         self,
         shard_id: int,
-        lo: int,
-        hi: int,
         store: InvertedListStore,
-        positions: np.ndarray | None,
+        positions: np.ndarray,
+        gids: np.ndarray,
         data: np.ndarray,
         alive: np.ndarray,
     ) -> None:
         self.shard_id = shard_id
-        self.lo = lo
-        self.hi = hi
         self.store = store
         self.positions = positions
+        self.gids = gids
         self.data = data
         self.alive = alive
-        self.m = int(hi - lo)
+        self.m = int(gids.size)
         self.queries: dict[int, _QueryState] = {}
         self._marks = np.zeros(self.m, dtype=bool)  # find_crossings scratch
         # Always-on scan accumulators (two int adds per scan); the
         # obs-enabled reply path ships deltas of these.
         self.rows_scanned = 0
         self.crossings = 0
-        # Live-update state (DESIGN §11).  From the first insert on,
-        # ``_gid_of`` maps local row -> global id and ``_lookup`` (sized
-        # to the full index) maps back.  A read-only ``alive`` view is
-        # copied on the first tombstone.
+        # Live-update sequence (DESIGN §11).
         self.epoch = 0
         self.acked_lsn = 0
-        self._gid_of: np.ndarray | None = None
-        self._lookup: np.ndarray | None = None
-        self._owns_alive = bool(alive.flags.writeable)
+
+    @classmethod
+    def attach(cls, spec: ShardSpec) -> "ShardSearcher":
+        """Attach from ``spec``'s v3 file: compact the owned sub-runs.
+
+        Everything kept is a private copy, so no mapping of the file
+        outlives this call and the coordinator may delete the file as
+        soon as the worker has answered its first op.
+        """
+        store, arrays = open_v3_store(spec.path)
+        compact, state = store.compact_shard(spec.ids)
+        searcher = cls(
+            spec.shard_id,
+            InvertedListStore.from_compact(
+                compact["rel"], compact["ids"], compact["row_top"], state
+            ),
+            compact["positions"].ravel(),
+            spec.ids,
+            arrays["data"][spec.ids],
+            np.array(spec.alive, dtype=bool),
+        )
+        searcher.acked_lsn = int(spec.acked_lsn)
+        searcher.epoch = int(spec.epoch)
+        return searcher
 
     # -- protocol ops ---------------------------------------------------
 
@@ -269,7 +275,7 @@ class ShardSearcher:
         keeping only the crossings up to that function (``f_stop``).
         """
         eta = q.eta
-        # Flat store index of each ring run's first/last owned entry.
+        # Flat store index of each ring run's first/last entry.
         ext = np.full((2, 2 * eta), -1, dtype=np.int64)
         found: list[tuple[np.ndarray, ...]] = []
         f_stop: int | None = None
@@ -283,28 +289,15 @@ class ShardSearcher:
             raw = self.store.gather_segments32(starts, lens)
             ends = np.cumsum(lens)
             shift = starts - (ends - lens)  # stream index -> flat index
-            keep: np.ndarray | None = None
-            if self.positions is None:
-                # Full-index store: keep the owned entries, in scan order.
-                keep = np.flatnonzero((raw >= self.lo) & (raw < self.hi))
-                sub = raw[keep] - self.lo
-                a = np.searchsorted(keep, ends - lens)
-                b = np.searchsorted(keep, ends)
-                segs = np.flatnonzero(b > a)
-                ext[0, 2 * f0 + segs] = keep[a[segs]] + shift[segs]
-                ext[1, 2 * f0 + segs] = keep[b[segs] - 1] + shift[segs]
-            else:
-                sub = raw
-                segs = np.flatnonzero(lens)
-                ext[0, 2 * f0 + segs] = starts[segs]
-                ext[1, 2 * f0 + segs] = starts[segs] + lens[segs] - 1
-            self.rows_scanned += int(sub.size)
-            elems, add = find_crossings(sub, q.slack, self._marks)
-            local = sub[elems]
-            at = elems if keep is None else keep[elems]
-            seg = np.searchsorted(ends, at, side="right")
+            segs = np.flatnonzero(lens)
+            ext[0, 2 * f0 + segs] = starts[segs]
+            ext[1, 2 * f0 + segs] = starts[segs] + lens[segs] - 1
+            self.rows_scanned += int(raw.size)
+            elems, add = find_crossings(raw, q.slack, self._marks)
+            local = raw[elems]
+            seg = np.searchsorted(ends, elems, side="right")
             funcs = f0 + seg // 2
-            flat = at + shift[seg]
+            flat = elems + shift[seg]
             dists = (
                 lp_distance(self.data[local], q.query, q.p)
                 if local.size
@@ -329,15 +322,13 @@ class ShardSearcher:
             f0 = f1
         local, funcs, flat, dists = (np.concatenate(col) for col in zip(*found))
         self.crossings += int(local.size)
-        if self._gid_of is None:
-            gids = local.astype(np.int64) + self.lo
-        else:
-            gids = self._gid_of[local]
-        ext = np.where(ext >= 0, self._run_pos(np.maximum(ext, 0)), -1)
+        ext = np.where(
+            ext >= 0, self.positions[np.maximum(ext, 0)].astype(np.int64), -1
+        )
         return {
-            "gids": gids,
+            "gids": self.gids[local],
             "funcs": funcs,
-            "pos": self._run_pos(flat),
+            "pos": self.positions[flat].astype(np.int64),
             "dists": dists,
             "l_lo": ext[0, 0::2],
             "l_hi": ext[1, 0::2],
@@ -345,12 +336,6 @@ class ShardSearcher:
             "r_hi": ext[1, 1::2],
             "f_stop": f_stop,
         }
-
-    def _run_pos(self, flat: np.ndarray) -> np.ndarray:
-        """Full-run positions of the store's flat entry indices."""
-        if self.positions is None:
-            return flat % self.store.num_points
-        return self.positions[flat].astype(np.int64)
 
     # -- live updates ---------------------------------------------------
 
@@ -372,15 +357,6 @@ class ShardSearcher:
         points = np.asarray(delta["points"], dtype=np.float64)
         start = int(delta["batch_start"])
         owners = np.asarray(delta["owners"], dtype=np.int64)
-        if self.positions is None:
-            # mmap attach: continue on the compact shard of the mapped store.
-            arrays, state = self.store.compact_shard(self.lo, self.hi)
-            self.store = InvertedListStore.from_compact(
-                arrays["rel"], arrays["ids"], arrays["row_top"], state
-            )
-            self.positions = arrays["positions"].ravel()
-        if self._gid_of is None:
-            self._gid_of = np.arange(self.lo, self.hi, dtype=np.int64)
         values = plan.hash_values()
         num_funcs, m_batch = values.shape
         m_old = self.m
@@ -415,31 +391,15 @@ class ShardSearcher:
         self.m = m_old + int(sel.size)
         self.data = np.vstack([self.data, points[sel]])
         self.alive = np.concatenate([self.alive, np.ones(sel.size, dtype=bool)])
-        self._owns_alive = True
-        self._gid_of = np.concatenate([self._gid_of, start + sel])
+        self.gids = np.concatenate([self.gids, start + sel])
         self._marks = np.zeros(self.m, dtype=bool)
-        # Global id -> local row map over the grown index.
-        lookup = np.full(start + m_batch, -1, dtype=np.int32)
-        lookup[self._gid_of] = np.arange(self.m, dtype=np.int32)
-        self._lookup = lookup
 
     def _apply_remove_delta(self, gids: np.ndarray) -> None:
-        """Tombstone the removed ids this shard owns (copy-on-write)."""
-        if self._lookup is None:
-            owned = gids[(gids >= self.lo) & (gids < self.hi)]
-            local = owned - self.lo
-        else:
-            local = self._lookup[gids]
-            local = local[local >= 0]
-        if local.size == 0:
-            return
-        if not self._owns_alive:
-            self.alive = self.alive.copy()
-            self._owns_alive = True
-        self.alive[local] = False
+        """Tombstone the removed ids this shard owns."""
+        self.alive[np.isin(self.gids, gids)] = False
 
 
-def worker_main(conn, spec: ShardSpec | MmapShardSpec) -> None:
+def worker_main(conn, spec: ShardSpec) -> None:
     """Worker process entry point (importable, spawn-safe).
 
     Attaches the shard, then serves ``(op_id, op, payload)`` requests
@@ -449,33 +409,10 @@ def worker_main(conn, spec: ShardSpec | MmapShardSpec) -> None:
     scheduler-noise-immune cost accounting on oversubscribed hosts).
     """
     try:
-        positions: np.ndarray | None = None
-        if isinstance(spec, MmapShardSpec):
-            shm = None
-            arrays = open_mmap_shard(spec)
-            store = arrays["store"]
-        else:
-            arrays, shm = attach_shard(spec)
-            assert spec.search_state is not None
-            store = InvertedListStore.from_compact(
-                arrays["rel"],
-                arrays["ids"],
-                arrays.get("row_top"),
-                spec.search_state,
-            )
-            positions = arrays["positions"].ravel()
-        searcher = ShardSearcher(
-            spec.shard_id,
-            spec.lo,
-            spec.hi,
-            store,
-            positions,
-            arrays["data"],
-            arrays["alive"],
-        )
+        searcher = ShardSearcher.attach(spec)
     except Exception:  # pragma: no cover - attach failures are fatal
         logger.exception(
-            "shard %d worker failed to attach its segment", spec.shard_id
+            "shard %d worker failed to attach %s", spec.shard_id, spec.path
         )
         conn.send((-1, "err", traceback.format_exc()))
         return
@@ -494,7 +431,6 @@ def worker_main(conn, spec: ShardSpec | MmapShardSpec) -> None:
     shipped_rows = 0
     shipped_crossings = 0
     crash_in_rounds: int | None = None  # armed mid-wave crash countdown
-    crash_in_updates: int | None = None  # armed mid-catch-up crash countdown
     while True:
         try:
             op_id, op, payload = conn.recv()
@@ -564,16 +500,9 @@ def worker_main(conn, spec: ShardSpec | MmapShardSpec) -> None:
                 searcher.reset()
                 result = None
             elif op == "update":
-                if crash_in_updates is not None:
-                    crash_in_updates -= 1
-                    if crash_in_updates <= 0:
-                        os._exit(1)
                 result = searcher.apply_update(payload)
             elif op == "crash":
-                if isinstance(payload, dict) and payload.get("after_updates"):
-                    crash_in_updates = int(payload["after_updates"])
-                    result = None
-                elif isinstance(payload, int) and payload > 0:
+                if isinstance(payload, int) and payload > 0:
                     crash_in_rounds = payload
                     result = None
                 else:
@@ -604,5 +533,3 @@ def worker_main(conn, spec: ShardSpec | MmapShardSpec) -> None:
                 conn.send((op_id, "err", traceback.format_exc()))
             except (BrokenPipeError, OSError):  # pragma: no cover
                 break
-    if shm is not None:
-        shm.close()

@@ -674,36 +674,47 @@ class InvertedListStore:
         return values, self._ids.reshape(shape).astype(np.int64)
 
     def compact_shard(
-        self, lo: int, hi: int
+        self, ids: np.ndarray
     ) -> tuple[dict[str, Any], SearchState]:
-        """Extract the contiguous id-range shard ``[lo, hi)`` of every run.
+        """Extract the shard owning the sorted point ids ``ids`` of every run.
 
         Returns the arrays of a :meth:`from_compact` store over the
         shard's sub-runs — ``rel`` (values relative to this store's
-        ``vmin``), ``ids`` (int32 local ids ``id - lo``) and ``row_top``
-        — plus ``positions`` (each entry's int32 position in the full
-        run) and the sub-runs' search state, all of shape
-        ``(num_functions, hi - lo)`` but ``row_top``.  Every run contains
-        each point id exactly once, so the extraction is rectangular, and
-        because the sub-runs preserve run order their window endpoints
-        restrict the full run's endpoints exactly — the property the
-        sharded service's bit-identical I/O reconstruction relies on.
-        The arrays are fresh copies, safe to export through shared memory
-        while the store keeps serving queries.
+        ``vmin``), ``ids`` (int32 local ids: the rank of each id in
+        ``ids``) and ``row_top`` — plus ``positions`` (each entry's int32
+        position in the full run) and the sub-runs' search state, all of
+        shape ``(num_functions, len(ids))`` but ``row_top``.  Every run
+        contains each point id exactly once, so the extraction is
+        rectangular, and because the sub-runs preserve run order their
+        window endpoints restrict the full run's endpoints exactly — the
+        property the sharded service's bit-identical I/O reconstruction
+        relies on.  The arrays are fresh copies: nothing references this
+        store's (possibly mapped) runs afterwards.
         """
-        if not 0 <= lo < hi <= self._num_points:
+        ids = np.asarray(ids, dtype=np.int64)
+        n = self._num_points
+        if (
+            ids.ndim != 1
+            or ids.size == 0
+            or ids[0] < 0
+            or ids[-1] >= n
+            or np.any(np.diff(ids) <= 0)
+        ):
             raise InvalidParameterError(
-                f"shard range [{lo}, {hi}) must satisfy 0 <= lo < hi <= "
-                f"{self._num_points}"
+                "shard ids must be a non-empty, strictly increasing 1-D "
+                f"array inside [0, {n})"
             )
-        flat = np.flatnonzero((self._ids >= lo) & (self._ids < hi))
-        m = hi - lo
+        m = int(ids.size)
+        local = np.full(n, -1, dtype=np.int32)
+        local[ids] = np.arange(m, dtype=np.int32)
+        sub = local[self._ids]
+        flat = np.flatnonzero(sub >= 0)
         shape = (self._num_functions, m)
         rel = self._rel[flat].reshape(shape)
         arrays = {
             "rel": rel,
-            "ids": (self._ids[flat] - np.int32(lo)).reshape(shape),
-            "positions": (flat % self._num_points).astype(np.int32).reshape(shape),
+            "ids": sub[flat].reshape(shape),
+            "positions": (flat % n).astype(np.int32).reshape(shape),
             "row_top": _top_keys(rel, self._stride),
         }
         return arrays, SearchState(self._vmin, self._stride, -(-m // _TOP_STRIDE))

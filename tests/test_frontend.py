@@ -19,8 +19,11 @@ Pins the front door's three contracts (DESIGN §14):
 import gc
 import json
 import logging
+import os
+import signal
 import socket
 import sys
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -236,6 +239,38 @@ class TestAdmissionControl:
 
 class TestMidFailover:
     """The door during a fleet failover: fail fast, typed, no hangs."""
+
+    def test_idle_worker_death_heals_through_the_door(self):
+        # A worker killed while no wave runs: the door answers 503 while
+        # the repair it queued runs, then the exact answer again.  Only
+        # HTTP requests reach the service.
+        rng = np.random.default_rng(11)
+        data = rng.uniform(0.0, 100.0, (300, 10))
+        index = LazyLSH(
+            LazyLSHConfig(
+                c=3.0, p_min=0.5, seed=9, mc_samples=20_000, mc_buckets=100
+            )
+        ).build(data)
+        reference = index.knn(data[4], K, p=0.8)
+        body = {"v": 1, "query": data[4].tolist(), "k": K, "p": 0.8}
+        with ShardedSearchService(index, n_shards=2) as service:
+            with Frontend(service, coalesce_ms=1.0) as door:
+                victim = service._procs[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=5)
+                for _attempt in range(100):
+                    status, payload = _post(door.url, body)
+                    if status == 200:
+                        break
+                    assert status == 503, payload
+                    assert payload["error"]["code"] == "unavailable"
+                    time.sleep(0.05)
+                assert status == 200, payload
+                assert payload["ids"] == [int(i) for i in reference.ids]
+                assert payload["distances"] == [
+                    float(d) for d in reference.distances
+                ]
+                assert service.restarts == 1
 
     def test_health_and_admission_go_503_while_unhealthy(
         self, stack, monkeypatch

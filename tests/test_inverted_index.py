@@ -150,7 +150,7 @@ class TestBucketOf:
 
 def _shard(store, lo, hi):
     """``compact_shard`` widened to (values, global ids, positions)."""
-    arrays, state = store.compact_shard(lo, hi)
+    arrays, state = store.compact_shard(np.arange(lo, hi))
     return arrays["rel"] + state.vmin, arrays["ids"] + lo, arrays["positions"]
 
 
@@ -179,9 +179,9 @@ class TestShardView:
                 )
 
     def test_bounds_validated(self, tiny_store):
-        for lo, hi in [(-1, 3), (3, 3), (4, 2), (0, 7)]:
+        for ids in ([-1, 0, 1, 2], [], [3, 2], [2, 2], [0, 6], [[0, 1]]):
             with pytest.raises(InvalidParameterError):
-                tiny_store.compact_shard(lo, hi)
+                tiny_store.compact_shard(np.array(ids, dtype=np.int64))
 
 
 class _GatherObserver:
@@ -275,7 +275,7 @@ class TestWideHashDomain:
         hash_values = rng.integers(-span, span, size=(4, 600), dtype=np.int64)
         hash_values[:, :40] = hash_values[:, 40:80]  # ties
         store = InvertedListStore(hash_values, PageLayout(page_size=64, entry_size=8))
-        assert store.compact_shard(0, 600)[0]["rel"].dtype == np.int64
+        assert store.compact_shard(np.arange(600))[0]["rel"].dtype == np.int64
         values, ids = store.runs()
         funcs = rng.integers(0, 4, size=300)
         bounds = np.concatenate(
@@ -324,7 +324,7 @@ class TestWideHashDomain:
         data = make_synthetic(300, 6, seed=5) * 100.0
         config = LazyLSHConfig(c=3.0, p_min=0.5, seed=3, mc_samples=10_000, mc_buckets=60)
         index = LazyLSH(config).build(data)
-        assert index.store.compact_shard(0, 1)[0]["rel"].dtype == np.int64
+        assert index.store.compact_shard(np.arange(1))[0]["rel"].dtype == np.int64
         path = save_index(index, tmp_path / "wide.npz")
         header, arrays = open_v3_arrays(path)
         assert list(arrays) == ["data", "alive", "projections", "offsets", "values", "ids"]
@@ -371,13 +371,14 @@ class TestFootprint:
     def test_shard_searcher_after_insert(self):
         rng = np.random.default_rng(5)
         store = InvertedListStore(rng.integers(-500, 500, size=(300, 40)))
-        arrays, state = store.compact_shard(0, 40)
+        arrays, state = store.compact_shard(np.arange(40))
         searcher = ShardSearcher(
-            0, 0, 40,
+            0,
             InvertedListStore.from_compact(
                 arrays["rel"], arrays["ids"], arrays["row_top"], state
             ),
-            arrays["positions"].ravel(), np.zeros((40, 2)), np.ones(40, dtype=bool),
+            arrays["positions"].ravel(), np.arange(40), np.zeros((40, 2)),
+            np.ones(40, dtype=bool),
         )
         batch = rng.integers(-600, 600, size=(300, 6))
         plan = store.insert(batch, np.arange(40, 46))

@@ -163,7 +163,7 @@ class TestErrors:
 
 
 class TestShardedIdentity:
-    """mmap-attached fleets must answer exactly like shm ones."""
+    """Fleets over a mapped index must answer exactly like in-memory ones."""
 
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_shm_vs_mmap_vs_flat(self, corpus, v3_path, n_shards):
@@ -182,10 +182,9 @@ class TestShardedIdentity:
                     _assert_identical(flat, shm_svc.search(q, 5, p=p))
                     _assert_identical(flat, mm_svc.search(q, 5, p=p))
             health = mm_svc.health()
-            assert health["storage"]["attach"] == "mmap"
             assert health["storage"]["backend"] == "mmap"
             for shard in health["shards"]:
-                assert shard["mmap"]["attached"] is True
+                assert shard["alive"] is True
 
     def test_all_tombstoned_shard(self, tmp_path):
         from repro.serve import ShardedSearchService
@@ -219,7 +218,7 @@ class TestShardedIdentity:
             np.unique(np.concatenate([mapped.knn(q, 3, p=1.0).ids for q in queries]))
         )
         with ShardedSearchService(mapped, n_shards=n_shards) as svc:
-            assert svc.attach == "mmap"
+            assert svc.health()["storage"]["backend"] == "mmap"
             for q in queries:
                 for p in (0.7, 1.0):
                     _assert_identical(mapped.knn(q, 5, p=p), svc.search(q, 5, p=p))

@@ -268,16 +268,17 @@ class TestShardedServiceIdentity:
         p=st.floats(min_value=0.5, max_value=1.1),
         k=st.integers(min_value=1, max_value=8),
         n_shards=st.sampled_from([1, 2, 3]),
-        attach=st.sampled_from(["shm", "mmap"]),
+        backend=st.sampled_from(["eager", "mmap"]),
         update=st.sampled_from([None, "insert", "remove"]),
     )
     @settings(max_examples=8, deadline=None)
     def test_matches_single_process_knn(
-        self, tmp_path_factory, seed, p, k, n_shards, attach, update
+        self, tmp_path_factory, seed, p, k, n_shards, backend, update
     ):
-        """Every attach mode and shard count answers bit-identically to
-        ``index.knn``, also after an insert or remove through ``ingest``
-        (the service owns a loaded copy; ``index`` is the reference)."""
+        """In-memory and mapped indexes at every shard count answer
+        bit-identically to ``index.knn``, also after an insert or remove
+        through ``ingest`` (the service owns a loaded copy; ``index`` is
+        the reference)."""
         rng = np.random.default_rng(seed)
         data = rng.uniform(0.0, 100.0, size=(150, 6))
         config = LazyLSHConfig(
@@ -285,10 +286,10 @@ class TestShardedServiceIdentity:
         )
         index = LazyLSH(config).build(data)
         path = save_index(index, tmp_path_factory.mktemp("served") / "index.npz")
-        served = load_index(path, backend="mmap" if attach == "mmap" else "eager")
+        served = load_index(path, backend=backend)
         queries = [data[int(rng.integers(150))] + 1.0, rng.uniform(0, 100, 6)]
         with ShardedSearchService(served, n_shards=n_shards) as svc:
-            assert svc.attach == attach
+            assert svc.health()["storage"]["backend"] == backend
             if update == "insert":
                 batch = rng.uniform(0.0, 100.0, size=(5, 6))
                 ids = index.insert(batch)
@@ -337,24 +338,17 @@ def _insert_batches(rng, base, n_batches, wide):
     return batches
 
 
-def _searcher(shard_id, store, lo, hi, mapped):
-    """Shard ``shard_id``'s searcher over ``[lo, hi)`` of ``store``: the
-    full store (mmap attach) or its compact shard (shm attach)."""
-    data, alive = np.zeros((hi - lo, 1)), np.ones(hi - lo, dtype=bool)
-    if mapped:
-        return ShardSearcher(shard_id, lo, hi, store, None, data, alive)
-    arrays, state = store.compact_shard(lo, hi)
+def _attached(shard_id, store, owned, alive):
+    """Shard ``shard_id`` attached the way a worker starts or respawns:
+    ``compact_shard`` of ``store`` over the sorted ``owned`` ids."""
+    arrays, state = store.compact_shard(owned)
     sub = InvertedListStore.from_compact(
         arrays["rel"], arrays["ids"], arrays["row_top"], state
     )
-    positions = arrays["positions"].ravel()
-    return ShardSearcher(shard_id, lo, hi, sub, positions, data, alive)
-
-
-def _shard_state(store, lo, hi):
-    """``compact_shard`` widened: (values, global ids, positions)."""
-    arrays, state = store.compact_shard(lo, hi)
-    return arrays["rel"] + state.vmin, arrays["ids"] + lo, arrays["positions"]
+    return ShardSearcher(
+        shard_id, sub, arrays["positions"].ravel(), owned.copy(),
+        np.zeros((owned.size, 1)), alive[owned],
+    )
 
 
 class TestStoreInsertProperties:
@@ -370,39 +364,50 @@ class TestStoreInsertProperties:
     def test_inserts_equal_a_rebuild(self, seed, eta, n, n_batches, wide):
         """Inserted runs, window searches and shard replicas equal a fresh
         build over all the columns; one merged insert of every batch
-        equals the sequential ones (the precondition of group apply)."""
+        equals the sequential ones (the precondition of group apply).
+        A replica fed insert and remove deltas equals one attached
+        afresh from the coordinator's current store — the state a
+        respawned worker starts from."""
         rng = np.random.default_rng(seed)
         base = rng.integers(-50, 50, size=(eta, n)).astype(np.int64)
         batches = _insert_batches(rng, base, n_batches, wide)
         store = InvertedListStore(base)
-        split = n // 2
+        owner = np.repeat([0, 1], [n // 2, n - n // 2])
+        alive = np.ones(n, dtype=bool)
         searchers = [
-            _searcher(0, store, 0, split, False),
-            _searcher(1, store, split, n, False),
-            # An mmap worker maps its own copy of the base index.
-            _searcher(1, InvertedListStore(base), split, n, True),
+            _attached(sid, store, np.flatnonzero(owner == sid), alive)
+            for sid in (0, 1)
         ]
         start = n
-        for lsn, batch in enumerate(batches, start=1):
-            ids = np.arange(start, start + batch.shape[1])
-            plan = store.insert(batch, ids)
-            delta = {
-                "op": "insert", "lsn": lsn, "epoch": lsn, "plan": plan,
-                "points": np.zeros((batch.shape[1], 1)), "batch_start": start,
-                # Every new point joins the last shard, so each replica
-                # stays an id range compact_shard can extract.
-                "owners": np.ones(batch.shape[1], dtype=np.int64),
-            }
+        for b, batch in enumerate(batches):
+            m = batch.shape[1]
+            plan = store.insert(batch, np.arange(start, start + m))
+            # New points may land on any shard, as ingest's balancing
+            # places them.
+            owners = rng.integers(0, 2, size=m)
+            owner = np.concatenate([owner, owners])
+            alive = np.concatenate([alive, np.ones(m, dtype=bool)])
+            start += m
+            gone = rng.choice(start, size=int(rng.integers(0, 3)), replace=False)
+            alive[gone] = False
+            deltas = [
+                {
+                    "op": "insert", "lsn": 2 * b + 1, "epoch": 2 * b + 1,
+                    "plan": plan, "points": np.zeros((m, 1)),
+                    "batch_start": start - m, "owners": owners,
+                },
+                {"op": "remove", "lsn": 2 * b + 2, "epoch": 2 * b + 2, "gids": gone},
+            ]
             for searcher in searchers:
-                searcher.apply_update(delta)
-            start += batch.shape[1]
+                for delta in deltas:
+                    searcher.apply_update(delta)
 
         columns = np.concatenate([base] + batches, axis=1)
         fresh = InvertedListStore(columns)
         for got, want in zip(store.runs(), fresh.runs()):
             np.testing.assert_array_equal(got, want)
-        arrays, state = store.compact_shard(0, start)
-        fresh_arrays, fresh_state = fresh.compact_shard(0, start)
+        arrays, state = store.compact_shard(np.arange(start))
+        fresh_arrays, fresh_state = fresh.compact_shard(np.arange(start))
         assert state == fresh_state
         for name in arrays:
             np.testing.assert_array_equal(arrays[name], fresh_arrays[name])
@@ -430,11 +435,14 @@ class TestStoreInsertProperties:
             )
 
         for searcher in searchers:
-            lo, hi = (0, split) if searcher.shard_id == 0 else (split, start)
-            values, gids, positions = _shard_state(store, lo, hi)
+            owned = np.flatnonzero(owner == searcher.shard_id)
+            attached = _attached(searcher.shard_id, store, owned, alive)
             sub_values, sub_ids = searcher.store.runs()
-            np.testing.assert_array_equal(sub_values, values)
-            np.testing.assert_array_equal(searcher._gid_of[sub_ids], gids)
+            want_values, want_ids = attached.store.runs()
+            np.testing.assert_array_equal(sub_values, want_values)
             np.testing.assert_array_equal(
-                searcher.positions.reshape(positions.shape), positions
+                searcher.gids[sub_ids], attached.gids[want_ids]
             )
+            np.testing.assert_array_equal(searcher.gids, owned)
+            np.testing.assert_array_equal(searcher.positions, attached.positions)
+            np.testing.assert_array_equal(searcher.alive, attached.alive)

@@ -63,7 +63,7 @@ class TestShardView:
         store = built_index.store
         n = store.num_points
         lo, hi = n // 3, 2 * n // 3
-        arrays, state = store.compact_shard(lo, hi)
+        arrays, state = store.compact_shard(np.arange(lo, hi))
         values = arrays["rel"] + state.vmin
         ids, positions = arrays["ids"] + lo, arrays["positions"]
         assert values.shape == ids.shape == positions.shape
@@ -345,9 +345,9 @@ class TestFleetTelemetry:
             assert health["closed"] is False
             assert health["n_shards"] == 2
             assert len(health["shards"]) == 2
-            for shard in health["shards"]:
+            for shard, (lo, hi) in zip(health["shards"], svc.ranges):
                 assert shard["alive"] is True
-                assert shard["shm"]["attached"] is True
+                assert shard["points"] == hi - lo
                 assert shard["last_heartbeat_age_seconds"] >= 0.0
             json.dumps(health)  # JSON-serialisable for /healthz
         after = svc.health()

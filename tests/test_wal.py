@@ -8,6 +8,9 @@ stay bit-identical to a single-process index that applied the same
 records (DESIGN.md section 11).
 """
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,7 @@ from repro.durability.checkpoint import (
 )
 from repro.durability.wal import list_segments
 from repro.errors import InvalidParameterError, ReproError
+from repro.persistence import load_index, save_index
 
 CFG = dict(c=3.0, p_min=0.7, seed=41, mc_samples=10_000, mc_buckets=60)
 
@@ -44,6 +48,20 @@ def _build(n=240, d=10, seed=40):
 
 def _batch(m, d=10, seed=50):
     return np.random.default_rng(seed).uniform(0.0, 200.0, size=(m, d))
+
+
+def _record_spills(monkeypatch):
+    """Paths of every attach spill the sharded service writes."""
+    from repro.serve import service as service_module
+
+    spills = []
+
+    def recording_save(index, path, **kwargs):
+        spills.append(save_index(index, path, **kwargs))
+        return spills[-1]
+
+    monkeypatch.setattr(service_module, "save_index", recording_save)
+    return spills
 
 
 class TestFraming:
@@ -469,34 +487,101 @@ class TestLiveServicePropagation:
             assert "expected LSN 1" in str(excinfo.value)
             assert "received 7" in str(excinfo.value)
 
-    def test_respawned_workers_catch_up(self, tmp_path):
+    @pytest.mark.parametrize("backend", ["eager", "mmap"])
+    def test_respawned_workers_catch_up(self, tmp_path, monkeypatch, backend):
+        """A respawned worker attaches the coordinator's current index:
+        after inserts, removes and kills — including a second death
+        during a repair — answers stay bit-identical to the writer, and
+        no spill the service wrote outlives its attach."""
         from repro.serve import ShardedSearchService
 
+        spills = _record_spills(monkeypatch)
         writer_index, data = _build()
-        writer = create(writer_index, tmp_path, sync=False)
-        served_index, _ = _build()
-        feed = WalFeed(tmp_path / WAL_SUBDIR)
+        writer = create(writer_index, tmp_path / "home", sync=False)
+        served_index = load_index(
+            save_index(_build()[0], tmp_path / "served"), backend=backend
+        )
+        feed = WalFeed(tmp_path / "home" / WAL_SUBDIR)
+        queries = (data[8], data[30], np.full(10, 12.0))
         with ShardedSearchService(served_index, n_shards=2) as svc:
+            # A mapped index attaches from its own file, an in-memory
+            # one through a spill.
+            assert len(spills) == (backend == "eager")
+            assert not any(path.exists() for path in spills)
             writer.insert(_batch(6, seed=90))
             writer.remove([8])
             svc.ingest(feed.poll())
-            # Kill a worker after it applied updates: the respawn must
-            # replay the update log before serving again.
+            # Kill a worker after it applied updates: the next ingest
+            # repairs it from the current index before shipping.
             svc._crash_worker(0)
             writer.insert(_batch(3, seed=91))
+            writer.remove([30])
             svc.ingest(feed.poll())
-            assert svc.restarts >= 1
-            for q in (data[8], data[30], np.full(10, 12.0)):
+            assert svc.restarts == 1
+            assert not any(path.exists() for path in spills)
+            for q in queries:
                 self._assert_identical(
                     writer.knn(q, 5, p=1.0), svc.search(q, 5, p=1.0)
                 )
-            # Worker dying again *mid-catch-up* restarts the repair.
-            svc._test_kill_during_catchup = 1
+            # The other worker dying *during* the next repair restarts
+            # the repair.
+            real_spawn = svc._spawn
+            second = []
+
+            def spawn_then_kill_other(sid, path):
+                real_spawn(sid, path)
+                if not second:
+                    other = svc._procs[1 - sid]
+                    second.append(other.pid)
+                    os.kill(other.pid, signal.SIGKILL)
+                    other.join(timeout=5)
+
+            monkeypatch.setattr(svc, "_spawn", spawn_then_kill_other)
             svc._crash_worker(1)
-            restarts_before = svc.restarts
-            for q in (data[8], np.full(10, 12.0)):
+            for q in queries:
                 self._assert_identical(
                     writer.knn(q, 5, p=1.0), svc.search(q, 5, p=1.0)
                 )
-            assert svc.restarts > restarts_before
+            assert second and svc.restarts == 3
+            assert len(spills) == (3 if backend == "eager" else 2)
+            assert not any(path.exists() for path in spills)
+        assert not any(path.exists() for path in spills)
         writer.close()
+
+    @pytest.mark.parametrize(
+        "wide, start_method",
+        [(False, "spawn"), (True, None)],
+        ids=["spawn", "wide_domain"],
+    )
+    def test_spilled_fleet_identity(self, monkeypatch, wide, start_method):
+        """Spawned workers, and a hash domain wider than int32 (whose
+        spill carries int64 runs), answer like the index before and
+        after a respawn."""
+        from repro.serve import ShardedSearchService
+
+        spills = _record_spills(monkeypatch)
+        if wide:
+            data = make_synthetic(300, 6, seed=5) * 100.0
+            index = LazyLSH(
+                LazyLSHConfig(
+                    c=3.0, p_min=0.5, seed=3, mc_samples=20_000, mc_buckets=100
+                )
+            ).build(data)
+            assert index.store.compact_shard(np.arange(1))[0]["rel"].dtype == np.int64
+            queries = (data[7], data[123] + 50.0)
+        else:
+            index, data = _build()
+            queries = (data[8], np.full(10, 12.0))
+        index.remove([3, 9])
+        index.insert(data[:4] * 1.5)
+        with ShardedSearchService(
+            index, n_shards=2, start_method=start_method
+        ) as svc:
+            for q in queries:
+                self._assert_identical(index.knn(q, 5, p=0.8), svc.search(q, 5, p=0.8))
+            svc._crash_worker(0)
+            for q in queries:
+                self._assert_identical(index.knn(q, 5, p=0.8), svc.search(q, 5, p=0.8))
+            assert svc.restarts == 1
+        assert len(spills) == 2
+        assert not any(path.exists() for path in spills)

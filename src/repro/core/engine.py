@@ -6,14 +6,17 @@ Python loop over all ``eta`` hash functions per rehashing round, one
 the candidate-distance list on every inner termination check.  This module
 re-executes the *same plan* with batched kernels:
 
-* all of a round's window (or ring) entry ranges are answered by two
-  vectorised ``searchsorted`` calls over the store's flat layout
-  (:meth:`InvertedListStore.batch_entry_positions`) — across every hash
+* all of a round's window (or ring) entry ranges are answered by one
+  vectorised search over the store's flat layout
+  (:meth:`InvertedListStore.batch_window_positions`) — across every hash
   function *and* every query of a batch simultaneously;
-* the round's scans are then consumed in geometrically growing *blocks*
-  of hash functions, so a query that terminates at function ``i`` of its
-  final round gathers only ``O(i)`` functions' worth of entries, like the
-  scalar loop's mid-round ``break``;
+* the round's scans are then consumed in *blocks* of hash functions sized
+  by ring entries (:func:`block_ends`): the first block takes the
+  functions whose entries fit ``_BLOCK_ROW_ENTRIES`` entries per stored
+  row and each later block twice the previous budget, so a short round
+  is one block, and a query that terminates at function ``i`` of its
+  final round gathers about twice the entries of functions ``[0, i]``
+  plus one budget at most, like the scalar loop's mid-round ``break``;
 * collision counts are updated with one ``np.bincount`` per block, and
   the per-function threshold crossings are recovered with one stable
   argsort (the rank of a point's occurrence within the block tells at
@@ -63,10 +66,15 @@ _MAX_ROUNDS = 128
 TERMINATION_K_WITHIN = "k_within_radius"
 TERMINATION_CAP = "candidate_cap"
 
-#: Hash functions gathered per block; doubles every block of a round so a
-#: full no-termination round costs O(log eta) block overheads while an
-#: early termination at function ``i`` overshoots by at most ``O(i)``.
-_BLOCK_FUNCS = 64
+#: Ring entries per stored row that a round's first block may gather;
+#: the budget doubles on every later block (:func:`block_ends`), so a
+#: round costs a few block overheads while a stop in its final block
+#: gathers at most about twice the entries it needs.  Rings, and where a
+#: query stops in them, scale with the row count, so a per-row budget
+#: cuts rounds alike at every store size; a fixed entry budget would put
+#: a small shard's whole final round into one block, scanned past the
+#: stop.
+_BLOCK_ROW_ENTRIES = 4
 
 #: Sentinel for "no pages seen yet" per-function page hulls.
 _HULL_EMPTY_FIRST = 2**62
@@ -130,6 +138,28 @@ def charge_ring_hulls(
     np.maximum(seen_stop, np.where(mask_l, stop_l, seen_stop), out=seen_stop)
     np.maximum(seen_stop, np.where(mask_r, stop_r, seen_stop), out=seen_stop)
     return new
+
+
+def block_ends(entry_cum: np.ndarray, n_rows: int) -> list[int]:
+    """Exclusive function ends of one round's scan blocks.
+
+    ``entry_cum`` is the inclusive prefix sum of the round's ring entries
+    per function (``np.cumsum(func_lens)``) over a store of ``n_rows``
+    rows.  The first block takes the functions whose entries fit
+    ``_BLOCK_ROW_ENTRIES * n_rows`` (at least one entry), at least one
+    function; each later block gets twice the previous budget.  The
+    partition is a plan choice only: consumers re-derive the exact stop
+    function inside a block, so any partition gives the same answers,
+    traces and I/O.
+    """
+    ends: list[int] = []
+    end, done, budget = 0, 0, max(1, _BLOCK_ROW_ENTRIES * n_rows)
+    while end < entry_cum.shape[0]:
+        end = max(end + 1, int(np.searchsorted(entry_cum, done + budget, "right")))
+        ends.append(end)
+        done = int(entry_cum[end - 1])
+        budget *= 2
+    return ends
 
 
 class RingCursor:
@@ -202,7 +232,11 @@ def find_crossings(
     pos = np.flatnonzero(lookup[sub])
     lookup[crossers] = False
     psub = sub[pos]
-    order = np.argsort(psub, kind="stable")
+    # numpy's stable sort of 16-bit keys is a radix sort, ~10x faster
+    # than on int32: it matters when most rows of a small store cross
+    # within one block.
+    key = psub.astype(np.uint16) if slack.shape[0] <= 1 << 16 else psub
+    order = np.argsort(key, kind="stable")
     sid = psub[order]
     first = np.empty(sid.size, dtype=bool)
     first[0] = True
@@ -250,9 +284,7 @@ class Lane:
         "cap",
         "theta",
         "eta",
-        "counts",
         "slack",
-        "is_candidate",
         "id_chunks",
         "dist_chunks",
         "n_cand",
@@ -277,14 +309,12 @@ class Lane:
         self.cap = cap
         self.theta = int(params.theta)
         self.eta = int(params.eta)
-        self.counts = np.zeros(n_rows, dtype=np.int32)
         # Fused crossing test: row j's count crosses theta within a block
         # iff the block adds more than ``slack[j]`` collisions.  Rows that
         # cannot cross (dead or already candidates) carry _SLACK_DEAD; the
         # group initialises the live entries to ``theta`` when it binds
         # the lane to its data.
         self.slack = np.full(n_rows, _SLACK_DEAD, dtype=np.int32)
-        self.is_candidate = np.zeros(n_rows, dtype=bool)
         self.id_chunks: list[np.ndarray] = []
         self.dist_chunks: list[np.ndarray] = []
         self.n_cand = 0
@@ -439,10 +469,10 @@ class LaneGroup:
         """Consume one round's entry ranges (absolute flat positions).
 
         The scan is split into left/right ring segments per function and
-        consumed in geometrically growing function blocks — the flat
-        analogue of the scalar loop's per-function ``break``: once every
-        lane has terminated, the remaining functions of the round are
-        never gathered, counted or charged.
+        consumed in the blocks of :func:`block_ends` — the flat analogue
+        of the scalar loop's per-function ``break``: once every lane has
+        terminated, the remaining functions of the round are never
+        gathered, counted or charged.
         """
         f_round = self.f_round
         n = self.store.num_points
@@ -450,7 +480,9 @@ class LaneGroup:
         seg_starts, seg_lens = self.ring.split(
             self.cur_los, self.cur_his, starts, stops
         )
-        func_lens = seg_lens[0::2] + seg_lens[1::2]
+        # Ring entries before each function, and in total at the end.
+        cum = np.zeros(f_round + 1, dtype=np.int64)
+        np.cumsum(seg_lens[0::2] + seg_lens[1::2], out=cum[1:])
 
         for lane in self.active_lanes:
             lane.i_stop = None
@@ -461,8 +493,7 @@ class LaneGroup:
         rel_left = (left_starts, left_starts + seg_lens[0::2])
         rel_right = (right_starts, right_starts + seg_lens[1::2])
         f0 = 0
-        block = _BLOCK_FUNCS
-        while True:
+        for f1 in block_ends(cum[1:], n):
             f_need = max(
                 (
                     lane.scan_end
@@ -473,10 +504,9 @@ class LaneGroup:
             )
             if f0 >= f_need:
                 break
-            f1 = min(f_need, f0 + block)
-            block *= 2
+            f1 = min(f_need, f1)
             self._process_block(
-                f0, f1, seg_starts, seg_lens, func_lens, rel_left, rel_right
+                f0, f1, seg_starts, seg_lens, cum, rel_left, rel_right
             )
             f0 = f1
 
@@ -499,15 +529,12 @@ class LaneGroup:
         f1: int,
         seg_starts: np.ndarray,
         seg_lens: np.ndarray,
-        func_lens: np.ndarray,
+        cum: np.ndarray,
         rel_left: tuple[np.ndarray, np.ndarray],
         rel_right: tuple[np.ndarray, np.ndarray],
     ) -> None:
         """Gather and consume hash functions ``[f0, f1)`` of the round."""
-        lens_blk = func_lens[f0:f1]
-        bounds = np.empty(f1 - f0 + 1, dtype=np.int64)
-        bounds[0] = 0
-        np.cumsum(lens_blk, out=bounds[1:])
+        bounds = cum[f0 : f1 + 1] - cum[f0]
         flat_ids = self.store.gather_segments32(
             seg_starts[2 * f0 : 2 * f1], seg_lens[2 * f0 : 2 * f1]
         )
@@ -674,7 +701,6 @@ class LaneGroup:
         if kept:
             if lane.trace is not None:
                 lane.trace.add_crossings(kept)
-            lane.is_candidate[kept_ids] = True
             lane.id_chunks.append(kept_ids)
             lane.dist_chunks.append(kept_dists)
             lane.n_cand += kept
@@ -683,7 +709,6 @@ class LaneGroup:
             if not inside.all():
                 lane.outside = np.concatenate([lane.outside, kept_dists[~inside]])
         if lane.i_stop is None and add is not None:
-            lane.counts += add
             np.subtract(lane.slack, add, out=lane.slack, casting="unsafe")
             if kept:
                 lane.slack[kept_ids] = _SLACK_DEAD
@@ -742,8 +767,8 @@ def execute_rounds(groups: list[LaneGroup], *, error: str) -> None:
     """Run lane groups to completion, round-synchronised.
 
     Each round, every active group's window bounds are concatenated and
-    answered with two batched ``searchsorted`` calls over the shared
-    store's flat layout; groups then consume their slices independently.
+    answered with one batched window search over the shared store's flat
+    layout; groups then consume their slices independently.
     """
     if not groups:
         return
@@ -762,15 +787,12 @@ def execute_rounds(groups: list[LaneGroup], *, error: str) -> None:
             raise RuntimeError(error)
         if len(requests) == 1:
             group, funcs, los, his = requests[0]
-            starts = store.batch_entry_positions(funcs, los, side="left")
-            stops = store.batch_entry_positions(funcs, his, side="right")
-            group.process_round(starts, stops)
+            group.process_round(*store.batch_window_positions(funcs, los, his))
             continue
         funcs = np.concatenate([req[1] for req in requests])
         los = np.concatenate([req[2] for req in requests])
         his = np.concatenate([req[3] for req in requests])
-        starts = store.batch_entry_positions(funcs, los, side="left")
-        stops = store.batch_entry_positions(funcs, his, side="right")
+        starts, stops = store.batch_window_positions(funcs, los, his)
         offset = 0
         for group, group_funcs, _lo, _hi in requests:
             span = group_funcs.shape[0]

@@ -3,16 +3,17 @@
 Each worker owns one contiguous id-range shard of the inverted index and
 answers *round* requests with the flat engine's round kernel
 (:mod:`repro.core.engine`): one round op answers every active query's
-windows with two batched
-:meth:`~repro.storage.inverted_index.InvertedListStore.batch_entry_positions`
-calls, splits them into ring runs with the engine's
+windows with one batched
+:meth:`~repro.storage.inverted_index.InvertedListStore.batch_window_positions`
+call, splits them into ring runs with the engine's
 :class:`~repro.core.engine.RingCursor`, and consumes each query's scan in
-the engine's doubling blocks of hash functions with its crossing recovery
-(:func:`~repro.core.engine.find_crossings`).  The store it scans is a
-compact int32 store over the shard's own sub-runs, which the worker
-extracts from a v3 file of the coordinator's current index when it
-starts (:meth:`ShardSearcher.attach`).  Sub-runs preserve run order, so
-the worker sees its entries of every window in the engine's order.
+the engine's entry-sized blocks (:func:`~repro.core.engine.block_ends`)
+with its crossing recovery (:func:`~repro.core.engine.find_crossings`).
+The store it scans is a compact int32 store over the shard's own
+sub-runs, which the worker extracts from a v3 file of the coordinator's
+current index when it starts (:meth:`ShardSearcher.attach`).  Sub-runs
+preserve run order, so the worker sees its entries of every window in
+the engine's order.
 
 For each query of a round the worker reports
 
@@ -93,10 +94,10 @@ import traceback
 import numpy as np
 
 from repro.core.engine import (
-    _BLOCK_FUNCS,
     _EMPTY_F64,
     _SLACK_DEAD,
     RingCursor,
+    block_ends,
     find_crossings,
     first_stop,
 )
@@ -218,8 +219,7 @@ class ShardSearcher:
         )
         los = np.concatenate([req[1] for req in requests]).astype(np.int64)
         his = np.concatenate([req[2] for req in requests]).astype(np.int64)
-        starts = self.store.batch_entry_positions(funcs, los, side="left")
-        stops = self.store.batch_entry_positions(funcs, his, side="right")
+        starts, stops = self.store.batch_window_positions(funcs, los, his)
         replies = {}
         offset = 0
         for req, q in zip(requests, states):
@@ -268,22 +268,18 @@ class ShardSearcher:
         k: int,
         cap: float,
     ) -> dict:
-        """Consume one query's round in doubling blocks of functions.
+        """Consume one query's round in the engine's entry-sized blocks.
 
         Stops after the first block in which the query's pre-round
         counts plus this shard's crossings meet the termination test,
         keeping only the crossings up to that function (``f_stop``).
         """
-        eta = q.eta
         # Flat store index of each ring run's first/last entry.
-        ext = np.full((2, 2 * eta), -1, dtype=np.int64)
+        ext = np.full((2, 2 * q.eta), -1, dtype=np.int64)
         found: list[tuple[np.ndarray, ...]] = []
         f_stop: int | None = None
         f0 = 0
-        block = _BLOCK_FUNCS
-        while f0 < eta and f_stop is None:
-            f1 = min(eta, f0 + block)
-            block *= 2
+        for f1 in block_ends(np.cumsum(seg_lens[0::2] + seg_lens[1::2]), self.m):
             starts = seg_starts[2 * f0 : 2 * f1]
             lens = seg_lens[2 * f0 : 2 * f1]
             raw = self.store.gather_segments32(starts, lens)
@@ -319,6 +315,8 @@ class ShardSearcher:
                     local[:kept], funcs[:kept], flat[:kept], dists[:kept]
                 )
             found.append((local, funcs, flat, dists))
+            if f_stop is not None:
+                break
             f0 = f1
         local, funcs, flat, dists = (np.concatenate(col) for col in zip(*found))
         self.crossings += int(local.size)

@@ -20,11 +20,11 @@ A row-aligned coarse sample of every ``_TOP_STRIDE``-th entry, as int64
 composite keys ``func * stride + rel`` (``row_top``), lets a *batched*
 window query — all ``eta`` windows of one rehashing round, or all
 windows of a whole query batch — be answered with one small
-``np.searchsorted`` plus a vectorised binary-search refinement
-(:meth:`batch_entry_positions`, :meth:`read_windows`).  Sequential I/O
-for a batch is charged by interval arithmetic
-(:class:`~repro.storage.pages.PageTracker`) rather than a per-page
-Python loop.
+``np.searchsorted`` plus a fixed-stride refinement, both window ends in
+one call (:meth:`batch_window_positions`).  Every search is a left
+search: on integer keys the right end of ``[lo, hi]`` is the left
+position of ``hi + 1``.  The engine gathers the entry ranges it found
+with :meth:`gather_segments32` and charges their pages itself.
 
 :meth:`insert` merges a batch straight into fresh ``rel``/``ids`` arrays
 and recomputes only ``row_top``; ``vmin``/``stride`` always bound the
@@ -84,11 +84,18 @@ _MAX_INT32_STRIDE = 2**31 - 2
 #: Coarse sampling stride of the two-level window search: every
 #: ``_TOP_STRIDE``-th composite key forms a cache-resident top index, so a
 #: batched lookup is one ``searchsorted`` over the small top array plus a
-#: vectorised binary-search refinement inside one ``_TOP_STRIDE``-entry
-#: window.  Turning each needle's ~``log2(F * n)`` dependent, scattered
-#: probes into a few *independent* bulk gathers is what makes the batched
-#: search memory-parallel.
+#: fixed-stride refinement inside one ``_TOP_STRIDE``-entry window.
+#: Turning each needle's ~``log2(F * n)`` dependent, scattered probes into
+#: a few *independent* bulk gathers is what makes the batched search
+#: memory-parallel.  Must be a power of two.
 _TOP_STRIDE = 256
+
+#: Binary-lifting strides of the refinement (128, 64, ..., 1, then 1
+#: more): they sum to ``_TOP_STRIDE``, so a needle can pass every entry
+#: of its window.
+_LIFT_STEPS = tuple(
+    _TOP_STRIDE >> s for s in range(1, _TOP_STRIDE.bit_length())
+) + (1,)
 
 
 def merge_runs(
@@ -340,6 +347,25 @@ class InvertedListStore:
     # Batched window search (the flat engine's storage primitive)
     # ------------------------------------------------------------------
 
+    def batch_window_positions(
+        self, funcs: np.ndarray, los: np.ndarray, his: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Entry ranges of the windows ``[los[j], his[j]]``, in one search.
+
+        Returns ``(starts, stops)`` as absolute flat positions: window
+        ``j`` holds entries ``[starts[j], stops[j])`` of function
+        ``funcs[j]``'s run (``stops[j] < starts[j]`` is possible when
+        ``his[j] < los[j]``).  On integer keys ``searchsorted(run, hi,
+        "right")`` equals ``searchsorted(run, hi + 1, "left")``, so both
+        ends are left searches of one needle array; the ``+ 1`` is taken
+        after clipping to the stored range, where it cannot overflow.
+        """
+        funcs = np.asarray(funcs, dtype=np.int64)
+        m = funcs.shape[0]
+        keys = np.concatenate([self._relative(los), self._relative(his) + 1])
+        pos = self._search(np.concatenate([funcs, funcs]), keys)
+        return pos[:m], pos[m:]
+
     def batch_entry_positions(
         self, funcs: np.ndarray, bounds: np.ndarray, side: str
     ) -> np.ndarray:
@@ -347,97 +373,96 @@ class InvertedListStore:
 
         For every pair ``(funcs[j], bounds[j])`` returns the *absolute*
         flat position ``funcs[j] * num_points + searchsorted(run_values,
-        bounds[j], side)``.
+        bounds[j], side)``.  ``side="right"`` is the left search at
+        ``bounds[j] + 1`` (where inserts land: after equal values).
+        """
+        keys = self._relative(bounds)
+        if side == "right":
+            keys += 1
+        return self._search(np.asarray(funcs, dtype=np.int64), keys)
+
+    def _relative(self, bounds: np.ndarray) -> np.ndarray:
+        """``bounds - vmin`` clipped to ``[-1, stride - 1]``.
+
+        Stored values lie in ``[0, stride - 2]``, so the clip changes no
+        search answer and leaves room for a ``+ 1``.
+        """
+        rel = np.asarray(bounds, dtype=np.int64) - self._vmin
+        return np.clip(rel, -1, self._stride - 1)
+
+    def _search(self, funcs: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Absolute left ``searchsorted`` positions of relative ``keys``.
 
         A direct composite-key ``np.searchsorted`` binary-searches each
         needle serially: ~``log2(F * n)`` *dependent* probes scattered
         over an array too large to cache, which is latency-bound.  Here a
         coarse ``searchsorted`` over the small row-aligned top index
         narrows every needle to one ``_TOP_STRIDE``-entry window of its
-        own run, and a fixed number of vectorised refinement steps finish
-        the search — each step is one *bulk* gather whose cache misses
-        overlap across all needles.
+        own run, and fixed power-of-two strides finish the search — each
+        probe is one *bulk* gather whose cache misses overlap across all
+        needles.
         """
-        funcs = np.asarray(funcs, dtype=np.int64)
-        bounds = np.asarray(bounds, dtype=np.int64)
         if self.observer is not None:
             self.observer.on_search(int(funcs.shape[0]))
         n = self._num_points
         base = funcs * n
         if n == 0:
             return base
-        rel = np.clip(bounds - self._vmin, -1, self._stride - 1)
         if self._row_top is None:
             # Hash domains too wide for composite keys: one search per needle.
             return base + np.array(
                 [
-                    np.searchsorted(self._rel[b : b + n], r, side=side)
-                    for b, r in zip(base.tolist(), rel.tolist())
+                    np.searchsorted(self._rel[b : b + n], key)
+                    for b, key in zip(base.tolist(), keys.tolist())
                 ],
                 dtype=np.int64,
             )
-        t = np.searchsorted(
-            self._row_top, rel + funcs * self._stride, side=side
+        # ``j`` counts the top keys of the needle's own run below it: keys
+        # lie in ``[-1, stride]`` and stored values in ``[0, stride - 2]``,
+        # so the neighbouring runs' composite keys all fall on their own
+        # side.  The answer therefore lies in ``[w, w + _TOP_STRIDE]`` for
+        # ``w = max(j - 1, 0) * _TOP_STRIDE``, and still does once ``w``
+        # is moved back to ``n - _TOP_STRIDE``: then every probe below
+        # stays inside the run, where runs compare in their own dtype.
+        j = np.searchsorted(self._row_top, keys + funcs * self._stride)
+        j -= funcs * self._top_per_row
+        pos = base + np.minimum(
+            np.maximum(j - 1, 0) * _TOP_STRIDE, max(n - _TOP_STRIDE, 0)
         )
-        # ``t`` stays inside the needle's own function block (the +2
-        # margin in ``stride`` separates neighbouring blocks strictly),
-        # so the refinement window sits inside one run, where comparisons
-        # in the runs' own dtype are order-faithful.
-        j = t - funcs * self._top_per_row
-        lo = np.maximum(j - 1, 0) * _TOP_STRIDE
-        hi = np.minimum(j * _TOP_STRIDE, n)
         runs = self._rel
-        rel = rel.astype(runs.dtype)
-        # The window brackets the answer, so ceil(log2(_TOP_STRIDE)) + 1
-        # halvings converge for every needle; once lo == hi == answer the
-        # clamped probe keeps both updates no-ops (probe at ``answer``
-        # compares above the needle, or ``answer == n`` and the probe at
-        # ``n - 1`` sends ``lo`` back to ``n``), so no active mask is
-        # needed.
-        steps = int(_TOP_STRIDE - 1).bit_length() + 1
-        for _ in range(steps):
-            mid = np.minimum((lo + hi) >> 1, n - 1)
-            probe = runs[base + mid]
-            if side == "left":
-                go_right = probe < rel
-            else:
-                go_right = probe <= rel
-            lo = np.where(go_right, mid + 1, lo)
-            hi = np.where(go_right, hi, mid)
-        return base + lo
-
-    def gather_segments(self, starts: np.ndarray, lens: np.ndarray) -> IdArray:
-        """Concatenated int64 ids of entry segments ``[starts[j], starts[j]
-        + lens[j])`` of the flat layout, in segment order."""
-        return self._gather(starts, lens).astype(np.int64)
+        keys = keys.astype(runs.dtype)
+        # A run shorter than one window clamps its probes to its last
+        # entry: that overshoots only when every entry lies below the
+        # key, and the final clamp to the run end gives the answer.
+        last = base + (n - 1) if n < _TOP_STRIDE else None
+        for step in _LIFT_STEPS:
+            probe = pos + (step - 1)
+            if last is not None:
+                np.minimum(probe, last, out=probe)
+            pos += step * (runs[probe] < keys)
+        if last is not None:
+            np.minimum(pos, last + 1, out=pos)
+        return pos
 
     def gather_segments32(self, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-        """:meth:`gather_segments` as the store's own int32 ids.
+        """Concatenated int32 ids of the entry segments ``[starts[j],
+        starts[j] + lens[j])`` of the flat layout, in segment order.
 
         The flat engine's block scans are bandwidth-bound streaming reads;
-        int32 ids halve the traffic of an int64 copy.
+        the store's own int32 ids halve the traffic of an int64 copy.
         """
         self._check_ids_fit(self._num_points)
-        return self._gather(starts, lens)
-
-    def _gather(self, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-        idx = self._segment_indices(starts, lens)
-        if idx is None:
-            return np.empty(0, dtype=np.int32)
-        if self.observer is not None:
-            self.observer.on_gather(int(idx.size))
-        return self._ids[idx]
-
-    def _segment_indices(self, starts: np.ndarray, lens: np.ndarray):
         total = int(lens.sum())
         if total == 0:
-            return None
+            return np.empty(0, dtype=np.int32)
+        if self.observer is not None:
+            self.observer.on_gather(total)
         offsets = np.empty(lens.shape[0], dtype=np.int64)
         offsets[0] = 0
         np.cumsum(lens[:-1], out=offsets[1:])
         idx = np.repeat(starts - offsets, lens)
         idx += self._iota(total)
-        return idx
+        return self._ids[idx]
 
     def _iota(self, total: int) -> np.ndarray:
         """Read-only ``arange(total)`` view from a grow-only cache."""
@@ -447,123 +472,6 @@ class InvertedListStore:
             cache.setflags(write=False)
             self._iota_cache = cache
         return cache[:total]
-
-    def _charge_segments(
-        self,
-        funcs: np.ndarray,
-        starts: np.ndarray,
-        stops: np.ndarray,
-        stats: IOStats | None,
-        pages: PageTracker | None,
-    ) -> None:
-        """Charge sequential I/O for flat entry segments (one per func).
-
-        ``starts``/``stops`` are absolute flat positions; empty segments
-        cost nothing.  With a :class:`PageTracker` the charge is
-        deduplicated against previously read pages by interval arithmetic.
-        """
-        if stats is None and pages is None:
-            return
-        rel_starts = starts - funcs * self._num_points
-        rel_stops = stops - funcs * self._num_points
-        epp = self._layout.entries_per_page
-        nonempty = rel_stops > rel_starts
-        first = rel_starts // epp
-        last_stop = np.where(nonempty, (rel_stops - 1) // epp + 1, first)
-        if pages is None:
-            total = int(np.sum(last_stop - first))
-            if stats is not None:
-                stats.add_sequential(total)
-            return
-        new = 0
-        for j in np.flatnonzero(nonempty):
-            new += pages.charge(int(funcs[j]), int(first[j]), int(last_stop[j]))
-        if stats is not None:
-            stats.add_sequential(new)
-
-    def read_windows(
-        self,
-        funcs: np.ndarray,
-        los: np.ndarray,
-        his: np.ndarray,
-        stats: IOStats | None = None,
-        pages: PageTracker | None = None,
-    ) -> tuple[IdArray, np.ndarray]:
-        """Batched :meth:`read_window`: all windows in two ``searchsorted``.
-
-        Returns ``(ids, bounds)`` where ``ids`` is the concatenation of
-        every window's ids and ``bounds`` (length ``len(funcs) + 1``)
-        delimits window ``j``'s segment as ``ids[bounds[j]:bounds[j+1]]``.
-        Sequential I/O is charged per window exactly as the scalar method
-        would, deduplicated against ``pages`` when given.
-        """
-        funcs = np.asarray(funcs, dtype=np.int64)
-        los = np.asarray(los, dtype=np.int64)
-        his = np.asarray(his, dtype=np.int64)
-        if not (funcs.shape == los.shape == his.shape) or funcs.ndim != 1:
-            raise InvalidParameterError(
-                "funcs, los and his must be 1-D arrays of equal length"
-            )
-        if funcs.size and (funcs.min() < 0 or funcs.max() >= self._num_functions):
-            raise InvalidParameterError(
-                f"hash function indices must lie in [0, {self._num_functions})"
-            )
-        starts = self.batch_entry_positions(funcs, los, side="left")
-        stops = np.maximum(
-            starts, self.batch_entry_positions(funcs, his, side="right")
-        )
-        lens = stops - starts
-        bounds = np.empty(funcs.shape[0] + 1, dtype=np.int64)
-        bounds[0] = 0
-        np.cumsum(lens, out=bounds[1:])
-        ids = self.gather_segments(starts, lens)
-        self._charge_segments(funcs, starts, stops, stats, pages)
-        return ids, bounds
-
-    def read_rings(
-        self,
-        funcs: np.ndarray,
-        los: np.ndarray,
-        his: np.ndarray,
-        inner_los: np.ndarray,
-        inner_his: np.ndarray,
-        stats: IOStats | None = None,
-        pages: PageTracker | None = None,
-    ) -> tuple[IdArray, np.ndarray]:
-        """Batched :meth:`read_ring` over many functions at once.
-
-        Each ring is returned as its left side run followed by its right
-        side run (matching the scalar method); ``bounds`` delimits the
-        per-function segments of the concatenated ``ids``.
-        """
-        funcs = np.asarray(funcs, dtype=np.int64)
-        los = np.asarray(los, dtype=np.int64)
-        his = np.asarray(his, dtype=np.int64)
-        inner_los = np.asarray(inner_los, dtype=np.int64)
-        inner_his = np.asarray(inner_his, dtype=np.int64)
-        degenerate = inner_los > inner_his
-        bad = ~degenerate & ((los > inner_los) | (inner_his > his))
-        if np.any(bad):
-            j = int(np.flatnonzero(bad)[0])
-            raise InvalidParameterError(
-                f"inner window [{inner_los[j]}, {inner_his[j]}] must nest "
-                f"inside [{los[j]}, {his[j]}]"
-            )
-        # Degenerate inner windows read the full [lo, hi] as their "left"
-        # run and an empty right run.
-        left_his = np.where(degenerate, his, inner_los - 1)
-        right_los = np.where(degenerate, his + 1, inner_his + 1)
-        seg_funcs = np.repeat(funcs, 2)
-        seg_los = np.empty(2 * funcs.shape[0], dtype=np.int64)
-        seg_his = np.empty_like(seg_los)
-        seg_los[0::2] = los
-        seg_his[0::2] = left_his
-        seg_los[1::2] = right_los
-        seg_his[1::2] = his
-        ids, seg_bounds = self.read_windows(
-            seg_funcs, seg_los, seg_his, stats, pages
-        )
-        return ids, seg_bounds[0::2]
 
     # ------------------------------------------------------------------
     # Scalar reads (legacy / baseline API)

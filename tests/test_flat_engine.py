@@ -6,9 +6,10 @@ reproduce the scalar per-function loop *bit for bit* — same neighbour
 ids, distances, round counts, candidate counts, and (because simulated
 I/O is the paper's measured quantity) the same sequential and random
 I/O per query.  These tests pin that equivalence across metrics, both
-rehashing modes, dynamic updates, the multi-query engine and the batch
-API, plus the two-level window search against a plain ``searchsorted``
-reference.
+rehashing modes, dynamic updates, the multi-query engine, the batch API
+and the sharded service, under every scan-block budget (the block
+partition is a plan choice only), plus the two-level window search
+against a plain ``searchsorted`` reference.
 """
 
 from __future__ import annotations
@@ -17,12 +18,19 @@ import numpy as np
 import pytest
 
 from repro import LazyLSH, LazyLSHConfig, MultiQueryEngine, Telemetry, knn_batch
+from repro.core import engine
 from repro.datasets import make_synthetic, sample_queries
 from repro.errors import InvalidParameterError
 from repro.obs import TERMINATION_REASONS
+from repro.serve import ShardedSearchService
 from repro.storage import InvertedListStore, PageLayout
 
 P_VALUES = (0.5, 0.75, 1.0)
+
+#: First scan-block budgets, in entries per stored row, every flat path
+#: must be invariant to: 0 (the one-entry minimum: the most blocks), the
+#: default, and one block per round.
+BLOCK_BUDGETS = (0, engine._BLOCK_ROW_ENTRIES, 2**40)
 
 
 def _config(seed: int = 13) -> LazyLSHConfig:
@@ -63,6 +71,23 @@ def assert_traces_identical(a, b) -> None:
     assert b.io_delta_sum().to_dict() == b.io.to_dict()
 
 
+@pytest.fixture
+def block_budgets(monkeypatch):
+    """Iterate the flat engine's scan-block budget over ``BLOCK_BUDGETS``.
+
+    Returns a generator function: the body of ``for _ in
+    block_budgets():`` runs once per budget, with the budget in force
+    (forked shard workers inherit it).
+    """
+
+    def budgets():
+        for budget in BLOCK_BUDGETS:
+            monkeypatch.setattr(engine, "_BLOCK_ROW_ENTRIES", budget)
+            yield budget
+
+    return budgets
+
+
 @pytest.fixture(scope="module")
 def engine_split():
     data = make_synthetic(900, 16, value_range=(0, 400), seed=21)
@@ -77,14 +102,17 @@ def dual_index(request, engine_split):
 
 class TestFlatMatchesScalar:
     @pytest.mark.parametrize("p", P_VALUES)
-    def test_knn_identical(self, dual_index, engine_split, p):
+    def test_knn_identical(self, dual_index, engine_split, p, block_budgets):
         for query in engine_split.queries:
-            flat = dual_index.knn(query, 10, p=p, engine="flat")
             scalar = dual_index.knn(query, 10, p=p, engine="scalar")
-            assert_results_identical(flat, scalar)
+            for _ in block_budgets():
+                flat = dual_index.knn(query, 10, p=p, engine="flat")
+                assert_results_identical(flat, scalar)
 
     @pytest.mark.parametrize("rehashing", ["query_centric", "original"])
-    def test_knn_identical_after_updates(self, engine_split, rehashing):
+    def test_knn_identical_after_updates(
+        self, engine_split, rehashing, block_budgets
+    ):
         index = LazyLSH(_config(seed=17), rehashing=rehashing).build(
             engine_split.data[:600]
         )
@@ -92,13 +120,95 @@ class TestFlatMatchesScalar:
         index.insert(engine_split.data[600:680])
         for p in P_VALUES:
             for query in engine_split.queries:
-                flat = index.knn(query, 8, p=p, engine="flat")
                 scalar = index.knn(query, 8, p=p, engine="scalar")
-                assert_results_identical(flat, scalar)
+                for _ in block_budgets():
+                    flat = index.knn(query, 8, p=p, engine="flat")
+                    assert_results_identical(flat, scalar)
+
+    def test_sharded_service_identical(self, engine_split, block_budgets):
+        index = LazyLSH(_config()).build(engine_split.data)
+        expected = {
+            (j, p): index.knn(query, 10, p=p, engine="scalar")
+            for j, query in enumerate(engine_split.queries)
+            for p in P_VALUES
+        }
+        for _ in block_budgets():
+            with ShardedSearchService(
+                index, n_shards=2, start_method="fork"
+            ) as svc:
+                for (j, p), scalar in expected.items():
+                    sharded = svc.search(engine_split.queries[j], 10, p=p)
+                    assert_results_identical(sharded, scalar)
+                    assert_results_identical(
+                        index.knn(engine_split.queries[j], 10, p=p), scalar
+                    )
+
+
+class TestBlockPlan:
+    def test_fitting_round_is_one_gather(self, engine_split, monkeypatch):
+        """A round whose whole ring fits the first block budget is read
+        with exactly one store gather, however many functions it spans."""
+        index = LazyLSH(_config()).build(engine_split.data)
+        store = index.store
+        search, gather = store.batch_window_positions, store.gather_segments32
+        rounds: list[dict] = []  # per round: window entries, gathers
+
+        def spy_search(funcs, los, his):
+            starts, stops = search(funcs, los, his)
+            entries = int(np.maximum(stops - starts, 0).sum())
+            rounds.append({"window": entries, "gathers": 0})
+            return starts, stops
+
+        def spy_gather(starts, lens):
+            rounds[-1]["gathers"] += 1
+            return gather(starts, lens)
+
+        monkeypatch.setattr(store, "batch_window_positions", spy_search)
+        monkeypatch.setattr(store, "gather_segments32", spy_gather)
+        budget = engine._BLOCK_ROW_ENTRIES * store.num_points
+        checked = 0
+        for query in engine_split.queries:
+            for p in P_VALUES:
+                rounds.clear()
+                result = index.knn(query, 10, p=p)
+                assert len(rounds) == result.rounds
+                # Query-centric windows nest, so a round's ring holds its
+                # window's entries minus the previous window's.
+                previous = 0
+                for rnd in rounds:
+                    if rnd["window"] - previous <= budget:
+                        assert rnd["gathers"] == 1
+                        checked += 1
+                    previous = rnd["window"]
+        eta = index.metric_params(0.5).eta
+        assert eta > 64 and checked >= len(engine_split.queries)
+
+    @pytest.mark.parametrize("n_rows", [600, 2**16, 2**16 + 7])
+    def test_crossings_match_a_counting_loop(self, n_rows):
+        """``find_crossings`` on both sides of its 16-bit sort key."""
+        rng = np.random.default_rng(n_rows)
+        # The widest id, and the id it would alias in 16 bits.
+        wide = [n_rows - 1, (n_rows - 1) % 2**16]
+        rows = np.unique(np.append(rng.choice(n_rows, size=300), wide))
+        sub = rng.choice(rows, size=6_000).astype(np.int32)
+        slack = np.full(n_rows, engine._SLACK_DEAD, dtype=np.int32)
+        slack[rows] = rng.integers(0, 40, size=rows.size)
+        slack[wide] = 0
+        lookup = np.zeros(n_rows, dtype=bool)
+        elems, add = engine.find_crossings(sub, slack, lookup)
+        seen = np.zeros(n_rows, dtype=np.int64)
+        want = []
+        for pos, row in enumerate(sub.tolist()):
+            if seen[row] == slack[row]:
+                want.append(pos)
+            seen[row] += 1
+        assert elems.tolist() == want
+        assert np.array_equal(add, seen)
+        assert not lookup.any()
 
 
 class TestWideHashDomain:
-    def test_flat_matches_scalar_past_int32(self):
+    def test_flat_matches_scalar_past_int32(self, block_budgets):
         """Coordinates large enough that the hash values span more than
         int32 (the store keeps int64 relative runs) answer identically."""
         data = make_synthetic(300, 6, seed=5) * 100.0
@@ -108,49 +218,53 @@ class TestWideHashDomain:
         index.insert(data[:4] * 1.5)
         for query in (data[7], data[123] + 50.0, data[0] * 1.5):
             for p in P_VALUES:
-                flat = index.knn(query, 5, p=p, engine="flat")
                 scalar = index.knn(query, 5, p=p, engine="scalar")
-                assert_results_identical(flat, scalar)
+                for _ in block_budgets():
+                    flat = index.knn(query, 5, p=p, engine="flat")
+                    assert_results_identical(flat, scalar)
 
 
 class TestMultiQuery:
-    def test_flat_matches_scalar(self, engine_split):
+    def test_flat_matches_scalar(self, engine_split, block_budgets):
         index = LazyLSH(_config()).build(engine_split.data)
-        engine = MultiQueryEngine(index)
+        multi = MultiQueryEngine(index)
         for query in engine_split.queries:
-            flat = engine.knn(query, 10, metrics=P_VALUES, engine="flat")
-            scalar = engine.knn(query, 10, metrics=P_VALUES, engine="scalar")
-            assert flat.metrics == scalar.metrics == sorted(P_VALUES)
-            for p in P_VALUES:
-                assert_results_identical(flat[p], scalar[p])
-            # The shared scan's total I/O (marginal attribution summed)
-            # must agree too.
-            assert flat.io.sequential == scalar.io.sequential
-            assert flat.io.random == scalar.io.random
+            scalar = multi.knn(query, 10, metrics=P_VALUES, engine="scalar")
+            for _ in block_budgets():
+                flat = multi.knn(query, 10, metrics=P_VALUES, engine="flat")
+                assert flat.metrics == scalar.metrics == sorted(P_VALUES)
+                for p in P_VALUES:
+                    assert_results_identical(flat[p], scalar[p])
+                # The shared scan's total I/O (marginal attribution
+                # summed) must agree too.
+                assert flat.io.sequential == scalar.io.sequential
+                assert flat.io.random == scalar.io.random
 
 
 class TestBatchApi:
-    def test_single_metric_matches_scalar_loop(self, engine_split):
+    def test_single_metric_matches_scalar_loop(self, engine_split, block_budgets):
         index = LazyLSH(_config()).build(engine_split.data)
-        flat = knn_batch(index, engine_split.queries, 10, p=0.5)
         scalar = knn_batch(index, engine_split.queries, 10, p=0.5, engine="scalar")
-        assert len(flat) == len(scalar) == len(engine_split.queries)
-        for a, b in zip(flat, scalar):
-            assert_results_identical(a, b)
-        assert flat.io.sequential == scalar.io.sequential
-        assert flat.io.random == scalar.io.random
+        for _ in block_budgets():
+            flat = knn_batch(index, engine_split.queries, 10, p=0.5)
+            assert len(flat) == len(scalar) == len(engine_split.queries)
+            for a, b in zip(flat, scalar):
+                assert_results_identical(a, b)
+            assert flat.io.sequential == scalar.io.sequential
+            assert flat.io.random == scalar.io.random
 
-    def test_metrics_mode_matches_scalar_loop(self, engine_split):
+    def test_metrics_mode_matches_scalar_loop(self, engine_split, block_budgets):
         index = LazyLSH(_config()).build(engine_split.data)
-        flat = knn_batch(index, engine_split.queries, 10, metrics=P_VALUES)
         scalar = knn_batch(
             index, engine_split.queries, 10, metrics=P_VALUES, engine="scalar"
         )
-        for a, b in zip(flat, scalar):
-            for p in P_VALUES:
-                assert_results_identical(a[p], b[p])
-            assert a.io.sequential == b.io.sequential
-            assert a.io.random == b.io.random
+        for _ in block_budgets():
+            flat = knn_batch(index, engine_split.queries, 10, metrics=P_VALUES)
+            for a, b in zip(flat, scalar):
+                for p in P_VALUES:
+                    assert_results_identical(a[p], b[p])
+                assert a.io.sequential == b.io.sequential
+                assert a.io.random == b.io.random
 
     def test_share_pages_identical_results_fewer_reads(self, engine_split):
         index = LazyLSH(_config()).build(engine_split.data)
@@ -171,19 +285,25 @@ class TestTraceEquivalence:
     """Per-query telemetry traces must not depend on the execution plan."""
 
     @pytest.mark.parametrize("p", P_VALUES)
-    def test_knn_traces_identical(self, dual_index, engine_split, p):
+    def test_knn_traces_identical(
+        self, dual_index, engine_split, p, block_budgets
+    ):
         for query in engine_split.queries:
-            tf, ts = Telemetry(), Telemetry()
-            flat = dual_index.knn(query, 10, p=p, engine="flat", telemetry=tf)
+            ts = Telemetry()
             scalar = dual_index.knn(
                 query, 10, p=p, engine="scalar", telemetry=ts
             )
-            assert_results_identical(flat, scalar)
-            assert len(tf.traces) == len(ts.traces) == 1
-            assert_traces_identical(tf.traces[0], ts.traces[0])
-            # The trace's totals mirror the result's I/O exactly.
-            assert tf.traces[0].io.to_dict() == flat.io.to_dict()
-            assert tf.traces[0].candidates == flat.candidates
+            for _ in block_budgets():
+                tf = Telemetry()
+                flat = dual_index.knn(
+                    query, 10, p=p, engine="flat", telemetry=tf
+                )
+                assert_results_identical(flat, scalar)
+                assert len(tf.traces) == len(ts.traces) == 1
+                assert_traces_identical(tf.traces[0], ts.traces[0])
+                # The trace's totals mirror the result's I/O exactly.
+                assert tf.traces[0].io.to_dict() == flat.io.to_dict()
+                assert tf.traces[0].candidates == flat.candidates
 
     def test_traced_run_matches_untraced(self, dual_index, engine_split):
         for query in engine_split.queries:
@@ -193,30 +313,26 @@ class TestTraceEquivalence:
             )
             assert_results_identical(plain, traced)
 
-    def test_multiquery_traces_identical(self, engine_split):
+    def test_multiquery_traces_identical(self, engine_split, block_budgets):
         index = LazyLSH(_config()).build(engine_split.data)
-        engine = MultiQueryEngine(index)
+        multi = MultiQueryEngine(index)
+        by_p = lambda t: t.p  # noqa: E731
         for query in engine_split.queries:
-            tf, ts = Telemetry(), Telemetry()
-            engine.knn(query, 10, metrics=P_VALUES, engine="flat", telemetry=tf)
-            engine.knn(query, 10, metrics=P_VALUES, engine="scalar", telemetry=ts)
-            assert len(tf.traces) == len(ts.traces) == len(P_VALUES)
-            by_p = lambda t: t.p  # noqa: E731
-            for a, b in zip(
-                sorted(tf.traces, key=by_p), sorted(ts.traces, key=by_p)
-            ):
-                assert_traces_identical(a, b)
+            ts = Telemetry()
+            multi.knn(query, 10, metrics=P_VALUES, engine="scalar", telemetry=ts)
+            for _ in block_budgets():
+                tf = Telemetry()
+                multi.knn(
+                    query, 10, metrics=P_VALUES, engine="flat", telemetry=tf
+                )
+                assert len(tf.traces) == len(ts.traces) == len(P_VALUES)
+                for a, b in zip(
+                    sorted(tf.traces, key=by_p), sorted(ts.traces, key=by_p)
+                ):
+                    assert_traces_identical(a, b)
 
-    def test_batch_traces_per_query(self, engine_split):
+    def test_batch_traces_per_query(self, engine_split, block_budgets):
         index = LazyLSH(_config()).build(engine_split.data)
-        telemetry = Telemetry()
-        batch = knn_batch(
-            index, engine_split.queries, 10, p=0.5, telemetry=telemetry
-        )
-        assert len(telemetry.traces) == len(engine_split.queries)
-        assert [t.query_id for t in telemetry.traces] == list(
-            range(len(engine_split.queries))
-        )
         scalar_tel = Telemetry()
         knn_batch(
             index,
@@ -226,12 +342,21 @@ class TestTraceEquivalence:
             engine="scalar",
             telemetry=scalar_tel,
         )
-        for a, b, result in zip(
-            telemetry.traces, scalar_tel.traces, batch.results
-        ):
-            assert a.query_id == b.query_id
-            assert_traces_identical(a, b)
-            assert a.io_delta_sum().to_dict() == result.io.to_dict()
+        for _ in block_budgets():
+            telemetry = Telemetry()
+            batch = knn_batch(
+                index, engine_split.queries, 10, p=0.5, telemetry=telemetry
+            )
+            assert len(telemetry.traces) == len(engine_split.queries)
+            assert [t.query_id for t in telemetry.traces] == list(
+                range(len(engine_split.queries))
+            )
+            for a, b, result in zip(
+                telemetry.traces, scalar_tel.traces, batch.results
+            ):
+                assert a.query_id == b.query_id
+                assert_traces_identical(a, b)
+                assert a.io_delta_sum().to_dict() == result.io.to_dict()
 
 
 class TestValidation:
@@ -298,3 +423,65 @@ class TestTwoLevelSearch:
             got = store.batch_entry_positions(funcs, bounds, side)
             expect = np.searchsorted(store.runs()[0][0], bounds, side=side)
             assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize(
+        "n, span",
+        [
+            (1_500, 10),  # run length off a stride multiple
+            (1_500, 1_000_000),
+            (512, 1_000),  # run length on a stride multiple
+            (100, 1_000),  # run shorter than one stride
+            (700, 2**33),  # int64 runs, composite keys
+            (600, 2**61),  # composite keys overflow: per-needle fallback
+        ],
+    )
+    def test_window_search_matches_reference(self, n, span):
+        """The one-call window search against a per-needle loop, at
+        bounds past both ends of the stored range, on stored values
+        (ties) at and around every multiple of the coarse stride, at
+        +-2**62 (no overflow) and on empty windows."""
+        rng = np.random.default_rng(n + span)
+        num_functions = 4
+        hashes = rng.integers(-span, span, size=(num_functions, n))
+        hashes[:, : n // 4] = hashes[:, n // 4 : 2 * (n // 4)]  # ties
+        store = InvertedListStore(hashes)
+        assert (store._row_top is None) == (span == 2**61)
+        values = store.runs()[0]
+        vmin, vmax = int(values.min()), int(values.max())
+        cols = np.concatenate(
+            [np.arange(0, n, 256), np.arange(255, n, 256), [n - 1]]
+        )
+        cases = []
+        for f in range(num_functions):
+            for v in values[f, cols].tolist():
+                cases += [(f, v, v), (f, v - 1, v + 1), (f, v + 1, v - 1)]
+            cases += [
+                (f, vmin - 5, vmin - 1),  # hi below vmin
+                (f, vmax + 1, vmax + 9),  # lo above vmax
+                (f, vmin - 3, vmax + 3),
+                (f, vmin, vmax),
+                (f, -(2**62), 2**62),
+                (f, 2**62, 2**62),
+                (f, -(2**62), -(2**62)),
+            ]
+        los = rng.integers(-span - 5, span + 5, size=400)
+        his = los + rng.integers(-2, span // 4 + 3, size=400)
+        cases += zip(
+            rng.integers(0, num_functions, size=400).tolist(),
+            los.tolist(),
+            his.tolist(),
+        )
+        funcs, los, his = (np.array(col, dtype=np.int64) for col in zip(*cases))
+
+        class Needles:
+            searched = 0
+
+            def on_search(self, needles: int) -> None:
+                self.searched += needles
+
+        store.observer = observer = Needles()
+        starts, stops = store.batch_window_positions(funcs, los, his)
+        assert observer.searched == 2 * len(cases)
+        for j, (f, lo, hi) in enumerate(cases):
+            assert starts[j] == f * n + np.searchsorted(values[f], lo, "left")
+            assert stops[j] == f * n + np.searchsorted(values[f], hi, "right")

@@ -197,31 +197,27 @@ class TestGatherSegments:
         # Function 0 run ids (sorted by value [1,1,3,5,7,9]): [1,3,5,0,4,2].
         starts = np.array([0, 3], dtype=np.int64)
         lens = np.array([2, 1], dtype=np.int64)
-        assert tiny_store.gather_segments(starts, lens).tolist() == [1, 3, 0]
         assert tiny_store.gather_segments32(starts, lens).tolist() == [1, 3, 0]
 
     def test_empty_segments_return_empty(self, tiny_store):
         starts = np.array([2, 5], dtype=np.int64)
         lens = np.zeros(2, dtype=np.int64)
-        out = tiny_store.gather_segments(starts, lens)
-        assert out.size == 0 and out.dtype == np.int64
         out32 = tiny_store.gather_segments32(starts, lens)
         assert out32.size == 0 and out32.dtype == np.int32
 
     def test_no_segments_at_all(self, tiny_store):
         empty = np.empty(0, dtype=np.int64)
-        assert tiny_store.gather_segments(empty, empty).size == 0
         assert tiny_store.gather_segments32(empty, empty).size == 0
 
     def test_empty_gather_skips_observer(self, tiny_store):
         observer = _GatherObserver()
         tiny_store.observer = observer
         try:
-            tiny_store.gather_segments(
+            tiny_store.gather_segments32(
                 np.array([1], dtype=np.int64), np.zeros(1, dtype=np.int64)
             )
             assert observer.gathered == 0
-            tiny_store.gather_segments(
+            tiny_store.gather_segments32(
                 np.array([1], dtype=np.int64), np.ones(1, dtype=np.int64)
             )
             assert observer.gathered == 1
@@ -233,10 +229,13 @@ class TestGatherSegments:
         store = InvertedListStore(hash_values)
         starts = np.array([0, 100, 150], dtype=np.int64)
         lens = np.array([17, 0, 50], dtype=np.int64)
-        wide = store.gather_segments(starts, lens)
+        flat_ids = store.runs()[1].ravel()
+        want = np.concatenate(
+            [flat_ids[s : s + n] for s, n in zip(starts, lens)]
+        )
         narrow = store.gather_segments32(starts, lens)
         assert narrow.dtype == np.int32
-        assert np.array_equal(wide, narrow.astype(np.int64))
+        assert np.array_equal(want, narrow.astype(np.int64))
 
     def test_int32_overflow_guard(self, tiny_store, monkeypatch):
         monkeypatch.setattr(tiny_store, "_num_points", 2**31)
@@ -245,8 +244,7 @@ class TestGatherSegments:
                 np.array([0], dtype=np.int64), np.ones(1, dtype=np.int64)
             )
         monkeypatch.undo()
-        # The wide gather has no such limit and still works.
-        assert tiny_store.gather_segments(
+        assert tiny_store.gather_segments32(
             np.array([0], dtype=np.int64), np.ones(1, dtype=np.int64)
         ).size == 1
 

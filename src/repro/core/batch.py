@@ -31,8 +31,8 @@ import numpy as np
 
 from repro._typing import PointMatrix
 from repro.api import SearchRequest, aggregate_io
-from repro.core.engine import Lane, LaneGroup, execute_rounds
-from repro.core.lazylsh import _KNN_ABORT, KnnResult, LazyLSH, _lane_result
+from repro.core.engine import execute_rounds
+from repro.core.lazylsh import LazyLSH, _lane_result
 from repro.core.multiquery import MultiQueryEngine, MultiQueryResult
 from repro.errors import (
     DimensionalityMismatchError,
@@ -253,14 +253,9 @@ def _knn_batch_impl(
         return _flat_single(
             index, queries, k, p_single, share_pages, telemetry, cap, radius
         )
-    unique = sorted({float(q) for q in metrics})
-    if index.rehashing != "query_centric":
-        raise InvalidParameterError(
-            "the multi-query engine requires query-centric rehashing"
-        )
     if engine == "scalar":
-        return _scalar_multi(index, queries, k, unique, telemetry, cap)
-    return _flat_multi(index, queries, k, unique, share_pages, telemetry, cap)
+        return _scalar_multi(index, queries, k, metrics, telemetry, cap)
+    return _flat_multi(index, queries, k, metrics, share_pages, telemetry, cap)
 
 
 def _scalar_single(
@@ -296,14 +291,14 @@ def _scalar_multi(
     index: LazyLSH,
     queries: np.ndarray,
     k: int,
-    unique: list[float],
+    metrics: Sequence[float],
     telemetry=None,
     cap: float | None = None,
 ) -> BatchKnnResult:
     engine = MultiQueryEngine(index)
     results = [
         engine.knn(
-            q, k, metrics=unique, engine="scalar", telemetry=telemetry, cap=cap
+            q, k, metrics=metrics, engine="scalar", telemetry=telemetry, cap=cap
         )
         for q in queries
     ]
@@ -346,7 +341,7 @@ def _flat_single(
                 rehashing=index.rehashing,
                 query_id=j,
             )
-    execute_rounds(groups, error=_KNN_ABORT)
+    execute_rounds(groups)
     results = []
     for group in groups:
         lane = group.lanes[0]
@@ -367,51 +362,31 @@ def _flat_multi(
     index: LazyLSH,
     queries: np.ndarray,
     k: int,
-    unique: list[float],
+    metrics: Sequence[float],
     share_pages: bool,
     telemetry=None,
     cap: float | None = None,
 ) -> BatchKnnResult:
-    n = index.num_points
-    if not 1 <= k <= n:
-        raise InvalidParameterError(
-            f"k must lie in [1, {n}] for a dataset of {n} live points, got {k}"
-        )
-    n_rows = index.num_rows
-    bank = index._bank
-    assert bank is not None
-    hashes = bank.hash_points(queries)
+    hashes = index._bank.hash_points(queries)
     shared = PageTracker() if share_pages else None
-    cap_value = k + index.beta * n if cap is None else float(cap)
-    groups = []
-    for j in range(queries.shape[0]):
-        lanes = [
-            Lane(q, index.metric_params(q), k, cap_value, n_rows)
-            for q in unique
-        ]
-        if telemetry is not None:
-            for lane in lanes:
+    groups = [
+        index._lane_group(
+            queries[j],
+            k,
+            metrics=metrics,
+            query_hashes=np.ascontiguousarray(hashes[:, j]),
+            shared_pages=shared,
+            cap=cap,
+        )
+        for j in range(queries.shape[0])
+    ]
+    if telemetry is not None:
+        for group in groups:
+            for lane in group.lanes:
                 lane.trace = telemetry.query_trace_builder(
                     p=lane.p, k=k, engine="flat", rehashing=index.rehashing
                 )
-        groups.append(
-            LaneGroup(
-                store=index.store,
-                data=index.data,
-                alive=index._alive,
-                c=index.config.c,
-                rehashing=index.rehashing,
-                query=queries[j],
-                query_hashes=np.ascontiguousarray(hashes[:, j]),
-                lanes=lanes,
-                style="multi",
-                shared_pages=shared,
-            )
-        )
-    execute_rounds(
-        groups,
-        error="multi-query did not terminate; this indicates a corrupted index",
-    )
+    execute_rounds(groups)
     results = []
     for group in groups:
         per_metric = {lane.p: _lane_result(lane) for lane in group.lanes}

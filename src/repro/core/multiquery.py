@@ -33,10 +33,10 @@ import numpy as np
 from repro._typing import PointVector
 from repro.api import SearchRequest
 from repro.core.engine import (
+    _KNN_ABORT,
+    _MAX_ROUNDS,
     TERMINATION_CAP,
     TERMINATION_K_WITHIN,
-    Lane,
-    LaneGroup,
     execute_rounds,
 )
 from repro.core.lazylsh import KnnResult, LazyLSH, _lane_result
@@ -44,8 +44,6 @@ from repro.core.params import MetricParams
 from repro.errors import InvalidParameterError
 from repro.metrics.lp import lp_distance
 from repro.storage.io_stats import IOStats
-
-_MAX_ROUNDS = 128
 
 
 @dataclass
@@ -292,9 +290,7 @@ class MultiQueryEngine:
         while any(state.active for state in states):
             round_index += 1
             if round_index >= _MAX_ROUNDS:
-                raise RuntimeError(
-                    "multi-query did not terminate; this indicates a corrupted index"
-                )
+                raise RuntimeError(_KNN_ABORT)
             level = c**round_index
             half = int(np.floor(level / 2.0))
             rounders = [state for state in states if state.active]
@@ -406,35 +402,14 @@ class MultiQueryEngine:
         smallest-``p`` sequential attribution and fetched-object dedup.
         """
         index = self.index
-        n = index.num_points
-        n_rows = index.num_rows
-        cap_value = k + index.beta * n if cap is None else float(cap)
-        lanes = [
-            Lane(p, index.metric_params(p), k, cap_value, n_rows)
-            for p in unique
-        ]
+        group = index._lane_group(query, k, metrics=unique, cap=cap)
+        lanes = group.lanes
         if telemetry is not None:
             for lane in lanes:
                 lane.trace = telemetry.query_trace_builder(
                     p=lane.p, k=k, engine="flat", rehashing=index.rehashing
                 )
-        bank = index._bank
-        assert bank is not None
-        group = LaneGroup(
-            store=index.store,
-            data=index.data,
-            alive=index._alive,
-            c=index.config.c,
-            rehashing=index.rehashing,
-            query=query,
-            query_hashes=bank.hash_point(query),
-            lanes=lanes,
-            style="multi",
-        )
-        execute_rounds(
-            [group],
-            error="multi-query did not terminate; this indicates a corrupted index",
-        )
+        execute_rounds([group])
         total = IOStats()
         results: dict[float, KnnResult] = {}
         for lane in lanes:

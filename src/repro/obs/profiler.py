@@ -49,19 +49,22 @@ PHASES = ("hash", "scan", "merge", "wave", "other", "idle")
 #: file's basename contains the first element and (if non-empty) the
 #: function name starts with one of the listed prefixes.  Classification
 #: walks the stack leaf-first, so the innermost phase-bearing frame
-#: wins — a ``_merge_round`` running under ``_run_wave`` is ``merge``.
+#: wins — the engine's merge step running under the service's
+#: ``_run_wave`` is ``merge``, its scan kernel under ``knn_batch`` or a
+#: worker's ``round`` is ``scan``.  Every prefix names a function of its
+#: module (``tests/test_workload_intelligence.py`` checks).
 _PHASE_RULES: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     ("hash", "hashing", ()),
     ("hash", "", ("hash_points",)),
-    ("scan", "worker", ("round", "_scan", "_window")),
+    ("scan", "worker", ("round",)),
     ("scan", "inverted_index", ()),
-    ("scan", "engine", ("run_query", "_scan", "charge")),
-    ("scan", "multiquery", ("_scan", "_round")),
-    ("merge", "service", ("_merge_round", "_finish_run", "_merge_wave")),
-    ("merge", "multiquery", ("_merge", "_fan")),
+    ("scan", "engine", ("scan",)),
+    ("merge", "engine", ("merge",)),
+    ("merge", "lazylsh", ("_lane_result",)),
+    ("merge", "service", ("_merge_wave",)),
     ("wave", "service", ("_run_wave", "_broadcast", "_send", "_recv",
                          "_execute", "search_batch", "search")),
-    ("wave", "frontend", ("_execute_plan", "_run_scans")),
+    ("wave", "frontend", ("_execute_plan", "_run_scans", "_run_wave")),
 )
 
 #: Leaf function names that mean "parked, not burning CPU".

@@ -16,16 +16,17 @@ between the socket and the shard fleet (DESIGN §14):
   (``deadline_ms``) are stamped from each request's *arrival* time, so
   queue wait counts against the budget.
 * **Request coalescing.**  Admitted requests buffer for up to
-  ``coalesce_ms``; each flush plans one batch.  Identical single-metric
-  requests dedup to one wave row, requests sharing ``(k, p, cap,
-  radius)`` ride one ``search_batch`` wave, and requests sharing a query
-  point but differing in ``p`` merge into one Section 4.3 multi-metric
-  scan (:class:`~repro.core.MultiQueryEngine`) whose per-metric parts
-  fan back to their requesters.  Every path returns ids/distances
-  bit-identical to issuing the request alone through
-  :meth:`~repro.serve.ShardedSearchService.search` (the batch wave and
-  the shared scan are both pinned bit-identical to the single-process
-  engine).
+  ``coalesce_ms``; each flush plans one batch of service waves.
+  Identical single-metric requests dedup to one wave row, requests
+  sharing ``(k, p, cap, radius)`` ride one ``search_batch`` wave, and
+  requests sharing a query point but differing in ``p`` merge into one
+  Section 4.3 multi-metric wave (``search_batch(metrics=...)``, run by
+  the shard workers like any other) whose per-metric parts fan back to
+  their requesters.  Every path returns ids/distances bit-identical to
+  issuing the request alone through
+  :meth:`~repro.serve.ShardedSearchService.search` (single- and
+  multi-metric waves are both pinned bit-identical to the
+  single-process engine).
 * **Result caching.**  An LRU keyed by the query's *base bucket* (its
   integer hash vector at ``delta_0`` — one matmul, no index scan) plus
   the exact query digest and tuning knobs.  Entries remember the service
@@ -37,7 +38,9 @@ between the socket and the shard fleet (DESIGN §14):
 The service's re-entrant ``lock`` serialises the frontend's plan
 execution (on a single worker thread) against any other caller, so the
 event loop never blocks on index work and the pipe protocol stays
-single-threaded.
+single-threaded.  The front door never scans the index itself: every
+cache miss is answered by a service wave, which feeds the service's
+traces, EXPLAIN and workload sketches.
 """
 
 from __future__ import annotations
@@ -51,13 +54,12 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
 from repro.api import WIRE_VERSION, SearchRequest, SearchResult
-from repro.core.multiquery import MultiQueryEngine
 from repro.errors import (
     InvalidParameterError,
     OverloadedError,
@@ -121,18 +123,6 @@ class _Pending:
 class _CacheEntry:
     epoch: int
     result: SearchResult
-
-
-@dataclass
-class _PlanStats:
-    """What one flush actually did (feeds the coalescing metrics)."""
-
-    requests: int = 0
-    waves: int = 0
-    multi_scans: int = 0
-    cache_hits: int = 0
-    deduped: int = 0
-    groups: list = field(default_factory=list)
 
 
 class Frontend:
@@ -228,12 +218,6 @@ class Frontend:
         self._port = 0
         self._started = threading.Event()
         self._startup_error: BaseException | None = None
-        # Sec 4.3 shared-scan engine over the coordinator's index copy;
-        # only usable under query-centric rehashing.
-        try:
-            self._multi = MultiQueryEngine(service.index)
-        except InvalidParameterError:
-            self._multi = None
         reg = self.registry
         self._m_requests = reg.counter(
             "lazylsh_frontend_http_requests_total",
@@ -253,7 +237,7 @@ class Frontend:
         )
         self._m_waves = reg.counter(
             "lazylsh_frontend_scans_total",
-            "Index scans issued (batch waves + multi-metric scans)",
+            "Index scans issued (service waves, single- or multi-metric)",
         )
         self._m_scanned_requests = reg.counter(
             "lazylsh_frontend_scanned_requests_total",
@@ -823,109 +807,74 @@ class Frontend:
                 self._run_scans(misses)
 
     def _run_scans(self, misses: list[tuple[_Pending, tuple]]) -> None:
-        """Group cache misses into the fewest bit-identical scans."""
-        service = self.service
-        # 1) Multi-metric merge (Sec 4.3): same query point, same
-        #    (k, cap), no radius override, >= 2 distinct metrics.
+        """Group cache misses into the fewest bit-identical service waves.
+
+        Misses sharing a query point, ``k`` and ``cap`` (no radius
+        override) across >= 2 distinct metrics become one Section 4.3
+        multi-metric wave (query-centric rehashing only); the rest ride
+        one wave per set of tuning knobs, identical rows deduplicated.
+        The cache key ``(bucket, digest, k, p, cap, radius, explain)``
+        carries every field the planner groups by.
+        """
         by_point: dict[tuple, list[tuple[_Pending, tuple]]] = {}
-        for item, key in misses:
-            r = item.request
-            # Explain requests stay out: the shared scan has no EXPLAIN
-            # surface, so they ride a batch wave instead.
-            if self._multi is not None and r.radius is None and not r.explain:
-                digest = key[1]  # exact-query sha1
-                cap = None if r.cap is None else float(r.cap)
-                by_point.setdefault(
-                    (digest, int(r.k), cap), []
-                ).append((item, key))
-        rest: list[tuple[_Pending, tuple]] = []
-        claimed: set[int] = set()
-        for group in by_point.values():
-            metrics = sorted({float(it.request.p) for it, _ in group})
-            if len(metrics) < 2:
-                continue
-            item0 = group[0][0]
-            try:
-                multi = self._multi.knn(
-                    item0.request.query,
-                    int(item0.request.k),
-                    metrics=metrics,
-                    cap=item0.request.cap,
-                )
-            except ReproError as exc:
-                for item, _key in group:
-                    claimed.add(id(item))
-                    self._fail(item, exc)
-                continue
-            self._m_waves.inc()
-            self._m_coalesced.inc(len(group))
-            fanned: set[tuple] = set()
-            for item, key in group:
-                claimed.add(id(item))
-                item.coalesced = True
-                part = multi[float(item.request.p)]
-                if key not in fanned:
-                    fanned.add(key)
-                    self._cache_put(key, part)
-                    # The shared scan bypasses the sharded service, so
-                    # the service-side workload feed never sees it.
-                    self.workload.observe_query(
-                        digest=key[1],
-                        bucket=key[0],
-                        p=float(item.request.p),
-                        k=int(item.request.k),
+        if self.service.index.rehashing == "query_centric":
+            for item, key in misses:
+                if key[5] is None:
+                    by_point.setdefault((key[1], key[2], key[4]), []).append(
+                        (item, key)
                     )
-                self._resolve(item, part)
-        for item, key in misses:
-            if id(item) not in claimed:
-                rest.append((item, key))
-        # 2) Batch waves: group by tuning knobs, dedup identical rows.
+        merged: set[int] = set()
+        for (_digest, k, cap), group in by_point.items():
+            metrics = sorted({key[3] for _item, key in group})
+            if len(metrics) >= 2:
+                merged.update(id(item) for item, _key in group)
+                explain = any(key[6] for _item, key in group)
+                self._run_wave(
+                    group, k, metrics=metrics, cap=cap, explain=explain
+                )
         by_knobs: dict[tuple, list[tuple[_Pending, tuple]]] = {}
-        for item, key in rest:
-            r = item.request
-            knob = (
-                int(r.k), float(r.p),
-                None if r.cap is None else float(r.cap),
-                None if r.radius is None else float(r.radius),
-                bool(r.explain),
-            )
-            by_knobs.setdefault(knob, []).append((item, key))
+        for item, key in misses:
+            if id(item) not in merged:
+                by_knobs.setdefault(key[2:], []).append((item, key))
         for (k, p, cap, radius, explain), group in by_knobs.items():
-            rows: list[np.ndarray] = []
-            row_of: dict[tuple, int] = {}
-            for item, key in group:
-                if key not in row_of:
-                    row_of[key] = len(rows)
-                    rows.append(
-                        np.asarray(item.request.query, dtype=np.float64)
+            self._run_wave(
+                group, k, p=p, cap=cap, radius=radius, explain=explain
+            )
+
+    def _run_wave(
+        self, group: list[tuple[_Pending, tuple]], k: int, **knobs
+    ) -> None:
+        """One ``search_batch`` wave; fan each row's answer back."""
+        row_of: dict[str, int] = {}
+        rows: list[np.ndarray] = []
+        for item, key in group:
+            if key[1] not in row_of:
+                row_of[key[1]] = len(rows)
+                rows.append(np.asarray(item.request.query, dtype=np.float64))
+        try:
+            results = self.service.search_batch(np.stack(rows), k, **knobs)
+        except ReproError as exc:
+            for item, _key in group:
+                self._fail(item, exc)
+            return
+        self._m_waves.inc()
+        if len(group) > 1:
+            self._m_coalesced.inc(len(group))
+        stored: set[tuple] = set()
+        for item, key in group:
+            item.coalesced = len(group) > 1
+            result = results[row_of[key[1]]]
+            if "metrics" in knobs:
+                result = result[key[3]]
+                if knobs["explain"] and not key[6]:
+                    result = replace(result, explain=None)
+            if key not in stored:
+                stored.add(key)
+                self._cache_put(key, result)
+                if not self._service_feeds_workload:
+                    # The service's telemetry does not share this
+                    # workload object, so feed the scan here.
+                    self.workload.observe_query(
+                        digest=key[1], bucket=key[0], p=key[3], k=key[2]
                     )
-            try:
-                results = service.search_batch(
-                    np.stack(rows), k, p=p, cap=cap, radius=radius,
-                    explain=explain,
-                )
-            except ReproError as exc:
-                for item, _key in group:
-                    self._fail(item, exc)
-                continue
-            self._m_waves.inc()
-            if len(group) > 1:
-                self._m_coalesced.inc(len(group))
-            stored: set[tuple] = set()
-            for item, key in group:
-                if len(group) > 1:
-                    item.coalesced = True
-                result = results[row_of[key]]
-                if key not in stored:
-                    stored.add(key)
-                    self._cache_put(key, result)
-                    if not self._service_feeds_workload:
-                        # The service's telemetry does not share this
-                        # workload object, so feed the scan here.
-                        self.workload.observe_query(
-                            digest=key[1],
-                            bucket=key[0],
-                            p=float(item.request.p),
-                            k=int(item.request.k),
-                        )
-                self._resolve(item, result)
+            self._resolve(item, result)

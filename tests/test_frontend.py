@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 
 from repro import LazyLSH, LazyLSHConfig, ShardedSearchService
+from repro.core.engine import LaneGroup
 from repro.durability import WalRecord
 from repro.serve import Frontend
 from repro.serve.frontend import HTTP_STATUS_BY_CODE, error_body
@@ -135,6 +136,45 @@ class TestCoalescingIdentity:
         )
         assert status == 200
         assert payload["request_id"] == "feedc0de"
+
+
+class TestMultiMetricWaves:
+    def test_same_point_burst_is_one_service_wave(self, stack, monkeypatch):
+        """A same-point burst across metrics costs one multi-metric
+        service wave, never a scan on the coordinator, and its EXPLAIN
+        request gets its explain section."""
+        data, service, door = stack
+        waves = []
+        search_batch = service.search_batch
+
+        def spy(*args, **kwargs):
+            waves.append(kwargs)
+            return search_batch(*args, **kwargs)
+
+        def local_scan(*_args, **_kwargs):
+            raise AssertionError("the coordinator scanned the index")
+
+        monkeypatch.setattr(service, "search_batch", spy)
+        monkeypatch.setattr(LaneGroup, "scan", local_scan)
+        monkeypatch.setattr(door, "coalesce_ms", 250.0)
+        query = (data[37] + 0.25).tolist()
+        bodies = [{"v": 1, "query": query, "k": K, "p": p} for p in METRICS]
+        bodies[1]["explain"] = True
+        with ThreadPoolExecutor(max_workers=len(bodies)) as pool:
+            responses = list(pool.map(lambda b: _post(door.url, b), bodies))
+        monkeypatch.undo()
+        assert len(waves) == 1
+        assert waves[0]["metrics"] == sorted(METRICS)
+        for body, (status, payload) in zip(bodies, responses):
+            assert status == 200, payload
+            assert payload["coalesced"] is True
+            assert ("explain" in payload) == bool(body.get("explain"))
+            reference = service.search(np.asarray(query), K, p=body["p"])
+            assert payload["ids"] == [int(i) for i in reference.ids]
+            assert payload["distances"] == [
+                float(d) for d in reference.distances
+            ]
+        assert responses[1][1]["explain"]["rounds"]
 
 
 class TestResultCache:

@@ -12,15 +12,18 @@ the /proc-based paging metrics' graceful degradation off Linux.
 
 from __future__ import annotations
 
+import ast
 import json
 import logging
 import mmap
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 import repro.obs.procstat as procstat
 from repro.api import SearchRequest, SearchResult
 from repro.errors import InvalidParameterError, WireFormatError
@@ -47,6 +50,7 @@ from repro.obs import (
     residency_ratio,
     validate_explain_dict,
 )
+from repro.obs.profiler import _PHASE_RULES
 from repro.storage.io_stats import IOStats
 
 
@@ -322,11 +326,31 @@ class TestContinuousProfiler:
             [("/x/service.py", "search_batch"), ("/x/worker.py", "round")]
         ) == "scan"  # leaf-first: innermost phase-bearing frame wins
         assert classify_frames(
-            [("/x/service.py", "_merge_round")]
+            [("/x/service.py", "_run_wave"), ("/x/engine.py", "merge")]
         ) == "merge"
         assert classify_frames([("/x/threading.py", "wait")]) == "idle"
         assert classify_frames([("/x/mymodule.py", "helper")]) == "other"
         assert classify_frames([]) == "other"
+
+    def test_phase_rules_name_live_functions(self):
+        """Every (file, prefix) rule matches a function of its module."""
+        root = Path(repro.__file__).parent
+        defined = {
+            str(path.relative_to(root)): {
+                node.name
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            for path in root.rglob("*.py")
+        }
+        for _phase, file_part, prefixes in _PHASE_RULES:
+            modules = [rel for rel in defined if file_part in rel]
+            assert modules, f"no module matches {file_part!r}"
+            names = set().union(*(defined[rel] for rel in modules))
+            for prefix in prefixes:
+                assert any(name.startswith(prefix) for name in names), (
+                    f"rule ({file_part!r}, {prefix!r}) names no function"
+                )
 
 
 # ---------------------------------------------------------------------------

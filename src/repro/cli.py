@@ -262,7 +262,7 @@ def _run_sharded_workload(
     metrics = _parse_p_list(args.p)
     if len(metrics) != 1:
         raise ReproError(
-            "stats --shards answers one metric per wave; pass a single --p"
+            "stats --shards reports one metric per run; pass a single --p"
         )
     telemetry = Telemetry()
     with ShardedSearchService(index, n_shards=args.shards) as service:
@@ -482,8 +482,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     metrics = _parse_p_list(args.p)
     if len(metrics) != 1:
         raise ReproError(
-            "serve answers one metric per wave; pass a single --p (use "
-            "`query` or knn_batch(metrics=...) for multi-metric runs)"
+            "serve prints one metric per run; pass a single --p (use "
+            "`query`, or search_batch(metrics=...) on the service, for "
+            "multi-metric answers)"
         )
     ops_plane = args.metrics_port is not None
     frontend = None

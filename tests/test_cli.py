@@ -220,6 +220,20 @@ class TestOpsCli:
             assert len(per_query) == 2
             assert all(io["sequential"] == 0 for io in per_query)
 
+    @pytest.mark.parametrize(
+        "command, reason",
+        [
+            (["stats", "--shards", "2"], "reports one metric per run"),
+            (["serve", "--k", "5", "--shards", "2"], "prints one metric per run"),
+        ],
+    )
+    def test_sharded_commands_take_one_p(
+        self, capsys, index_path, command, reason
+    ):
+        rc = main([command[0], str(index_path), *command[1:], "--p", "0.5,1.0"])
+        assert rc == 2
+        assert reason in capsys.readouterr().err
+
     def test_serve_with_ops_plane_reports_audit(self, capsys, index_path):
         import json
 

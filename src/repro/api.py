@@ -3,19 +3,21 @@
 Every way of asking this library for neighbours — ``LazyLSH.knn`` (one
 query, one metric), ``MultiQueryEngine.knn`` (one query, many metrics),
 ``knn_batch`` (many queries) and the sharded
-:class:`~repro.serve.ShardedSearchService` — speaks the same two types:
+:class:`~repro.serve.ShardedSearchService` — takes the query and ``k``
+positionally and every tuning knob (``p`` or ``metrics``, ``cap``,
+``radius``, ``engine``) by keyword, and checks those knobs with the one
+:func:`check_knobs`.  Its two types:
 
-* :class:`SearchRequest` bundles the query vector with every tuning knob
-  (``k``, metric ``p`` or a ``metrics`` list, optional ``cap``/``radius``
-  overrides, the execution ``engine``), so a request built once can be
-  handed to any path unchanged;
 * :class:`SearchResult` is the common result core carrying ``ids``,
   ``distances``, the simulated :class:`~repro.storage.io_stats.IOStats`,
   the Algorithm-4 ``termination`` reason and an optional
   :class:`~repro.obs.QueryTrace`.  ``KnnResult`` is a thin subclass kept
   for backwards compatibility; ``MultiQueryResult`` and
   ``BatchKnnResult`` expose the same attribute protocol
-  (:class:`SearchResultLike`) over their per-metric / per-query parts.
+  (:class:`SearchResultLike`) over their per-metric / per-query parts;
+* :class:`SearchRequest` is the v1 wire codec of the HTTP front door and
+  the cluster router: one request body, decoded and validated (by the
+  same :func:`check_knobs`) before it is turned into a keyword call.
 
 The module sits below ``repro.core`` so both the engines and the serving
 layer can import it without cycles.
@@ -64,6 +66,52 @@ _WIRE_REQUEST_KEYS = frozenset(
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
+def check_knobs(
+    k: int,
+    *,
+    p: float | None = None,
+    metrics: Any = None,
+    cap: float | None = None,
+    radius: float | None = None,
+    engine: str = "flat",
+) -> tuple[float, ...] | None:
+    """Check one search's tuning knobs; returns ``metrics`` as floats.
+
+    The one copy of these checks, run by :class:`SearchRequest` and by
+    every kNN entry point: ``engine`` is ``"flat"`` or ``"scalar"``,
+    ``cap`` is at least ``k`` and ``radius`` positive, ``p`` and
+    ``metrics`` are not both given, ``metrics`` is non-empty, and a
+    ``radius`` override is single-metric only (the shared Section 4.3
+    scan relies on every metric's round-``j`` radius being
+    ``c**j / r_hat``).  ``k``'s range depends on the index and is
+    checked where the lanes are built.
+    """
+    if engine not in ("flat", "scalar"):
+        raise InvalidParameterError(
+            f"engine must be 'flat' or 'scalar', got {engine!r}"
+        )
+    if cap is not None and cap < k:
+        raise InvalidParameterError(
+            f"candidate cap must be >= k={k}, got {cap}"
+        )
+    if radius is not None and not radius > 0:
+        raise InvalidParameterError(
+            f"radius override must be > 0, got {radius}"
+        )
+    if metrics is None:
+        return None
+    if p is not None:
+        raise InvalidParameterError("pass either p or metrics, not both")
+    metrics = tuple(float(q) for q in metrics)
+    if not metrics:
+        raise InvalidParameterError("metrics must be non-empty")
+    if radius is not None:
+        raise InvalidParameterError(
+            "radius override is only supported for single-metric searches"
+        )
+    return metrics
+
+
 def _coerce_trace_context(value: Any) -> Any:
     """Accept a TraceContext, a ``traceparent`` string, or a dict.
 
@@ -86,13 +134,16 @@ def _coerce_trace_context(value: Any) -> Any:
 
 @dataclass(frozen=True)
 class SearchRequest:
-    """One search, fully specified: query point(s) plus tuning knobs.
+    """One wire-encoded search: query point(s) plus tuning knobs.
+
+    The decoded form of a v1 request body (:meth:`from_dict`), read by
+    the HTTP front door and the cluster router; in-process callers pass
+    the same knobs as keywords to the kNN entry points instead.
 
     Attributes
     ----------
     query:
-        The query vector — or a ``(m, d)`` matrix when handed to
-        ``knn_batch``, which answers every row.
+        The query vector (or an ``(m, d)`` matrix).
     k:
         Number of neighbours requested (``Np(q, k, c)``).
     p:
@@ -111,8 +162,8 @@ class SearchRequest:
         radius being ``c**j / r_hat``.
     engine:
         Execution plan: ``"flat"`` (vectorised, default) or ``"scalar"``
-        (reference loop).  The sharded service ignores this and always
-        runs its own distributed flat plan.
+        (reference loop).  The front door ignores this: the sharded
+        service always runs its own distributed flat plan.
     request_id:
         Optional caller-chosen id echoed back on the result, for log
         correlation.  Hex string; defaults to None (the serving layer
@@ -120,9 +171,11 @@ class SearchRequest:
     trace_context:
         Optional :class:`~repro.obs.TraceContext` (or its
         ``traceparent`` string / dict form) joining this request to a
-        distributed trace.  When sampled, every query path opens its
-        spans under this trace and the sharded service ships it to
-        workers so shard scans appear as child spans (DESIGN §13).
+        distributed trace.  The front door validates it but does not
+        forward it; in-process callers hand a context to
+        :meth:`~repro.serve.ShardedSearchService.search_batch`, which
+        ships it to workers so shard scans appear as child spans
+        (DESIGN §13).
     deadline_ms:
         Optional latency budget in milliseconds.  Advisory: the search
         always runs to completion (results stay bit-identical), but
@@ -162,28 +215,12 @@ class SearchRequest:
     def __post_init__(self) -> None:
         if int(self.k) < 1:
             raise InvalidParameterError(f"k must be >= 1, got {self.k}")
-        if self.metrics is not None:
-            object.__setattr__(
-                self, "metrics", tuple(float(p) for p in self.metrics)
-            )
-            if not self.metrics:
-                raise InvalidParameterError("metrics must be non-empty")
-        if self.cap is not None and self.cap < self.k:
-            raise InvalidParameterError(
-                f"candidate cap must be >= k={self.k}, got {self.cap}"
-            )
-        if self.radius is not None and not self.radius > 0:
-            raise InvalidParameterError(
-                f"radius override must be > 0, got {self.radius}"
-            )
-        if self.engine not in ("flat", "scalar"):
-            raise InvalidParameterError(
-                f"engine must be 'flat' or 'scalar', got {self.engine!r}"
-            )
-        if self.metrics is not None and self.radius is not None:
-            raise InvalidParameterError(
-                "radius override is only supported for single-metric searches"
-            )
+        # ``p`` is ignored when a metrics list is given, so only the
+        # metrics list is checked against the other knobs.
+        object.__setattr__(self, "metrics", check_knobs(
+            self.k, metrics=self.metrics, cap=self.cap, radius=self.radius,
+            engine=self.engine,
+        ))
         try:
             query = np.asarray(self.query, dtype=np.float64)
         except (TypeError, ValueError):

@@ -66,7 +66,6 @@ import numpy as np
 from repro._typing import PointVector
 from repro.metrics.lp import lp_distance
 from repro.storage.io_stats import IOStats
-from repro.storage.pages import PageTracker
 
 #: Hard cap on rehashing rounds, shared by every Algorithm-4 driver
 #: (:func:`execute_rounds` and the scalar oracles).  The level grows by
@@ -432,7 +431,6 @@ class LaneGroup:
         c: float = 0.0,
         rehashing: str = "query_centric",
         query_hashes: np.ndarray | None = None,
-        shared_pages: PageTracker | None = None,
     ) -> None:
         self.store = store
         self.data = data
@@ -442,7 +440,6 @@ class LaneGroup:
         self.query_hashes = query_hashes
         self.lanes = lanes
         self.style = style
-        self.shared_pages = shared_pages
         self.alive = alive
         self.fetched = (
             np.zeros(alive.shape[0], dtype=bool) if style == "multi" else None
@@ -741,27 +738,10 @@ class LaneGroup:
         stop_l = np.where(mask_l, hi[0::2] // epp + 1, first_l)
         first_r = np.where(mask_r, lo[1::2] // epp, 0)
         stop_r = np.where(mask_r, hi[1::2] // epp + 1, first_r)
-        new = charge_ring_hulls(
+        return charge_ring_hulls(
             first_l, stop_l, mask_l, first_r, stop_r, mask_r,
             self.seen_first[:f_round], self.seen_stop[:f_round],
         )
-        if self.shared_pages is not None:
-            # Batch-wide buffer pool: re-dedup each function's newly read
-            # page runs against pages other queries already charged.  The
-            # tracker sees the left run before the right run of the same
-            # function, so its returns already exclude the shared page.
-            for func in np.flatnonzero(mask_l | mask_r):
-                total = 0
-                if mask_l[func]:
-                    total += self.shared_pages.charge(
-                        int(func), int(first_l[func]), int(stop_l[func])
-                    )
-                if mask_r[func]:
-                    total += self.shared_pages.charge(
-                        int(func), int(first_r[func]), int(stop_r[func])
-                    )
-                new[func] = total
-        return new
 
     def _fetch_shared(self, merged: list, n_parts: int) -> None:
         """Multi-metric random I/O with shared candidate fetches.

@@ -19,13 +19,13 @@ counting) and ``range_query`` implements Algorithm 3.
 
 from __future__ import annotations
 
-import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro._typing import IdArray, PointMatrix, PointVector
-from repro.api import SearchRequest, SearchResult
+from repro.api import SearchResult, check_knobs
 from repro.core.config import LazyLSHConfig
 from repro.core.engine import (
     _KNN_ABORT,
@@ -52,6 +52,13 @@ from repro.metrics.lp import lp_distance, validate_p
 from repro.storage.inverted_index import InvertedListStore
 from repro.storage.io_stats import IOStats
 from repro.storage.pages import PageLayout
+
+
+def _entry_span(telemetry, name: str, **attributes):
+    """The span of one kNN entry-point call; a no-op without telemetry."""
+    if telemetry is None:
+        return nullcontext()
+    return telemetry.tracer.span(name, **attributes)
 
 
 def _lane_result(lane: Lane) -> "KnnResult":
@@ -543,8 +550,8 @@ class LazyLSH:
 
     def knn(
         self,
-        query: PointVector | SearchRequest,
-        k: int | None = None,
+        query: PointVector,
+        k: int,
         *,
         p: float = 1.0,
         engine: str = "flat",
@@ -562,10 +569,7 @@ class LazyLSH:
         candidate budget ``k + beta * n`` is exhausted, and returns the
         ``k`` candidates with the smallest true ``lp`` distances.
 
-        The first argument may instead be a fully-specified
-        :class:`~repro.api.SearchRequest`, in which case every other
-        argument but ``telemetry`` must be left at its default.  Tuning
-        knobs are keyword-only and shared verbatim with
+        Tuning knobs are keyword-only and shared verbatim with
         ``MultiQueryEngine.knn`` and ``knn_batch``:
 
         * ``p`` — the ``lp`` metric;
@@ -578,135 +582,81 @@ class LazyLSH:
           structured :class:`~repro.obs.QueryTrace` per call; ``None``
           (the default) runs the no-op fast path.
         """
-        request_id: str | None = None
-        trace_context = None
-        deadline_ms: float | None = None
-        if isinstance(query, SearchRequest):
-            if k is not None:
-                raise InvalidParameterError(
-                    "pass either a SearchRequest or explicit query/k "
-                    "arguments, not both"
-                )
-            request = query
-            if request.metrics is not None:
-                raise InvalidParameterError(
-                    "LazyLSH.knn answers a single metric; use "
-                    "MultiQueryEngine.knn or knn_batch(metrics=...) for a "
-                    "metrics list"
-                )
-            query = request.query
-            k = request.k
-            p = request.p
-            engine = request.engine
-            cap = request.cap
-            radius = request.radius
-            request_id = request.request_id
-            trace_context = request.trace_context
-            deadline_ms = request.deadline_ms
-        elif k is None:
-            raise InvalidParameterError(
-                "k is required when not passing a SearchRequest"
-            )
-        if engine not in ("flat", "scalar"):
-            raise InvalidParameterError(
-                f"engine must be 'flat' or 'scalar', got {engine!r}"
-            )
-        if cap is not None and cap < k:
-            raise InvalidParameterError(
-                f"candidate cap must be >= k={k}, got {cap}"
-            )
-        if radius is not None and not radius > 0:
-            raise InvalidParameterError(
-                f"radius override must be > 0, got {radius}"
-            )
-        # ``trace_context`` was coerced to a TraceContext by the
-        # SearchRequest; the sampled flag is the span-recording gate.
-        # (Checked inline: importing repro.obs here would cycle through
-        # the baselines package init.)
-        ctx = (
-            trace_context
-            if trace_context is not None and trace_context.sampled
-            else None
-        )
-        start = time.perf_counter() if deadline_ms is not None else 0.0
-        if telemetry is None:
-            result = self._knn_dispatch(query, k, p, engine, None, cap, radius)
-        else:
-            with telemetry.tracer.span(
-                "lazylsh.knn", context=ctx, engine=engine, k=k
-            ) as span:
-                if request_id is not None:
-                    span.set(request_id=request_id)
-                result = self._knn_dispatch(
-                    query, k, p, engine, telemetry, cap, radius
-                )
-            telemetry.finish_trace(ctx)
-        if request_id is not None:
-            result.request_id = request_id
-        if ctx is not None:
-            result.trace_id = ctx.trace_id
-        if deadline_ms is not None:
-            elapsed = time.perf_counter() - start
-            if elapsed * 1000.0 > deadline_ms:
-                result.deadline_exceeded = True
-                if telemetry is not None:
-                    telemetry.note_deadline_overrun(
-                        deadline_ms=deadline_ms,
-                        elapsed_seconds=elapsed,
-                        where="lazylsh.knn",
-                        request_id=request_id,
-                    )
-        return result
-
-    def _knn_dispatch(
-        self,
-        query: PointVector,
-        k: int,
-        p: float,
-        engine: str,
-        telemetry,
-        cap: float | None = None,
-        radius: float | None = None,
-    ) -> KnnResult:
-        if engine == "scalar":
-            query = self._check_query(query)
+        check_knobs(k, cap=cap, radius=radius, engine=engine)
+        query = self._check_query(query)
+        with _entry_span(telemetry, "lazylsh.knn", engine=engine, k=k):
+            if engine == "flat":
+                return self._run(
+                    query[None, :], k, p=p, cap=cap, radius=radius,
+                    telemetry=telemetry,
+                )[0][0]
             stats = IOStats()
             # A fresh per-query page cache: pages re-touched by successive
             # rehashing rounds (ring boundaries) stay in the buffer pool
             # for the duration of one query and are charged once.
             result = self._knn_impl(
-                query,
-                k,
-                p,
-                stats,
-                seen_pages=set(),
-                telemetry=telemetry,
-                cap=cap,
-                radius=radius,
+                query, k, p, stats, seen_pages=set(), telemetry=telemetry,
+                cap=cap, radius=radius,
             )
-            self.io_stats.add_sequential(stats.sequential)
-            self.io_stats.add_random(stats.random)
+            self.io_stats.merge(stats)
             return result
-        group = self._lane_group(
-            self._check_query(query), k, p, cap=cap, radius=radius
-        )
-        lane = group.lanes[0]
+
+    def _run(
+        self,
+        queries: np.ndarray,
+        k: int,
+        *,
+        p: float = 1.0,
+        metrics=None,
+        cap: float | None = None,
+        radius: float | None = None,
+        telemetry=None,
+        row_ids: bool = False,
+    ) -> list[list[KnnResult]]:
+        """The in-process runner: the flat engine over validated rows.
+
+        Hashes every row of ``queries`` with one matmul, builds each
+        row's lane group (:meth:`_lane_group`: one lane for ``p``, one
+        per metric of ``metrics``), runs :func:`execute_rounds` and
+        returns one result list per row, a result per lane in ascending
+        ``p``.  With ``telemetry`` each lane's trace is finished and
+        recorded, numbered by its row when ``row_ids`` (else by the
+        telemetry's automatic ids).  Each lane's I/O is added to
+        :attr:`io_stats`.
+        """
+        assert self._bank is not None
+        hashes = self._bank.hash_points(queries)  # one matmul for all rows
+        groups = [
+            self._lane_group(
+                queries[j], k, p, metrics=metrics, cap=cap, radius=radius,
+                query_hashes=np.ascontiguousarray(hashes[:, j]),
+            )
+            for j in range(queries.shape[0])
+        ]
         if telemetry is not None:
-            lane.trace = telemetry.query_trace_builder(
-                p=lane.p, k=k, engine="flat", rehashing=self.rehashing
-            )
-        execute_rounds([group])
-        result = _lane_result(lane)
-        if lane.trace is not None:
-            result.trace = lane.trace.finish(
-                termination=lane.stop_reason,
-                io=lane.io,
-                candidates=result.candidates,
-            )
-            telemetry.record(result.trace)
-        self.io_stats.add_sequential(lane.io.sequential)
-        self.io_stats.add_random(lane.io.random)
-        return result
+            for j, group in enumerate(groups):
+                for lane in group.lanes:
+                    lane.trace = telemetry.query_trace_builder(
+                        p=lane.p, k=k, engine="flat", rehashing=self.rehashing,
+                        query_id=j if row_ids else None,
+                    )
+        execute_rounds(groups)
+        rows = []
+        for group in groups:
+            row = []
+            for lane in group.lanes:
+                result = _lane_result(lane)
+                if lane.trace is not None:
+                    result.trace = lane.trace.finish(
+                        termination=lane.stop_reason,
+                        io=lane.io,
+                        candidates=result.candidates,
+                    )
+                    telemetry.record(result.trace)
+                self.io_stats.merge(lane.io)
+                row.append(result)
+            rows.append(row)
+        return rows
 
     def _lane_group(
         self,
@@ -714,9 +664,8 @@ class LazyLSH:
         k: int,
         p: float = 1.0,
         *,
+        query_hashes: np.ndarray,
         metrics=None,
-        query_hashes: np.ndarray | None = None,
-        shared_pages=None,
         cap: float | None = None,
         radius: float | None = None,
     ) -> LaneGroup:
@@ -729,8 +678,8 @@ class LazyLSH:
         round-``j`` window the same ``c^j``-bucket window).  ``query``
         must already be validated; parameter checks run in the same
         order as the scalar loop so error behaviour is unchanged.
-        ``query_hashes`` lets batched callers reuse a single hashing
-        matmul over all query points; ``cap``/``radius`` override the
+        ``query_hashes`` is the point's column of one hashing matmul
+        over all query points; ``cap``/``radius`` override the
         candidate budget and starting radius (``None`` keeps the paper's
         ``k + beta * n`` and ``1 / r_hat``; single-metric only).
         """
@@ -752,8 +701,6 @@ class LazyLSH:
         lanes = [Lane(q, self.metric_params(q), k, cap_value) for q in p_values]
         if radius is not None:
             lanes[0].delta = float(radius)
-        if query_hashes is None:
-            query_hashes = self._bank.hash_point(query)
         return LaneGroup(
             store=self._store,
             data=self._data,
@@ -764,7 +711,6 @@ class LazyLSH:
             c=self.config.c,
             rehashing=self.rehashing,
             query_hashes=query_hashes,
-            shared_pages=shared_pages,
         )
 
     def _knn_impl(

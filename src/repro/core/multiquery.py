@@ -31,15 +31,14 @@ from typing import Sequence
 import numpy as np
 
 from repro._typing import PointVector
-from repro.api import SearchRequest
+from repro.api import aggregate_io, check_knobs
 from repro.core.engine import (
     _KNN_ABORT,
     _MAX_ROUNDS,
     TERMINATION_CAP,
     TERMINATION_K_WITHIN,
-    execute_rounds,
 )
-from repro.core.lazylsh import KnnResult, LazyLSH, _lane_result
+from repro.core.lazylsh import KnnResult, LazyLSH, _entry_span
 from repro.core.params import MetricParams
 from repro.errors import InvalidParameterError
 from repro.metrics.lp import lp_distance
@@ -88,6 +87,11 @@ class MultiQueryResult:
 
     def __getitem__(self, p: float) -> KnnResult:
         return self.results[p]
+
+    @classmethod
+    def of(cls, row: list[KnnResult]) -> "MultiQueryResult":
+        """One point's per-metric results, with their I/O total."""
+        return cls(results={r.p: r for r in row}, io=aggregate_io(row))
 
 
 class _MetricState:
@@ -151,8 +155,8 @@ class MultiQueryEngine:
 
     def knn(
         self,
-        query: PointVector | SearchRequest,
-        k: int | None = None,
+        query: PointVector,
+        k: int,
         *,
         metrics: Sequence[float] | None = None,
         engine: str = "flat",
@@ -167,85 +171,41 @@ class MultiQueryEngine:
         are attributed to the smallest-``p`` active metric consuming
         them); the batch total is in :attr:`MultiQueryResult.io`.
 
-        The first argument may instead be a
-        :class:`~repro.api.SearchRequest` (its ``metrics`` tuple — or
-        single ``p`` — is answered); every other argument but
-        ``telemetry`` must then be left at its default.  Tuning knobs
-        are keyword-only and shared with ``LazyLSH.knn``/``knn_batch``:
-        ``metrics``, ``engine`` (``"flat"`` or ``"scalar"``,
-        bit-identical), ``cap`` (candidate-budget override, applied to
-        every metric) and ``telemetry`` (one
-        :class:`~repro.obs.QueryTrace` per metric).
+        Tuning knobs are keyword-only and shared with
+        ``LazyLSH.knn``/``knn_batch``: ``metrics``, ``engine``
+        (``"flat"`` or ``"scalar"``, bit-identical), ``cap``
+        (candidate-budget override, applied to every metric) and
+        ``telemetry`` (one :class:`~repro.obs.QueryTrace` per metric).
         """
-        if isinstance(query, SearchRequest):
-            if k is not None or metrics is not None:
-                raise InvalidParameterError(
-                    "pass either a SearchRequest or explicit query/k "
-                    "arguments, not both"
-                )
-            request = query
-            if request.radius is not None:
-                raise InvalidParameterError(
-                    "radius overrides are not supported by the multi-query "
-                    "engine (the shared scan requires delta_0 = 1 / r_hat)"
-                )
-            query = request.query
-            k = request.k
-            metrics = (
-                request.metrics if request.metrics is not None else (request.p,)
-            )
-            engine = request.engine
-            cap = request.cap
-            request_id = request.request_id
-            trace_context = request.trace_context
-        else:
-            request_id = None
-            trace_context = None
-            if k is None:
-                raise InvalidParameterError(
-                    "k is required when not passing a SearchRequest"
-                )
-        if engine not in ("flat", "scalar"):
-            raise InvalidParameterError(
-                f"engine must be 'flat' or 'scalar', got {engine!r}"
-            )
-        if not metrics:
-            raise InvalidParameterError("metrics must be non-empty")
-        if cap is not None and cap < k:
-            raise InvalidParameterError(
-                f"candidate cap must be >= k={k}, got {cap}"
-            )
-        if telemetry is not None:
-            ctx = (
-                trace_context
-                if trace_context is not None and trace_context.sampled
-                else None
-            )
-            with telemetry.tracer.span(
-                "multiquery.knn",
-                context=ctx,
-                engine=engine,
-                k=k,
-                metrics=len(metrics),
-            ) as span:
-                if request_id is not None:
-                    span.set(request_id=request_id)
-                result = self._knn_impl(
-                    query, k, metrics, engine, telemetry, cap
-                )
-            telemetry.finish_trace(ctx)
-            return result
-        return self._knn_impl(query, k, metrics, engine, None, cap)
+        metrics = check_knobs(
+            k, metrics=() if metrics is None else metrics, cap=cap,
+            engine=engine,
+        )
+        query = self.index._check_query(query)
+        with _entry_span(
+            telemetry, "multiquery.knn", engine=engine, k=k, metrics=len(metrics)
+        ):
+            if engine == "flat":
+                return MultiQueryResult.of(self.index._run(
+                    query[None, :], k, metrics=metrics, cap=cap,
+                    telemetry=telemetry,
+                )[0])
+            return self._knn_impl(query, k, metrics, telemetry, cap)
 
     def _knn_impl(
         self,
         query: PointVector,
         k: int,
         p_values: Sequence[float],
-        engine: str,
         telemetry,
         cap: float | None = None,
+        query_id: int | None = None,
     ) -> MultiQueryResult:
+        """The scalar reference loop (``engine="scalar"``).
+
+        ``query_id`` numbers the per-metric traces (``None`` takes the
+        telemetry's automatic ids).
+        """
         unique = sorted({float(p) for p in p_values})
         index = self.index
         n = index.num_points
@@ -256,8 +216,6 @@ class MultiQueryEngine:
             )
         query = np.asarray(query, dtype=np.float64)
         cap_value = k + index.beta * n if cap is None else float(cap)
-        if engine == "flat":
-            return self._knn_flat(query, k, unique, telemetry, cap_value)
         # Validate every metric up front so no partial work is wasted.
         states = [
             _MetricState(
@@ -272,7 +230,8 @@ class MultiQueryEngine:
         if telemetry is not None:
             for state in states:
                 state.trace = telemetry.query_trace_builder(
-                    p=state.p, k=k, engine="scalar", rehashing=index.rehashing
+                    p=state.p, k=k, engine="scalar", rehashing=index.rehashing,
+                    query_id=query_id,
                 )
         c = index.config.c
         data = index.data
@@ -385,44 +344,4 @@ class MultiQueryEngine:
             total.add_random(state.io.random)
         self.index.io_stats.add_sequential(total.sequential)
         self.index.io_stats.add_random(total.random)
-        return MultiQueryResult(results=results, io=total)
-
-    def _knn_flat(
-        self,
-        query: np.ndarray,
-        k: int,
-        unique: list[float],
-        telemetry=None,
-        cap: float | None = None,
-    ) -> MultiQueryResult:
-        """Flat-engine execution of the level-synchronised batch loop.
-
-        One :class:`~repro.core.engine.LaneGroup` holds a lane per
-        metric; the engine replays the scalar loop's shared scans,
-        smallest-``p`` sequential attribution and fetched-object dedup.
-        """
-        index = self.index
-        group = index._lane_group(query, k, metrics=unique, cap=cap)
-        lanes = group.lanes
-        if telemetry is not None:
-            for lane in lanes:
-                lane.trace = telemetry.query_trace_builder(
-                    p=lane.p, k=k, engine="flat", rehashing=index.rehashing
-                )
-        execute_rounds([group])
-        total = IOStats()
-        results: dict[float, KnnResult] = {}
-        for lane in lanes:
-            results[lane.p] = _lane_result(lane)
-            if lane.trace is not None:
-                results[lane.p].trace = lane.trace.finish(
-                    termination=lane.stop_reason,
-                    io=lane.io,
-                    candidates=results[lane.p].candidates,
-                )
-                telemetry.record(results[lane.p].trace)
-            total.add_sequential(lane.io.sequential)
-            total.add_random(lane.io.random)
-        index.io_stats.add_sequential(total.sequential)
-        index.io_stats.add_random(total.random)
         return MultiQueryResult(results=results, io=total)

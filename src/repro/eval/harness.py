@@ -128,7 +128,6 @@ def time_knn_batch(
     *,
     metrics: Sequence[float] | None = None,
     engine: str = "flat",
-    share_pages: bool = False,
     telemetry=None,
 ):
     """Run ``knn_batch`` under a wall-clock timer.
@@ -147,7 +146,6 @@ def time_knn_batch(
             p=p,
             metrics=metrics,
             engine=engine,
-            share_pages=share_pages,
             telemetry=telemetry,
         )
     return result, timer.seconds

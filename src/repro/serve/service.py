@@ -72,11 +72,10 @@ import tempfile
 import threading
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import replace
 
 import numpy as np
 
-from repro.api import SearchRequest, aggregate_io
+from repro.api import check_knobs
 from repro.core.engine import execute_rounds
 from repro.core.lazylsh import _lane_result
 from repro.core.multiquery import MultiQueryResult
@@ -730,7 +729,7 @@ class ShardedSearchService:
     def search(
         self,
         query,
-        k: int | None = None,
+        k: int,
         *,
         p: float | None = None,
         metrics=None,
@@ -744,46 +743,30 @@ class ShardedSearchService:
     ):
         """Answer one ``Np(q, k, c)`` query across all shards.
 
-        Accepts either an explicit ``(query, k, p=...)`` or a
-        :class:`~repro.api.SearchRequest` as the sole argument — the
-        same overload as :meth:`LazyLSH.knn`.  The request's ``engine``
-        field is ignored (the service always runs its distributed flat
-        plan).  ``metrics`` answers the point under every listed metric
-        with one shared Section 4.3 scan and returns a
+        The one-row form of :meth:`search_batch`, with the same keyword
+        knobs as :meth:`LazyLSH.knn` (the service always runs its own
+        distributed flat plan, so it takes no ``engine``).  ``metrics``
+        answers the point under every listed metric with one shared
+        Section 4.3 scan and returns a
         :class:`~repro.core.multiquery.MultiQueryResult`, as
         ``knn_batch(metrics=...)`` does.
-        ``request_id``/``trace_context``/``deadline_ms`` (or the same
-        fields of the SearchRequest) opt the query into distributed
-        tracing and the advisory deadline — see :meth:`search_batch`.
-        ``explain=True`` attaches a structured EXPLAIN record (DESIGN
-        §15) to ``result.explain``; answers stay bit-identical.
+        ``request_id``/``trace_context``/``deadline_ms`` opt the query
+        into distributed tracing and the advisory deadline — see
+        :meth:`search_batch`.  ``explain=True`` attaches a structured
+        EXPLAIN record (DESIGN §15) to ``result.explain``; answers stay
+        bit-identical.
         """
-        if isinstance(query, SearchRequest):
-            if k is not None:
-                raise InvalidParameterError(
-                    "pass either a SearchRequest or explicit query/k "
-                    "arguments, not both"
-                )
-            query = replace(
-                query, query=self.index._check_query(query.query)[None, :]
-            )
-        elif k is None:
-            raise InvalidParameterError(
-                "k is required when not passing a SearchRequest"
-            )
-        else:
-            query = self.index._check_query(query)[None, :]
         return self.search_batch(
-            query, k, p=p, metrics=metrics, cap=cap, radius=radius,
-            telemetry=telemetry, request_id=request_id,
-            trace_context=trace_context, deadline_ms=deadline_ms,
-            explain=explain,
+            self.index._check_query(query)[None, :], k, p=p, metrics=metrics,
+            cap=cap, radius=radius, telemetry=telemetry,
+            request_id=request_id, trace_context=trace_context,
+            deadline_ms=deadline_ms, explain=explain,
         )[0]
 
     def search_batch(
         self,
         queries,
-        k: int | None = None,
+        k: int,
         *,
         p: float | None = None,
         metrics=None,
@@ -799,10 +782,9 @@ class ShardedSearchService:
 
         All queries of the wave share ``k``/``p``/``cap``/``radius``;
         per-query radii and termination stay independent (a finished
-        query simply drops out of later rounds).  Also accepts a
-        :class:`~repro.api.SearchRequest` whose ``query`` is a matrix.
-        Returns one :class:`~repro.api.SearchResult` per row, each with
-        the per-shard random-I/O breakdown in ``shard_io``.
+        query simply drops out of later rounds).  Returns one
+        :class:`~repro.api.SearchResult` per row, each with the
+        per-shard random-I/O breakdown in ``shard_io``.
 
         ``metrics`` (instead of ``p``, default ``1.0``) answers every
         row under all listed metrics, one Section 4.3 shared scan per
@@ -836,7 +818,7 @@ class ShardedSearchService:
     def _search_batch_locked(
         self,
         queries,
-        k: int | None = None,
+        k: int,
         *,
         p: float | None = None,
         metrics=None,
@@ -850,28 +832,7 @@ class ShardedSearchService:
     ) -> list:
         if self._closed:
             raise ReproError("service is closed")
-        if isinstance(queries, SearchRequest):
-            if k is not None:
-                raise InvalidParameterError(
-                    "pass either a SearchRequest or explicit queries/k "
-                    "arguments, not both"
-                )
-            request = queries
-            queries = request.query
-            k = request.k
-            metrics = request.metrics
-            if metrics is None:
-                p = request.p
-            cap = request.cap
-            radius = request.radius
-            request_id = request.request_id
-            trace_context = request.trace_context
-            deadline_ms = request.deadline_ms
-            explain = request.explain
-        elif k is None:
-            raise InvalidParameterError(
-                "k is required when not passing a SearchRequest"
-            )
+        metrics = check_knobs(k, p=p, metrics=metrics, cap=cap, radius=radius)
         index = self.index
         queries = np.ascontiguousarray(np.atleast_2d(
             np.asarray(queries, dtype=np.float64)
@@ -885,24 +846,6 @@ class ShardedSearchService:
             return []
         if not np.all(np.isfinite(queries)):
             raise InvalidParameterError("queries contain non-finite values")
-        if metrics is not None:
-            if p is not None:
-                raise InvalidParameterError("pass either p or metrics, not both")
-            if not metrics:
-                raise InvalidParameterError("metrics must be non-empty")
-            if radius is not None:
-                raise InvalidParameterError(
-                    "radius override is only supported for single-metric "
-                    "searches"
-                )
-        if cap is not None and cap < k:
-            raise InvalidParameterError(
-                f"candidate cap must be >= k={k}, got {cap}"
-            )
-        if radius is not None and not radius > 0:
-            raise InvalidParameterError(
-                f"radius override must be > 0, got {radius}"
-            )
         hashes = index._bank.hash_points(queries)  # one matmul for the wave
 
         def build() -> list:
@@ -976,12 +919,7 @@ class ShardedSearchService:
                     )
         if metrics is None:
             return [row[0] for row in rows]
-        return [
-            MultiQueryResult(
-                results={r.p: r for r in row}, io=aggregate_io(row)
-            )
-            for row in rows
-        ]
+        return [MultiQueryResult.of(row) for row in rows]
 
     # ------------------------------------------------------------------
     # Wave execution

@@ -20,10 +20,11 @@ import pytest
 from repro import LazyLSH, LazyLSHConfig, MultiQueryEngine, Telemetry, knn_batch
 from repro.core import engine
 from repro.datasets import make_synthetic, sample_queries
-from repro.errors import InvalidParameterError
+from repro.errors import DimensionalityMismatchError, InvalidParameterError
 from repro.obs import TERMINATION_REASONS
 from repro.serve import ShardedSearchService
 from repro.storage import InvertedListStore, PageLayout
+from tests import bad_knobs
 
 P_VALUES = (0.5, 0.75, 1.0)
 
@@ -98,6 +99,12 @@ def engine_split():
 def dual_index(request, engine_split):
     """One index per rehashing mode, shared across the matrix below."""
     return LazyLSH(_config(), rehashing=request.param).build(engine_split.data)
+
+
+@pytest.fixture(scope="module")
+def small_index(engine_split):
+    """A small query-centric index for the validation tests."""
+    return LazyLSH(_config()).build(engine_split.data[:300])
 
 
 class TestFlatMatchesScalar:
@@ -313,20 +320,6 @@ class TestBatchApi:
                 assert a.io.sequential == b.io.sequential
                 assert a.io.random == b.io.random
 
-    def test_share_pages_identical_results_fewer_reads(self, engine_split):
-        index = LazyLSH(_config()).build(engine_split.data)
-        plain = knn_batch(index, engine_split.queries, 10, p=0.5)
-        shared = knn_batch(
-            index, engine_split.queries, 10, p=0.5, share_pages=True
-        )
-        for a, b in zip(plain, shared):
-            assert np.array_equal(a.ids, b.ids)
-            assert np.array_equal(a.distances, b.distances)
-            assert a.rounds == b.rounds
-        # A batch-wide buffer pool can only drop repeat page reads.
-        assert shared.io.sequential <= plain.io.sequential
-        assert shared.io.random <= plain.io.random
-
 
 class TestTraceEquivalence:
     """Per-query telemetry traces must not depend on the execution plan."""
@@ -405,26 +398,96 @@ class TestTraceEquivalence:
                 assert_traces_identical(a, b)
                 assert a.io_delta_sum().to_dict() == result.io.to_dict()
 
+    def test_metrics_batch_traces_numbered_by_row(self, engine_split):
+        """Each (row, metric) trace of a metrics batch carries the row."""
+        index = LazyLSH(_config()).build(engine_split.data)
+        rows = len(engine_split.queries)
+        traces = {}
+        for engine_name in ("flat", "scalar"):
+            telemetry = Telemetry()
+            # An earlier call advances the telemetry's automatic ids.
+            index.knn(engine_split.queries[0], 10, p=0.5, telemetry=telemetry)
+            batch = knn_batch(
+                index, engine_split.queries, 10, metrics=P_VALUES,
+                engine=engine_name, telemetry=telemetry,
+            )
+            traces[engine_name] = telemetry.traces[1:]
+            assert [t.query_id for t in traces[engine_name]] == [
+                row for row in range(rows) for _p in P_VALUES
+            ]
+            for row, result in enumerate(batch):
+                for p in P_VALUES:
+                    assert result[p].trace.query_id == row
+        for a, b in zip(traces["flat"], traces["scalar"]):
+            assert a.query_id == b.query_id
+            assert_traces_identical(a, b)
+
+
+#: The in-process kNN entry points, each called with ``k = 5`` and a
+#: case's knobs from ``bad_knobs.BAD_KNOBS`` (``MultiQueryEngine.knn``
+#: needs a metrics list, so its base call carries one).
+KNOB_ENTRY_POINTS = {
+    "knn": (
+        LazyLSH.knn,
+        lambda index, queries, knobs: index.knn(queries[0], 5, **knobs),
+    ),
+    "multiquery": (
+        MultiQueryEngine.knn,
+        lambda index, queries, knobs: MultiQueryEngine(index).knn(
+            queries[0], 5, **{"metrics": P_VALUES, **knobs}
+        ),
+    ),
+    "knn_batch": (
+        knn_batch,
+        lambda index, queries, knobs: knn_batch(index, queries, 5, **knobs),
+    ),
+}
+
 
 class TestValidation:
     def test_knn_rejects_unknown_engine(self, dual_index, engine_split):
-        with pytest.raises(InvalidParameterError, match="engine"):
-            dual_index.knn(engine_split.queries[0], 5, p=0.5, engine="warp")
+        queries, knobs, pattern = bad_knobs.bad_call(
+            engine_split.queries, "unknown-engine"
+        )
+        with pytest.raises(InvalidParameterError, match=pattern):
+            dual_index.knn(queries[0], 5, p=0.5, **knobs)
 
     def test_knn_batch_rejects_unknown_engine(self, dual_index, engine_split):
-        with pytest.raises(InvalidParameterError, match="engine"):
-            knn_batch(dual_index, engine_split.queries, 5, p=0.5, engine="warp")
+        queries, knobs, pattern = bad_knobs.bad_call(
+            engine_split.queries, "unknown-engine"
+        )
+        with pytest.raises(InvalidParameterError, match=pattern):
+            knn_batch(dual_index, queries, 5, p=0.5, **knobs)
 
-    def test_share_pages_incompatible_with_scalar(self, dual_index, engine_split):
-        with pytest.raises(InvalidParameterError, match="share_pages"):
-            knn_batch(
-                dual_index,
-                engine_split.queries,
-                5,
-                p=0.5,
-                engine="scalar",
-                share_pages=True,
-            )
+    @pytest.mark.parametrize(
+        ("entry", "case"),
+        [
+            (entry, case)
+            for entry, (signature, _call) in KNOB_ENTRY_POINTS.items()
+            for case in bad_knobs.admitted(signature)
+        ],
+    )
+    def test_rejects_bad_knobs_alike(self, small_index, engine_split, entry, case):
+        """Every entry point raises the table's error for each case."""
+        queries, knobs, pattern = bad_knobs.bad_call(engine_split.queries, case)
+        with pytest.raises(InvalidParameterError, match=pattern):
+            KNOB_ENTRY_POINTS[entry][1](small_index, queries, knobs)
+
+    @pytest.mark.parametrize("engine_name", ["flat", "scalar"])
+    def test_multiquery_checks_query_like_knn(
+        self, small_index, engine_split, engine_name
+    ):
+        multi = MultiQueryEngine(small_index)
+        bad = engine_split.queries[0].copy()
+        bad[3] = np.nan
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            multi.knn(bad, 5, metrics=P_VALUES, engine=engine_name)
+        short = engine_split.queries[0][:-1]
+        with pytest.raises(DimensionalityMismatchError) as knn_error:
+            small_index.knn(short, 5, engine=engine_name)
+        with pytest.raises(DimensionalityMismatchError) as multi_error:
+            multi.knn(short, 5, metrics=P_VALUES, engine=engine_name)
+        assert str(multi_error.value) == str(knn_error.value)
 
     def test_metrics_mode_requires_query_centric(self, engine_split):
         index = LazyLSH(_config(), rehashing="original").build(engine_split.data)

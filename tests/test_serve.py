@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import LazyLSH, SearchRequest, Telemetry, knn_batch
+from repro import LazyLSH, Telemetry, knn_batch
 from repro.core import engine
 from repro.core.engine import LaneGroup
 from repro.durability import WalRecord
@@ -25,6 +25,7 @@ from repro.obs import TraceContext, TraceStore, parse_prometheus_text
 from repro.obs.query_trace import validate_trace_dict
 from repro.persistence import load_index, save_index
 from repro.serve import ShardedSearchService, plan_shards
+from tests import bad_knobs
 
 
 #: Metrics of the multi-metric waves below.
@@ -108,7 +109,7 @@ class TestBitIdentity:
         flat = built_index.knn(query, 7, p=0.6)
         _assert_identical(flat, service.search(query, 7, p=0.6))
         _assert_identical(
-            flat, service.search(SearchRequest(query=query, k=7, p=0.6))
+            flat, service.search_batch(query[None, :], 7, p=0.6)[0]
         )
 
     def test_cap_and_radius_overrides(
@@ -181,9 +182,7 @@ class TestMultiMetric:
                 WalRecord(lsn=2, op="remove", ids=removed),
             ])
             multi = svc.search_batch(small_split.queries, 8, metrics=MULTI)
-            request = svc.search(
-                SearchRequest(query=small_split.queries[1], k=8, metrics=MULTI)
-            )
+            request = svc.search(small_split.queries[1], 8, metrics=MULTI)
             single = svc.search_batch(small_split.queries, 8, p=0.75)
         reference.insert(data[900:1000])
         reference.remove(removed)
@@ -531,25 +530,24 @@ class TestValidation:
         )
         with ShardedSearchService(index, n_shards=1) as svc:
             with pytest.raises(InvalidParameterError, match="query-centric"):
-                svc.search(
-                    SearchRequest(query=query, k=5, metrics=(0.5, 1.0))
-                )
-
-    def test_rejects_request_plus_explicit_k(self, service, small_split):
-        request = SearchRequest(query=small_split.queries[0], k=5)
-        with pytest.raises(InvalidParameterError, match="not both"):
-            service.search(request, 5)
+                svc.search(query, 5, metrics=(0.5, 1.0))
 
     def test_requires_k_without_request(self, service, small_split):
-        with pytest.raises(InvalidParameterError, match="k is required"):
+        with pytest.raises(TypeError, match="'k'"):
             service.search(small_split.queries[0])
 
     def test_rejects_bad_tuning(self, service, small_split):
+        """``bad_knobs``'s table (it takes no ``engine``), plus ``k`` and
+        the query shape."""
         queries = small_split.queries
+        cases = bad_knobs.admitted(ShardedSearchService.search_batch)
+        assert "unknown-engine" not in cases
+        for case in cases:
+            bad_queries, knobs, pattern = bad_knobs.bad_call(queries, case)
+            with pytest.raises(InvalidParameterError, match=pattern):
+                service.search_batch(bad_queries, 5, **knobs)
         with pytest.raises(InvalidParameterError):
             service.search_batch(queries, 0)
-        with pytest.raises(InvalidParameterError):
-            service.search_batch(queries, 5, p=0.8, cap=2)
         with pytest.raises(InvalidParameterError):
             service.search_batch(queries, 5, p=0.8, radius=-1.0)
         with pytest.raises(InvalidParameterError):

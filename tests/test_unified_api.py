@@ -1,9 +1,9 @@
 """Tests for the unified search API surface (repro.api).
 
 Covers the shared ``SearchRequest``/``SearchResult`` core: request
-dispatch on every query path, the versioned wire codec, the rejection of
-positional tuning arguments, the common result protocol, and the
-streaming ``IOStats.merge``/``aggregate_io`` aggregation.
+validation, the versioned wire codec, the rejection of positional
+tuning arguments, the common result protocol, and the streaming
+``IOStats.merge``/``aggregate_io`` aggregation.
 """
 
 import numpy as np
@@ -156,45 +156,6 @@ class TestWireCodec:
         assert record["v"] == WIRE_VERSION
         assert record["ids"] == [3, 1]
         assert record["distances"] == [0.5, 1.5]
-
-
-class TestRequestDispatch:
-    def test_knn_accepts_request(self, built_index, small_split):
-        query = small_split.queries[0]
-        keyword = built_index.knn(query, 5, p=0.8)
-        request = built_index.knn(SearchRequest(query=query, k=5, p=0.8))
-        np.testing.assert_array_equal(keyword.ids, request.ids)
-        np.testing.assert_array_equal(keyword.distances, request.distances)
-        assert keyword.io == request.io
-
-    def test_knn_rejects_request_plus_args(self, built_index, small_split):
-        request = SearchRequest(query=small_split.queries[0], k=5)
-        with pytest.raises(InvalidParameterError):
-            built_index.knn(request, 5)
-
-    def test_multiquery_accepts_request(self, built_index, small_split):
-        engine = MultiQueryEngine(built_index)
-        query = small_split.queries[0]
-        keyword = engine.knn(query, 5, metrics=(0.5, 1.0))
-        request = engine.knn(
-            SearchRequest(query=query, k=5, metrics=(0.5, 1.0))
-        )
-        assert keyword.metrics == request.metrics
-        for p in keyword.metrics:
-            np.testing.assert_array_equal(
-                keyword.results[p].ids, request.results[p].ids
-            )
-        assert keyword.io == request.io
-
-    def test_knn_batch_accepts_matrix_request(self, built_index, small_split):
-        queries = small_split.queries[:2]
-        keyword = knn_batch(built_index, queries, 5, p=0.8)
-        request = knn_batch(
-            built_index, SearchRequest(query=queries, k=5, p=0.8)
-        )
-        for a, b in zip(keyword.results, request.results):
-            np.testing.assert_array_equal(a.ids, b.ids)
-        assert keyword.io == request.io
 
 
 class TestDeprecatedPositionals:

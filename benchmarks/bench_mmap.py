@@ -1,31 +1,30 @@
-"""Storage backends: mmap vs eager cold start, resident memory, real I/O.
+"""Opening a saved index: cold start, resident memory, real I/O.
 
-Measures what the zero-copy mmap backend (DESIGN.md section 12) buys and
-what it costs, against the eager loader on the same format-v3 file:
+``load_index`` maps a format-v3 file (DESIGN.md section 12).  This
+measures what that open costs and what the mapping does at query time:
 
 * **Cold start** — wall time of ``load_index`` in a fresh process.  The
-  eager path reads and materialises every section, so it grows linearly
-  with the file; the mmap path only parses the superblock and maps the
-  sections, so it stays flat no matter how large the index is.
-* **Resident memory** — peak-RSS delta of that fresh process over an
-  import-only baseline.  An eager open pays the full index size up
-  front; a mapped open pays only the pages the queries actually touch,
-  which is how bigger-than-RAM datasets become servable.
-* **First-touch vs warm-cache latency** — the first query against a
-  mapped index page-faults its search path in; repeats hit the OS page
-  cache.  The gap is the real price of lazy loading.
+  open only parses the superblock and maps the sections, so it stays
+  flat no matter how large the index is.
+* **Resident memory** — RSS delta of that fresh process over an
+  import-only baseline, after one query and three repeats: the open
+  pays only the pages the queries touch, which is how bigger-than-RAM
+  datasets become servable.
+* **First-touch vs warm-cache latency** — the first query page-faults
+  its search path in; repeats hit the OS page cache.  The gap is the
+  real price of lazy loading.
 * **Real vs simulated I/O** — ``/proc/self/io`` read bytes and major
-  faults alongside the paper's simulated ``PageTracker`` charge, which
-  is backend-independent by construction (and asserted identical here).
+  faults beside the paper's simulated ``PageTracker`` charge, which
+  does not depend on how the runs are held (asserted here).
 * **Service start** — ``ShardedSearchService`` construction time over
-  the in-memory index and over the mapped one.  Workers attach one way
-  either way: each compacts its shard out of a v3 file, a spill of the
-  in-memory index or the mapped index's own file.
+  the built index and over the opened one (median of alternating
+  starts).  Workers attach one way either way: each compacts its
+  shard out of a v3 spill the service writes of its current index.
 
 Every configuration asserts bit-identical kNN answers (ids, distances,
-simulated I/O, termination) between the eager and mapped opens, and
-between ``index.knn`` and a sharded service over each — the benchmark
-doubles as an end-to-end identity check.
+simulated I/O, termination) between the opened index and the index it
+was saved from, and between ``index.knn`` and a sharded service over
+each — the benchmark doubles as an end-to-end identity check.
 
 Run ``--smoke`` for the seconds-scale CI version (writes
 ``BENCH_mmap.smoke.json`` so checked-in full numbers are not
@@ -99,9 +98,9 @@ usage = resource.getrusage(resource.RUSAGE_SELF)
 baseline_kb = rss_now_kb()
 io0, flt0 = proc_io(), usage.ru_majflt
 
-path, backend, k, p = {path!r}, {backend!r}, {k}, {p}
+path, k, p = {path!r}, {k}, {p}
 t0 = time.perf_counter()
-index = load_index(path, backend=backend)
+index = load_index(path)
 open_seconds = time.perf_counter() - t0
 
 query = np.array(index.data[0])
@@ -135,9 +134,9 @@ print(json.dumps({{
 """
 
 
-def _run_child(path: Path, backend: str, k: int, p: float) -> dict:
+def _run_child(path: Path, k: int, p: float) -> dict:
     """Measure one cold open + query in a fresh interpreter."""
-    code = _CHILD_TEMPLATE.format(path=str(path), backend=backend, k=k, p=p)
+    code = _CHILD_TEMPLATE.format(path=str(path), k=k, p=p)
     env = dict(os.environ)
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = f"{src}{os.pathsep}{env.get('PYTHONPATH', '')}"
@@ -159,6 +158,10 @@ def _evict(path: Path) -> bool:
         return True
     except (OSError, AttributeError):
         return False
+
+
+#: Service starts per index, alternating built and opened.
+START_REPEATS = 3
 
 
 def _service_start_seconds(index, n_shards: int) -> float:
@@ -189,31 +192,37 @@ def bench_size(n: int, d: int, workload: dict, scratch: Path) -> dict:
         "file_bytes": int(file_bytes),
         "evicted_page_cache": _evict(path),
     }
-    row["eager"] = _run_child(path, "eager", k, p)
-    _evict(path)
-    row["mmap"] = _run_child(path, "mmap", k, p)
-
+    row["open"] = opened = _run_child(path, k, p)
+    saved = index.knn(data[0], k, p=p)
     identical = (
-        row["eager"]["ids"] == row["mmap"]["ids"]
-        and row["eager"]["distances"] == row["mmap"]["distances"]
-        and row["eager"]["sim_io"] == row["mmap"]["sim_io"]
-        and row["eager"]["termination"] == row["mmap"]["termination"]
+        opened["backend"] == "mmap"
+        and opened["ids"] == [int(i) for i in saved.ids]
+        and opened["distances"] == [float(x) for x in saved.distances]
+        and opened["sim_io"]
+        == {"sequential": saved.io.sequential, "random": saved.io.random}
+        and opened["termination"] == saved.termination
     )
     if not identical:
         raise AssertionError(
-            f"eager/mmap answers diverged at n={n}: "
-            f"{row['eager']['ids']} vs {row['mmap']['ids']}"
+            f"the opened index diverged from the saved one at n={n}: "
+            f"{opened['ids']} vs {saved.ids.tolist()}"
         )
     row["identical"] = True
 
     from repro.serve import ShardedSearchService
 
-    mmap_index = load_index(path, backend="mmap")
+    mapped = load_index(path)
+    starts: dict[str, list[float]] = {"built": [], "opened": []}
+    for _ in range(START_REPEATS):
+        for label, served in (("built", index), ("opened", mapped)):
+            starts[label].append(
+                _service_start_seconds(served, workload["shards"])
+            )
     row["service_start"] = {
-        "in_memory_seconds": _service_start_seconds(index, workload["shards"]),
-        "mapped_seconds": _service_start_seconds(mmap_index, workload["shards"]),
+        f"{label}_seconds": float(np.median(times))
+        for label, times in starts.items()
     }
-    for label, served in (("in-memory", index), ("mapped", mmap_index)):
+    for label, served in (("built", index), ("opened", mapped)):
         with ShardedSearchService(served, n_shards=workload["shards"]) as svc:
             for query in data[:4]:
                 a = index.knn(query, k, p=p)
@@ -255,22 +264,20 @@ def run_report(workload: dict) -> dict:
 
 def _print_summary(report: dict) -> None:
     for row in report["sizes"]:
-        eager, mapped = row["eager"], row["mmap"]
+        opened = row["open"]
         print(
             f"n={row['n']:6d} file={row['file_bytes'] / 1e6:8.1f} MB | "
-            f"open eager {eager['open_seconds'] * 1e3:8.1f} ms / "
-            f"mmap {mapped['open_seconds'] * 1e3:6.1f} ms | "
-            f"rss eager {eager['rss_delta_kb'] / 1024:7.1f} MB / "
-            f"mmap {mapped['rss_delta_kb'] / 1024:6.1f} MB | "
-            f"first {mapped['first_query_seconds'] * 1e3:7.1f} ms "
-            f"warm {mapped['warm_query_seconds'] * 1e3:6.2f} ms | "
+            f"open {opened['open_seconds'] * 1e3:6.1f} ms | "
+            f"rss {opened['rss_delta_kb'] / 1024:6.1f} MB | "
+            f"first {opened['first_query_seconds'] * 1e3:7.1f} ms "
+            f"warm {opened['warm_query_seconds'] * 1e3:6.2f} ms | "
             f"identical={row['identical']}"
         )
         svc = row["service_start"]
         print(
-            f"          service start: in-memory "
-            f"{svc['in_memory_seconds'] * 1e3:8.1f} ms, mapped "
-            f"{svc['mapped_seconds'] * 1e3:8.1f} ms"
+            f"          service start: built "
+            f"{svc['built_seconds'] * 1e3:8.1f} ms, opened "
+            f"{svc['opened_seconds'] * 1e3:8.1f} ms"
         )
 
 
@@ -280,25 +287,19 @@ def run():
 
     report = run_report(SMOKE)
     table = ResultTable(
-        "storage backends: eager vs mmap (smoke scale)",
-        [
-            "n", "file MB", "eager open ms", "mmap open ms",
-            "eager RSS MB", "mmap RSS MB", "first ms", "warm ms",
-            "identical",
-        ],
+        "opening a saved index (smoke scale)",
+        ["n", "file MB", "open ms", "RSS MB", "first ms", "warm ms", "identical"],
     )
     for row in report["sizes"]:
-        eager, mapped = row["eager"], row["mmap"]
+        opened = row["open"]
         table.add_row(
             [
                 row["n"],
                 f"{row['file_bytes'] / 1e6:.1f}",
-                f"{eager['open_seconds'] * 1e3:.1f}",
-                f"{mapped['open_seconds'] * 1e3:.1f}",
-                f"{eager['rss_delta_kb'] / 1024:.1f}",
-                f"{mapped['rss_delta_kb'] / 1024:.1f}",
-                f"{mapped['first_query_seconds'] * 1e3:.1f}",
-                f"{mapped['warm_query_seconds'] * 1e3:.2f}",
+                f"{opened['open_seconds'] * 1e3:.1f}",
+                f"{opened['rss_delta_kb'] / 1024:.1f}",
+                f"{opened['first_query_seconds'] * 1e3:.1f}",
+                f"{opened['warm_query_seconds'] * 1e3:.2f}",
                 str(row["identical"]),
             ]
         )

@@ -30,7 +30,9 @@ Commands
 ``serve``
     Load (or build) an index, start the sharded multiprocess query
     service, answer a query workload through it and print the merged
-    results plus per-shard service stats as JSON.  ``--metrics-port``
+    results plus per-shard service stats as JSON.  Every command that
+    opens a saved index maps a v3 file (v1/v2 files re-hash); the shard
+    workers attach from a spill the service writes.  ``--metrics-port``
     additionally starts the ops exporter (``/metrics``, ``/healthz``,
     ``/slowlog``, ``/profile``) plus the workload-analytics sketches,
     ``--profile-hz`` the continuous sampling profiler, ``--audit-rate``
@@ -207,8 +209,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def _run_traced_workload(args: argparse.Namespace) -> tuple[Telemetry, int]:
     """Run the shared ``trace``/``stats`` workload; returns telemetry."""
-    # trace shares this loader but has no --backend flag; default eager.
-    index = load_index(args.index, backend=getattr(args, "backend", "eager"))
+    index = load_index(args.index)
     queries = _workload_queries(index, args)
     metrics = _parse_p_list(args.p)
     telemetry = Telemetry()
@@ -257,7 +258,7 @@ def _run_sharded_workload(
     """The ``stats --shards N`` workload: run through the service."""
     from repro.serve import ShardedSearchService
 
-    index = load_index(args.index, backend=getattr(args, "backend", "eager"))
+    index = load_index(args.index)
     queries = _workload_queries(index, args)
     metrics = _parse_p_list(args.p)
     if len(metrics) != 1:
@@ -338,9 +339,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         report["initialized"] = True
         report["points"] = int(index.num_points)
     else:
-        durable, recovery = durability.recover(
-            home, sync=not args.no_fsync, backend=args.backend
-        )
+        durable, recovery = durability.recover(home, sync=not args.no_fsync)
         report["initialized"] = False
         report["recovery"] = recovery
     rng = np.random.default_rng(args.seed)
@@ -465,7 +464,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"{home} --init <dataset>` first"
             )
         base_lsn, ckpt_path = found
-        index = load_index(ckpt_path, backend=args.backend)
+        index = load_index(ckpt_path)
         # Read-only tail of the (possibly live) log: never truncates.
         feed = WalFeed(home / WAL_SUBDIR, start_lsn=base_lsn)
         print(
@@ -475,7 +474,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     elif args.index is not None:
-        index = load_index(args.index, backend=args.backend)
+        index = load_index(args.index)
     else:
         raise ReproError("serve needs an index path or --wal <home-dir>")
     queries = _workload_queries(index, args)
@@ -587,7 +586,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         registry = telemetry.registry
         registry.gauge(
             "lazylsh_store_resident_bytes",
-            "Index bytes held in process RAM (eager arrays + mutable state)",
+            "Index bytes held in process RAM (runs in RAM + mutable state)",
         ).set(float(storage["resident_bytes"]))
         registry.gauge(
             "lazylsh_store_mapped_bytes",
@@ -595,7 +594,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ).set(float(storage["mapped_bytes"]))
         registry.gauge(
             "lazylsh_store_backend_info",
-            "Storage backend of the serving index (1 = active)",
+            "How the serving index's runs are held, mmap or eager (1 = active)",
         ).set(1.0, backend=storage["backend"])
     timer = Timer()
     try:
@@ -760,7 +759,7 @@ def cmd_cluster_lead(args: argparse.Namespace) -> int:
             f"{home} --init <dataset>` first"
         )
     base_lsn, ckpt_path = found
-    index = load_index(ckpt_path, backend=args.backend)
+    index = load_index(ckpt_path)
     feed = WalFeed(home / WAL_SUBDIR, start_lsn=base_lsn)
     registry = MetricsRegistry()
     frontend = exporter = None
@@ -844,7 +843,6 @@ def cmd_cluster_follow(args: argparse.Namespace) -> int:
         (host, int(port_text)),
         n_shards=args.shards,
         http_port=args.http_port,
-        backend=args.backend,
         registry=registry,
     )
     try:
@@ -964,7 +962,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             raise ReproError("explain needs an index path or --url")
         from repro.serve import ShardedSearchService
 
-        index = load_index(args.index, backend=args.backend)
+        index = load_index(args.index)
         queries = _workload_queries(index, args)
         with ShardedSearchService(index, n_shards=args.shards) as service:
             results = service.search_batch(
@@ -1415,14 +1413,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run through the sharded service with this many shards and "
         "print the per-shard random-I/O breakdown (0 = single-process)",
     )
-    p_stats.add_argument(
-        "--backend",
-        choices=("eager", "mmap"),
-        default="eager",
-        help="how to open the index: eager loads every array into RAM, "
-        "mmap maps a format-v3 file and pages on demand (v1/v2 files "
-        "load eagerly)",
-    )
     p_stats.set_defaults(func=cmd_stats)
 
     p_ingest = sub.add_parser(
@@ -1461,13 +1451,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         action="store_true",
         help="compact the WAL into a checkpoint after applying updates",
-    )
-    p_ingest.add_argument(
-        "--backend",
-        choices=("eager", "mmap"),
-        default="eager",
-        help="how to open the recovered checkpoint (v1/v2 checkpoints "
-        "load eagerly)",
     )
     p_ingest.add_argument(
         "--no-fsync",
@@ -1530,14 +1513,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--query-file", default=None, help=".npy file of query vectors"
-    )
-    p_serve.add_argument(
-        "--backend",
-        choices=("eager", "mmap"),
-        default="eager",
-        help="how to open the index: eager loads it into RAM, mmap maps a "
-        "format-v3 file (v1/v2 files load eagerly); workers compact their "
-        "shards from that file, or from a spill of an in-memory index",
     )
     p_serve.add_argument(
         "--start-method",
@@ -1706,12 +1681,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=2, help="local worker processes"
     )
     p_lead.add_argument(
-        "--backend",
-        default="mmap",
-        choices=("mmap", "eager"),
-        help="checkpoint open mode (v1/v2 checkpoints load eagerly)",
-    )
-    p_lead.add_argument(
         "--poll-interval",
         type=float,
         default=0.05,
@@ -1748,12 +1717,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_follow.add_argument(
         "--shards", type=int, default=2, help="local worker processes"
-    )
-    p_follow.add_argument(
-        "--backend",
-        default="eager",
-        choices=("eager", "mmap"),
-        help="bootstrap-checkpoint open mode",
     )
     _cluster_common(p_follow)
     p_follow.set_defaults(func=cmd_cluster_follow)
@@ -1827,9 +1790,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explain.add_argument(
         "--shards", type=int, default=2, help="shard/worker count"
-    )
-    p_explain.add_argument(
-        "--backend", choices=("eager", "mmap"), default="eager"
     )
     p_explain.add_argument(
         "--url",

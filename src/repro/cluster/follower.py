@@ -2,10 +2,12 @@
 
 :class:`FollowerNode` is one read replica (DESIGN §16).  Lifecycle:
 
-1. **Bootstrap.**  Load the newest v3 checkpoint under the local home;
-   when there is none, fetch the leader's newest checkpoint over the
-   replication socket (written atomically: tmp + fsync + rename, the
-   same discipline as :func:`repro.durability.write_checkpoint`).  The
+1. **Bootstrap.**  Map the newest v3 checkpoint under the local home
+   (:func:`~repro.persistence.load_index`); when there is none, fetch
+   the leader's newest checkpoint over the replication socket (written
+   atomically: tmp + fsync + rename, the same discipline as
+   :func:`repro.durability.write_checkpoint`).  The shard workers attach
+   from the service's own spill, not from the checkpoint file.  The
    checkpoint's covered LSN seeds
    :class:`~repro.serve.ShardedSearchService` (``base_lsn``) and an
    optional :class:`~repro.serve.Frontend` serves reads on the
@@ -81,10 +83,6 @@ class FollowerNode:
         When not ``None``, a :class:`~repro.serve.Frontend` serves
         ``POST /v1/search`` / ``GET /v1/health`` on this port
         (``0`` picks a free one).
-    backend:
-        Index open mode for the bootstrap checkpoint (``"eager"`` or
-        ``"mmap"``; v1/v2 checkpoints load eagerly).  A mapped index's
-        shard workers map the checkpoint file too.
     registry:
         Optional metrics registry publishing the ``lazylsh_replica_*``
         family.
@@ -99,7 +97,6 @@ class FollowerNode:
         *,
         n_shards: int = 2,
         http_port: int | None = None,
-        backend: str = "eager",
         registry=None,
         telemetry=None,
         reconnect_min: float = 0.05,
@@ -110,7 +107,6 @@ class FollowerNode:
         self.leader = (str(leader[0]), int(leader[1]))
         self.n_shards = int(n_shards)
         self.http_port = http_port
-        self.backend = backend
         self.registry = registry
         self.telemetry = telemetry
         self.reconnect_min = float(reconnect_min)
@@ -242,7 +238,7 @@ class FollowerNode:
         if found is None:
             found = self._fetch_checkpoint(ckpt_dir)
         self.base_lsn, ckpt_path = found
-        index = load_index(ckpt_path, backend=self.backend)
+        index = load_index(ckpt_path)
         service = ShardedSearchService(
             index,
             n_shards=self.n_shards,

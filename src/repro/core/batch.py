@@ -156,7 +156,7 @@ def knn_batch(
             for j in range(queries.shape[0]):
                 stats = IOStats()
                 results.append(index._knn_impl(
-                    queries[j], k, p, stats, seen_pages=set(),
+                    queries[j], k, p, stats,
                     telemetry=telemetry, query_id=j, cap=cap, radius=radius,
                 ))
                 index.io_stats.merge(stats)

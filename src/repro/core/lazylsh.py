@@ -388,10 +388,11 @@ class LazyLSH:
     def storage_info(self) -> dict:
         """Open-mode and memory accounting for the whole index.
 
-        Extends :meth:`InvertedListStore.storage_info` with the data
-        matrix and tombstone mask, so health endpoints and the metrics
-        exporter can report how many bytes are resident RAM versus
-        lazily paged file mappings (the mmap backend's whole point).
+        Extends :meth:`InvertedListStore.storage_info` (``"mmap"`` and
+        the file while the runs are mapped from a loaded v3 file, else
+        ``"eager"``) with the data matrix and tombstone mask, so health
+        endpoints and the metrics exporter can report how many bytes
+        are resident RAM versus lazily paged file mappings.
         """
         self._require_built()
         assert self._store is not None
@@ -406,8 +407,9 @@ class LazyLSH:
     def mapped_regions(self) -> dict[str, np.ndarray]:
         """File-backed regions of the open index, labelled for probes.
 
-        Empty on the eager backend.  The ops plane feeds these buffers
-        to ``mincore(2)`` for per-store page-cache residency gauges.
+        Empty for a built index, or once inserts moved everything into
+        RAM.  The ops plane feeds these buffers to ``mincore(2)`` for
+        per-store page-cache residency gauges.
         """
         self._require_built()
         assert self._store is not None
@@ -591,12 +593,8 @@ class LazyLSH:
                     telemetry=telemetry,
                 )[0][0]
             stats = IOStats()
-            # A fresh per-query page cache: pages re-touched by successive
-            # rehashing rounds (ring boundaries) stay in the buffer pool
-            # for the duration of one query and are charged once.
             result = self._knn_impl(
-                query, k, p, stats, seen_pages=set(), telemetry=telemetry,
-                cap=cap, radius=radius,
+                query, k, p, stats, telemetry=telemetry, cap=cap, radius=radius
             )
             self.io_stats.merge(stats)
             return result
@@ -720,19 +718,16 @@ class LazyLSH:
         p: float,
         stats: IOStats,
         *,
-        seen_pages: set[tuple[int, int]] | None = None,
-        fetched: np.ndarray | None = None,
         telemetry=None,
         query_id: int | None = None,
         cap: float | None = None,
         radius: float | None = None,
     ) -> KnnResult:
-        """Algorithm 4 body, shareable by the multi-query engine.
+        """Algorithm 4 body: the scalar oracle of one query and metric.
 
-        ``seen_pages``/``fetched`` let a batch of queries over several
-        metrics share sequential page reads and candidate fetches
-        (Section 4.3); plain ``knn`` passes neither.  ``cap``/``radius``
-        override the candidate budget and starting radius.
+        ``cap``/``radius`` override the candidate budget and starting
+        radius.  Pages re-touched by successive rehashing rounds (ring
+        boundaries) stay in a per-query buffer pool and are charged once.
         """
         p = validate_p(p)
         n = self.num_points
@@ -759,6 +754,7 @@ class LazyLSH:
         cand_ids: list[int] = []
         cand_dists: list[float] = []
         query_hashes = self._bank.hash_point(query)
+        seen_pages: set[tuple[int, int]] = set()
         prev_windows: list[tuple[int, int]] | None = None
         delta = 1.0 / params.r_hat if radius is None else float(radius)
         rounds = 0
@@ -801,12 +797,7 @@ class LazyLSH:
                         is_candidate[crossed] = True
                         if trace is not None:
                             trace.add_crossings(int(crossed.size))
-                        if fetched is None:
-                            stats.add_random(int(crossed.size))
-                        else:
-                            fresh = crossed[~fetched[crossed]]
-                            fetched[crossed] = True
-                            stats.add_random(int(fresh.size))
+                        stats.add_random(int(crossed.size))
                         dists = lp_distance(self._data[crossed], query, p)
                         cand_ids.extend(int(x) for x in crossed)
                         cand_dists.extend(float(x) for x in dists)

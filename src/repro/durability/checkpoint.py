@@ -16,8 +16,10 @@ half-written file under a recoverable name.
 Recovery (:func:`recover`) is the classic ARIES-lite sequence:
 
 1. rank checkpoint files by LSN, newest first;
-2. load the newest one whose header parses and whose payload loads —
-   unreadable candidates are skipped, falling back to older snapshots;
+2. open the newest one whose header parses and whose payload loads —
+   unreadable candidates are skipped, falling back to older snapshots.
+   A v3 checkpoint opens mapped; the mapping keeps its file alive, so a
+   later prune of that checkpoint pulls no pages from under the index;
 3. open the WAL (which itself truncates a torn tail);
 4. replay every record with ``lsn > checkpoint_lsn`` in order;
 5. hand back a :class:`~repro.durability.wal.DurableIndex` ready for
@@ -100,9 +102,8 @@ def write_checkpoint(
 ) -> Path:
     """Atomically snapshot ``index`` as the checkpoint covering ``lsn``.
 
-    The snapshot is a format-v3 file, so recovery opens it without
-    re-hashing and ``recover(..., backend="mmap")`` or a worker attach
-    maps it in O(1).
+    The snapshot is a format-v3 file, so recovery maps it in O(1)
+    without re-hashing.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -183,7 +184,6 @@ def recover(
     sync: bool = True,
     segment_bytes: int | None = None,
     registry=None,
-    backend: str = "eager",
 ) -> tuple[DurableIndex, dict]:
     """Rebuild the durable index from ``directory`` after a crash.
 
@@ -191,11 +191,11 @@ def recover(
     recovery did: the checkpoint used, records replayed, torn-tail bytes
     dropped, and checkpoints skipped as corrupt.
 
-    ``backend="mmap"`` opens the checkpoint without reading its pages
-    eagerly — cold recovery of a large, mostly-checkpointed index starts
-    in milliseconds and pages in on demand (a v1/v2 checkpoint loads
-    eagerly).  WAL replay onto a mapped index materialises the mutated
-    arrays in RAM, exactly as live inserts do.
+    A v3 checkpoint opens mapped (:func:`~repro.persistence.load_index`)
+    — cold recovery of a large, mostly-checkpointed index starts in
+    milliseconds and pages in on demand (a v1/v2 checkpoint loads by
+    re-hashing).  WAL replay onto a mapped index materialises the
+    mutated arrays in RAM, exactly as live inserts do.
     """
     directory = Path(directory)
     ckpt_dir = directory / CHECKPOINT_SUBDIR
@@ -217,7 +217,7 @@ def recover(
                     f"{path} header LSN {header.get('wal_lsn')} does not "
                     f"match its file name"
                 )
-            index = load_index(path, backend=backend)
+            index = load_index(path)
         except (IndexFormatError, InvalidParameterError, zipfile.BadZipFile,
                 OSError, ValueError, KeyError) as exc:
             skipped.append(f"{path.name}: {exc}")

@@ -542,7 +542,8 @@ class DurableIndex:
     log and the index untouched.
 
     Query methods (``knn``, ``range_query``, ...) are delegated to the
-    wrapped index unchanged.
+    wrapped index unchanged.  Snapshot it with
+    :func:`~repro.durability.checkpoint.checkpoint_now`.
 
     Listeners registered with :meth:`subscribe` are called with each
     committed :class:`WalRecord` *after* it is applied — this is how a
@@ -592,16 +593,6 @@ class DurableIndex:
     def subscribe(self, listener: Callable[[WalRecord], None]) -> None:
         """Register a callback invoked after every committed record."""
         self._listeners.append(listener)
-
-    # -- checkpointing --------------------------------------------------
-
-    def checkpoint(self, directory: str | Path) -> Path:
-        """Compact the log into a snapshot (see ``repro.durability.checkpoint``)."""
-        from repro.durability.checkpoint import write_checkpoint
-
-        path = write_checkpoint(self.index, directory, lsn=self.wal.last_lsn)
-        self.wal.truncate_through(self.wal.last_lsn)
-        return path
 
     # -- delegation -----------------------------------------------------
 

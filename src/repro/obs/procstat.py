@@ -1,9 +1,11 @@
 """Real paging metrics: major faults and page-cache residency.
 
-The PR-6 mmap backend reports ``lazylsh_store_{resident,mapped}_bytes``
-from ``mincore(2)``; this module adds the process-level half of the
-picture so operators can tell *simulated* I/O charge (the paper's cost
-model) apart from *actual* disk traffic:
+A loaded v3 index is memory-mapped, and its storage report
+(``lazylsh_store_{resident,mapped}_bytes``) says how much of it is
+mapped; this module adds ``mincore(2)`` residency of those regions and
+the process-level half of the picture, so operators can tell
+*simulated* I/O charge (the paper's cost model) apart from *actual*
+disk traffic:
 
 * ``lazylsh_major_faults_total`` — cumulative major page faults of the
   process, parsed from ``/proc/self/stat`` field 12 (``majflt``).  A

@@ -54,7 +54,7 @@ shard.  The totals in ``io`` equal the single-process engine's
 exactly.
 
 Fault tolerance: a worker death (detected as a broken pipe) triggers a
-repair — dead workers are respawned from a v3 file of the coordinator's
+repair — dead workers are respawned from a v3 spill of the coordinator's
 current index, survivors are reset, stale replies are discarded by
 sequence number — and the whole wave is replayed once from round zero
 (the scan is deterministic, so the replay returns the same results).  A
@@ -207,15 +207,14 @@ class ShardedSearchService:
         silently skips anything at or below it.
 
     Every worker attaches one way, at start and at respawn: it opens a
-    v3 file of the coordinator's *current* index, compacts the sub-runs
-    of the ids it owns, copies their data rows and takes their alive
-    bits, acked LSN and epoch from the coordinator.  The file is the
-    index's own while its runs are still mapped from it
-    (``load_index(..., backend="mmap")``, no insert since); otherwise it
-    is a spill the service writes with :func:`~repro.persistence.
-    save_index` into a private temporary directory and deletes as soon
-    as the workers have attached.  A respawned worker therefore starts
-    from the same state the survivors hold.
+    v3 spill of the coordinator's *current* index, compacts the
+    sub-runs of the ids it owns, copies their data rows and takes their
+    alive bits, acked LSN and epoch from the coordinator.  The service
+    writes the spill with :func:`~repro.persistence.save_index` into a
+    private temporary directory and deletes it as soon as the workers
+    have attached — also for an index mapped from a file, whose path
+    may since name another index or none.  A respawned worker therefore
+    starts from the same state the survivors hold.
 
     Use as a context manager (or call :meth:`close`) to release the
     worker processes::
@@ -292,19 +291,16 @@ class ShardedSearchService:
 
     @contextmanager
     def _attach_file(self):
-        """Path of a v3 file of the current index for workers to attach.
+        """Path of a v3 spill of the current index for workers to attach.
 
-        The index's own file while its runs are still mapped from it;
-        otherwise a spill written by :func:`save_index` into a private
+        The spill is written by :func:`save_index` into a private
         temporary directory and removed when the block exits.  Workers
         spawned inside the block must have answered an op before it
         exits: a worker answers only once attached, and attaching leaves
-        it no reference to the file.
+        it no reference to the file.  A mapped index spills too: the
+        path it was opened from may since have been replaced or removed
+        (its mapping keeps the old inode), so it names no reliable state.
         """
-        storage = self.index.storage_info()
-        if storage["backend"] == "mmap":
-            yield storage["source_path"]
-            return
         spill_dir = tempfile.mkdtemp(
             prefix="repro-spill-",
             dir=_SPILL_ROOT if os.path.isdir(_SPILL_ROOT) else None,

@@ -3,7 +3,7 @@
 The sharded service partitions the point set into ``n_shards``
 contiguous id ranges; points inserted later join the least-loaded
 shard.  Every worker attaches the same way, at start and at respawn: it
-opens a format-v3 file of the coordinator's current index, takes
+maps a format-v3 spill of the coordinator's current index, takes
 :meth:`~repro.storage.inverted_index.InvertedListStore.compact_shard`
 over the ids it owns, copies its data rows and adopts the alive slice,
 LSN and epoch its :class:`ShardSpec` carries.  Queries then ship only
@@ -48,10 +48,10 @@ def plan_shards(n_rows: int, n_shards: int) -> list[tuple[int, int]]:
 class ShardSpec:
     """Everything a worker needs to attach its shard (picklable).
 
-    ``path`` is a v3 file holding the coordinator's current runs and
+    ``path`` is a v3 spill holding the coordinator's current runs and
     data rows; ``ids`` the sorted global ids the shard owns and
     ``alive`` their tombstone bits (the file's own ``alive`` section is
-    never read: the coordinator's mask is the current one).  The worker
+    ignored: the coordinator's mask is the current one).  The worker
     starts at ``acked_lsn``/``epoch``, the state the file already holds.
     """
 

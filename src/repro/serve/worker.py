@@ -8,7 +8,7 @@ one lane per metric — and one round op runs
 :func:`~repro.core.engine.scan_groups` over all of them, the same
 function the in-process engine runs over its full store.  The store is
 a compact int32 store over the shard's own sub-runs, which the worker
-extracts from a v3 file of the coordinator's current index when it
+extracts from a v3 spill of the coordinator's current index when it
 starts (:meth:`ShardSearcher.attach`).  Sub-runs preserve run order, so
 the worker sees its entries of every window in the engine's order, and
 the kernel maps every position through the shard's full-run
@@ -68,16 +68,18 @@ are sequenced by LSN: a record at or below the shard's acked LSN is
 acknowledged but not re-applied, which makes the coordinator's retry
 after a repair idempotent.
 
-Telemetry piggyback (DESIGN §10): each worker runs its *own*
-:class:`~repro.obs.registry.MetricsRegistry` and :class:`~repro.obs.
-tracer.SpanTracer`.  A ``round`` payload may be the bare request list
-or ``{"requests": [...], "obs": bool}``; with ``obs`` set the reply
-payload carries an ``"obs"`` dict of deltas since the last ship —
-rows scanned, crossings found, and the finished span dicts of this
-round's ``worker.round`` scan span — which the coordinator merges into
-the parent telemetry under per-shard labels.  With ``obs`` unset the
-only residue is two integer adds per scan, keeping the no-telemetry
-fast path inside the <= 3% overhead budget.
+Telemetry piggyback (DESIGN §10): each worker keeps two scan counters
+(rows scanned, crossings found) and its own :class:`~repro.obs.tracer.
+SpanTracer`; it holds no metrics registry.  A ``round`` payload is the
+bare request list (every untraced wave sends this) or ``{"requests":
+[...], "obs": bool, "trace": ctx}``; with ``obs`` set the reply payload
+carries an ``"obs"`` dict of deltas since the last ship — rows
+scanned, crossings found, and the finished span dicts of this round's
+``worker.round`` scan span — which the coordinator publishes under
+per-shard labels (``lazylsh_shard_rows_scanned_total`` and
+``lazylsh_shard_crossings_total``).  With ``obs`` unset the only
+residue is two integer adds per scan, keeping the no-telemetry fast
+path inside the <= 3% overhead budget.
 """
 
 from __future__ import annotations
@@ -91,10 +93,9 @@ import numpy as np
 
 from repro.core.engine import Lane, LaneGroup, scan_groups
 from repro.errors import ReproError
-from repro.obs.registry import MetricsRegistry
 from repro.obs.trace_context import TraceContext
 from repro.obs.tracer import SpanTracer
-from repro.persistence import open_v3_store
+from repro.persistence import load_index
 from repro.serve.sharding import ShardSpec
 from repro.storage.inverted_index import InvertedListStore, merge_runs
 
@@ -141,12 +142,13 @@ class ShardSearcher:
     def attach(cls, spec: ShardSpec) -> "ShardSearcher":
         """Attach from ``spec``'s v3 file: compact the owned sub-runs.
 
+        The file opens mapped (:func:`~repro.persistence.load_index`).
         Everything kept is a private copy, so no mapping of the file
         outlives this call and the coordinator may delete the file as
         soon as the worker has answered its first op.
         """
-        store, arrays = open_v3_store(spec.path)
-        compact, state = store.compact_shard(spec.ids)
+        index = load_index(spec.path)
+        compact, state = index.store.compact_shard(spec.ids)
         searcher = cls(
             spec.shard_id,
             InvertedListStore.from_compact(
@@ -154,7 +156,7 @@ class ShardSearcher:
             ),
             compact["positions"].ravel(),
             spec.ids,
-            arrays["data"][spec.ids],
+            index.data[spec.ids],
             np.array(spec.alive, dtype=bool),
         )
         searcher.acked_lsn = int(spec.acked_lsn)
@@ -313,18 +315,9 @@ def worker_main(conn, spec: ShardSpec) -> None:
         )
         conn.send((-1, "err", traceback.format_exc()))
         return
-    # Worker-local observability: its own registry + tracer, shipped to
-    # the coordinator as deltas on obs-enabled round replies.
-    registry = MetricsRegistry()
+    # Worker-local spans and scan counters, shipped to the coordinator
+    # as deltas on obs-enabled round replies.
     tracer = SpanTracer()
-    rows_total = registry.counter(
-        "lazylsh_worker_rows_scanned_total",
-        "Inverted-list entries scanned by this shard worker",
-    )
-    crossings_total = registry.counter(
-        "lazylsh_worker_crossings_total",
-        "Collision-threshold crossings found by this shard worker",
-    )
     shipped_rows = 0
     shipped_crossings = 0
     crash_in_rounds: int | None = None  # armed mid-wave crash countdown
@@ -380,8 +373,6 @@ def worker_main(conn, spec: ShardSpec) -> None:
                     d_crossings = searcher.crossings - shipped_crossings
                     shipped_rows = searcher.rows_scanned
                     shipped_crossings = searcher.crossings
-                    rows_total.inc(d_rows)
-                    crossings_total.inc(d_crossings)
                     obs_delta = {
                         "rows": d_rows,
                         "crossings": d_crossings,

@@ -10,28 +10,18 @@ counts as one *random* I/O.  This package reproduces exactly that model:
   records on 4 KB pages,
 * :mod:`repro.storage.inverted_index` — the per-hash-function sorted
   ``(hash value, id)`` runs that back virtual/query-centric rehashing,
-* :mod:`repro.storage.backend` — the eager (in-RAM) and mmap
-  (page-cache-backed) array sources the store can run over.
+  held in RAM or mapped from a saved index file.
 """
 
-from repro.storage.backend import (
-    EagerBackend,
-    MmapBackend,
-    SearchState,
-    StorageBackend,
-)
-from repro.storage.inverted_index import InvertedListStore
+from repro.storage.inverted_index import InvertedListStore, SearchState
 from repro.storage.io_stats import IOStats
 from repro.storage.pages import PageLayout, DEFAULT_PAGE_SIZE, DEFAULT_ENTRY_SIZE
 
 __all__ = [
     "DEFAULT_ENTRY_SIZE",
     "DEFAULT_PAGE_SIZE",
-    "EagerBackend",
     "IOStats",
     "InvertedListStore",
-    "MmapBackend",
     "PageLayout",
     "SearchState",
-    "StorageBackend",
 ]

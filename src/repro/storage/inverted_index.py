@@ -31,6 +31,13 @@ and recomputes only ``row_top``; ``vmin``/``stride`` always bound the
 stored values exactly, so a store that received inserts equals a fresh
 build over the same points.  :meth:`runs` widens the runs to int64
 ``(values, ids)`` matrices on demand (the v3 writer, tests).
+
+A store opened from a saved index (:func:`repro.persistence.load_index`)
+adopts read-only ``np.memmap`` views of the file's run sections through
+:meth:`from_compact`, so the OS page cache is the buffer pool the page
+accounting simulates.  Nothing records how the runs are held:
+:meth:`storage_info` reads it off the arrays, and the first
+:meth:`insert` leaves fresh runs in RAM.
 """
 
 from __future__ import annotations
@@ -42,9 +49,23 @@ import numpy as np
 
 from repro._typing import IdArray
 from repro.errors import InvalidParameterError
-from repro.storage.backend import SearchState, StorageBackend
 from repro.storage.io_stats import IOStats
 from repro.storage.pages import PageLayout, PageTracker
+
+
+@dataclass(frozen=True)
+class SearchState:
+    """Two-level window-search state of a compact sorted store.
+
+    ``vmin`` is the value the runs are relative to, ``stride`` the value
+    range plus two (the gap separating neighbouring runs' composite
+    search keys) and ``top_per_row`` the coarse keys per run, so a reader
+    can restore the search index without touching the runs.
+    """
+
+    vmin: int
+    stride: int
+    top_per_row: int
 
 
 @dataclass(frozen=True)
@@ -169,24 +190,6 @@ class InvertedListStore:
         return store
 
     @classmethod
-    def from_backend(
-        cls, backend: StorageBackend, layout: PageLayout | None = None
-    ) -> "InvertedListStore":
-        """Adopt compact runs and search state from a storage backend.
-
-        Unlike ``__init__``, which sorts the raw hash values, this
-        constructor trusts the backend's arrays verbatim — the v3 saver
-        materialised them from an already consistent store, so opening is
-        O(1) array bookkeeping.
-        """
-        store = cls.from_compact(
-            backend.rel, backend.ids, backend.row_top, backend.search_state,
-            layout,
-        )
-        store._backend = backend
-        return store
-
-    @classmethod
     def from_compact(
         cls,
         rel: np.ndarray,
@@ -200,7 +203,9 @@ class InvertedListStore:
         ``rel``/``ids`` are ``(num_functions, num_points)`` runs (values
         relative to ``state.vmin``, and int32 ids) and ``row_top`` their
         coarse search index, as :meth:`compact_shard` and the v3 file
-        hold them.
+        hold them.  Unlike ``__init__``, which sorts raw hash values,
+        this trusts the arrays verbatim, so opening a v3 file over its
+        ``np.memmap`` sections is O(1) bookkeeping.
         """
         store = cls.__new__(cls)
         store._init_common(rel.shape, layout)
@@ -219,7 +224,6 @@ class InvertedListStore:
         self._layout = layout or PageLayout()
         self._num_functions, self._num_points = (int(x) for x in shape)
         self._check_ids_fit(self._num_points)
-        self._backend: StorageBackend | None = None
         self._iota_cache: np.ndarray | None = None
 
     def _set_runs(
@@ -269,28 +273,29 @@ class InvertedListStore:
                 f"int32 id shadow cannot represent ids up to {id_bound}"
             )
 
-    @property
-    def backend_kind(self) -> str:
-        """``"eager"`` or ``"mmap"`` — how the run arrays are held."""
-        return "eager" if self._backend is None else self._backend.kind
-
     def storage_info(self) -> dict:
-        """Open-mode and memory accounting for health/metrics surfaces."""
+        """Open mode and memory accounting, read off the run arrays.
+
+        Runs that are ``np.memmap`` views of a v3 file report
+        ``"mmap"`` and that file's name; runs in RAM (built, inserted
+        into, or compacted from a wide-domain file) report ``"eager"``
+        and no source path.
+        """
         arrays = [a for a in (self._rel, self._ids, self._row_top) if a is not None]
-        resident = sum(
-            a.nbytes for a in arrays if not isinstance(a, np.memmap)
-        )
-        mapped = sum(a.nbytes for a in arrays if isinstance(a, np.memmap))
-        source = None if self._backend is None else self._backend.source_path
+        mapped = isinstance(self._rel, np.memmap)
         return {
-            "backend": self.backend_kind,
-            "source_path": None if source is None else str(source),
-            "resident_bytes": int(resident),
-            "mapped_bytes": int(mapped),
+            "backend": "mmap" if mapped else "eager",
+            "source_path": str(self._rel.filename) if mapped else None,
+            "resident_bytes": int(sum(
+                a.nbytes for a in arrays if not isinstance(a, np.memmap)
+            )),
+            "mapped_bytes": int(sum(
+                a.nbytes for a in arrays if isinstance(a, np.memmap)
+            )),
         }
 
     def mapped_arrays(self) -> dict[str, np.ndarray]:
-        """File-backed run arrays by name (empty for the eager backend).
+        """File-backed run arrays by name (empty for runs in RAM).
 
         The ops plane probes these regions with ``mincore(2)`` to
         publish page-cache residency gauges.
@@ -707,10 +712,9 @@ class InvertedListStore:
             positions,
         )
         self._num_points = n + m
+        # The merged runs live in RAM however the old ones were held: a
+        # store mapped from a v3 file materialises on its first insert.
         self._refresh_row_top()
-        # The fresh runs live in RAM regardless of how the old ones were
-        # held: a previously mmap-backed store materialises on mutation.
-        self._backend = None
         return InsertPlan((values - self._vmin).astype(dtype), self._vmin, positions)
 
     # ------------------------------------------------------------------

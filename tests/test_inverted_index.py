@@ -318,7 +318,7 @@ class TestWideHashDomain:
 
     def test_save_load_round_trip(self, tmp_path):
         """A wide-domain index writes int64 ``values``/``ids`` runs and
-        loads them back identically, eager and mapped."""
+        loads them back identically, compacted into RAM on open."""
         data = make_synthetic(300, 6, seed=5) * 100.0
         config = LazyLSHConfig(c=3.0, p_min=0.5, seed=3, mc_samples=10_000, mc_buckets=60)
         index = LazyLSH(config).build(data)
@@ -327,15 +327,17 @@ class TestWideHashDomain:
         header, arrays = open_v3_arrays(path)
         assert list(arrays) == ["data", "alive", "projections", "offsets", "values", "ids"]
         assert header["v3"]["top_per_row"] == 0
-        for backend in ("eager", "mmap"):
-            loaded = load_index(path, backend=backend)
-            for got, want in zip(loaded.store.runs(), index.store.runs()):
-                assert np.array_equal(got, want)
-            for query in (data[7], data[123] + 50.0):
-                a, b = index.knn(query, 5, p=0.8), loaded.knn(query, 5, p=0.8)
-                np.testing.assert_array_equal(a.ids, b.ids)
-                np.testing.assert_array_equal(a.distances, b.distances)
-                assert (a.io.sequential, a.io.random) == (b.io.sequential, b.io.random)
+        loaded = load_index(path)
+        info = loaded.store.storage_info()
+        assert info["backend"] == "eager"
+        assert info["source_path"] is None
+        for got, want in zip(loaded.store.runs(), index.store.runs()):
+            assert np.array_equal(got, want)
+        for query in (data[7], data[123] + 50.0):
+            a, b = index.knn(query, 5, p=0.8), loaded.knn(query, 5, p=0.8)
+            np.testing.assert_array_equal(a.ids, b.ids)
+            np.testing.assert_array_equal(a.distances, b.distances)
+            assert (a.io.sequential, a.io.random) == (b.io.sequential, b.io.random)
 
     def test_span_wider_than_int64_rejected(self):
         with pytest.raises(InvalidParameterError, match="wider than int64"):

@@ -1,13 +1,15 @@
-"""Tests for the zero-copy mmap storage backend (DESIGN.md section 12).
+"""Tests for the memory-mapped open of saved indexes (DESIGN.md section 12).
 
 Covers the format-v3 binary layout (round trip, header, corruption
-errors), the eager/mmap open modes of ``load_index`` — which must answer
-every query bit-identically — the sharded service's mmap attach at 1, 2
-and 4 shards (including an all-tombstoned shard and tombstones set after
-load), WAL ingest against a mapped fleet (materialise-on-update), and v3
-checkpoint/recovery.
+errors), ``load_index``'s one open mode — a mapped index must answer
+every query bit-identically to the index it was saved from — the
+sharded service over a mapped index at 1, 2 and 4 shards (including an
+all-tombstoned shard, tombstones set after load, and respawns after the
+index's path was replaced or removed), WAL ingest against a mapped
+fleet (materialise-on-update), and v3 checkpoint/recovery.
 """
 
+import os
 import shutil
 
 import numpy as np
@@ -22,7 +24,6 @@ from repro.durability.checkpoint import (
     states_identical,
     write_checkpoint,
 )
-from repro.errors import InvalidParameterError
 from repro.persistence import (
     IndexFormatError,
     load_index,
@@ -71,28 +72,40 @@ def _assert_identical(a, b):
 
 class TestV3RoundTrip:
     def test_eager_and_mmap_bit_identical(self, corpus, v3_path):
+        """The mapped index answers like the in-memory one it was saved from."""
         index, data = corpus
-        eager = load_index(v3_path)
-        mapped = load_index(v3_path, backend="mmap")
+        mapped = load_index(v3_path)
         for q in _queries(data):
             for p in (0.7, 1.0):
-                original = index.knn(q, 5, p=p)
-                _assert_identical(original, eager.knn(q, 5, p=p))
-                _assert_identical(original, mapped.knn(q, 5, p=p))
+                _assert_identical(index.knn(q, 5, p=p), mapped.knn(q, 5, p=p))
 
-    def test_backend_kind_and_storage_info(self, v3_path):
-        eager = load_index(v3_path)
-        info = eager.storage_info()
-        assert info["backend"] == "eager"
-        assert info["mapped_bytes"] == 0
-        assert info["resident_bytes"] > 0
-        mapped = load_index(v3_path, backend="mmap")
+    def test_backend_kind_and_storage_info(self, corpus, v3_path):
+        """The open mode is read off the arrays: a loaded v3 index maps
+        its runs and data from its file; a built or inserted-into one
+        holds them in RAM."""
+        mapped = load_index(v3_path)
+        for name in ("rel32", "ids32", "row_top", "data"):
+            assert isinstance(mapped.mapped_regions()[name], np.memmap)
+        assert isinstance(mapped._bank._projections, np.memmap)
+        assert isinstance(mapped._bank._offsets, np.memmap)
+        assert not isinstance(mapped._alive, np.memmap)
         info = mapped.storage_info()
         assert info["backend"] == "mmap"
         assert info["mapped_bytes"] > 0
         assert info["source_path"] == str(v3_path)
         # Mutable state (alive mask) stays resident even when mapped.
         assert 0 < info["resident_bytes"] < info["mapped_bytes"]
+        index, data = corpus
+        built = index.storage_info()
+        assert built["backend"] == "eager"
+        assert built["source_path"] is None
+        assert built["mapped_bytes"] == 0
+        assert built["resident_bytes"] > 0
+        mapped.insert(data[:2] + 0.5)
+        info = mapped.storage_info()
+        assert info["backend"] == "eager"
+        assert info["source_path"] is None
+        assert mapped.mapped_regions() == {}
 
     def test_read_header_v3(self, v3_path):
         header = read_header(v3_path)
@@ -112,19 +125,19 @@ class TestV3RoundTrip:
 
     def test_insert_materialises_mmap_index(self, corpus, v3_path):
         _, data = corpus
-        mapped = load_index(v3_path, backend="mmap")
+        mapped = load_index(v3_path)
         twin = load_index(v3_path)
-        assert mapped.store.backend_kind == "mmap"
+        assert mapped.storage_info()["backend"] == "mmap"
         batch = make_synthetic(5, data.shape[1], value_range=(0, 200), seed=9)
         mapped.insert(batch)
         twin.insert(batch)
-        assert mapped.store.backend_kind == "eager"
+        assert mapped.storage_info()["backend"] == "eager"
         for q in (_queries(data)[0], batch[2]):
             _assert_identical(twin.knn(q, 5, p=1.0), mapped.knn(q, 5, p=1.0))
 
     def test_remove_on_mmap_index(self, corpus, v3_path):
         _, data = corpus
-        mapped = load_index(v3_path, backend="mmap")
+        mapped = load_index(v3_path)
         twin = load_index(v3_path)
         mapped.remove([10, 20])
         twin.remove([10, 20])
@@ -134,14 +147,10 @@ class TestV3RoundTrip:
 
 class TestErrors:
     def test_mmap_rejected_for_v2(self, legacy_v2_path):
-        # A v2 file holds no runs to map, so backend="mmap" loads it eagerly.
-        index = load_index(legacy_v2_path, backend="mmap")
+        # A v2 file holds no runs to map: it loads into RAM by re-hashing.
+        index = load_index(legacy_v2_path)
         assert index.storage_info()["backend"] == "eager"
         assert index.num_points == read_header(legacy_v2_path)["live_count"]
-
-    def test_unknown_backend_rejected(self, v3_path):
-        with pytest.raises(InvalidParameterError, match="backend"):
-            load_index(v3_path, backend="zram")
 
     def test_truncated_v3_rejected(self, v3_path, tmp_path):
         stub = tmp_path / "torn.npz"
@@ -170,7 +179,7 @@ class TestShardedIdentity:
         from repro.serve import ShardedSearchService
 
         index, data = corpus
-        mapped = load_index(v3_path, backend="mmap")
+        mapped = load_index(v3_path)
         with ShardedSearchService(
             index, n_shards=n_shards
         ) as shm_svc, ShardedSearchService(
@@ -194,7 +203,7 @@ class TestShardedIdentity:
         # tombstone all of it so one worker scans only dead entries.
         index.remove(np.arange(50))
         path = save_index(index, tmp_path / "dead.npz")
-        mapped = load_index(path, backend="mmap")
+        mapped = load_index(path)
         with ShardedSearchService(
             index, n_shards=4
         ) as shm_svc, ShardedSearchService(
@@ -212,7 +221,7 @@ class TestShardedIdentity:
         from repro.serve import ShardedSearchService
 
         _, data = corpus
-        mapped = load_index(v3_path, backend="mmap")
+        mapped = load_index(v3_path)
         queries = _queries(data)
         mapped.remove(
             np.unique(np.concatenate([mapped.knn(q, 3, p=1.0).ids for q in queries]))
@@ -224,6 +233,30 @@ class TestShardedIdentity:
                     _assert_identical(mapped.knn(q, 5, p=p), svc.search(q, 5, p=p))
 
 
+    @pytest.mark.parametrize("change", ["replaced", "removed"])
+    def test_respawn_after_path_changes(self, corpus, tmp_path, change):
+        """A respawned worker attaches the served index, not whatever its
+        path names now: saving another index of the same shape over the
+        path, or removing it, changes no answer after a worker crash."""
+        from repro.serve import ShardedSearchService
+
+        index, data = corpus
+        path = save_index(index, tmp_path / "served.npz")
+        mapped = load_index(path)
+        with ShardedSearchService(mapped, n_shards=2) as svc:
+            if change == "replaced":
+                other, _ = _build(seed=45)
+                assert other.num_rows == index.num_rows and other.eta == index.eta
+                save_index(other, path)
+            else:
+                os.remove(path)
+            svc._crash_worker(0)
+            for q in _queries(data):
+                for p in (0.7, 1.0):
+                    _assert_identical(index.knn(q, 5, p=p), svc.search(q, 5, p=p))
+            assert svc.restarts == 1
+
+
 class TestWalIngestMmap:
     def test_mmap_fleet_tracks_wal_bit_identically(self, tmp_path):
         from repro.serve import ShardedSearchService
@@ -231,7 +264,7 @@ class TestWalIngestMmap:
         writer_index, data = _build(n=240, seed=47)
         path = save_index(writer_index, tmp_path / "snap.npz")
         writer = create(writer_index, tmp_path / "home", sync=False)
-        mapped = load_index(path, backend="mmap")
+        mapped = load_index(path)
         feed = WalFeed(tmp_path / "home" / WAL_SUBDIR)
         queries = [data[5], data[100]]
         try:
@@ -271,15 +304,14 @@ class TestCheckpointRecovery:
         ckpt = checkpoint_now(durable, tmp_path)
         durable.close()
         assert read_header(ckpt)["format_version"] == 3
-        for backend in ("eager", "mmap"):
-            recovered, report = recover(tmp_path, sync=False, backend=backend)
-            try:
-                assert report["backend"] == backend
-                assert states_identical(
-                    recovered.index, reference, queries=data[:3], k=5
-                )
-            finally:
-                recovered.close()
+        recovered, report = recover(tmp_path, sync=False)
+        try:
+            assert report["backend"] == "mmap"
+            assert states_identical(
+                recovered.index, reference, queries=data[:3], k=5
+            )
+        finally:
+            recovered.close()
 
     def test_mmap_recovery_falls_back_on_v2_checkpoint(
         self, legacy_v2_path, tmp_path
@@ -287,7 +319,7 @@ class TestCheckpointRecovery:
         ckpt_dir = tmp_path / CHECKPOINT_SUBDIR
         ckpt_dir.mkdir()
         shutil.copy(legacy_v2_path, ckpt_dir / checkpoint_name(0))
-        recovered, report = recover(tmp_path, sync=False, backend="mmap")
+        recovered, report = recover(tmp_path, sync=False)
         try:
             assert report["backend"] == "eager"
         finally:

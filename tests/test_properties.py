@@ -268,17 +268,16 @@ class TestShardedServiceIdentity:
         p=st.floats(min_value=0.5, max_value=1.1),
         k=st.integers(min_value=1, max_value=8),
         n_shards=st.sampled_from([1, 2, 3]),
-        backend=st.sampled_from(["eager", "mmap"]),
         update=st.sampled_from([None, "insert", "remove"]),
     )
     @settings(max_examples=8, deadline=None)
     def test_matches_single_process_knn(
-        self, tmp_path_factory, seed, p, k, n_shards, backend, update
+        self, tmp_path_factory, seed, p, k, n_shards, update
     ):
-        """In-memory and mapped indexes at every shard count answer
-        bit-identically to ``index.knn``, also after an insert or remove
-        through ``ingest`` (the service owns a loaded copy; ``index`` is
-        the reference)."""
+        """A mapped index at every shard count answers bit-identically
+        to ``index.knn``, also after an insert or remove through
+        ``ingest`` (the service owns a loaded copy; ``index`` is the
+        reference)."""
         rng = np.random.default_rng(seed)
         data = rng.uniform(0.0, 100.0, size=(150, 6))
         config = LazyLSHConfig(
@@ -286,10 +285,10 @@ class TestShardedServiceIdentity:
         )
         index = LazyLSH(config).build(data)
         path = save_index(index, tmp_path_factory.mktemp("served") / "index.npz")
-        served = load_index(path, backend=backend)
+        served = load_index(path)
         queries = [data[int(rng.integers(150))] + 1.0, rng.uniform(0, 100, 6)]
         with ShardedSearchService(served, n_shards=n_shards) as svc:
-            assert svc.health()["storage"]["backend"] == backend
+            assert svc.health()["storage"]["backend"] == "mmap"
             if update == "insert":
                 batch = rng.uniform(0.0, 100.0, size=(5, 6))
                 ids = index.insert(batch)

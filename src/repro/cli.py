@@ -53,11 +53,6 @@ Commands
     QPS, p50/p99 latency, I/O, audit recall, profiler phase mix,
     workload demand and recent slow queries with trace links.
 
-``bench-serve``
-    Run the sharded-service benchmark (wall-clock + load-balance model,
-    bit-identity verification against the single-process engine) and
-    print — or write — the JSON report.
-
 ``datasets``
     List the generated datasets available to ``build``.
 """
@@ -1294,35 +1289,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.serve import run_serve_benchmark
-
-    report = run_serve_benchmark(
-        n=args.n,
-        d=args.d,
-        n_queries=args.queries,
-        k=args.k,
-        p=args.p,
-        shard_counts=tuple(
-            int(part) for part in args.shards.split(",") if part.strip()
-        ),
-        seed=args.seed,
-        start_method=args.start_method,
-    )
-    rendered = json.dumps(report, indent=2, sort_keys=True)
-    if args.output:
-        Path(args.output).write_text(rendered + "\n")
-        print(f"bench-serve report -> {args.output}")
-    else:
-        print(rendered)
-    identity = all(c["identity"]["all"] for c in report["sharded"])
-    if not identity:
-        print("error: sharded results diverged from single-process engine",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_datasets(_args: argparse.Namespace) -> int:
     print("generated datasets usable with `build`:")
     for name in SIMULATED_DATASET_NAMES:
@@ -1825,28 +1791,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append screens instead of clearing the terminal",
     )
     p_top.set_defaults(func=cmd_top)
-
-    p_bserve = sub.add_parser(
-        "bench-serve", help="benchmark the sharded query service"
-    )
-    p_bserve.add_argument("--n", type=int, default=4000)
-    p_bserve.add_argument("--d", type=int, default=16)
-    p_bserve.add_argument("--queries", type=int, default=24)
-    p_bserve.add_argument("--k", type=int, default=10)
-    p_bserve.add_argument("--p", type=float, default=0.75)
-    p_bserve.add_argument(
-        "--shards", default="1,2,4", help="comma-separated shard counts"
-    )
-    p_bserve.add_argument("--seed", type=int, default=7)
-    p_bserve.add_argument(
-        "--start-method",
-        choices=("fork", "spawn", "forkserver"),
-        default=None,
-    )
-    p_bserve.add_argument(
-        "--output", default=None, help="write the JSON report here"
-    )
-    p_bserve.set_defaults(func=cmd_bench_serve)
 
     p_list = sub.add_parser("datasets", help="list generated datasets")
     p_list.set_defaults(func=cmd_datasets)

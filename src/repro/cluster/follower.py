@@ -64,6 +64,9 @@ from repro.persistence import load_index
 
 logger = logging.getLogger("repro.cluster.follower")
 
+#: Seconds a dial or a read of the replication stream may block.
+_SOCKET_TIMEOUT = 5.0
+
 
 class FollowerNode:
     """One read replica tailing a :class:`~repro.cluster.WalShipper`.
@@ -101,7 +104,6 @@ class FollowerNode:
         telemetry=None,
         reconnect_min: float = 0.05,
         reconnect_max: float = 2.0,
-        socket_timeout: float = 5.0,
     ) -> None:
         self.home = Path(home)
         self.leader = (str(leader[0]), int(leader[1]))
@@ -111,7 +113,6 @@ class FollowerNode:
         self.telemetry = telemetry
         self.reconnect_min = float(reconnect_min)
         self.reconnect_max = float(reconnect_max)
-        self.socket_timeout = float(socket_timeout)
         self.service = None
         self.frontend = None
         self._thread: threading.Thread | None = None
@@ -372,9 +373,7 @@ class FollowerNode:
     # -- replication stream ---------------------------------------------
 
     def _dial(self) -> socket.socket:
-        sock = socket.create_connection(
-            self.leader, timeout=self.socket_timeout
-        )
+        sock = socket.create_connection(self.leader, timeout=_SOCKET_TIMEOUT)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
@@ -429,7 +428,7 @@ class FollowerNode:
                 "need_checkpoint": False,
             },
         )
-        sock.settimeout(self.socket_timeout)
+        sock.settimeout(_SOCKET_TIMEOUT)
         while self._running.is_set():
             try:
                 message = recv_message(sock)

@@ -65,6 +65,10 @@ from repro.errors import ReproError
 
 logger = logging.getLogger("repro.cluster.leader")
 
+#: A ``PING`` ships after this many seconds without WAL traffic so
+#: followers can tell an idle log from a dead leader.
+_HEARTBEAT_SECONDS = 0.5
+
 
 class _Connection:
     """One follower's replication stream (leader-side bookkeeping)."""
@@ -93,9 +97,6 @@ class WalShipper:
     poll_interval:
         Idle sleep between WAL polls per connection (seconds).  Bounds
         steady-state replication lag from the leader side.
-    heartbeat_seconds:
-        A ``PING`` ships after this long without WAL traffic so
-        followers can tell an idle log from a dead leader.
     registry:
         Optional :class:`~repro.obs.MetricsRegistry` publishing the
         ``lazylsh_cluster_*`` leader-side family.
@@ -108,7 +109,6 @@ class WalShipper:
         host: str = "127.0.0.1",
         port: int = 0,
         poll_interval: float = 0.02,
-        heartbeat_seconds: float = 0.5,
         registry=None,
     ) -> None:
         self.home = Path(home)
@@ -122,7 +122,6 @@ class WalShipper:
         self.host = host
         self._requested_port = int(port)
         self.poll_interval = float(poll_interval)
-        self.heartbeat_seconds = float(heartbeat_seconds)
         self._server: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._conn_threads: list[threading.Thread] = []
@@ -345,7 +344,7 @@ class WalShipper:
                         self._m_shipped.inc(len(records))
                     last_sent = time.monotonic()
                     continue
-                if time.monotonic() - last_sent >= self.heartbeat_seconds:
+                if time.monotonic() - last_sent >= _HEARTBEAT_SECONDS:
                     send_message(sock, MSG_PING, {"lsn": feed.last_lsn})
                     last_sent = time.monotonic()
                 time.sleep(self.poll_interval)

@@ -390,35 +390,44 @@ class LazyLSH:
 
         Extends :meth:`InvertedListStore.storage_info` (``"mmap"`` and
         the file while the runs are mapped from a loaded v3 file, else
-        ``"eager"``) with the data matrix and tombstone mask, so health
-        endpoints and the metrics exporter can report how many bytes
-        are resident RAM versus lazily paged file mappings.
+        ``"eager"``) with the data matrix, the tombstone mask and the
+        hash bank, so health endpoints and the metrics exporter can
+        report how many bytes are resident RAM versus lazily paged file
+        mappings.
         """
         self._require_built()
         assert self._store is not None
         info = self._store.storage_info()
-        for arr in (self._data, self._alive):
-            if isinstance(arr, np.memmap):
-                info["mapped_bytes"] += int(arr.nbytes)
-            elif arr is not None:
-                info["resident_bytes"] += int(arr.nbytes)
+        for arr in self._arrays().values():
+            key = "mapped_bytes" if isinstance(arr, np.memmap) else "resident_bytes"
+            info[key] += int(arr.nbytes)
         return info
 
     def mapped_regions(self) -> dict[str, np.ndarray]:
         """File-backed regions of the open index, labelled for probes.
 
-        Empty for a built index, or once inserts moved everything into
-        RAM.  The ops plane feeds these buffers to ``mincore(2)`` for
+        Empty for a built index.  Inserts move the runs, data and mask
+        into RAM, but the hash bank (``projections``, ``offsets``) stays
+        mapped.  The ops plane feeds these buffers to ``mincore(2)`` for
         per-store page-cache residency gauges.
         """
         self._require_built()
         assert self._store is not None
-        regions: dict[str, np.ndarray] = dict(self._store.mapped_arrays())
-        if isinstance(self._data, np.memmap):
-            regions["data"] = self._data
-        if isinstance(self._alive, np.memmap):
-            regions["alive"] = self._alive
+        regions = dict(self._store.mapped_arrays())
+        for name, arr in self._arrays().items():
+            if isinstance(arr, np.memmap):
+                regions[name] = arr
         return regions
+
+    def _arrays(self) -> dict[str, np.ndarray]:
+        """The built index's arrays besides the runs, by name."""
+        assert self._bank is not None
+        return {
+            "data": self._data,
+            "alive": self._alive,
+            "projections": self._bank._projections,
+            "offsets": self._bank._offsets,
+        }
 
     def metric_params(self, p: float) -> MetricParams:
         """Per-metric parameters, validated against the materialised bank.

@@ -629,21 +629,25 @@ class DurableIndex:
         self.close()
 
 
-def apply_record(index, record: WalRecord) -> None:
-    """Apply one replayed WAL record to a built index (recovery path)."""
-    if record.op == "insert":
-        start = index.num_rows
-        expected = np.arange(
-            start, start + record.ids.shape[0], dtype=np.int64
-        )
-        if not np.array_equal(record.ids, expected):
-            raise WalCorruptionError(
-                f"replayed insert at LSN {record.lsn} carries ids "
-                f"[{record.ids[0]}..] but the index would assign "
-                f"[{start}..]: log and checkpoint disagree"
-            )
-        index.insert(record.points)
-    elif record.op == "remove":
+def apply_record(index, record: WalRecord):
+    """Apply one logged record to a built index; the one applier.
+
+    Recovery, the reference replay and the sharded service's ingest all
+    apply records through here.  An insert must carry the ids the index
+    would assign; it returns the store's
+    :class:`~repro.storage.inverted_index.InsertPlan`, which the service
+    ships to its shard workers.  A remove returns ``None``.
+    """
+    if record.op == "remove":
         index.remove(record.ids)
-    else:  # pragma: no cover - decoder rejects unknown ops
+        return None
+    if record.op != "insert":  # pragma: no cover - decoder rejects unknown ops
         raise WalCorruptionError(f"unknown op {record.op!r} at LSN {record.lsn}")
+    start = index.num_rows
+    expected = np.arange(start, start + record.ids.shape[0], dtype=np.int64)
+    if not np.array_equal(record.ids, expected):
+        raise WalCorruptionError(
+            f"insert at LSN {record.lsn} carries ids [{record.ids[0]}..] but "
+            f"the index would assign [{start}..]: log and index disagree"
+        )
+    return index._apply_insert(record.points)[1]

@@ -135,9 +135,6 @@ class Telemetry:
         Metrics registry to write into; a fresh private one by default.
         Pass :func:`repro.obs.get_default_registry` to aggregate across
         several telemetry objects process-wide.
-    tracer:
-        Span tracer for harness-level profiling sections; fresh by
-        default.
     capture_traces:
         Keep every recorded :class:`QueryTrace` in :attr:`traces`
         (default).  Disable for long-running servers that only want the
@@ -170,7 +167,6 @@ class Telemetry:
         self,
         *,
         registry: MetricsRegistry | None = None,
-        tracer: SpanTracer | None = None,
         capture_traces: bool = True,
         slowlog: SlowQueryLog | None = None,
         trace_store: TraceStore | None = None,
@@ -183,7 +179,7 @@ class Telemetry:
                 f"trace_sample must be in [0, 1], got {trace_sample}"
             )
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else SpanTracer()
+        self.tracer = SpanTracer()
         self.capture_traces = capture_traces
         self.slowlog = slowlog
         self.trace_store = trace_store

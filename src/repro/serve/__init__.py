@@ -13,7 +13,7 @@ request coalescing and an epoch-invalidated result cache),
 :func:`plan_shards`/:class:`ShardSpec` (shard layout and the worker
 attach spec), :class:`ShardSearcher`/:func:`worker_main` (the worker
 process body) and :func:`run_serve_benchmark` (the honest-numbers
-benchmark behind ``repro bench-serve``).
+benchmark that ``benchmarks/bench_serve.py`` runs).
 """
 
 from repro.serve.bench import run_serve_benchmark

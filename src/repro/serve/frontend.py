@@ -128,6 +128,12 @@ class _CacheEntry:
 class Frontend:
     """Asyncio HTTP front door: admission, coalescing, caching.
 
+    The :class:`~repro.obs.workload.WorkloadAnalytics` feeding the
+    hot-bucket cache-admission policy and the cache-efficacy-by-heat
+    stats is the service telemetry's workload when one is attached (so
+    the service-side query feed and the frontend-side cache feed share
+    sketches), else a private instance.
+
     Parameters
     ----------
     service:
@@ -147,12 +153,6 @@ class Frontend:
     registry:
         Metrics registry to instrument; defaults to the service
         telemetry's registry when present, else a private one.
-    workload:
-        :class:`~repro.obs.workload.WorkloadAnalytics` feeding the
-        hot-bucket cache-admission policy and the cache-efficacy-by-heat
-        stats.  Defaults to the service telemetry's workload when one is
-        attached (so the service-side query feed and the frontend-side
-        cache feed share sketches), else a private instance.
     """
 
     def __init__(
@@ -165,7 +165,6 @@ class Frontend:
         max_pending: int = 256,
         cache_capacity: int = 1024,
         registry: MetricsRegistry | None = None,
-        workload: WorkloadAnalytics | None = None,
     ) -> None:
         if coalesce_ms < 0:
             raise InvalidParameterError(
@@ -185,25 +184,21 @@ class Frontend:
         self.coalesce_ms = float(coalesce_ms)
         self.max_pending = int(max_pending)
         self.cache_capacity = int(cache_capacity)
+        telemetry = getattr(service, "telemetry", None)
         if registry is None:
-            telemetry = getattr(service, "telemetry", None)
             registry = (
                 telemetry.registry if telemetry is not None
                 else MetricsRegistry()
             )
         self.registry = registry
-        if workload is None:
-            telemetry = getattr(service, "telemetry", None)
-            workload = getattr(telemetry, "workload", None)
-        if workload is None:
-            workload = WorkloadAnalytics(registry=self.registry)
-        self.workload = workload
-        # When the service's telemetry shares this workload object it
-        # observes every scanned query itself; otherwise the frontend
-        # feeds the sketches for the scans it issues.
-        self._service_feeds_workload = (
-            getattr(getattr(service, "telemetry", None), "workload", None)
-            is workload
+        workload = getattr(telemetry, "workload", None)
+        # A service telemetry with a workload observes every scanned
+        # query itself; otherwise the frontend feeds its private sketches
+        # for the scans it issues.
+        self._service_feeds_workload = workload is not None
+        self.workload = (
+            workload if workload is not None
+            else WorkloadAnalytics(registry=self.registry)
         )
         self._cache: OrderedDict[tuple, _CacheEntry] = OrderedDict()
         self._queue: list[_Pending] = []

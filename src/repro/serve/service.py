@@ -55,8 +55,9 @@ exactly.
 
 Fault tolerance: a worker death (detected as a broken pipe) triggers a
 repair — dead workers are respawned from a v3 spill of the coordinator's
-current index, survivors are reset, stale replies are discarded by
-sequence number — and the whole wave is replayed once from round zero
+current index, every worker acknowledges a ``ping``, stale replies are
+discarded by sequence number — and the whole wave is replayed once from
+round zero, its ``begin`` replacing the wave each survivor still holds
 (the scan is deterministic, so the replay returns the same results).  A
 second failure raises :class:`~repro.errors.ReproError`.
 """
@@ -79,6 +80,7 @@ from repro.api import check_knobs
 from repro.core.engine import execute_rounds
 from repro.core.lazylsh import _lane_result
 from repro.core.multiquery import MultiQueryResult
+from repro.durability.wal import apply_record
 from repro.errors import (
     IndexNotBuiltError,
     InvalidParameterError,
@@ -87,7 +89,7 @@ from repro.errors import (
 )
 from repro.obs.explain import build_explain
 from repro.obs.query_trace import QueryTraceBuilder
-from repro.obs.trace_context import new_request_id
+from repro.obs.trace_context import active_context, new_request_id
 from repro.obs.tracer import Span
 from repro.persistence import save_index
 from repro.serve.sharding import ShardSpec, plan_shards
@@ -145,10 +147,11 @@ def _worker_entry(conn, spec, parent_fd: int | None = None) -> None:
 
 
 class _WaveObs:
-    """Per-shard telemetry buffered over one wave attempt.
+    """Per-shard costs of one wave attempt, filled from every reply.
 
-    The buffer is merged into the parent telemetry only when the wave
-    *succeeds*; an attempt aborted by a worker death is discarded whole,
+    Every attempt fills one, with or without telemetry.  Only a
+    successful attempt is published, and only when the wave has
+    telemetry; an attempt aborted by a worker death is discarded whole,
     so replayed waves never double-count (repair events themselves are
     recorded separately — they are facts about the service, not
     residue of the aborted attempt).
@@ -161,14 +164,15 @@ class _WaveObs:
         self.ops = [0] * n_shards
         self.roundtrips: list[list[float]] = [[] for _ in range(n_shards)]
         self.spans: list[list[dict]] = [[] for _ in range(n_shards)]
-        #: Trace context of the wave's root span (None when unsampled);
-        #: shipped on round payloads so workers parent their spans to it.
-        self.trace = None
 
-    def add_delta(self, sid: int, delta: dict) -> None:
-        self.rows[sid] += int(delta.get("rows", 0))
-        self.crossings[sid] += int(delta.get("crossings", 0))
-        self.spans[sid].extend(delta.get("spans", ()))
+    def add(self, sid: int, reply: dict, roundtrip: float) -> None:
+        """Fold one shard's reply and its pipe round-trip time in."""
+        self.rows[sid] += reply["rows"]
+        self.crossings[sid] += reply["crossings"]
+        self.busy[sid] += reply["busy"]
+        self.ops[sid] += 1
+        self.roundtrips[sid].append(roundtrip)
+        self.spans[sid].extend(reply["spans"])
 
 
 class ShardedSearchService:
@@ -240,15 +244,12 @@ class ShardedSearchService:
         self.index = index
         self.ranges = plan_shards(index.num_rows, n_shards)
         self.n_shards = len(self.ranges)
-        self._shard_los = np.array([lo for lo, _hi in self.ranges], dtype=np.int64)
-        # Live-update plane (DESIGN §11): rows beyond the base ranges are
-        # owned per _extra_owner; epoch counts applied updates, acked_lsn
+        # Live-update plane (DESIGN §11): the owning shard of every row,
+        # inserted rows included; epoch counts applied updates, acked_lsn
         # the newest WAL record folded in.
-        self._base_rows = int(index.num_rows)
-        self._extra_owner = np.empty(0, dtype=np.int64)
-        self._shard_points = np.array(
-            [hi - lo for lo, hi in self.ranges], dtype=np.int64
-        )
+        sizes = [hi - lo for lo, hi in self.ranges]
+        self._owner = np.repeat(np.arange(self.n_shards, dtype=np.int64), sizes)
+        self._shard_points = np.array(sizes, dtype=np.int64)
         self.epoch = 0
         self.acked_lsn = int(base_lsn)
         self.updates_applied = 0
@@ -263,7 +264,6 @@ class ShardedSearchService:
         self.telemetry = telemetry
         self.auditor = auditor
         self._op_seq = 0
-        self._qid_seq = 0
         self._closed = False
         # Serialises every pipe-touching entry point (search waves and
         # ingest).  Re-entrant so the HTTP front door can hold it across
@@ -272,7 +272,6 @@ class ShardedSearchService:
         # service's own acquisition.  Single-threaded callers never
         # contend on it.
         self.lock = threading.RLock()
-        self._wave_obs: _WaveObs | None = None
         # Wall-clock time of each shard's last successful reply; read by
         # health() (never poked from the exporter thread).
         self._last_reply = [0.0] * self.n_shards
@@ -312,11 +311,7 @@ class ShardedSearchService:
 
     def _spawn(self, sid: int, path: str) -> None:
         """Start shard ``sid``'s worker on the coordinator's current state."""
-        lo, hi = self.ranges[sid]
-        ids = np.concatenate([
-            np.arange(lo, hi, dtype=np.int64),
-            self._base_rows + np.flatnonzero(self._extra_owner == sid),
-        ])
+        ids = np.flatnonzero(self._owner == sid)
         spec = ShardSpec(
             sid, path, ids, self.index._alive[ids], self.acked_lsn, self.epoch
         )
@@ -434,7 +429,7 @@ class ShardedSearchService:
                 "epoch": self.epoch,
                 "acked_lsn": self.acked_lsn,
                 "updates_applied": self.updates_applied,
-                "extra_points": int(self._extra_owner.size),
+                "extra_points": int(self._owner.size - self.ranges[-1][1]),
             },
         }
 
@@ -452,13 +447,14 @@ class ShardedSearchService:
         except (BrokenPipeError, OSError) as exc:
             raise _WorkerDied(sid) from exc
 
-    def _recv(self, sid: int, op_id: int):
+    def _recv(self, sid: int, op_id: int) -> dict:
         """Receive shard ``sid``'s reply to ``op_id``.
 
         Replies to older ops (stale queue entries surviving a repair)
         are discarded; a broken pipe raises :class:`_WorkerDied`; a
         worker-side exception is re-raised here (it is a bug, not a
-        death — no retry).
+        death — no retry).  Returns the whole reply (see
+        :func:`~repro.serve.worker.worker_main`).
         """
         while True:
             try:
@@ -471,15 +467,9 @@ class ShardedSearchService:
                 )
             if reply_id == op_id:
                 self.busy_seconds[sid] += payload["busy"]
-                self.cpu_seconds[sid] += payload.get("cpu", 0.0)
+                self.cpu_seconds[sid] += payload["cpu"]
                 self._last_reply[sid] = time.time()
-                wave_obs = self._wave_obs
-                if wave_obs is not None:
-                    wave_obs.busy[sid] += payload["busy"]
-                    delta = payload.get("obs")
-                    if delta is not None:
-                        wave_obs.add_delta(sid, delta)
-                return payload["result"]
+                return payload
             if reply_id > op_id:  # pragma: no cover - protocol bug
                 raise ReproError(
                     f"shard {sid} replied to op {reply_id} while awaiting "
@@ -487,23 +477,28 @@ class ShardedSearchService:
                 )
             # reply_id < op_id: stale reply from before a repair — drop.
 
-    def _broadcast(self, op: str, payload=None) -> list:
-        """Send one op to every shard, then collect every reply."""
+    def _broadcast(
+        self, op: str, payload=None, wave: _WaveObs | None = None
+    ) -> list:
+        """Send one op to every shard, then collect every result.
+
+        A wave attempt passes its ``wave`` record, which every reply
+        fills.
+        """
         op_id = self._next_op()
         t0 = time.perf_counter()
         for sid in range(self.n_shards):
             self._send(sid, op_id, op, payload)
-        replies = []
-        wave_obs = self._wave_obs
+        results = []
         for sid in range(self.n_shards):
-            replies.append(self._recv(sid, op_id))
-            if wave_obs is not None:
-                wave_obs.ops[sid] += 1
-                wave_obs.roundtrips[sid].append(time.perf_counter() - t0)
-        return replies
+            reply = self._recv(sid, op_id)
+            if wave is not None:
+                wave.add(sid, reply, time.perf_counter() - t0)
+            results.append(reply["result"])
+        return results
 
     def _repair(self, known_dead: int | None = None) -> list[int]:
-        """Respawn dead workers from the current index, reset survivors.
+        """Respawn dead workers from the current index; every worker acks.
 
         ``known_dead`` is the shard whose pipe broke: its EOF can arrive
         before ``waitpid`` observes the exit, so it is joined first
@@ -539,12 +534,13 @@ class ShardedSearchService:
                         dead,
                         self.restarts,
                     )
-                    # Survivors may hold per-query state and queued
-                    # replies from the aborted wave; the reset's fresh op
-                    # id flushes both (stale replies are skipped by
-                    # _recv's check).  It is also the respawned workers'
-                    # first op, so it returns only once they attached.
-                    self._broadcast("reset")
+                    # Survivors may hold queued replies from the aborted
+                    # wave; the ping's fresh op id flushes them (stale
+                    # replies are skipped by _recv's check), and a
+                    # replay's begin replaces the wave they hold.  It is
+                    # also the respawned workers' first op, so it
+                    # returns only once they attached.
+                    self._broadcast("ping")
                     return sorted(all_respawned)
                 except _WorkerDied as died:
                     known_dead = died.shard_id
@@ -588,14 +584,6 @@ class ShardedSearchService:
     # Live updates (DESIGN §11)
     # ------------------------------------------------------------------
 
-    def _owner_of(self, gids: np.ndarray) -> np.ndarray:
-        """Owning shard of each global id (base ranges or ingest-assigned)."""
-        owner = np.searchsorted(self._shard_los, gids, side="right") - 1
-        extra = gids >= self._base_rows
-        if extra.any():
-            owner[extra] = self._extra_owner[gids[extra] - self._base_rows]
-        return owner
-
     def _assign_owners(self, count: int) -> np.ndarray:
         """Deterministically place ``count`` new points on shards.
 
@@ -623,81 +611,62 @@ class ShardedSearchService:
         single-process index that applied the same records.  Returns the
         number of records applied.
 
+        The coordinator's index applies each record with
+        :func:`~repro.durability.wal.apply_record`, as recovery does: an
+        insert carrying other ids than the index would assign raises
+        :class:`~repro.durability.wal.WalCorruptionError` and leaves the
+        service as it was.
+
         Thread-safe: serialised against search waves by ``self.lock``.
         """
         with self.lock:
-            return self._ingest_locked(records)
-
-    def _ingest_locked(self, records) -> int:
-        if self._closed:
-            raise ReproError("service is closed")
-        applied = 0
-        for record in records:
-            lsn = int(record.lsn)
-            if lsn <= self.acked_lsn:
-                continue
-            if lsn != self.acked_lsn + 1:
-                raise WalGapError(self.acked_lsn + 1, lsn)
-            if record.op == "insert":
+            if self._closed:
+                raise ReproError("service is closed")
+            applied = 0
+            for record in records:
+                lsn = int(record.lsn)
+                if lsn <= self.acked_lsn:
+                    continue
+                if lsn != self.acked_lsn + 1:
+                    raise WalGapError(self.acked_lsn + 1, lsn)
                 start = self.index.num_rows
-                expected = np.arange(
-                    start, start + record.ids.shape[0], dtype=np.int64
-                )
-                if not np.array_equal(record.ids, expected):
-                    raise ReproError(
-                        f"WAL insert at LSN {lsn} carries ids "
-                        f"[{record.ids[0]}..] but the coordinator would "
-                        f"assign [{start}..]: log and service state diverge"
+                plan = apply_record(self.index, record)
+                delta = {"op": record.op, "lsn": lsn, "epoch": self.epoch + 1}
+                if plan is None:
+                    np.subtract.at(self._shard_points, self._owner[record.ids], 1)
+                    delta["gids"] = np.ascontiguousarray(record.ids, dtype=np.int64)
+                else:
+                    owners = self._assign_owners(record.ids.shape[0])
+                    self._owner = np.concatenate([self._owner, owners])
+                    delta.update(
+                        plan=plan,
+                        points=np.ascontiguousarray(
+                            record.points, dtype=np.float64
+                        ),
+                        batch_start=start,
+                        owners=owners,
                     )
-                _ids, plan = self.index._apply_insert(record.points)
-                owners = self._assign_owners(record.ids.shape[0])
-                self._extra_owner = np.concatenate(
-                    [self._extra_owner, owners]
-                )
-                delta = {
-                    "op": "insert",
-                    "lsn": lsn,
-                    "epoch": self.epoch + 1,
-                    "plan": plan,
-                    "points": np.ascontiguousarray(
-                        record.points, dtype=np.float64
-                    ),
-                    "batch_start": start,
-                    "owners": owners,
-                }
-            elif record.op == "remove":
-                self.index.remove(record.ids)
-                removed_owner = self._owner_of(record.ids)
-                np.subtract.at(self._shard_points, removed_owner, 1)
-                delta = {
-                    "op": "remove",
-                    "lsn": lsn,
-                    "epoch": self.epoch + 1,
-                    "gids": np.ascontiguousarray(record.ids, dtype=np.int64),
-                }
-            else:
-                raise ReproError(f"unknown WAL op {record.op!r} at LSN {lsn}")
-            self.epoch += 1
-            self.acked_lsn = lsn
-            self.updates_applied += 1
-            ictx = (
-                self.telemetry.maybe_sample_context()
-                if self.telemetry is not None
-                else None
-            )
-            if ictx is not None:
+                self.epoch += 1
+                self.acked_lsn = lsn
+                self.updates_applied += 1
                 # WAL catch-up gets its own head-sampled trace, so live
-                # ingest is inspectable under /trace without leaking
-                # legacy spans on the unsampled fast path.
-                with self.telemetry.tracer.span(
-                    "serve.ingest", context=ictx, lsn=lsn, op=record.op
+                # ingest is inspectable under /trace.
+                ctx = (
+                    self.telemetry.maybe_sample_context()
+                    if self.telemetry is not None
+                    else None
+                )
+                with (
+                    nullcontext() if ctx is None
+                    else self.telemetry.tracer.span(
+                        "serve.ingest", context=ctx, lsn=lsn, op=record.op
+                    )
                 ):
                     self._ship(delta)
-                self.telemetry.finish_trace(ictx)
-            else:
-                self._ship(delta)
-            applied += 1
-        return applied
+                if ctx is not None:
+                    self.telemetry.finish_trace(ctx)
+                applied += 1
+            return applied
 
     def _ship(self, delta: dict) -> None:
         """Broadcast one update delta, repairing on a worker death.
@@ -804,118 +773,85 @@ class ShardedSearchService:
         concurrent callers and ``ingest`` are serialised.
         """
         with self.lock:
-            return self._search_batch_locked(
-                queries, k, p=p, metrics=metrics, cap=cap, radius=radius,
-                telemetry=telemetry, request_id=request_id,
-                trace_context=trace_context, deadline_ms=deadline_ms,
-                explain=explain,
-            )
-
-    def _search_batch_locked(
-        self,
-        queries,
-        k: int,
-        *,
-        p: float | None = None,
-        metrics=None,
-        cap: float | None = None,
-        radius: float | None = None,
-        telemetry=None,
-        request_id: str | None = None,
-        trace_context=None,
-        deadline_ms: float | None = None,
-        explain: bool = False,
-    ) -> list:
-        if self._closed:
-            raise ReproError("service is closed")
-        metrics = check_knobs(k, p=p, metrics=metrics, cap=cap, radius=radius)
-        index = self.index
-        queries = np.ascontiguousarray(np.atleast_2d(
-            np.asarray(queries, dtype=np.float64)
-        ))
-        if queries.ndim != 2 or queries.shape[1] != index.dimensionality:
-            raise InvalidParameterError(
-                f"queries must be a (m, {index.dimensionality}) matrix, got "
-                f"shape {queries.shape}"
-            )
-        if queries.shape[0] == 0:
-            return []
-        if not np.all(np.isfinite(queries)):
-            raise InvalidParameterError("queries contain non-finite values")
-        hashes = index._bank.hash_points(queries)  # one matmul for the wave
-
-        def build() -> list:
-            """The wave's lane groups, from the engine's own builders."""
-            return [
-                index._lane_group(
-                    queries[j], k, 1.0 if p is None else p, metrics=metrics,
-                    cap=cap, radius=radius, query_hashes=hashes[:, j].copy(),
+            if self._closed:
+                raise ReproError("service is closed")
+            metrics = check_knobs(k, p=p, metrics=metrics, cap=cap, radius=radius)
+            index = self.index
+            queries = np.ascontiguousarray(np.atleast_2d(
+                np.asarray(queries, dtype=np.float64)
+            ))
+            if queries.ndim != 2 or queries.shape[1] != index.dimensionality:
+                raise InvalidParameterError(
+                    f"queries must be a (m, {index.dimensionality}) matrix, "
+                    f"got shape {queries.shape}"
                 )
-                for j in range(queries.shape[0])
-            ]
+            if queries.shape[0] == 0:
+                return []
+            if not np.all(np.isfinite(queries)):
+                raise InvalidParameterError("queries contain non-finite values")
+            hashes = index._bank.hash_points(queries)  # one matmul for the wave
 
-        groups = build()  # validates k and the metrics before any wave
-        if telemetry is None:
-            telemetry = self.telemetry  # service-level fallback
-        start = time.monotonic() if deadline_ms is not None else 0.0
-        if telemetry is None:
+            def build() -> list:
+                """The wave's lane groups, from the engine's own builders."""
+                return [
+                    index._lane_group(
+                        queries[j], k, 1.0 if p is None else p,
+                        metrics=metrics, cap=cap, radius=radius,
+                        query_hashes=hashes[:, j].copy(),
+                    )
+                    for j in range(queries.shape[0])
+                ]
+
+            groups = build()  # validates k and the metrics before any wave
+            if telemetry is None:
+                telemetry = self.telemetry  # service-level fallback
             ctx = (
-                trace_context
-                if trace_context is not None and trace_context.sampled
-                else None
+                active_context(trace_context) if telemetry is None
+                else telemetry.maybe_sample_context(trace_context)
             )
-            rows = self._execute(
-                groups, build, hashes, None, explain=explain,
-                request_id=request_id,
-                trace_id=ctx.trace_id if ctx is not None else None,
+            if ctx is not None and request_id is None:
+                request_id = new_request_id()
+            # Untraced waves open no span anywhere on the wave path
+            # (tracing-off overhead stays ~zero and legacy spans do not
+            # pile up in a long-lived service).
+            root = (
+                telemetry.tracer.span(
+                    "serve.search_batch", context=ctx, shards=self.n_shards,
+                    queries=int(queries.shape[0]), k=k, request_id=request_id,
+                )
+                if telemetry is not None and ctx is not None
+                else nullcontext()
             )
-        else:
-            ctx = telemetry.maybe_sample_context(trace_context)
-            if ctx is None:
-                # Untraced request: no spans are opened anywhere on the
-                # wave path (tracing-off overhead must stay ~zero and
-                # legacy spans must not pile up in a long-lived service).
+            start = time.monotonic()
+            with root:
                 rows = self._execute(
                     groups, build, hashes, telemetry, explain=explain,
                     request_id=request_id,
+                    trace_id=None if ctx is None else ctx.trace_id,
                 )
-            else:
-                if request_id is None:
-                    request_id = new_request_id()
-                with telemetry.tracer.span(
-                    "serve.search_batch",
-                    context=ctx,
-                    shards=self.n_shards,
-                    queries=int(queries.shape[0]),
-                    k=k,
-                ) as span:
-                    span.set(request_id=request_id)
-                    rows = self._execute(
-                        groups, build, hashes, telemetry, explain=explain,
-                        request_id=request_id, trace_id=ctx.trace_id,
-                    )
+            if telemetry is not None and ctx is not None:
                 telemetry.finish_trace(ctx)
-        answers = [result for row in rows for result in row]
-        if request_id is not None or ctx is not None:
-            for result in answers:
-                result.request_id = request_id
-                if ctx is not None:
-                    result.trace_id = ctx.trace_id
-        if deadline_ms is not None:
-            elapsed = time.monotonic() - start
-            if elapsed * 1000.0 > deadline_ms:
+            answers = [result for row in rows for result in row]
+            if request_id is not None:
                 for result in answers:
-                    result.deadline_exceeded = True
-                if telemetry is not None:
-                    telemetry.note_deadline_overrun(
-                        deadline_ms=deadline_ms,
-                        elapsed_seconds=elapsed,
-                        where="serve.search_batch",
-                        request_id=request_id,
-                    )
-        if metrics is None:
-            return [row[0] for row in rows]
-        return [MultiQueryResult.of(row) for row in rows]
+                    result.request_id = request_id
+                    if ctx is not None:
+                        result.trace_id = ctx.trace_id
+            if deadline_ms is not None:
+                elapsed = time.monotonic() - start
+                if elapsed * 1000.0 > deadline_ms:
+                    for result in answers:
+                        result.deadline_exceeded = True
+                    if telemetry is not None:
+                        telemetry.note_deadline_overrun(
+                            deadline_ms=deadline_ms,
+                            elapsed_seconds=elapsed,
+                            where="serve.search_batch",
+                            request_id=request_id,
+                        )
+            if metrics is None:
+                return [row[0] for row in rows]
+            return [MultiQueryResult.of(row) for row in rows]
 
     # ------------------------------------------------------------------
     # Wave execution
@@ -928,7 +864,11 @@ class ShardedSearchService:
         """Run one wave of lane groups; one result list per group.
 
         ``build`` makes fresh groups for the replay after a repair.
+        Every attempt fills its own :class:`_WaveObs`; the successful
+        one is published when the wave has telemetry.  Workers parent
+        their round spans to the wave's root span, if one is open.
         """
+        trace = None if telemetry is None else telemetry.tracer.current_context()
         for attempt in range(2):
             if attempt:
                 groups = build()
@@ -948,18 +888,11 @@ class ShardedSearchService:
                             p=lane.p, k=lane.k, engine="sharded",
                             rehashing=self.index.rehashing,
                         )
-            self._wave_obs = (
-                _WaveObs(self.n_shards) if telemetry is not None else None
-            )
-            if self._wave_obs is not None:
-                # Root span of the wave (opened by search_batch); workers
-                # parent their round spans under it.
-                self._wave_obs.trace = telemetry.tracer.current_context()
+            wave = _WaveObs(self.n_shards)
             try:
-                self._run_wave(groups)
+                self._run_wave(groups, wave, trace)
                 break
             except _WorkerDied as died:
-                self._wave_obs = None  # aborted attempt leaves no residue
                 if attempt:
                     raise ReproError(
                         "sharded service: worker died again after repair; "
@@ -976,24 +909,16 @@ class ShardedSearchService:
                     # Repair events are facts about the service, not
                     # residue of the aborted attempt — record them now.
                     self._record_repair(telemetry, respawned)
-        wave_obs, self._wave_obs = self._wave_obs, None
-        self._qid_seq += len(groups)
         # Success: only now fold the wave into the index-level counters
         # and telemetry (an aborted attempt leaves no residue).
-        if telemetry is not None and wave_obs is not None:
-            self._merge_wave_obs(telemetry, wave_obs)
+        if telemetry is not None:
+            self._merge_wave_obs(telemetry, wave)
         merge_cm = (
             telemetry.tracer.span("serve.merge", queries=len(groups))
-            if telemetry is not None
-            and wave_obs is not None
-            and wave_obs.trace is not None
+            if trace is not None
             else nullcontext()
         )
-        workload = (
-            telemetry.workload
-            if telemetry is not None and telemetry.workload is not None
-            else None
-        )
+        workload = None if telemetry is None else telemetry.workload
         rows = []
         with merge_cm:
             for j, group in enumerate(groups):
@@ -1048,30 +973,35 @@ class ShardedSearchService:
         self.queries_served += len(rows)
         return rows
 
-    def _run_wave(self, groups: list) -> None:
+    def _run_wave(self, groups: list, wave: _WaveObs, trace) -> None:
         """Run the engine's round driver with each round's scan on the shards.
 
-        Every round fans the active groups' windows out to all workers,
-        which run the engine's scan kernel over their shards; each
-        group's merge step then folds in one part per shard.  A lane's
-        pre-round counts ride the request so a worker stops at the first
-        function where its own crossings already terminate the lane (the
-        local stop bound, DESIGN §9).
+        ``begin`` replaces the wave every worker holds with ``groups``;
+        every round then fans the active groups' windows out to all
+        workers, addressed by wave position, and each group's merge
+        step folds in one part per shard.  A lane's pre-round counts
+        ride the request so a worker stops at the first function where
+        its own crossings already terminate the lane (the local stop
+        bound, DESIGN §9).  ``trace`` (the root span's context, or
+        ``None``) rides every round so workers open their spans under
+        it (W3C-style propagation over the pipe).
         """
-        qids = {id(group): self._qid_seq + j for j, group in enumerate(groups)}
         self._broadcast("begin", [
             (
-                qids[id(group)],
                 group.query,
                 [(lane.p, lane.params, lane.k, lane.cap) for lane in group.lanes],
             )
             for group in groups
-        ])
+        ], wave)
+        trace = None if trace is None else trace.to_dict()
 
-        def scan(requests: list) -> list:
+        def scan(requests: list):
+            # The driver lists the active groups in wave order, so one
+            # walk over the wave finds each one's position.
+            wave_rows = iter(enumerate(groups))
             payload = [
                 (
-                    qids[id(group)],
+                    next(row for row, held in wave_rows if held is group),
                     los,
                     his,
                     [
@@ -1083,23 +1013,13 @@ class ShardedSearchService:
                 )
                 for group, los, his in requests
             ]
-            if self._wave_obs is not None:
-                payload = {"requests": payload, "obs": True}
-                if self._wave_obs.trace is not None:
-                    # W3C-style propagation over the pipe: workers open
-                    # child spans under the wave's root span.
-                    payload["trace"] = self._wave_obs.trace.to_dict()
-            replies = self._broadcast("round", payload)
-            return [
-                [reply[qids[id(group)]] for reply in replies]
-                for group, _los, _his in requests
-            ]
+            # One part list per shard, in request order: regroup per group.
+            return zip(*self._broadcast("round", (payload, trace), wave))
 
         try:
             execute_rounds(groups, scan)
         except RuntimeError as exc:  # an engine abort: keep errors typed
             raise ReproError(str(exc)) from None
-        self._broadcast("end", list(qids.values()))
 
     # -- telemetry merge ------------------------------------------------
 
@@ -1129,7 +1049,7 @@ class ShardedSearchService:
                 replays=self.replays,
             )
 
-    def _merge_wave_obs(self, telemetry, wave_obs: _WaveObs) -> None:
+    def _merge_wave_obs(self, telemetry, wave: _WaveObs) -> None:
         """Fold one successful wave's per-shard buffer into telemetry.
 
         Counter series are labelled ``shard="<id>"`` and every shard's
@@ -1163,13 +1083,13 @@ class ShardedSearchService:
         )
         for sid in range(self.n_shards):
             label = str(sid)
-            rows.inc(wave_obs.rows[sid], shard=label)
-            crossings.inc(wave_obs.crossings[sid], shard=label)
-            busy.inc(wave_obs.busy[sid], shard=label)
-            ops.inc(wave_obs.ops[sid], shard=label)
-            for dt in wave_obs.roundtrips[sid]:
+            rows.inc(wave.rows[sid], shard=label)
+            crossings.inc(wave.crossings[sid], shard=label)
+            busy.inc(wave.busy[sid], shard=label)
+            ops.inc(wave.ops[sid], shard=label)
+            for dt in wave.roundtrips[sid]:
                 roundtrip.observe(dt, shard=label)
-            for record in wave_obs.spans[sid]:
+            for record in wave.spans[sid]:
                 span = Span.from_dict(record)
                 span.attributes.setdefault("shard", sid)
                 span.attributes["origin"] = "worker"

@@ -30,22 +30,23 @@ anywhere, so every shard consumed its round whole and the per-point
 collision state never diverges from the single-process engine's.
 
 The wire protocol is one ``(op_id, op, payload)`` tuple per request with
-one ``(op_id, "ok", payload)`` or ``(op_id, "err", traceback)`` reply.
+one ``(op_id, "ok", reply)`` or ``(op_id, "err", traceback)`` reply.
 The coordinator's ``op_id`` is a monotonically increasing sequence
 number: after a worker death it lets the coordinator discard stale
 replies still queued in surviving workers' pipes before replaying the
 wave.  Ops:
 
 =============  ======================================================
-``ping``       liveness / warm-up check, returns the shard id
-``begin``      register a wave of queries, each ``(qid, vector, lanes)``
-               with one ``(p, params, k, cap)`` per lane
-``round``      scan one round for a list of active queries, each
-               ``(qid, los, his, lanes)`` with one ``(n_cand,
-               n_within, c_delta)`` per active lane, ``None`` per
-               terminated one
-``end``        drop the listed queries' state
-``reset``      drop *all* query state (coordinator repair/replay)
+``ping``       liveness check (a repair's acknowledgement), returns
+               the shard id and point count
+``begin``      replace the held wave: one ``(vector, lanes)`` per row,
+               with one ``(p, params, k, cap)`` per lane; rows are
+               addressed by their position in the wave from then on
+``round``      ``(requests, trace)``: scan one round for the active
+               rows, each ``(row, los, his, lanes)`` with one
+               ``(n_cand, n_within, c_delta)`` per active lane,
+               ``None`` per terminated one; ``trace`` is the wave's
+               root span context or ``None``
 ``update``     apply one WAL record's delta to the shard (epoch/LSN
                sequenced, idempotent by LSN — see DESIGN §11)
 ``crash``      ``os._exit(1)`` — test hook for worker-death recovery;
@@ -68,18 +69,16 @@ are sequenced by LSN: a record at or below the shard's acked LSN is
 acknowledged but not re-applied, which makes the coordinator's retry
 after a repair idempotent.
 
-Telemetry piggyback (DESIGN §10): each worker keeps two scan counters
-(rows scanned, crossings found) and its own :class:`~repro.obs.tracer.
-SpanTracer`; it holds no metrics registry.  A ``round`` payload is the
-bare request list (every untraced wave sends this) or ``{"requests":
-[...], "obs": bool, "trace": ctx}``; with ``obs`` set the reply payload
-carries an ``"obs"`` dict of deltas since the last ship — rows
-scanned, crossings found, and the finished span dicts of this round's
-``worker.round`` scan span — which the coordinator publishes under
-per-shard labels (``lazylsh_shard_rows_scanned_total`` and
-``lazylsh_shard_crossings_total``).  With ``obs`` unset the only
-residue is two integer adds per scan, keeping the no-telemetry fast
-path inside the <= 3% overhead budget.
+Every reply has one shape (DESIGN §10): the op's ``result`` plus what
+that op cost — wall-clock ``busy`` and process-time ``cpu`` seconds,
+the entries it gathered (``rows``), the threshold crossings it found
+(``crossings``) and the finished span dicts it opened (``spans``).
+Only a ``round`` gathers entries, and only a round with a ``trace``
+context opens a span (``worker.round``, a child of the coordinator's
+wave-root span); every other reply carries zeros and no spans.  The
+worker keeps no counters between ops and no metrics registry: the
+coordinator publishes the figures under per-shard labels
+(``lazylsh_shard_*``).
 """
 
 from __future__ import annotations
@@ -109,8 +108,9 @@ class ShardSearcher:
     local rows, and ``positions`` each of its entries' full-run
     position, flat.  Local row ``j`` is global point ``gids[j]`` (sorted
     ascending; inserted points append), with data row ``data[j]`` and
-    tombstone bit ``alive[j]``.  Each query of a wave is one engine
-    :class:`~repro.core.engine.LaneGroup` over this store.
+    tombstone bit ``alive[j]``.  Each row of the held wave is one engine
+    :class:`~repro.core.engine.LaneGroup` over this store; the groups
+    stay until the next :meth:`begin` replaces them.
     """
 
     def __init__(
@@ -129,11 +129,7 @@ class ShardSearcher:
         self.data = data
         self.alive = alive
         self.m = int(gids.size)
-        self.groups: dict[int, LaneGroup] = {}
-        # Always-on scan accumulators (two int adds per scan); the
-        # obs-enabled reply path ships deltas of these.
-        self.rows_scanned = 0
-        self.crossings = 0
+        self.groups: list[LaneGroup] = []
         # Live-update sequence (DESIGN §11).
         self.epoch = 0
         self.acked_lsn = 0
@@ -166,52 +162,50 @@ class ShardSearcher:
     # -- protocol ops ---------------------------------------------------
 
     def begin(self, entries: list) -> None:
-        """Register queries: ``(qid, query, [(p, params, k, cap), ...])``."""
-        for qid, query, lanes in entries:
-            self.groups[qid] = LaneGroup(
+        """Replace the held wave: one ``(query, [(p, params, k, cap), ...])``
+        per row, in wave order."""
+        self.groups = [
+            LaneGroup(
                 store=self.store,
                 data=self.data,
                 alive=self.alive,
                 query=np.asarray(query, dtype=np.float64),
                 lanes=[Lane(*lane) for lane in lanes],
             )
+            for query, lanes in entries
+        ]
 
-    def end(self, qids: list) -> None:
-        for qid in qids:
-            self.groups.pop(qid, None)
+    def round(self, requests: list) -> tuple[list, int, int]:
+        """Scan one round of the listed rows with the engine's kernel.
 
-    def reset(self) -> None:
-        self.groups.clear()
-
-    def round(self, requests: list) -> dict:
-        """Scan one round of the listed queries with the engine's kernel.
-
-        Each request is ``(qid, los, his, lanes)``: the round's windows
-        and, per lane, ``None`` when it has terminated or its pre-round
-        ``(n_cand, n_within, c_delta)``.  Crossing ids come back as
-        global ids.
+        Each request is ``(row, los, his, lanes)``: the row's wave
+        position, the round's windows and, per lane, ``None`` when it
+        has terminated or its pre-round ``(n_cand, n_within,
+        c_delta)``.  Returns the parts in request order, with crossing
+        ids as global ids, plus the entries gathered and the crossings
+        found.
         """
         if not requests:
-            return {}
+            return [], 0, 0
         scans = []
-        for qid, los, his, states in requests:
-            group = self.groups[qid]
+        for row, los, his, states in requests:
+            group = self.groups[row]
             for lane, state in zip(group.lanes, states):
                 lane.active = state is not None
                 if state is not None:
                     lane.n_cand, lane.n_within, lane.c_delta = state
             scans.append((group, los, his))
-        parts = scan_groups(self.store, scans, self.positions)
-        replies = {}
-        for (qid, *_rest), part in zip(requests, parts):
+        parts = []
+        rows = crossings = 0
+        for part in scan_groups(self.store, scans, self.positions):
             lanes = [
                 None if entry is None else (self.gids[entry[0]], *entry[1:])
                 for entry in part.lanes
             ]
-            self.rows_scanned += part.rows
-            self.crossings += sum(entry[0].size for entry in lanes if entry)
-            replies[qid] = part._replace(lanes=lanes)
-        return replies
+            rows += part.rows
+            crossings += sum(entry[0].size for entry in lanes if entry)
+            parts.append(part._replace(lanes=lanes))
+        return parts, rows, crossings
 
     def apply_update(self, delta: dict) -> dict:
         """Apply one WAL record's shard delta (idempotent by LSN)."""
@@ -303,9 +297,10 @@ def worker_main(conn, spec: ShardSpec) -> None:
 
     Attaches the shard, then serves ``(op_id, op, payload)`` requests
     until ``shutdown`` (or the pipe closes).  Every reply echoes the
-    ``op_id`` and carries the op's wall-clock ``busy`` seconds (for
-    per-shard utilisation) plus its ``cpu`` process-time seconds (for
-    scheduler-noise-immune cost accounting on oversubscribed hosts).
+    ``op_id`` and has one shape: the op's ``result``, its wall-clock
+    ``busy`` seconds (per-shard utilisation), its ``cpu`` process-time
+    seconds (scheduler-noise-immune cost accounting on oversubscribed
+    hosts), and the ``rows``, ``crossings`` and ``spans`` of that op.
     """
     try:
         searcher = ShardSearcher.attach(spec)
@@ -315,11 +310,7 @@ def worker_main(conn, spec: ShardSpec) -> None:
         )
         conn.send((-1, "err", traceback.format_exc()))
         return
-    # Worker-local spans and scan counters, shipped to the coordinator
-    # as deltas on obs-enabled round replies.
     tracer = SpanTracer()
-    shipped_rows = 0
-    shipped_crossings = 0
     crash_in_rounds: int | None = None  # armed mid-wave crash countdown
     while True:
         try:
@@ -328,88 +319,55 @@ def worker_main(conn, spec: ShardSpec) -> None:
             break
         t0 = time.perf_counter()
         c0 = time.process_time()
+        rows = crossings = 0
+        tracer.clear()  # a reply ships only its own op's spans
         try:
-            obs_delta = None
             if op == "ping":
                 result = {"shard": searcher.shard_id, "points": searcher.m}
             elif op == "begin":
                 searcher.begin(payload)
                 result = None
             elif op == "round":
-                requests = payload
-                ship_obs = False
-                wave_ctx = None
-                if isinstance(payload, dict):
-                    requests = payload["requests"]
-                    ship_obs = bool(payload.get("obs", False))
-                    raw_ctx = payload.get("trace")
-                    if raw_ctx is not None:
-                        # The coordinator's wave-root span context: this
-                        # round's span becomes its child in the shared
-                        # distributed trace (DESIGN §13).
-                        wave_ctx = TraceContext.from_dict(raw_ctx)
+                requests, trace = payload
                 if crash_in_rounds is not None:
                     crash_in_rounds -= 1
                     if crash_in_rounds <= 0:
                         os._exit(1)
-                if ship_obs:
-                    if wave_ctx is not None:
-                        with tracer.span(
-                            "worker.round",
-                            context=wave_ctx,
-                            shard=searcher.shard_id,
-                            queries=len(requests),
-                        ) as span:
-                            result = searcher.round(requests)
-                            span.set(
-                                rows=searcher.rows_scanned - shipped_rows,
-                                crossings=searcher.crossings
-                                - shipped_crossings,
-                            )
-                    else:
-                        # Untraced wave: no span, zero tracing overhead.
-                        result = searcher.round(requests)
-                    d_rows = searcher.rows_scanned - shipped_rows
-                    d_crossings = searcher.crossings - shipped_crossings
-                    shipped_rows = searcher.rows_scanned
-                    shipped_crossings = searcher.crossings
-                    obs_delta = {
-                        "rows": d_rows,
-                        "crossings": d_crossings,
-                        "spans": tracer.to_dicts(),
-                    }
-                    tracer.clear()
+                if trace is None:
+                    result, rows, crossings = searcher.round(requests)
                 else:
-                    result = searcher.round(requests)
-            elif op == "end":
-                searcher.end(payload)
-                result = None
-            elif op == "reset":
-                searcher.reset()
-                result = None
+                    # The coordinator's wave-root span context: this
+                    # round's span becomes its child in the shared
+                    # distributed trace (DESIGN §13).
+                    with tracer.span(
+                        "worker.round",
+                        context=TraceContext.from_dict(trace),
+                        shard=searcher.shard_id,
+                        queries=len(requests),
+                    ) as span:
+                        result, rows, crossings = searcher.round(requests)
+                        span.set(rows=rows, crossings=crossings)
             elif op == "update":
                 result = searcher.apply_update(payload)
             elif op == "crash":
-                if isinstance(payload, int) and payload > 0:
-                    crash_in_rounds = payload
-                    result = None
-                else:
+                if not (isinstance(payload, int) and payload > 0):
                     os._exit(1)
+                crash_in_rounds = payload
+                result = None
             elif op == "shutdown":
-                conn.send(
-                    (op_id, "ok", {"busy": 0.0, "cpu": 0.0, "result": None})
-                )
-                break
+                result = None
             else:
                 raise ReproError(f"unknown worker op {op!r}")
-            reply = {
+            conn.send((op_id, "ok", {
                 "busy": time.perf_counter() - t0,
                 "cpu": time.process_time() - c0,
+                "rows": rows,
+                "crossings": crossings,
+                "spans": tracer.to_dicts(),
                 "result": result,
-            }
-            if obs_delta is not None:
-                reply["obs"] = obs_delta
-            conn.send((op_id, "ok", reply))
+            }))
+            if op == "shutdown":
+                break
         except Exception:
             logger.exception(
                 "shard %d worker op %r (op_id=%d) failed",

@@ -81,17 +81,24 @@ class TestV3RoundTrip:
 
     def test_backend_kind_and_storage_info(self, corpus, v3_path):
         """The open mode is read off the arrays: a loaded v3 index maps
-        its runs and data from its file; a built or inserted-into one
-        holds them in RAM."""
+        its runs, data and hash bank from its file; a built or
+        inserted-into one holds its runs and data in RAM."""
         mapped = load_index(v3_path)
-        for name in ("rel32", "ids32", "row_top", "data"):
+
+        def memmap_bytes():
+            return sum(
+                value.nbytes
+                for owner in (mapped, mapped._bank, mapped.store)
+                for value in vars(owner).values()
+                if isinstance(value, np.memmap)
+            )
+
+        for name in ("rel32", "ids32", "row_top", "data", "projections", "offsets"):
             assert isinstance(mapped.mapped_regions()[name], np.memmap)
-        assert isinstance(mapped._bank._projections, np.memmap)
-        assert isinstance(mapped._bank._offsets, np.memmap)
         assert not isinstance(mapped._alive, np.memmap)
         info = mapped.storage_info()
         assert info["backend"] == "mmap"
-        assert info["mapped_bytes"] > 0
+        assert info["mapped_bytes"] == memmap_bytes()
         assert info["source_path"] == str(v3_path)
         # Mutable state (alive mask) stays resident even when mapped.
         assert 0 < info["resident_bytes"] < info["mapped_bytes"]
@@ -105,7 +112,9 @@ class TestV3RoundTrip:
         info = mapped.storage_info()
         assert info["backend"] == "eager"
         assert info["source_path"] is None
-        assert mapped.mapped_regions() == {}
+        # The hash bank is never rewritten, so it stays mapped.
+        assert set(mapped.mapped_regions()) == {"projections", "offsets"}
+        assert info["mapped_bytes"] == memmap_bytes() > 0
 
     def test_read_header_v3(self, v3_path):
         header = read_header(v3_path)

@@ -405,6 +405,50 @@ class TestFleetTelemetry:
             for name in samples
         )
 
+    def test_one_row_wave_costs_one_op_per_round_plus_begin(
+        self, built_index, small_split
+    ):
+        """Every shard answers one ``begin`` and one ``round`` per round
+        and nothing else: the next wave's ``begin`` replaces the wave."""
+        telemetry = Telemetry()
+        with ShardedSearchService(built_index, n_shards=2) as svc:
+            result = svc.search(
+                small_split.queries[0], 5, p=0.8, telemetry=telemetry
+            )
+        samples = parse_prometheus_text(telemetry.metrics_text())
+        ops = {lbl["shard"]: v for lbl, v in samples["lazylsh_shard_ops_total"]}
+        assert ops == {"0": result.rounds + 1, "1": result.rounds + 1}
+
+    def test_wave_publishes_only_its_own_scan_counts(
+        self, built_index, small_split
+    ):
+        """A telemetry wave publishes what it scanned, not also what the
+        untelemetered waves before it on the same fleet scanned."""
+        queries = small_split.queries[:3]
+
+        def scan_counts(telemetry):
+            samples = parse_prometheus_text(telemetry.metrics_text())
+            return {
+                family: {lbl["shard"]: v for lbl, v in samples[family]}
+                for family in (
+                    "lazylsh_shard_rows_scanned_total",
+                    "lazylsh_shard_crossings_total",
+                )
+            }
+
+        alone = Telemetry()
+        with ShardedSearchService(built_index, n_shards=2) as svc:
+            svc.search_batch(queries, 5, p=0.8, telemetry=alone)
+        after = Telemetry()
+        with ShardedSearchService(built_index, n_shards=2) as svc:
+            svc.search_batch(queries, 5, p=0.8)
+            svc.search_batch(queries, 5, p=0.8, telemetry=after)
+        expected = scan_counts(alone)
+        assert all(
+            v > 0 for v in expected["lazylsh_shard_rows_scanned_total"].values()
+        )
+        assert scan_counts(after) == expected
+
     def test_service_level_telemetry_fallback(self, built_index, small_split):
         telemetry = Telemetry()
         with ShardedSearchService(

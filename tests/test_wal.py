@@ -459,6 +459,28 @@ class TestLiveServicePropagation:
             assert svc.ingest(feed.poll()) == 0
         writer.close()
 
+    def test_insert_with_wrong_ids_rejected(self):
+        """The service applies records the way recovery does: an insert
+        carrying other ids than the index would assign raises
+        WalCorruptionError and leaves service and index unchanged."""
+        from repro.durability.wal import WalRecord
+        from repro.serve import ShardedSearchService
+
+        index, data = _build()
+        rows = index.num_rows
+        before = index.knn(data[5], 5, p=1.0)
+        with ShardedSearchService(index, n_shards=2) as svc:
+            record = WalRecord(
+                lsn=1, op="insert", ids=np.arange(rows + 1, rows + 4),
+                points=_batch(3),
+            )
+            with pytest.raises(WalCorruptionError, match="would assign"):
+                svc.ingest([record])
+            assert svc.acked_lsn == 0 and svc.epoch == 0
+            assert svc.updates_applied == 0
+            assert index.num_rows == rows and index.data.shape[0] == rows
+            self._assert_identical(before, svc.search(data[5], 5, p=1.0))
+
     def test_gap_in_update_stream_rejected(self, tmp_path):
         from repro.durability.wal import WalRecord
         from repro.serve import ShardedSearchService

@@ -88,8 +88,8 @@ from repro.obs import (
     WorkloadAnalytics,
     build_trace_tree,
     parse_prometheus_text,
-    validate_explain_dict,
     validate_span_dict,
+    validate_trace_dict,
 )
 from repro.serve import ShardedSearchService
 from repro.serve.bench import _measure_telemetry_overhead
@@ -366,7 +366,7 @@ def main() -> int:
         ok = record is not None
         if ok:
             try:
-                validate_explain_dict(record)
+                validate_trace_dict(record)
             except Exception:  # noqa: BLE001 - gate, don't die
                 ok = False
         if ok:
@@ -375,8 +375,8 @@ def main() -> int:
             ok = (
                 seq == result.io.sequential
                 and rnd == result.io.random
-                and record["shards"] is not None
-                and record["shards"]["count"] == N_SHARDS
+                and record["shard_io"] is not None
+                and len(record["shard_io"]) == N_SHARDS
             )
         explain_checks.append(bool(ok))
 

@@ -43,9 +43,10 @@ Commands
 
 ``explain``
     Run one or more queries with ``explain=True`` through the sharded
-    service (or a running front door via ``--url``) and render the
-    per-round plan/cost report — windows scanned, candidates promoted,
-    termination progress, per-shard skew.
+    service (or a running front door via ``--url``) and render each
+    query's record as the per-round plan/cost report — windows scanned,
+    candidates promoted, termination progress, per-shard skew
+    (``--format json`` prints the record itself).
 
 ``top``
     Live one-screen operations view: polls a running exporter's
@@ -441,7 +442,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     configure_logging(args.log_level, json_format=args.log_json)
 
-    feed = None
     base_lsn = 0
     if args.wal is not None:
         from repro.durability import (
@@ -458,10 +458,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"{home} holds no loadable checkpoint; run `repro ingest "
                 f"{home} --init <dataset>` first"
             )
-        base_lsn, ckpt_path = found
-        index = load_index(ckpt_path)
-        # Read-only tail of the (possibly live) log: never truncates.
-        feed = WalFeed(home / WAL_SUBDIR, start_lsn=base_lsn)
+        base_lsn, ckpt_path, index = found
         print(
             f"serving from {ckpt_path.name} (LSN {base_lsn}, "
             f"{index.storage_info()['backend']} open), tailing "
@@ -576,6 +573,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             description="queries answered without a wave replay",
         ))
         paging = PagingMetrics(telemetry.registry)
+    # Read-only tail of the (possibly live) log: never truncates.
+    feed = None if args.wal is None else WalFeed(
+        home / WAL_SUBDIR,
+        start_lsn=base_lsn,
+        registry=None if telemetry is None else telemetry.registry,
+    )
     storage = index.storage_info()
     if telemetry is not None:
         registry = telemetry.registry
@@ -753,10 +756,9 @@ def cmd_cluster_lead(args: argparse.Namespace) -> int:
             f"{home} holds no loadable checkpoint; run `repro ingest "
             f"{home} --init <dataset>` first"
         )
-    base_lsn, ckpt_path = found
-    index = load_index(ckpt_path)
-    feed = WalFeed(home / WAL_SUBDIR, start_lsn=base_lsn)
+    base_lsn, ckpt_path, index = found
     registry = MetricsRegistry()
+    feed = WalFeed(home / WAL_SUBDIR, start_lsn=base_lsn, registry=registry)
     frontend = exporter = None
     # Order matters: the service forks its shard workers BEFORE any
     # listening socket exists, so no worker inherits (and pins) the
@@ -867,7 +869,6 @@ def cmd_cluster_route(args: argparse.Namespace) -> int:
     """Run the router tier over a set of node front doors."""
     from repro.cluster import Router
     from repro.logconfig import configure_logging
-    from repro.obs import MetricsRegistry
 
     configure_logging(args.log_level, json_format=args.log_json)
     nodes: dict[str, str] = {}
@@ -887,7 +888,6 @@ def cmd_cluster_route(args: argparse.Namespace) -> int:
         failure_threshold=args.failure_threshold,
         probe_timeout=args.probe_timeout,
         proxy_timeout=args.proxy_timeout,
-        registry=MetricsRegistry(),
     )
     try:
         router.start()
@@ -907,10 +907,7 @@ def cmd_cluster_route(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     """Run queries with EXPLAIN and render the plan/cost reports."""
-    from repro.obs.explain import (
-        render_explain,
-        validate_explain_dict,
-    )
+    from repro.obs import render_explain, validate_trace_dict
 
     metrics = _parse_p_list(args.p)
     if len(metrics) != 1:
@@ -965,7 +962,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             )
         records = [result.explain for result in results]
     for record in records:
-        validate_explain_dict(record)
+        validate_trace_dict(record)
         if args.format == "json":
             print(json.dumps(record, indent=2, sort_keys=True))
         else:
@@ -1226,7 +1223,7 @@ def _render_top(
                 [
                     entry.get("query_id", "-"),
                     round(float(entry.get("elapsed_seconds", 0.0)) * 1e3, 2),
-                    entry.get("rounds", "-"),
+                    entry.get("num_rounds", "-"),
                     entry.get("termination", "-"),
                     entry.get("request_id") or "-",
                     (

@@ -2,9 +2,10 @@
 
 :class:`FollowerNode` is one read replica (DESIGN §16).  Lifecycle:
 
-1. **Bootstrap.**  Map the newest v3 checkpoint under the local home
-   (:func:`~repro.persistence.load_index`); when there is none, fetch
-   the leader's newest checkpoint over the replication socket (written
+1. **Bootstrap.**  Open the newest good checkpoint under the local
+   home (:func:`~repro.durability.latest_checkpoint`); when there is
+   none, fetch the leader's newest good checkpoint over the replication
+   socket (written
    atomically: tmp + fsync + rename, the same discipline as
    :func:`repro.durability.write_checkpoint`).  The shard workers attach
    from the service's own spill, not from the checkpoint file.  The
@@ -57,9 +58,11 @@ from repro.cluster.protocol import (
 from repro.durability.checkpoint import (
     CHECKPOINT_SUBDIR,
     latest_checkpoint,
+    list_checkpoints,
 )
 from repro.durability.wal import decode_wal_record
 from repro.errors import ReproError, WalGapError
+from repro.obs.registry import MetricsRegistry
 from repro.persistence import load_index
 
 logger = logging.getLogger("repro.cluster.follower")
@@ -87,8 +90,9 @@ class FollowerNode:
         ``POST /v1/search`` / ``GET /v1/health`` on this port
         (``0`` picks a free one).
     registry:
-        Optional metrics registry publishing the ``lazylsh_replica_*``
-        family.
+        Metrics registry publishing the ``lazylsh_replica_*`` family
+        and the front door's series; when omitted, the telemetry's
+        registry, else a private one.
     reconnect_min / reconnect_max:
         Exponential backoff bounds between dial attempts (seconds).
     """
@@ -109,6 +113,11 @@ class FollowerNode:
         self.leader = (str(leader[0]), int(leader[1]))
         self.n_shards = int(n_shards)
         self.http_port = http_port
+        if registry is None:
+            registry = (
+                telemetry.registry if telemetry is not None
+                else MetricsRegistry()
+            )
         self.registry = registry
         self.telemetry = telemetry
         self.reconnect_min = float(reconnect_min)
@@ -125,33 +134,26 @@ class FollowerNode:
         self.records_applied = 0
         self.last_error: str | None = None
         self._connected = threading.Event()
-        if registry is not None:
-            self._m_applied = registry.counter(
-                "lazylsh_replica_applied_records_total",
-                "WAL records applied from the replication stream",
-            )
-            self._m_acked = registry.gauge(
-                "lazylsh_replica_acked_lsn",
-                "Last LSN this replica has applied and acked",
-            )
-            self._m_reconnects = registry.counter(
-                "lazylsh_replica_reconnects_total",
-                "Replication stream re-dials (leader restarts, drops)",
-            )
-            self._m_connected = registry.gauge(
-                "lazylsh_replica_connected",
-                "1 while the replication stream is established",
-            )
-            self._m_bootstraps = registry.counter(
-                "lazylsh_replica_bootstraps_total",
-                "Checkpoint bootstraps (initial + wal_truncated rebuilds)",
-            )
-        else:
-            self._m_applied = None
-            self._m_acked = None
-            self._m_reconnects = None
-            self._m_connected = None
-            self._m_bootstraps = None
+        self._m_applied = registry.counter(
+            "lazylsh_replica_applied_records_total",
+            "WAL records applied from the replication stream",
+        )
+        self._m_acked = registry.gauge(
+            "lazylsh_replica_acked_lsn",
+            "Last LSN this replica has applied and acked",
+        )
+        self._m_reconnects = registry.counter(
+            "lazylsh_replica_reconnects_total",
+            "Replication stream re-dials (leader restarts, drops)",
+        )
+        self._m_connected = registry.gauge(
+            "lazylsh_replica_connected",
+            "1 while the replication stream is established",
+        )
+        self._m_bootstraps = registry.counter(
+            "lazylsh_replica_bootstraps_total",
+            "Checkpoint bootstraps (initial + wal_truncated rebuilds)",
+        )
 
     # -- lifecycle ------------------------------------------------------
 
@@ -237,9 +239,9 @@ class FollowerNode:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         found = latest_checkpoint(ckpt_dir)
         if found is None:
-            found = self._fetch_checkpoint(ckpt_dir)
-        self.base_lsn, ckpt_path = found
-        index = load_index(ckpt_path)
+            lsn, path = self._fetch_checkpoint(ckpt_dir)
+            found = lsn, path, load_index(path)
+        self.base_lsn, ckpt_path, index = found
         service = ShardedSearchService(
             index,
             n_shards=self.n_shards,
@@ -252,10 +254,8 @@ class FollowerNode:
                 service, port=int(self.http_port), registry=self.registry
             ).start()
         self.bootstraps += 1
-        if self._m_bootstraps is not None:
-            self._m_bootstraps.inc()
-        if self._m_acked is not None:
-            self._m_acked.set(self.base_lsn)
+        self._m_bootstraps.inc()
+        self._m_acked.set(self.base_lsn)
         logger.info(
             "follower bootstrapped from %s (LSN %d, %s open)",
             ckpt_path.name,
@@ -274,7 +274,7 @@ class FollowerNode:
     def _rebootstrap(self, first_available: int) -> None:
         """The leader pruned past us: rebuild from a fresh checkpoint.
 
-        The stale local checkpoint is removed first so the bootstrap
+        The stale local checkpoints are removed first so the bootstrap
         fetches one covering at least ``first_available - 1``.
         """
         logger.warning(
@@ -284,10 +284,9 @@ class FollowerNode:
             self.acked_lsn,
         )
         self._teardown_serving()
-        ckpt_dir = self.home / CHECKPOINT_SUBDIR
-        found = latest_checkpoint(ckpt_dir)
-        if found is not None and found[0] < first_available - 1:
-            found[1].unlink(missing_ok=True)
+        for lsn, path in list_checkpoints(self.home / CHECKPOINT_SUBDIR):
+            if lsn < first_available - 1:
+                path.unlink(missing_ok=True)
         self._bootstrap()
 
     def _fetch_checkpoint(self, ckpt_dir: Path) -> tuple[int, Path]:
@@ -392,10 +391,8 @@ class FollowerNode:
             with self._sock_lock:
                 self._sock = sock
             self._connected.set()
-            if self._m_connected is not None:
-                self._m_connected.set(1)
-            if self._m_reconnects is not None:
-                self._m_reconnects.inc()
+            self._m_connected.set(1)
+            self._m_reconnects.inc()
             self.reconnects += 1
             try:
                 self._consume_stream(sock)
@@ -405,8 +402,7 @@ class FollowerNode:
                 logger.info("replication stream dropped: %s", exc)
             finally:
                 self._connected.clear()
-                if self._m_connected is not None:
-                    self._m_connected.set(0)
+                self._m_connected.set(0)
                 with self._sock_lock:
                     self._sock = None
                 try:
@@ -482,9 +478,7 @@ class FollowerNode:
                 raise
             if applied:
                 self.records_applied += applied
-                if self._m_applied is not None:
-                    self._m_applied.inc(applied)
+                self._m_applied.inc(applied)
             acked = int(self.service.acked_lsn)
-            if self._m_acked is not None:
-                self._m_acked.set(acked)
+            self._m_acked.set(acked)
             send_message(sock, MSG_ACK, {"lsn": acked})

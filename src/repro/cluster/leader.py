@@ -54,6 +54,7 @@ from repro.durability.checkpoint import (
     CHECKPOINT_SUBDIR,
     WAL_SUBDIR,
     latest_checkpoint,
+    list_checkpoints,
 )
 from repro.durability.feed import WalFeed
 from repro.durability.wal import (
@@ -62,6 +63,7 @@ from repro.durability.wal import (
     list_segments,
 )
 from repro.errors import ReproError
+from repro.obs.registry import MetricsRegistry
 
 logger = logging.getLogger("repro.cluster.leader")
 
@@ -98,8 +100,9 @@ class WalShipper:
         Idle sleep between WAL polls per connection (seconds).  Bounds
         steady-state replication lag from the leader side.
     registry:
-        Optional :class:`~repro.obs.MetricsRegistry` publishing the
-        ``lazylsh_cluster_*`` leader-side family.
+        :class:`~repro.obs.MetricsRegistry` publishing the
+        ``lazylsh_cluster_*`` leader-side family; a private one when
+        omitted.
     """
 
     def __init__(
@@ -129,28 +132,24 @@ class WalShipper:
         self._lock = threading.Lock()
         self._running = threading.Event()
         self._port = 0
-        if registry is not None:
-            self._m_followers = registry.gauge(
-                "lazylsh_cluster_followers",
-                "Follower connections currently streaming",
-            )
-            self._m_shipped = registry.counter(
-                "lazylsh_cluster_shipped_records_total",
-                "WAL records shipped to followers",
-            )
-            self._m_acked = registry.gauge(
-                "lazylsh_cluster_follower_acked_lsn",
-                "Last LSN acked by each follower",
-            )
-            self._m_errors = registry.counter(
-                "lazylsh_cluster_ship_errors_total",
-                "Replication stream errors by code",
-            )
-        else:
-            self._m_followers = None
-            self._m_shipped = None
-            self._m_acked = None
-            self._m_errors = None
+        if registry is None:
+            registry = MetricsRegistry()
+        self._m_followers = registry.gauge(
+            "lazylsh_cluster_followers",
+            "Follower connections currently streaming",
+        )
+        self._m_shipped = registry.counter(
+            "lazylsh_cluster_shipped_records_total",
+            "WAL records shipped to followers",
+        )
+        self._m_acked = registry.gauge(
+            "lazylsh_cluster_follower_acked_lsn",
+            "Last LSN acked by each follower",
+        )
+        self._m_errors = registry.counter(
+            "lazylsh_cluster_ship_errors_total",
+            "Replication stream errors by code",
+        )
 
     # -- lifecycle ------------------------------------------------------
 
@@ -250,16 +249,14 @@ class WalShipper:
         conn = _Connection(sock, peer)
         with self._lock:
             self._connections[peer] = conn
-        if self._m_followers is not None:
-            self._m_followers.set(len(self._connections))
+        self._m_followers.set(len(self._connections))
         try:
             self._stream(conn)
         except (OSError, ProtocolError) as exc:
             logger.info("follower %s dropped: %s", peer, exc)
         except ReproError as exc:
             logger.warning("stream to %s failed: %s", peer, exc)
-            if self._m_errors is not None:
-                self._m_errors.inc(code=exc.code)
+            self._m_errors.inc(code=exc.code)
         finally:
             conn.closed.set()
             try:
@@ -269,8 +266,7 @@ class WalShipper:
             with self._lock:
                 self._connections.pop(peer, None)
                 remaining = len(self._connections)
-            if self._m_followers is not None:
-                self._m_followers.set(remaining)
+            self._m_followers.set(remaining)
 
     def _stream(self, conn: _Connection) -> None:
         sock = conn.sock
@@ -296,8 +292,7 @@ class WalShipper:
             start_lsn = self._send_checkpoint(sock)
         elif not self._reachable(start_lsn):
             first = self._first_available()
-            if self._m_errors is not None:
-                self._m_errors.inc(code="wal_truncated")
+            self._m_errors.inc(code="wal_truncated")
             send_error(
                 sock,
                 "wal_truncated",
@@ -322,8 +317,7 @@ class WalShipper:
                 try:
                     records = feed.poll(max_records=256)
                 except WalTruncatedError as exc:
-                    if self._m_errors is not None:
-                        self._m_errors.inc(code=exc.code)
+                    self._m_errors.inc(code=exc.code)
                     send_error(
                         sock,
                         exc.code,
@@ -340,8 +334,7 @@ class WalShipper:
                             encode_wal_record(record),
                         )
                     conn.shipped += len(records)
-                    if self._m_shipped is not None:
-                        self._m_shipped.inc(len(records))
+                    self._m_shipped.inc(len(records))
                     last_sent = time.monotonic()
                     continue
                 if time.monotonic() - last_sent >= _HEARTBEAT_SECONDS:
@@ -367,8 +360,7 @@ class WalShipper:
             kind, meta, _blob = message
             if kind == MSG_ACK:
                 conn.acked_lsn = max(conn.acked_lsn, int(meta.get("lsn", 0)))
-                if self._m_acked is not None:
-                    self._m_acked.set(conn.acked_lsn, peer=conn.peer)
+                self._m_acked.set(conn.acked_lsn, peer=conn.peer)
             elif kind == MSG_ERROR:
                 logger.warning(
                     "follower %s reported %s: %s",
@@ -376,22 +368,21 @@ class WalShipper:
                     meta.get("code"),
                     meta.get("message"),
                 )
-                if self._m_errors is not None:
-                    self._m_errors.inc(code=str(meta.get("code", "unknown")))
+                self._m_errors.inc(code=str(meta.get("code", "unknown")))
                 break
         conn.closed.set()
 
     # -- checkpoint hand-off --------------------------------------------
 
     def _send_checkpoint(self, sock: socket.socket) -> int:
-        """Stream the newest checkpoint; returns its covered LSN."""
+        """Stream the newest good checkpoint; returns its covered LSN."""
         newest = latest_checkpoint(self.ckpt_dir)
         if newest is None:
             raise ReproError(
                 f"follower asked for a checkpoint but {self.ckpt_dir} "
-                "has none"
+                "has none that opens"
             )
-        lsn, path = newest
+        lsn, path, _index = newest
         size = path.stat().st_size
         send_message(
             sock,
@@ -415,8 +406,7 @@ class WalShipper:
         segments = list_segments(self.wal_dir)
         if segments:
             return segments[0][0]
-        newest = latest_checkpoint(self.ckpt_dir)
-        return (newest[0] + 1) if newest is not None else 1
+        return self._newest_checkpoint_lsn() + 1
 
     def _reachable(self, start_lsn: int) -> bool:
         """Can a feed resume from ``start_lsn`` without a pruned gap?"""
@@ -425,5 +415,8 @@ class WalShipper:
             return segments[0][0] <= start_lsn + 1
         # Empty log: fine unless a checkpoint proves records existed
         # beyond the follower's position.
-        newest = latest_checkpoint(self.ckpt_dir)
-        return newest is None or newest[0] <= start_lsn
+        return self._newest_checkpoint_lsn() <= start_lsn
+
+    def _newest_checkpoint_lsn(self) -> int:
+        checkpoints = list_checkpoints(self.ckpt_dir)
+        return checkpoints[-1][0] if checkpoints else 0

@@ -49,6 +49,7 @@ from repro.errors import (
     StaleReadError,
     UnavailableError,
 )
+from repro.obs.registry import MetricsRegistry
 from repro.serve.frontend import HTTP_STATUS_BY_CODE, error_body
 
 logger = logging.getLogger("repro.cluster.router")
@@ -131,8 +132,9 @@ class Router:
         Default per-request proxy timeout (overridden by a request's
         own ``deadline_ms`` budget when longer).
     registry:
-        Optional metrics registry publishing ``lazylsh_cluster_*`` and
-        ``lazylsh_replica_lag_lsn``.
+        Metrics registry publishing ``lazylsh_cluster_*`` and
+        ``lazylsh_replica_lag_lsn``, served at ``/metrics``; a private
+        one when omitted.
     """
 
     def __init__(
@@ -175,39 +177,33 @@ class Router:
         self._health_thread: threading.Thread | None = None
         self._running = threading.Event()
         self._port = 0
+        if registry is None:
+            registry = MetricsRegistry()
         self.registry = registry
-        if registry is not None:
-            self._m_lag = registry.gauge(
-                "lazylsh_replica_lag_lsn",
-                "Records behind the cluster commit point, per node",
-            )
-            self._m_healthy = registry.gauge(
-                "lazylsh_cluster_node_healthy",
-                "1 while the node answers health probes",
-            )
-            self._m_failovers = registry.counter(
-                "lazylsh_cluster_failovers_total",
-                "Acting-leader changes after the leader stopped answering",
-            )
-            self._m_proxied = registry.counter(
-                "lazylsh_cluster_proxied_total",
-                "Search requests proxied, by node",
-            )
-            self._m_rejected = registry.counter(
-                "lazylsh_cluster_rejected_total",
-                "Requests the router rejected, by error code",
-            )
-            self._m_commit = registry.gauge(
-                "lazylsh_cluster_commit_lsn",
-                "Highest LSN observed on any node (the commit point)",
-            )
-        else:
-            self._m_lag = None
-            self._m_healthy = None
-            self._m_failovers = None
-            self._m_proxied = None
-            self._m_rejected = None
-            self._m_commit = None
+        self._m_lag = registry.gauge(
+            "lazylsh_replica_lag_lsn",
+            "Records behind the cluster commit point, per node",
+        )
+        self._m_healthy = registry.gauge(
+            "lazylsh_cluster_node_healthy",
+            "1 while the node answers health probes",
+        )
+        self._m_failovers = registry.counter(
+            "lazylsh_cluster_failovers_total",
+            "Acting-leader changes after the leader stopped answering",
+        )
+        self._m_proxied = registry.counter(
+            "lazylsh_cluster_proxied_total",
+            "Search requests proxied, by node",
+        )
+        self._m_rejected = registry.counter(
+            "lazylsh_cluster_rejected_total",
+            "Requests the router rejected, by error code",
+        )
+        self._m_commit = registry.gauge(
+            "lazylsh_cluster_commit_lsn",
+            "Highest LSN observed on any node (the commit point)",
+        )
 
     # -- lifecycle ------------------------------------------------------
 
@@ -351,8 +347,7 @@ class Router:
                 and acting != previous
             ):
                 self._failovers += 1
-                if self._m_failovers is not None:
-                    self._m_failovers.inc()
+                self._m_failovers.inc()
                 logger.warning(
                     "acting leader changed: %s -> %s (commit LSN %d)",
                     previous,
@@ -360,15 +355,10 @@ class Router:
                     self._commit_lsn,
                 )
             commit = self._commit_lsn
-        if self._m_commit is not None:
-            self._m_commit.set(commit)
+        self._m_commit.set(commit)
         for node in states:
-            if self._m_healthy is not None:
-                self._m_healthy.set(1 if node.healthy else 0, node=node.name)
-            if self._m_lag is not None:
-                self._m_lag.set(
-                    max(0, commit - node.acked_lsn), node=node.name
-                )
+            self._m_healthy.set(1 if node.healthy else 0, node=node.name)
+            self._m_lag.set(max(0, commit - node.acked_lsn), node=node.name)
 
     def _health_loop(self) -> None:
         while self._running.is_set():
@@ -444,8 +434,7 @@ class Router:
             except urllib.error.HTTPError as exc:
                 # A typed node-side error (400/429/503...): relay as-is.
                 data = exc.read()
-                if self._m_proxied is not None:
-                    self._m_proxied.inc(node=node.name)
+                self._m_proxied.inc(node=node.name)
                 return exc.code, data
             except (OSError, ValueError) as exc:
                 # The node died under the request: mark and retry once
@@ -453,8 +442,7 @@ class Router:
                 last_error = exc
                 self._note_proxy_failure(node)
                 continue
-            if self._m_proxied is not None:
-                self._m_proxied.inc(node=node.name)
+            self._m_proxied.inc(node=node.name)
             payload["served_by"] = node.name
             return status, json.dumps(payload).encode()
         raise UnavailableError(
@@ -516,7 +504,7 @@ class Router:
         if path == "/v1/cluster":
             self._send_json(handler, 200, self.describe())
             return
-        if path == "/metrics" and self.registry is not None:
+        if path == "/metrics":
             body = self.registry.render_prometheus().encode()
             handler.send_response(200)
             handler.send_header(
@@ -556,8 +544,7 @@ class Router:
             SearchRequest.from_dict(record)
             status, payload = self._proxy_search(record, body)
         except ReproError as exc:
-            if self._m_rejected is not None:
-                self._m_rejected.inc(code=exc.code)
+            self._m_rejected.inc(code=exc.code)
             status = HTTP_STATUS_BY_CODE.get(exc.code, 500)
             self._send_json(handler, status, error_body(exc.code, str(exc)))
             return

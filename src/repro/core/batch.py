@@ -24,16 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from repro._typing import PointMatrix
 from repro.api import aggregate_io, check_knobs
 from repro.core.lazylsh import LazyLSH, _entry_span
 from repro.core.multiquery import MultiQueryEngine, MultiQueryResult
-from repro.errors import (
-    DimensionalityMismatchError,
-    InvalidParameterError,
-)
+from repro.errors import InvalidParameterError
 from repro.storage.io_stats import IOStats
 
 
@@ -84,24 +79,6 @@ class BatchKnnResult:
         return iter(self.results)
 
 
-def _check_queries(index: LazyLSH, queries: PointMatrix) -> np.ndarray:
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if queries.ndim != 2:
-        raise InvalidParameterError(
-            f"queries must be a 2-D (m, d) matrix, got shape {queries.shape}"
-        )
-    if queries.shape[0] < 1:
-        raise InvalidParameterError("queries must contain at least one point")
-    if queries.shape[1] != index.dimensionality:
-        raise DimensionalityMismatchError(
-            f"queries have dimensionality {queries.shape[1]}, index expects "
-            f"{index.dimensionality}"
-        )
-    if not np.all(np.isfinite(queries)):
-        raise InvalidParameterError("queries contain non-finite values")
-    return queries
-
-
 def knn_batch(
     index: LazyLSH,
     queries: PointMatrix,
@@ -136,7 +113,9 @@ def knn_batch(
     metrics = check_knobs(
         k, p=p, metrics=metrics, cap=cap, radius=radius, engine=engine
     )
-    queries = _check_queries(index, queries)
+    queries = index._check_queries(queries)
+    if queries.shape[0] == 0:
+        return BatchKnnResult(results=[])
     p = 1.0 if p is None else p
     results: list
     with _entry_span(

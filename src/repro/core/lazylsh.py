@@ -490,6 +490,28 @@ class LazyLSH:
             raise InvalidParameterError("query contains non-finite values")
         return query
 
+    def _check_queries(self, queries: PointMatrix) -> np.ndarray:
+        """The one check of a query matrix: ``knn_batch`` and the service.
+
+        Returns a C-contiguous float64 ``(m, d)`` matrix; ``m`` may be 0
+        (an empty batch has an empty answer).
+        """
+        queries = np.ascontiguousarray(
+            np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        )
+        if queries.ndim != 2:
+            raise InvalidParameterError(
+                f"queries must be a 2-D (m, d) matrix, got shape {queries.shape}"
+            )
+        if queries.shape[1] != self.dimensionality:
+            raise DimensionalityMismatchError(
+                f"queries have dimensionality {queries.shape[1]}, index expects "
+                f"{self.dimensionality}"
+            )
+        if not np.all(np.isfinite(queries)):
+            raise InvalidParameterError("queries contain non-finite values")
+        return queries
+
     def range_query(self, query: PointVector, delta: float, p: float = 1.0) -> RangeResult:
         """Answer ``Rp(q, delta, c)`` (Algorithm 3).
 
@@ -645,7 +667,7 @@ class LazyLSH:
                 for lane in group.lanes:
                     lane.trace = telemetry.query_trace_builder(
                         p=lane.p, k=k, engine="flat", rehashing=self.rehashing,
-                        query_id=j if row_ids else None,
+                        cap=lane.cap, query_id=j if row_ids else None,
                     )
         execute_rounds(groups)
         rows = []
@@ -747,6 +769,7 @@ class LazyLSH:
             )
         params = self.metric_params(p)
         assert self._bank is not None and self._store is not None and self._data is not None
+        cap = k + self._beta * n if cap is None else float(cap)
         trace = None
         if telemetry is not None:
             trace = telemetry.query_trace_builder(
@@ -754,10 +777,10 @@ class LazyLSH:
                 k=k,
                 engine="scalar",
                 rehashing=self.rehashing,
+                cap=cap,
                 query_id=query_id,
             )
         theta = params.theta
-        cap = k + self._beta * n if cap is None else float(cap)
         counts = np.zeros(n_rows, dtype=np.int32)
         is_candidate = np.zeros(n_rows, dtype=bool)
         cand_ids: list[int] = []

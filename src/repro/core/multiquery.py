@@ -231,7 +231,7 @@ class MultiQueryEngine:
             for state in states:
                 state.trace = telemetry.query_trace_builder(
                     p=state.p, k=k, engine="scalar", rehashing=index.rehashing,
-                    query_id=query_id,
+                    cap=cap_value, query_id=query_id,
                 )
         c = index.config.c
         data = index.data

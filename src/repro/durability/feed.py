@@ -24,6 +24,7 @@ from repro.durability.wal import (
     iter_segment_records,
     list_segments,
 )
+from repro.obs.registry import MetricsRegistry
 
 #: Lag gauge buckets are not needed — lag is a plain gauge.
 
@@ -39,8 +40,9 @@ class WalFeed:
         Records with ``lsn <= start_lsn`` are skipped — pass the
         consumer's acked LSN to resume mid-log.
     registry:
-        Optional metrics registry; publishes ``lazylsh_wal_feed_lsn``
-        (last LSN delivered) and ``lazylsh_wal_feed_records_total``.
+        Metrics registry the feed publishes ``lazylsh_wal_feed_lsn``
+        (last LSN delivered) and ``lazylsh_wal_feed_records_total`` in;
+        a private one when omitted.
     """
 
     def __init__(
@@ -54,16 +56,14 @@ class WalFeed:
         self.last_lsn = int(start_lsn)
         self._segment: Path | None = None
         self._offset = 0
-        if registry is not None:
-            self._lsn_gauge = registry.gauge(
-                "lazylsh_wal_feed_lsn", "Last LSN delivered by the WAL feed"
-            )
-            self._records_counter = registry.counter(
-                "lazylsh_wal_feed_records_total", "Records delivered by the feed"
-            )
-        else:
-            self._lsn_gauge = None
-            self._records_counter = None
+        if registry is None:
+            registry = MetricsRegistry()
+        self._lsn_gauge = registry.gauge(
+            "lazylsh_wal_feed_lsn", "Last LSN delivered by the WAL feed"
+        )
+        self._records_counter = registry.counter(
+            "lazylsh_wal_feed_records_total", "Records delivered by the feed"
+        )
 
     def _locate(self) -> bool:
         """Position on the segment containing ``last_lsn + 1``.
@@ -151,10 +151,8 @@ class WalFeed:
                 break
             drained = seg
         if out:
-            if self._lsn_gauge is not None:
-                self._lsn_gauge.set(self.last_lsn)
-            if self._records_counter is not None:
-                self._records_counter.inc(len(out))
+            self._lsn_gauge.set(self.last_lsn)
+            self._records_counter.inc(len(out))
         return out
 
     def lag(self) -> int:

@@ -58,6 +58,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.errors import InvalidParameterError, ReproError
+from repro.obs.registry import MetricsRegistry
 
 logger = logging.getLogger("repro.durability.wal")
 
@@ -286,7 +287,7 @@ def read_segment(path: Path) -> tuple[list[WalRecord], int]:
 
 
 class _WalMetrics:
-    """Registry-backed WAL instruments (all optional, created lazily)."""
+    """The WAL's ``lazylsh_wal_*`` instruments in its registry."""
 
     def __init__(self, registry) -> None:
         self.records = registry.counter(
@@ -323,9 +324,9 @@ class WriteAheadLog:
         fsync every commit (durability) vs. leave flushing to the OS
         (throughput).  See the module docstring.
     registry:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`; when
-        given, commit counts/bytes, fsync latency and the last LSN are
-        published as ``lazylsh_wal_*`` instruments.
+        :class:`~repro.obs.registry.MetricsRegistry` the log publishes
+        its ``lazylsh_wal_*`` instruments in (commit counts/bytes,
+        fsync latency, the last LSN); a private one when omitted.
     """
 
     def __init__(
@@ -344,7 +345,8 @@ class WriteAheadLog:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.segment_bytes = int(segment_bytes)
         self.sync = bool(sync)
-        self._metrics = _WalMetrics(registry) if registry is not None else None
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._metrics = _WalMetrics(self.registry)
         self._file = None
         self._file_size = 0
         self.last_lsn = 0
@@ -392,8 +394,7 @@ class WriteAheadLog:
                     fh.flush()
                     os.fsync(fh.fileno())
                 self.torn_bytes_dropped += dropped
-                if self._metrics is not None:
-                    self._metrics.truncated.inc(dropped)
+                self._metrics.truncated.inc(dropped)
             for record in records:
                 if record.lsn != expected:
                     raise WalCorruptionError(
@@ -407,8 +408,7 @@ class WriteAheadLog:
                 "opened WAL: %d segment(s), LSN range [%d, %d]",
                 len(segments), self.first_lsn, self.last_lsn,
             )
-        if self._metrics is not None:
-            self._metrics.last_lsn.set(self.last_lsn)
+        self._metrics.last_lsn.set(self.last_lsn)
         if segments:
             tail = segments[-1][1]
             self._file = open(tail, "ab")
@@ -450,14 +450,12 @@ class WriteAheadLog:
         if self.sync:
             t0 = time.perf_counter()
             os.fsync(self._file.fileno())
-            if self._metrics is not None:
-                self._metrics.fsync.observe(time.perf_counter() - t0)
+            self._metrics.fsync.observe(time.perf_counter() - t0)
         self._file_size += len(frame)
         self.last_lsn = lsn
-        if self._metrics is not None:
-            self._metrics.records.inc(op=_OP_NAMES[op])
-            self._metrics.bytes.inc(len(frame))
-            self._metrics.last_lsn.set(lsn)
+        self._metrics.records.inc(op=_OP_NAMES[op])
+        self._metrics.bytes.inc(len(frame))
+        self._metrics.last_lsn.set(lsn)
         return lsn
 
     def append_insert(self, points: np.ndarray, ids: np.ndarray) -> int:

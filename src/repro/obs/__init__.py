@@ -8,11 +8,14 @@ Three layers, composable but independently usable:
   exporter;
 * :mod:`repro.obs.query_trace` — structured round-by-round
   :class:`QueryTrace` records with schema validation and JSONL I/O.
+  ``QueryTrace.to_dict()`` is the one record of a query run: EXPLAIN
+  and slow-query log entries are that record, checked by
+  :func:`validate_trace_dict`.
 
 On top of those, the distributed ops plane (DESIGN §10):
 
 * :mod:`repro.obs.slowlog` — ring-buffer :class:`SlowQueryLog` of
-  threshold-exceeding traces;
+  threshold-exceeding query records;
 * :mod:`repro.obs.exporter` — stdlib HTTP :class:`ObsExporter` serving
   ``/metrics``, ``/healthz``, ``/slowlog`` and ``/trace``;
 * :mod:`repro.obs.auditor` — :class:`GuaranteeAuditor` re-answering
@@ -36,8 +39,8 @@ And the workload intelligence plane (DESIGN §15):
 * :mod:`repro.obs.profiler` — :class:`ContinuousProfiler`, a
   daemon-thread sampling profiler with folded-stack output and
   per-phase (hash/scan/merge/wave) attribution, served at ``/profile``;
-* :mod:`repro.obs.explain` — query EXPLAIN records built from
-  :class:`QueryTrace` round data (``SearchRequest(explain=True)``);
+* :mod:`repro.obs.explain` — :func:`render_explain`, the human view
+  of a query record (``SearchRequest(explain=True)``);
 * :mod:`repro.obs.workload` — :class:`WorkloadAnalytics` with
   Space-Saving heavy-hitter sketches over query digests and base
   buckets, rolling ``(p, k)`` demand and cache-efficacy-by-heat stats.
@@ -69,14 +72,7 @@ from repro.obs.query_trace import (
     write_traces_jsonl,
 )
 from repro.obs.auditor import GuaranteeAuditor
-from repro.obs.explain import (
-    EXPLAIN_SCHEMA,
-    EXPLAIN_VERSION,
-    ExplainSchemaError,
-    build_explain,
-    render_explain,
-    validate_explain_dict,
-)
+from repro.obs.explain import render_explain
 from repro.obs.exporter import (
     ObsExporter,
     histogram_quantile,
@@ -119,9 +115,6 @@ __all__ = [
     "ContinuousProfiler",
     "Counter",
     "DEFAULT_WINDOWS",
-    "EXPLAIN_SCHEMA",
-    "EXPLAIN_VERSION",
-    "ExplainSchemaError",
     "FlightRecorder",
     "Gauge",
     "GuaranteeAuditor",
@@ -152,7 +145,6 @@ __all__ = [
     "TraceSchemaError",
     "TraceStore",
     "WorkloadAnalytics",
-    "build_explain",
     "build_trace_tree",
     "classify_frames",
     "counter_ratio_sli",
@@ -166,7 +158,6 @@ __all__ = [
     "read_fault_counts",
     "render_explain",
     "residency_ratio",
-    "validate_explain_dict",
     "validate_span_dict",
     "validate_trace_dict",
     "write_traces_jsonl",

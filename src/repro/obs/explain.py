@@ -1,302 +1,33 @@
-"""Query EXPLAIN: a structured plan/cost report for one Np(q, k, c) run.
+"""Query EXPLAIN: the plan/cost report of one Np(q, k, c) run.
 
 LazyLSH has no optimizer, but Algorithm 4 still executes a *plan*: a
 sequence of rehashing rounds, each scanning wider query windows over the
 same base index (radius ``delta * c^j``), promoting candidates whose
 collision counters cross the threshold, until either ``k`` neighbours
 sit within ``c * delta`` (``k_within_radius``) or the candidate budget
-``k + beta * n`` is exhausted (``candidate_cap``).  An EXPLAIN record
-flattens one :class:`~repro.obs.query_trace.QueryTrace` into exactly
-that story — per-round windows scanned, candidates promoted, how far
-each termination counter had progressed, the round's simulated I/O
-delta — plus the shard-level view only the sharded service can add:
-per-shard random I/O and the skew between the busiest shard and the
-mean.
+``k + beta * n`` is exhausted (``candidate_cap``).
 
-The record is produced by :func:`build_explain` from the trace the
-engine already emits (no second instrumentation path, so the I/O
-delta-sum invariant of :func:`~repro.obs.query_trace.validate_trace_dict`
-holds for EXPLAIN for free), validated by :func:`validate_explain_dict`
-against :data:`EXPLAIN_SCHEMA`, carried on ``SearchResult.explain``
-when ``SearchRequest(explain=True)``, shipped over the v1 wire codec as
-a plain dict, and rendered for humans by :func:`render_explain` (the
-``repro explain`` subcommand).
+An EXPLAIN record is the query's trace record,
+:meth:`~repro.obs.query_trace.QueryTrace.to_dict`: per-round
+``collisions`` (window entries scanned), ``crossings`` (candidates
+promoted), cumulative ``candidates`` and ``within`` counts and the
+round's simulated I/O delta, plus ``termination``, ``cap``, the
+sharded service's per-shard ``shard_io`` and the request's
+``request_id``/``trace_id``.  There is no second instrumentation path
+and no second schema: :func:`~repro.obs.query_trace.validate_trace_dict`
+checks it, including the rule that the per-round I/O deltas sum to the
+totals.  The service carries it on ``SearchResult.explain`` when asked
+with ``explain=True``, the v1 wire codec ships it as a plain dict, and
+:func:`render_explain` prints it for humans (the ``repro explain``
+subcommand), working out each round's progress towards ``k`` and the
+cap and the skew between the busiest shard and the mean as it prints.
 """
 
 from __future__ import annotations
 
-from repro.errors import ReproError
-from repro.obs.query_trace import (
-    TERMINATION_REASONS,
-    QueryTrace,
-    validate_trace_dict,
-)
-from repro.storage.io_stats import IOStats
-
-#: EXPLAIN record version; bump on breaking schema changes.
-EXPLAIN_VERSION = 1
-
-
-class ExplainSchemaError(ReproError, ValueError):
-    """An EXPLAIN record does not conform to :data:`EXPLAIN_SCHEMA`."""
-
-
-#: JSON-Schema-shaped description of one EXPLAIN record (same data-only
-#: convention as :data:`~repro.obs.query_trace.TRACE_SCHEMA`).
-EXPLAIN_SCHEMA: dict = {
-    "type": "object",
-    "required": [
-        "version",
-        "p",
-        "k",
-        "engine",
-        "rehashing",
-        "termination",
-        "candidates",
-        "num_rounds",
-        "io",
-        "rounds",
-    ],
-    "properties": {
-        "version": {"type": "integer", "const": EXPLAIN_VERSION},
-        "query_id": {"type": ["integer", "null"]},
-        "request_id": {"type": ["string", "null"]},
-        "trace_id": {"type": ["string", "null"]},
-        "p": {"type": "number", "exclusiveMinimum": 0},
-        "k": {"type": "integer", "minimum": 1},
-        "engine": {"type": "string", "enum": ["flat", "scalar", "sharded"]},
-        "rehashing": {"type": "string"},
-        "termination": {"type": "string", "enum": list(TERMINATION_REASONS)},
-        "candidates": {"type": "integer", "minimum": 0},
-        "cap": {"type": ["integer", "null"], "minimum": 1},
-        "num_rounds": {"type": "integer", "minimum": 1},
-        "elapsed_seconds": {"type": ["number", "null"], "minimum": 0},
-        "io": {
-            "type": "object",
-            "required": ["sequential", "random"],
-            "properties": {
-                "sequential": {"type": "integer", "minimum": 0},
-                "random": {"type": "integer", "minimum": 0},
-            },
-        },
-        "rounds": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "round",
-                    "level",
-                    "radius",
-                    "windows_scanned",
-                    "promoted",
-                    "candidates_total",
-                    "within_radius",
-                    "k_progress",
-                    "cap_progress",
-                    "io",
-                ],
-                "properties": {
-                    "round": {"type": "integer", "minimum": 1},
-                    "level": {"type": "number"},
-                    "radius": {"type": "number"},
-                    "windows_scanned": {"type": "integer", "minimum": 0},
-                    "promoted": {"type": "integer", "minimum": 0},
-                    "candidates_total": {"type": "integer", "minimum": 0},
-                    "within_radius": {"type": "integer", "minimum": 0},
-                    "k_progress": {"type": "number", "minimum": 0},
-                    "cap_progress": {"type": ["number", "null"], "minimum": 0},
-                    "io": {
-                        "type": "object",
-                        "required": ["sequential", "random"],
-                    },
-                },
-            },
-        },
-        "shards": {
-            "type": ["object", "null"],
-            "required": ["count", "random_io", "skew", "busiest"],
-            "properties": {
-                "count": {"type": "integer", "minimum": 1},
-                "random_io": {"type": "array", "items": {"type": "integer"}},
-                "skew": {"type": ["number", "null"], "minimum": 0},
-                "busiest": {"type": "integer", "minimum": 0},
-            },
-        },
-    },
-}
-
-
-def build_explain(
-    trace: QueryTrace,
-    *,
-    shard_io: list[IOStats] | None = None,
-    cap: int | None = None,
-    request_id: str | None = None,
-    trace_id: str | None = None,
-) -> dict:
-    """Flatten one finished trace into an EXPLAIN record (a plain dict).
-
-    ``windows_scanned`` is the round's collision-counter increments (one
-    per inverted-list window entry consumed), ``promoted`` its threshold
-    crossings; ``k_progress`` / ``cap_progress`` report each
-    termination counter as a fraction of its trigger at round end.  The
-    per-round ``io`` deltas are copied verbatim from the trace, so they
-    sum to the top-level ``io`` totals exactly — the same invariant the
-    trace schema enforces.
-    """
-    cap_value = int(cap) if cap is not None else None
-    rounds = []
-    for record in trace.rounds:
-        rounds.append(
-            {
-                "round": record.round,
-                "level": record.level,
-                "radius": record.radius,
-                "windows_scanned": record.collisions,
-                "promoted": record.crossings,
-                "candidates_total": record.candidates,
-                "within_radius": record.within,
-                "k_progress": record.within / trace.k,
-                "cap_progress": (
-                    record.candidates / cap_value
-                    if cap_value
-                    else None
-                ),
-                "io": record.io.to_dict(),
-            }
-        )
-    shards = None
-    if shard_io:
-        random_io = [int(io.random) for io in shard_io]
-        mean = sum(random_io) / len(random_io)
-        shards = {
-            "count": len(random_io),
-            "random_io": random_io,
-            "skew": (max(random_io) / mean) if mean > 0 else None,
-            "busiest": max(range(len(random_io)), key=random_io.__getitem__),
-        }
-    return {
-        "version": EXPLAIN_VERSION,
-        "query_id": trace.query_id,
-        "request_id": request_id,
-        "trace_id": trace_id,
-        "p": trace.p,
-        "k": trace.k,
-        "engine": trace.engine,
-        "rehashing": trace.rehashing,
-        "termination": trace.termination,
-        "candidates": trace.candidates,
-        "cap": cap_value,
-        "num_rounds": trace.num_rounds,
-        "elapsed_seconds": trace.elapsed_seconds,
-        "io": trace.io.to_dict(),
-        "rounds": rounds,
-        "shards": shards,
-    }
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ExplainSchemaError(message)
-
-
-def validate_explain_dict(record: dict) -> None:
-    """Validate one EXPLAIN record against :data:`EXPLAIN_SCHEMA`.
-
-    Raises :class:`ExplainSchemaError` on the first violation.  Reuses
-    the trace validator for the shared core (via a field remap), then
-    checks the EXPLAIN-only pieces: progress fractions, the optional
-    ``shards`` section, and — the invariant the acceptance gate cares
-    about — per-round I/O deltas summing to the record's I/O totals.
-    """
-    _require(isinstance(record, dict), "explain record must be an object")
-    for name in EXPLAIN_SCHEMA["required"]:
-        _require(name in record, f"explain record missing field {name!r}")
-    _require(
-        record["version"] == EXPLAIN_VERSION,
-        f"unsupported explain version {record['version']!r}",
-    )
-    rounds = record["rounds"]
-    _require(isinstance(rounds, list) and rounds, "rounds must be non-empty")
-    # Map back onto the trace shape and let the trace validator do the
-    # heavy lifting (types, ordering, the I/O delta-sum invariant).
-    as_trace = dict(record)
-    as_trace["version"] = 1
-    as_trace.pop("request_id", None)
-    as_trace.pop("trace_id", None)
-    as_trace.pop("cap", None)
-    as_trace.pop("shards", None)
-    as_trace["rounds"] = []
-    for j, rnd in enumerate(rounds):
-        where = f"round[{j}]"
-        _require(isinstance(rnd, dict), f"{where} must be an object")
-        for name in (
-            "windows_scanned",
-            "promoted",
-            "candidates_total",
-            "within_radius",
-            "k_progress",
-            "cap_progress",
-        ):
-            _require(name in rnd, f"{where} missing field {name!r}")
-        _require(
-            isinstance(rnd["k_progress"], (int, float))
-            and rnd["k_progress"] >= 0,
-            f"{where}.k_progress must be a non-negative number",
-        )
-        cp = rnd["cap_progress"]
-        _require(
-            cp is None or (isinstance(cp, (int, float)) and cp >= 0),
-            f"{where}.cap_progress must be a non-negative number or null",
-        )
-        as_trace["rounds"].append(
-            {
-                "round": rnd.get("round"),
-                "level": rnd.get("level"),
-                "radius": rnd.get("radius"),
-                "collisions": rnd["windows_scanned"],
-                "crossings": rnd["promoted"],
-                "candidates": rnd["candidates_total"],
-                "within": rnd["within_radius"],
-                "io": rnd.get("io"),
-            }
-        )
-    try:
-        validate_trace_dict(as_trace)
-    except Exception as exc:  # TraceSchemaError -> ExplainSchemaError
-        raise ExplainSchemaError(str(exc)) from exc
-    cap = record.get("cap")
-    _require(
-        cap is None or (isinstance(cap, int) and cap >= 1),
-        "cap must be a positive integer or null",
-    )
-    for name in ("request_id", "trace_id"):
-        value = record.get(name)
-        _require(
-            value is None or isinstance(value, str),
-            f"{name} must be a string or null",
-        )
-    shards = record.get("shards")
-    if shards is not None:
-        _require(isinstance(shards, dict), "shards must be an object")
-        for name in ("count", "random_io", "skew", "busiest"):
-            _require(name in shards, f"shards missing field {name!r}")
-        random_io = shards["random_io"]
-        _require(
-            isinstance(random_io, list)
-            and len(random_io) == shards["count"]
-            and all(isinstance(x, int) and x >= 0 for x in random_io),
-            "shards.random_io must list one non-negative integer per shard",
-        )
-        _require(
-            isinstance(shards["busiest"], int)
-            and 0 <= shards["busiest"] < shards["count"],
-            "shards.busiest must index into shards.random_io",
-        )
-
 
 def render_explain(record: dict) -> str:
-    """Human-readable rendering of one EXPLAIN record (CLI output)."""
+    """Human-readable rendering of one query record (CLI output)."""
     lines = []
     header = (
         f"EXPLAIN  Np(q, k={record['k']}, p={record['p']})"
@@ -332,23 +63,26 @@ def render_explain(record: dict) -> str:
         "k-prog  cap-prog  io(seq/rnd)"
     )
     for rnd in record["rounds"]:
-        cap_prog = rnd.get("cap_progress")
-        cap_cell = f"{cap_prog:>8.0%}" if cap_prog is not None else f"{'-':>8}"
+        cap_cell = (
+            f"{rnd['candidates'] / cap:>8.0%}" if cap else f"{'-':>8}"
+        )
         lines.append(
             f"  {rnd['round']:>5}  {rnd['radius']:<10.4g}"
-            f"  {rnd['windows_scanned']:>7}  {rnd['promoted']:>8}"
-            f"  {rnd['candidates_total']:>5}  {rnd['within_radius']:>6}"
-            f"  {rnd['k_progress']:>6.0%}  {cap_cell}"
+            f"  {rnd['collisions']:>7}  {rnd['crossings']:>8}"
+            f"  {rnd['candidates']:>5}  {rnd['within']:>6}"
+            f"  {rnd['within'] / record['k']:>6.0%}  {cap_cell}"
             f"  {rnd['io']['sequential']}/{rnd['io']['random']}"
         )
-    shards = record.get("shards")
-    if shards is not None:
+    shard_io = record.get("shard_io")
+    if shard_io:
+        random_io = [int(io["random"]) for io in shard_io]
+        mean = sum(random_io) / len(random_io)
+        busiest = max(range(len(random_io)), key=random_io.__getitem__)
         lines.append("")
-        skew = shards.get("skew")
         lines.append(
-            f"  shards: {shards['count']}"
-            f"  random_io={shards['random_io']}"
-            f"  busiest=shard[{shards['busiest']}]"
-            + (f"  skew={skew:.2f}x mean" if skew is not None else "")
+            f"  shards: {len(random_io)}"
+            f"  random_io={random_io}"
+            f"  busiest=shard[{busiest}]"
+            + (f"  skew={max(random_io) / mean:.2f}x mean" if mean > 0 else "")
         )
     return "\n".join(lines) + "\n"

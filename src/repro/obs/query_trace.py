@@ -14,7 +14,12 @@ same cross-plan invariants.
 
 Serialisation is one JSON object per query (JSONL for a whole run);
 :func:`validate_trace_dict` checks a record against :data:`TRACE_SCHEMA`
-without any external schema library.
+without any external schema library.  That dict is the one record of a
+query run: the service's EXPLAIN (``result.explain``) is it, and a
+slow-query log entry is it plus ``captured_at``.  Four optional serving
+fields ride on it: the candidate budget ``cap``, the sharded service's
+per-shard I/O list ``shard_io`` and the request's ``request_id`` and
+``trace_id``.
 """
 
 from __future__ import annotations
@@ -82,6 +87,13 @@ TRACE_SCHEMA: dict = {
                 "random": {"type": "integer", "minimum": 0},
             },
         },
+        "cap": {"type": ["integer", "null"], "minimum": 1},
+        "shard_io": {
+            "type": ["array", "null"],
+            "items": {"type": "object", "required": ["sequential", "random"]},
+        },
+        "request_id": {"type": ["string", "null"]},
+        "trace_id": {"type": ["string", "null"]},
         "rounds": {
             "type": "array",
             "items": {
@@ -162,7 +174,12 @@ class RoundRecord:
 
 @dataclass
 class QueryTrace:
-    """Complete structured record of one ``Np(q, k, c)`` execution."""
+    """Complete structured record of one ``Np(q, k, c)`` execution.
+
+    ``cap`` is the candidate budget (``k + beta * n`` truncated, or the
+    caller's override); ``shard_io``, ``request_id`` and ``trace_id``
+    are set by the sharded service only.
+    """
 
     p: float
     k: int
@@ -174,6 +191,10 @@ class QueryTrace:
     rounds: list[RoundRecord] = field(default_factory=list)
     query_id: int | None = None
     elapsed_seconds: float | None = None
+    cap: int | None = None
+    shard_io: list[IOStats] | None = None
+    request_id: str | None = None
+    trace_id: str | None = None
 
     @property
     def num_rounds(self) -> int:
@@ -200,6 +221,13 @@ class QueryTrace:
             "num_rounds": self.num_rounds,
             "elapsed_seconds": self.elapsed_seconds,
             "io": self.io.to_dict(),
+            "cap": self.cap,
+            "shard_io": (
+                None if self.shard_io is None
+                else [io.to_dict() for io in self.shard_io]
+            ),
+            "request_id": self.request_id,
+            "trace_id": self.trace_id,
             "rounds": [record.to_dict() for record in self.rounds],
         }
 
@@ -216,6 +244,13 @@ class QueryTrace:
             rounds=[RoundRecord.from_dict(r) for r in record["rounds"]],
             query_id=record.get("query_id"),
             elapsed_seconds=record.get("elapsed_seconds"),
+            cap=record.get("cap"),
+            shard_io=(
+                None if record.get("shard_io") is None
+                else [IOStats.from_dict(io) for io in record["shard_io"]]
+            ),
+            request_id=record.get("request_id"),
+            trace_id=record.get("trace_id"),
         )
 
 
@@ -229,7 +264,9 @@ def validate_trace_dict(record: dict) -> None:
 
     Raises :class:`TraceSchemaError` on the first violation.  Also checks
     the cross-field invariant the schema cannot express: the per-round
-    I/O deltas must sum to the trace's I/O totals exactly.
+    I/O deltas must sum to the trace's I/O totals exactly.  The serving
+    fields are optional, so records written before they existed still
+    validate.
     """
     _require(isinstance(record, dict), "trace record must be an object")
     for name in TRACE_SCHEMA["required"]:
@@ -268,6 +305,17 @@ def validate_trace_dict(record: dict) -> None:
         elapsed is None or (isinstance(elapsed, (int, float)) and elapsed >= 0),
         "elapsed_seconds must be a non-negative number or null",
     )
+    cap = record.get("cap")
+    _require(
+        cap is None or (isinstance(cap, int) and cap >= 1),
+        "cap must be a positive integer or null",
+    )
+    for name in ("request_id", "trace_id"):
+        value = record.get(name)
+        _require(
+            value is None or isinstance(value, str),
+            f"{name} must be a string or null",
+        )
 
     def check_io(io: object, where: str) -> tuple[int, int]:
         _require(isinstance(io, dict), f"{where} io must be an object")
@@ -279,6 +327,11 @@ def validate_trace_dict(record: dict) -> None:
         return io["sequential"], io["random"]
 
     total_seq, total_rnd = check_io(record["io"], "trace")
+    shard_io = record.get("shard_io")
+    if shard_io is not None:
+        _require(isinstance(shard_io, list), "shard_io must be a list or null")
+        for s, io in enumerate(shard_io):
+            check_io(io, f"shard_io[{s}]")
     rounds = record["rounds"]
     _require(isinstance(rounds, list) and rounds, "rounds must be non-empty")
     _require(
@@ -334,6 +387,7 @@ class QueryTraceBuilder:
         engine: str,
         rehashing: str,
         query_id: int | None = None,
+        cap: float | None = None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         self.p = p
@@ -341,6 +395,7 @@ class QueryTraceBuilder:
         self.engine = engine
         self.rehashing = rehashing
         self.query_id = query_id
+        self.cap = None if cap is None else int(cap)
         self.rounds: list[RoundRecord] = []
         self._clock = clock
         self._t0 = clock()
@@ -386,9 +441,19 @@ class QueryTraceBuilder:
         self._cur = None
 
     def finish(
-        self, *, termination: str, io: IOStats, candidates: int
+        self,
+        *,
+        termination: str,
+        io: IOStats,
+        candidates: int,
+        shard_io: list[IOStats] | None = None,
+        request_id: str | None = None,
+        trace_id: str | None = None,
     ) -> QueryTrace:
-        """Seal the trace with the termination reason and I/O totals."""
+        """Seal the trace with the termination reason and I/O totals.
+
+        The sharded service also passes its serving fields.
+        """
         return QueryTrace(
             p=self.p,
             k=self.k,
@@ -400,6 +465,10 @@ class QueryTraceBuilder:
             rounds=self.rounds,
             query_id=self.query_id,
             elapsed_seconds=self._clock() - self._t0,
+            cap=self.cap,
+            shard_io=shard_io,
+            request_id=request_id,
+            trace_id=trace_id,
         )
 
 

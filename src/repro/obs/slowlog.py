@@ -4,10 +4,12 @@ A production service cannot keep every :class:`~repro.obs.query_trace.
 QueryTrace` — the north-star workload serves millions of queries — but
 the *interesting* traces are exactly the ones that blow past a latency
 or I/O budget.  :class:`SlowQueryLog` keeps the last ``capacity``
-offending queries in a fixed-size ring, each entry carrying the full
-trace dict plus (for sharded runs) the per-shard random-I/O breakdown,
-so an operator can ask "what did the slowest recent queries actually
-do, round by round?" without a tracing backend.
+offending queries in a fixed-size ring.  An entry is the query's one
+record, :meth:`~repro.obs.query_trace.QueryTrace.to_dict` (for sharded
+runs with ``shard_io``, ``request_id`` and ``trace_id``), plus
+``captured_at``, so an operator can ask "what did the slowest recent
+queries actually do, round by round?" without a tracing backend, and
+an entry validates with :func:`~repro.obs.query_trace.validate_trace_dict`.
 
 The log is wired through :meth:`repro.obs.telemetry.Telemetry.record`
 — the single chokepoint every engine (scalar, flat, batch, sharded
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any
 
 from repro.errors import InvalidParameterError
 from repro.obs.query_trace import QueryTrace
@@ -80,42 +81,20 @@ class SlowQueryLog:
             return True
         return False
 
-    def offer(
-        self,
-        trace: QueryTrace,
-        *,
-        shard_io: Any = None,
-        request_id: str | None = None,
-        trace_id: str | None = None,
-    ) -> bool:
+    def offer(self, trace: QueryTrace) -> bool:
         """Consider one finished trace; capture it if it is slow.
 
-        ``shard_io`` is the sharded service's per-shard
-        :class:`~repro.storage.io_stats.IOStats` list (None for
-        single-process engines).  ``request_id`` / ``trace_id`` link
-        the entry back to its request and its ``/trace/<id>`` span
-        tree when the query ran under a sampled trace context, so a
-        slow query found in ``/slowlog`` is one hop from its full
-        cross-process timeline.  Returns True when captured.
+        The entry is the trace's record plus ``captured_at``; a sharded
+        trace's ``request_id``/``trace_id`` link it to its request and
+        its ``/trace/<id>`` span tree, so a slow query found in
+        ``/slowlog`` is one hop from its full cross-process timeline.
+        Returns True when captured.
         """
         with self._lock:
             self._offered += 1
             if not self._qualifies(trace):
                 return False
-            entry = {
-                "captured_at": time.time(),
-                "query_id": trace.query_id,
-                "request_id": request_id,
-                "trace_id": trace_id,
-                "elapsed_seconds": trace.elapsed_seconds,
-                "io": trace.io.to_dict(),
-                "trace": trace.to_dict(),
-                "shard_io": (
-                    None
-                    if shard_io is None
-                    else [io.to_dict() for io in shard_io]
-                ),
-            }
+            entry = {"captured_at": time.time(), **trace.to_dict()}
             if len(self._entries) < self.capacity:
                 self._entries.append(entry)
             else:

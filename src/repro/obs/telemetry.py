@@ -299,36 +299,36 @@ class Telemetry:
         k: int,
         engine: str,
         rehashing: str,
+        cap: float,
         query_id: int | None = None,
     ) -> QueryTraceBuilder:
-        """A builder the engines thread through one query's execution."""
+        """A builder the engines thread through one query's execution.
+
+        ``cap`` is the lane's candidate budget, recorded on the trace.
+        """
         if query_id is None:
             query_id = self._auto_query_id
             self._auto_query_id += 1
         else:
             self._auto_query_id = max(self._auto_query_id, query_id + 1)
         return QueryTraceBuilder(
-            p=p, k=k, engine=engine, rehashing=rehashing, query_id=query_id
+            p=p, k=k, engine=engine, rehashing=rehashing, query_id=query_id,
+            cap=cap,
         )
 
     def record(
         self,
         trace: QueryTrace,
         *,
-        shard_io=None,
-        request_id: str | None = None,
-        trace_id: str | None = None,
         query_digest: str | None = None,
         bucket: bytes | None = None,
     ) -> QueryTrace:
         """Fold one finished trace into the registry (and keep it).
 
-        ``shard_io`` is the per-shard I/O list of a sharded run; it is
-        only forwarded to the slow-query log (the registry's per-shard
-        series are fed by the service itself).  ``request_id`` /
-        ``trace_id`` ride into the slowlog entry so a slow query links
-        to its ``/trace/<id>`` tree; ``query_digest`` / ``bucket``
-        feed the attached :class:`WorkloadAnalytics` when present.
+        The trace goes to the slow-query log as it is (a sharded
+        trace carries its ``shard_io``, ``request_id`` and
+        ``trace_id``); ``query_digest`` / ``bucket`` feed the attached
+        :class:`WorkloadAnalytics` when present.
         """
         self._queries.inc(engine=trace.engine, p=f"{trace.p:g}")
         self._terminations.inc(reason=trace.termination)
@@ -345,20 +345,15 @@ class Telemetry:
                 k=trace.k,
             )
         if self.slowlog is not None:
-            admitted = self.slowlog.offer(
-                trace,
-                shard_io=shard_io,
-                request_id=request_id,
-                trace_id=trace_id,
-            )
+            admitted = self.slowlog.offer(trace)
             if admitted and self.flight_recorder is not None:
                 self.flight_recorder.trigger(
                     "slowlog_admission",
                     query_id=trace.query_id,
                     elapsed_seconds=trace.elapsed_seconds,
                     engine=trace.engine,
-                    request_id=request_id,
-                    trace_id=trace_id,
+                    request_id=trace.request_id,
+                    trace_id=trace.trace_id,
                 )
         if self.capture_traces:
             self.traces.append(trace)

@@ -83,11 +83,9 @@ from repro.core.multiquery import MultiQueryResult
 from repro.durability.wal import apply_record
 from repro.errors import (
     IndexNotBuiltError,
-    InvalidParameterError,
     ReproError,
     WalGapError,
 )
-from repro.obs.explain import build_explain
 from repro.obs.query_trace import QueryTraceBuilder
 from repro.obs.trace_context import active_context, new_request_id
 from repro.obs.tracer import Span
@@ -717,8 +715,8 @@ class ShardedSearchService:
         ``knn_batch(metrics=...)`` does.
         ``request_id``/``trace_context``/``deadline_ms`` opt the query
         into distributed tracing and the advisory deadline — see
-        :meth:`search_batch`.  ``explain=True`` attaches a structured
-        EXPLAIN record (DESIGN §15) to ``result.explain``; answers stay
+        :meth:`search_batch`.  ``explain=True`` attaches the query's
+        record (DESIGN §15) as ``result.explain``; answers stay
         bit-identical.
         """
         return self.search_batch(
@@ -766,8 +764,8 @@ class ShardedSearchService:
         under it, and the finished tree lands in the telemetry's trace
         store under one trace id.  ``deadline_ms`` is advisory: results
         stay bit-identical, overruns are flagged/counted.  ``explain``
-        attaches one EXPLAIN record per result (DESIGN §15), built from
-        the same round records the trace plane emits.
+        attaches each result's query record (its trace's ``to_dict()``,
+        DESIGN §15) as ``result.explain``.
 
         Thread-safe: the wave holds ``self.lock`` (re-entrant), so
         concurrent callers and ``ingest`` are serialised.
@@ -777,18 +775,9 @@ class ShardedSearchService:
                 raise ReproError("service is closed")
             metrics = check_knobs(k, p=p, metrics=metrics, cap=cap, radius=radius)
             index = self.index
-            queries = np.ascontiguousarray(np.atleast_2d(
-                np.asarray(queries, dtype=np.float64)
-            ))
-            if queries.ndim != 2 or queries.shape[1] != index.dimensionality:
-                raise InvalidParameterError(
-                    f"queries must be a (m, {index.dimensionality}) matrix, "
-                    f"got shape {queries.shape}"
-                )
+            queries = index._check_queries(queries)
             if queries.shape[0] == 0:
                 return []
-            if not np.all(np.isfinite(queries)):
-                raise InvalidParameterError("queries contain non-finite values")
             hashes = index._bank.hash_points(queries)  # one matmul for the wave
 
             def build() -> list:
@@ -878,7 +867,7 @@ class ShardedSearchService:
                     if telemetry is not None:
                         lane.trace = telemetry.query_trace_builder(
                             p=lane.p, k=lane.k, engine="sharded",
-                            rehashing=self.index.rehashing,
+                            rehashing=self.index.rehashing, cap=lane.cap,
                         )
                     elif explain:
                         # EXPLAIN without telemetry: build the round
@@ -886,7 +875,7 @@ class ShardedSearchService:
                         # recording them.
                         lane.trace = QueryTraceBuilder(
                             p=lane.p, k=lane.k, engine="sharded",
-                            rehashing=self.index.rehashing,
+                            rehashing=self.index.rehashing, cap=lane.cap,
                         )
             wave = _WaveObs(self.n_shards)
             try:
@@ -942,21 +931,15 @@ class ShardedSearchService:
                             termination=lane.stop_reason,
                             io=lane.io,
                             candidates=result.candidates,
-                        )
-                        if explain:
-                            result.explain = build_explain(
-                                result.trace,
-                                shard_io=result.shard_io,
-                                cap=int(lane.cap),
-                                request_id=request_id,
-                                trace_id=trace_id,
-                            )
-                    if telemetry is not None:
-                        telemetry.record(
-                            result.trace,
                             shard_io=result.shard_io,
                             request_id=request_id,
                             trace_id=trace_id,
+                        )
+                        if explain:
+                            result.explain = result.trace.to_dict()
+                    if telemetry is not None:
+                        telemetry.record(
+                            result.trace,
                             query_digest=query_digest,
                             bucket=bucket,
                         )

@@ -93,3 +93,37 @@ def legacy_v3_path() -> Path:
 def rng() -> np.random.Generator:
     """Session-wide RNG for tests that need ad-hoc randomness."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def corrupt_newest_home(tmp_path: Path) -> tuple[Path, np.ndarray]:
+    """A durable home whose newest checkpoint does not open.
+
+    300 points, d = 8: a 4-point insert at LSN 1, a checkpoint, a second
+    insert at LSN 2, then one byte of the LSN-1 checkpoint's ``alive``
+    section zeroed (its header still parses; the file no longer opens).
+    Returns ``(home, queries)``; the queries include both inserts.
+    """
+    from repro.durability import checkpoint_now, create
+    from repro.persistence import _read_v3_layout
+
+    data = make_synthetic(300, 8, value_range=(0, 200), seed=61)
+    index = LazyLSH(
+        LazyLSHConfig(
+            c=3.0, p_min=0.5, seed=61,
+            mc_samples=MC_SAMPLES, mc_buckets=MC_BUCKETS,
+        )
+    ).build(data)
+    rng = np.random.default_rng(62)
+    first, second = rng.uniform(0.0, 200.0, size=(2, 4, 8))
+    home = tmp_path / "home"
+    durable = create(index, home, sync=False)
+    durable.insert(first)
+    newest = checkpoint_now(durable, home)
+    durable.insert(second)
+    durable.close()
+    _header, sections = _read_v3_layout(newest)
+    with open(newest, "r+b") as fh:
+        fh.seek(sections["alive"].offset)
+        fh.write(b"\0")
+    return home, np.vstack([data[:2], first[:1], second[:1]])

@@ -287,6 +287,42 @@ class TestOpsCli:
         assert "per-shard fleet" in out
         assert out.count("queries 3") == 2  # both polls rendered
 
+    def test_top_slowlog_rows_show_rounds_and_termination(
+        self, capsys, index_path
+    ):
+        from repro import Telemetry
+        from repro.obs import ObsExporter, SlowQueryLog
+        from repro.persistence import load_index
+        from repro.serve import ShardedSearchService
+
+        index = load_index(index_path)
+        slowlog = SlowQueryLog(capacity=8)  # capture-all
+        telemetry = Telemetry(slowlog=slowlog)
+        with ShardedSearchService(
+            index, n_shards=2, telemetry=telemetry
+        ) as svc:
+            svc.search_batch(index.data[:3], 5, p=0.8)
+            with ObsExporter(
+                telemetry.registry, health=svc.health, slowlog=slowlog
+            ) as exporter:
+                capsys.readouterr()
+                rc = main(
+                    ["top", "--url", exporter.url, "--iterations", "1"]
+                )
+        assert rc == 0
+        rows = [
+            line.split()
+            for line in capsys.readouterr().out.splitlines()
+            if line.strip()
+        ]
+        for entry in slowlog.to_dicts():
+            cells = [str(entry["query_id"])]
+            assert any(
+                row[:1] == cells
+                and row[2:4] == [str(entry["num_rounds"]), entry["termination"]]
+                for row in rows
+            ), (entry["query_id"], rows)
+
     def test_top_unreachable_url_errors(self, capsys):
         rc = main(
             ["top", "--url", "http://127.0.0.1:9", "--iterations", "1"]
@@ -355,6 +391,40 @@ class TestDurabilityCommands:
         report = json.loads(captured.out)
         assert report["service"]["acked_lsn"] == 2
         assert report["service"]["epoch"] == 2
+
+    def test_serve_wal_skips_corrupt_newest_checkpoint(
+        self, capsys, tmp_path, corrupt_newest_home
+    ):
+        import json
+
+        from repro.durability import recover
+
+        home, queries = corrupt_newest_home
+        query_file = tmp_path / "queries.npy"
+        np.save(query_file, queries)
+        capsys.readouterr()
+        rc = main(
+            [
+                "serve", "--wal", str(home), "--k", "3", "--p", "1.0",
+                "--shards", "2", "--query-file", str(query_file),
+            ]
+        )
+        assert rc == 0, capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "checkpoint-00000000000000000000" in captured.err
+        report = json.loads(captured.out)
+        assert report["service"]["acked_lsn"] == 2
+        durable, recovery = recover(home, sync=False)
+        try:
+            assert recovery["checkpoint_lsn"] == 0
+            assert recovery["replayed_records"] == 2
+            for query, got in zip(queries, report["results"], strict=True):
+                want = durable.index.knn(query, 3, p=1.0)
+                assert got["ids"] == [int(i) for i in want.ids]
+                assert got["distances"] == [float(d) for d in want.distances]
+                assert got["io"] == want.io.to_dict()
+        finally:
+            durable.close()
 
     def test_serve_requires_index_or_wal(self, capsys):
         rc = main(["serve"])

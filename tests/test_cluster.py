@@ -57,6 +57,7 @@ from repro.durability import (
     checkpoint_now,
     create,
     encode_wal_record,
+    recover,
     write_checkpoint,
 )
 from repro.durability.wal import apply_record, list_segments
@@ -321,6 +322,26 @@ class TestReplication:
             follower.stop()
             if shipper is not None:
                 shipper.stop()
+
+    def test_bootstrap_skips_corrupt_newest_checkpoint(
+        self, corrupt_newest_home, tmp_path
+    ):
+        home, queries = corrupt_newest_home
+        durable, recovery = recover(home, sync=False)
+        try:
+            assert recovery["checkpoint_lsn"] == 0
+            with WalShipper(home, poll_interval=0.01) as shipper:
+                follower = FollowerNode(
+                    tmp_path / "follower",
+                    ("127.0.0.1", shipper.port),
+                    n_shards=2,
+                )
+                with follower:
+                    assert follower.wait_for_lsn(2), follower.status()
+                    assert follower.base_lsn == 0
+                    _assert_same_answers(durable, follower.service, queries)
+        finally:
+            durable.close()
 
     def test_gap_in_stream_surfaces_typed_wire_error(self, tmp_path):
         # A scripted "leader" ships LSN 5 to a follower expecting LSN 1.

@@ -14,13 +14,18 @@ from repro import LazyLSH, LazyLSHConfig, Telemetry
 from repro.datasets import make_synthetic, sample_queries
 from repro.errors import InvalidParameterError
 from repro.obs import (
+    TERMINATION_K_WITHIN,
     GuaranteeAuditor,
     MetricsRegistry,
     ObsExporter,
+    QueryTrace,
+    RoundRecord,
     SlowQueryLog,
     histogram_quantile,
     parse_prometheus_text,
+    validate_trace_dict,
 )
+from repro.storage.io_stats import IOStats
 
 
 @pytest.fixture(scope="module")
@@ -77,13 +82,17 @@ class TestSlowQueryLog:
 
     def test_shard_io_attached(self):
         log = SlowQueryLog(capacity=2)
-        shard_io = [
-            SimpleNamespace(to_dict=lambda: {"sequential": 0, "random": 7})
-        ]
-        log.offer(_fake_trace(0, 0.1), shard_io=shard_io)
-        assert log.to_dicts()[0]["shard_io"] == [
-            {"sequential": 0, "random": 7}
-        ]
+        trace = QueryTrace(
+            p=1.0, k=1, engine="sharded", rehashing="query_centric",
+            termination=TERMINATION_K_WITHIN, candidates=1,
+            io=IOStats(random=7),
+            rounds=[RoundRecord(1, 1.0, 3.0, 2, 1, 1, 1, IOStats(random=7))],
+            elapsed_seconds=0.1, cap=4, shard_io=[IOStats(random=7)],
+        )
+        log.offer(trace)
+        entry = log.to_dicts()[0]
+        validate_trace_dict(entry)
+        assert entry["shard_io"] == [IOStats(random=7).to_dict()]
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(InvalidParameterError):
@@ -93,10 +102,11 @@ class TestSlowQueryLog:
         log = SlowQueryLog(capacity=8)
         telemetry = Telemetry(slowlog=log)
         index, queries = obs_index
-        index.knn(queries[0], 5, p=0.8, telemetry=telemetry)
+        result = index.knn(queries[0], 5, p=0.8, telemetry=telemetry)
         assert len(log) == 1
         entry = log.to_dicts()[0]
-        assert entry["trace"]["io"] == entry["io"]
+        validate_trace_dict(entry)
+        assert entry["io"] == result.io.to_dict()
         # The latency histogram saw the same query.
         hist = telemetry.registry.get("lazylsh_query_latency_seconds")
         assert hist.count() == 1

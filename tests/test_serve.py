@@ -16,7 +16,9 @@ from repro import LazyLSH, Telemetry, knn_batch
 from repro.core import engine
 from repro.core.engine import LaneGroup
 from repro.durability import WalRecord
+from repro.core.multiquery import MultiQueryEngine
 from repro.errors import (
+    DimensionalityMismatchError,
     IndexNotBuiltError,
     InvalidParameterError,
     ReproError,
@@ -594,8 +596,31 @@ class TestValidation:
             service.search_batch(queries, 0)
         with pytest.raises(InvalidParameterError):
             service.search_batch(queries, 5, p=0.8, radius=-1.0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(DimensionalityMismatchError):
             service.search_batch(queries[:, :3], 5)
+
+    def test_one_query_matrix_check(self, service, built_index, small_split):
+        """Every entry point rejects a wrong-width query with the same
+        error, and an empty batch has an empty answer on both batch
+        entry points."""
+        query = small_split.queries[0]
+        narrow = query[:5]
+        calls = (
+            lambda: built_index.knn(narrow, 5, p=0.8),
+            lambda: knn_batch(built_index, np.stack([narrow, narrow]), 5),
+            lambda: MultiQueryEngine(built_index).knn(
+                narrow, 5, metrics=(0.5, 1.0)
+            ),
+            lambda: service.search(narrow, 5, p=0.8),
+            lambda: service.search_batch(np.stack([narrow, narrow]), 5),
+        )
+        for call in calls:
+            with pytest.raises(DimensionalityMismatchError):
+                call()
+        empty = np.empty((0, query.shape[0]))
+        assert len(knn_batch(built_index, empty, 5)) == 0
+        assert knn_batch(built_index, empty, 5).io.total == 0
+        assert service.search_batch(empty, 5) == []
 
     def test_empty_batch(self, service, small_split):
         assert (

@@ -3,9 +3,10 @@
 Covers the Space-Saving heavy-hitter sketch and WorkloadAnalytics
 (demand histograms, cache efficacy by heat, hot-bucket membership), the
 continuous sampling profiler (deterministic single samples, folded
-rendering, lifecycle, on-demand captures), query EXPLAIN (build /
-validate / render, the per-round I/O delta-sum invariant, wire
-round-trips on SearchRequest/SearchResult), the slow-query log's
+rendering, lifecycle, on-demand captures), query EXPLAIN (the query
+record, its validation and rendering, the per-round I/O delta-sum
+invariant, wire round-trips on SearchRequest/SearchResult, one record
+shared with the slow-query log), the slow-query log's
 request/trace correlation ids, structured logging configuration, and
 the /proc-based paging metrics' graceful degradation off Linux.
 """
@@ -36,19 +37,19 @@ from repro.obs import (
     TERMINATION_CAP,
     TERMINATION_K_WITHIN,
     ContinuousProfiler,
-    ExplainSchemaError,
     MetricsRegistry,
     PagingMetrics,
+    QueryTrace,
     QueryTraceBuilder,
     SlowQueryLog,
     SpaceSavingSketch,
+    TraceSchemaError,
     WorkloadAnalytics,
-    build_explain,
     classify_frames,
     read_fault_counts,
     render_explain,
     residency_ratio,
-    validate_explain_dict,
+    validate_trace_dict,
 )
 from repro.obs.profiler import _PHASE_RULES
 from repro.storage.io_stats import IOStats
@@ -358,10 +359,12 @@ class TestContinuousProfiler:
 # ---------------------------------------------------------------------------
 
 
-def _explain_trace(termination=TERMINATION_K_WITHIN):
+def _explain_trace(termination=TERMINATION_K_WITHIN, *, cap=None, **serving):
+    """A fixed two-round trace; ``serving`` sets the service's fields."""
     io = IOStats()
     builder = QueryTraceBuilder(
-        p=0.5, k=3, engine="sharded", rehashing="query_centric", query_id=9
+        p=0.5, k=3, engine="sharded", rehashing="query_centric", query_id=9,
+        cap=cap, clock=iter([0.0, 0.00125]).__next__,
     )
     builder.begin_round(level=1.0, radius=3.0, io=io)
     io.add_sequential(5)
@@ -373,75 +376,105 @@ def _explain_trace(termination=TERMINATION_K_WITHIN):
     builder.add_collisions(30)
     builder.add_crossings(4)
     builder.end_round(io=io, candidates=4, within=3)
-    return builder.finish(termination=termination, io=io, candidates=4)
+    return builder.finish(
+        termination=termination, io=io, candidates=4, **serving
+    )
+
+
+#: ``render_explain`` of ``_explain_trace(TERMINATION_CAP, cap=4,
+#: shard_io=[IOStats(random=3), IOStats(random=1)], request_id="ab12",
+#: trace_id="cd34")``, as the EXPLAIN v1 record printed it before the
+#: query record replaced that record.
+_GOLDEN_EXPLAIN = (
+    "EXPLAIN  Np(q, k=3, p=0.5)  engine=sharded  rehashing=query_centric\n"
+    "  query_id=9  request_id=ab12  trace_id=cd34\n"
+    "  terminated: candidate_cap  candidates=4/4 cap  elapsed=1.25ms\n"
+    "  io: sequential=12  random=4  (simulated page charges)\n"
+    "\n"
+    "  round  radius      windows  promoted  cand.  within  k-prog  "
+    "cap-prog  io(seq/rnd)\n"
+    "      1  3                12         0      1       0      0%       "
+    "25%  5/0\n"
+    "      2  9                30         4      4       3    100%      "
+    "100%  7/4\n"
+    "\n"
+    "  shards: 2  random_io=[3, 1]  busiest=shard[0]  skew=1.50x mean\n"
+)
+
+#: EXPLAIN v1 field names the query record does not use.
+_V1_NAMES = {
+    "windows_scanned", "promoted", "candidates_total", "within_radius",
+    "k_progress", "cap_progress", "shards",
+}
 
 
 class TestExplain:
     def test_build_flattens_trace(self):
-        record = build_explain(
-            _explain_trace(),
-            shard_io=[IOStats(random=6), IOStats(random=2)],
+        record = _explain_trace(
             cap=8,
+            shard_io=[IOStats(random=6), IOStats(random=2)],
             request_id="ab12",
             trace_id="cd34",
-        )
-        validate_explain_dict(record)
+        ).to_dict()
+        validate_trace_dict(record)
         assert record["engine"] == "sharded"
         assert record["termination"] == TERMINATION_K_WITHIN
         assert (record["request_id"], record["trace_id"]) == ("ab12", "cd34")
         first, second = record["rounds"]
-        assert first["windows_scanned"] == 12 and second["promoted"] == 4
-        assert second["k_progress"] == 1.0  # within=3 of k=3
-        assert second["cap_progress"] == 0.5  # candidates=4 of cap=8
-        assert record["shards"] == {
-            "count": 2,
-            "random_io": [6, 2],
-            "skew": pytest.approx(6 / 4),
-            "busiest": 0,
-        }
+        assert first["collisions"] == 12 and second["crossings"] == 4
+        assert (second["within"], record["k"]) == (3, 3)
+        assert (second["candidates"], record["cap"]) == (4, 8)
+        assert record["shard_io"] == [
+            IOStats(random=6).to_dict(), IOStats(random=2).to_dict()
+        ]
+        names = set(record) | {name for rnd in record["rounds"] for name in rnd}
+        assert not names & _V1_NAMES
 
     def test_io_deltas_sum_to_totals(self):
-        record = build_explain(_explain_trace())
+        record = _explain_trace().to_dict()
         for field in ("sequential", "random"):
             assert sum(
                 r["io"][field] for r in record["rounds"]
             ) == record["io"][field]
 
     def test_validation_rejects_broken_io_invariant(self):
-        record = build_explain(_explain_trace())
+        record = _explain_trace().to_dict()
         record["rounds"][0]["io"]["sequential"] += 1
-        with pytest.raises(ExplainSchemaError):
-            validate_explain_dict(record)
+        with pytest.raises(TraceSchemaError):
+            validate_trace_dict(record)
 
     def test_validation_rejects_bad_records(self):
-        record = build_explain(_explain_trace())
+        record = _explain_trace().to_dict()
         bad_version = dict(record, version=99)
-        with pytest.raises(ExplainSchemaError, match="version"):
-            validate_explain_dict(bad_version)
+        with pytest.raises(TraceSchemaError, match="version"):
+            validate_trace_dict(bad_version)
         missing = dict(record)
         del missing["rounds"]
-        with pytest.raises(ExplainSchemaError, match="rounds"):
-            validate_explain_dict(missing)
+        with pytest.raises(TraceSchemaError, match="rounds"):
+            validate_trace_dict(missing)
         bad_cap = dict(record, cap=0)
-        with pytest.raises(ExplainSchemaError, match="cap"):
-            validate_explain_dict(bad_cap)
-        bad_shards = dict(
-            record,
-            shards={"count": 2, "random_io": [1], "skew": 1.0, "busiest": 0},
-        )
-        with pytest.raises(ExplainSchemaError, match="random_io"):
-            validate_explain_dict(bad_shards)
+        with pytest.raises(TraceSchemaError, match="cap"):
+            validate_trace_dict(bad_cap)
+        bad_shards = dict(record, shard_io=[{"random": 1}])
+        with pytest.raises(TraceSchemaError, match="shard_io"):
+            validate_trace_dict(bad_shards)
+        bad_id = dict(record, request_id=7)
+        with pytest.raises(TraceSchemaError, match="request_id"):
+            validate_trace_dict(bad_id)
 
     def test_round_trips_json(self):
-        record = build_explain(_explain_trace(TERMINATION_CAP), cap=4)
-        validate_explain_dict(json.loads(json.dumps(record)))
+        trace = _explain_trace(
+            TERMINATION_CAP, cap=4, shard_io=[IOStats(random=4)],
+            request_id="ab12",
+        )
+        record = json.loads(json.dumps(trace.to_dict()))
+        validate_trace_dict(record)
+        assert QueryTrace.from_dict(record) == trace
 
     def test_render_is_human_readable(self):
-        record = build_explain(
-            _explain_trace(),
-            shard_io=[IOStats(random=6), IOStats(random=2)],
-            cap=8,
-        )
+        record = _explain_trace(
+            cap=8, shard_io=[IOStats(random=6), IOStats(random=2)]
+        ).to_dict()
         text = render_explain(record)
         assert "EXPLAIN" in text and "k=3" in text
         assert "terminated: k_within_radius" in text
@@ -450,6 +483,16 @@ class TestExplain:
         assert sum(
             1 for line in text.splitlines() if line.strip().startswith(("1 ", "2 "))
         ) == 2
+
+    def test_render_matches_golden_text(self):
+        record = _explain_trace(
+            TERMINATION_CAP,
+            cap=4,
+            shard_io=[IOStats(random=3), IOStats(random=1)],
+            request_id="ab12",
+            trace_id="cd34",
+        ).to_dict()
+        assert render_explain(record) == _GOLDEN_EXPLAIN
 
     def test_explain_from_live_engine_trace(self):
         from repro import LazyLSH, LazyLSHConfig, Telemetry
@@ -462,11 +505,41 @@ class TestExplain:
         index = LazyLSH(cfg).build(data)
         telemetry = Telemetry()
         result = index.knn(rng.normal(size=8), 5, p=0.5, telemetry=telemetry)
-        record = build_explain(telemetry.traces[0])
-        validate_explain_dict(record)
+        record = telemetry.traces[0].to_dict()
+        validate_trace_dict(record)
         assert record["candidates"] == result.candidates
         assert record["num_rounds"] == result.rounds
         assert record["io"] == result.io.to_dict()
+        assert record["cap"] == int(5 + index.beta * index.num_points)
+
+    def test_service_explain_equals_slowlog_entry(self):
+        from repro import LazyLSH, LazyLSHConfig, Telemetry
+        from repro.serve import ShardedSearchService
+
+        rng = np.random.default_rng(12)
+        data = rng.normal(size=(300, 8))
+        cfg = LazyLSHConfig(
+            c=3.0, p_min=0.5, seed=12, mc_samples=20_000, mc_buckets=100
+        )
+        index = LazyLSH(cfg).build(data)
+        log = SlowQueryLog(capacity=16)
+        telemetry = Telemetry(slowlog=log)
+        with ShardedSearchService(
+            index, n_shards=2, telemetry=telemetry
+        ) as service:
+            results = service.search_batch(
+                data[:3] + 0.01, 5, p=0.5, explain=True,
+                request_id="req-1",
+            )
+        entries = log.to_dicts()
+        assert len(entries) == len(results) == 3
+        for result, entry in zip(results, entries):
+            validate_trace_dict(result.explain)
+            assert entry.pop("captured_at") > 0
+            assert result.explain == entry
+            assert entry["request_id"] == "req-1"
+            assert entry["io"] == result.io.to_dict()
+            assert entry["shard_io"] == [s.to_dict() for s in result.shard_io]
 
 
 class TestExplainWire:
@@ -489,7 +562,7 @@ class TestExplainWire:
             SearchRequest.from_dict(record)
 
     def test_result_carries_explain_record(self):
-        explain = build_explain(_explain_trace())
+        explain = _explain_trace().to_dict()
         result = SearchResult(
             ids=np.asarray([1, 2], dtype=np.int64),
             distances=np.asarray([0.1, 0.2]),
@@ -500,7 +573,7 @@ class TestExplainWire:
         )
         record = result.to_dict()
         assert record["explain"] == explain
-        validate_explain_dict(record["explain"])
+        validate_trace_dict(record["explain"])
         bare = SearchResult(
             ids=np.asarray([1], dtype=np.int64),
             distances=np.asarray([0.1]),
@@ -519,7 +592,7 @@ class TestSlowlogCorrelationIds:
     def test_offer_records_request_and_trace_ids(self):
         log = SlowQueryLog(capacity=4)
         assert log.offer(
-            _explain_trace(), request_id="ab12", trace_id="cd34"
+            _explain_trace(request_id="ab12", trace_id="cd34")
         )
         assert log.offer(_explain_trace())
         first, second = log.to_dicts()

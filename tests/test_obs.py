@@ -8,6 +8,8 @@ observer) and the disabled-telemetry no-op guard the engines rely on.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,19 @@ class TestQueryTrace:
         path = write_traces_jsonl(traces, tmp_path / "t.jsonl")
         loaded = load_traces_jsonl(path)
         assert [t.to_dict() for t in loaded] == [t.to_dict() for t in traces]
+
+    def test_jsonl_without_serving_fields_still_loads(self, tmp_path):
+        """A line written before the record carried ``cap``,
+        ``shard_io``, ``request_id`` and ``trace_id`` still loads."""
+        record = _build_trace().to_dict()
+        for name in ("cap", "shard_io", "request_id", "trace_id"):
+            del record[name]
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        (trace,) = load_traces_jsonl(path)
+        assert trace.rounds == _build_trace().rounds
+        assert (trace.cap, trace.shard_io) == (None, None)
+        assert (trace.request_id, trace.trace_id) == (None, None)
 
     def test_validation_rejects_bad_termination(self):
         record = _build_trace().to_dict()

@@ -34,7 +34,7 @@ import numpy as np
 from repro import LazyLSH, LazyLSHConfig, Telemetry, knn_batch
 from repro.datasets import make_synthetic, sample_queries
 from repro.eval.harness import Timer, time_knn_batch
-from repro.obs import load_traces_jsonl
+from repro.obs import load_traces_jsonl, summarize_traces, write_traces_jsonl
 
 FULL = {"n": 10_000, "d": 50, "k": 10, "p": 0.5, "n_queries": 64}
 QUICK = {"n": 2_000, "d": 20, "k": 10, "p": 0.5, "n_queries": 16}
@@ -61,25 +61,19 @@ def _results_match(scalar, flat) -> tuple[bool, bool]:
 
 
 def _traced_run(index, split, workload: dict, flat, t_flat: float, out_path: Path) -> dict:
-    """Re-run the flat plan traced; verify and export the traces.
+    """Re-run the flat plan with telemetry; verify and export the records.
 
-    Every query must emit exactly one trace whose summed per-round I/O
-    deltas equal the untraced run's per-query totals *exactly* — the
-    trace is an audit log of the simulated cost model, not a sample.
+    Every query's record (``result.trace``) must sum its per-round I/O
+    deltas to the untraced run's per-query totals *exactly* — the
+    record is an audit log of the simulated cost model, not a sample.
     """
     k, p = workload["k"], workload["p"]
     telemetry = Telemetry()
     traced, t_traced = time_knn_batch(
         index, split.queries, k, p=p, telemetry=telemetry
     )
-    if len(telemetry.traces) != len(traced.results):
-        raise AssertionError(
-            f"expected one trace per query, got {len(telemetry.traces)} "
-            f"traces for {len(traced.results)} queries"
-        )
-    for j, (trace, untraced_result) in enumerate(
-        zip(telemetry.traces, flat.results)
-    ):
+    traces = [result.trace for result in traced.results]
+    for j, (trace, untraced_result) in enumerate(zip(traces, flat.results)):
         delta_sum = trace.io_delta_sum()
         if (
             delta_sum.sequential != untraced_result.io.sequential
@@ -90,14 +84,14 @@ def _traced_run(index, split, workload: dict, flat, t_flat: float, out_path: Pat
                 f"totals {untraced_result.io}"
             )
     trace_path = out_path.parent / (out_path.stem + ".trace.jsonl")
-    telemetry.export_traces_jsonl(trace_path)
+    write_traces_jsonl(traces, trace_path)
     load_traces_jsonl(trace_path)  # schema round-trip
     return {
         "path": str(trace_path),
-        "traces": len(telemetry.traces),
+        "traces": len(traces),
         "seconds": round(t_traced, 4),
         "overhead_vs_untraced": round(t_traced / t_flat - 1.0, 4),
-        "terminations": telemetry.summary()["terminations"],
+        "terminations": summarize_traces(traces)["terminations"],
     }
 
 

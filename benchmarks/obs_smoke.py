@@ -222,9 +222,7 @@ def main() -> int:
 
     slowlog = SlowQueryLog(capacity=N_QUERIES)  # capture-all
     trace_store = TraceStore(capacity=16)
-    telemetry = Telemetry(
-        capture_traces=False, slowlog=slowlog, trace_store=trace_store
-    )
+    telemetry = Telemetry(slowlog=slowlog, trace_store=trace_store)
     flight = FlightRecorder(
         registry=telemetry.registry,
         trace_store=trace_store,
@@ -272,10 +270,8 @@ def main() -> int:
             service.search_batch(
                 np.repeat(queries[:1], HOT_REPEATS, axis=0), K, p=P
             )
-            # EXPLAIN wave: every result must carry a schema-valid plan.
-            explained = service.search_batch(
-                queries[:N_EXPLAIN], K, p=P, explain=True
-            )
+            # EXPLAIN wave: every result's record must be a schema-valid plan.
+            explained = service.search_batch(queries[:N_EXPLAIN], K, p=P)
             auditor.drain(timeout=120.0)
             # Final scrape after drain so the written artifact carries
             # the audit gauges (in-flight scrapes already checked 200s).
@@ -362,13 +358,12 @@ def main() -> int:
 
     explain_checks = []
     for result in explained:
-        record = result.explain
-        ok = record is not None
-        if ok:
-            try:
-                validate_trace_dict(record)
-            except Exception:  # noqa: BLE001 - gate, don't die
-                ok = False
+        record = result.trace.to_dict()
+        try:
+            validate_trace_dict(record)
+            ok = True
+        except Exception:  # noqa: BLE001 - gate, don't die
+            ok = False
         if ok:
             seq = sum(r["io"]["sequential"] for r in record["rounds"])
             rnd = sum(r["io"]["random"] for r in record["rounds"])

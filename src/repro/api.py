@@ -183,13 +183,12 @@ class SearchRequest:
         ``lazylsh_deadline_overruns_total`` and trip the flight
         recorder.
     explain:
-        Request the query's record (DESIGN §15) on
-        ``SearchResult.explain``: per-round collisions, crossings,
-        candidates, within-radius counts and I/O deltas, the
-        termination, the cap and (for sharded runs) ``shard_io``.
-        Answers stay bit-identical; only the record rides along.
-        Currently honoured by the sharded service and its HTTP front
-        door.
+        Add the query's record (its ``result.trace.to_dict()``, DESIGN
+        §15) to the response under ``"explain"``: per-round collisions,
+        crossings, candidates, within-radius counts and I/O deltas, the
+        termination, the cap and (for sharded runs) ``shard_io``.  Every
+        run builds that record, so the flag changes only the response
+        of the HTTP front door; answers stay bit-identical.
     max_lag_lsn:
         Optional staleness bound for cluster reads (DESIGN §16): the
         request may be served by any replica whose acked LSN is within
@@ -374,16 +373,14 @@ class SearchResult:
     ``ids``/``distances`` are sorted by ascending ``lp`` distance;
     ``io`` is the query's simulated I/O, ``termination`` why Algorithm 4
     stopped (``"k_within_radius"`` or ``"candidate_cap"``).  ``trace``
-    optionally carries the per-round :class:`~repro.obs.QueryTrace` when
-    telemetry was enabled, and ``shard_io`` the per-shard I/O breakdown
-    when the result came from the sharded service.  ``request_id`` and
+    carries the query's record, the per-round
+    :class:`~repro.obs.QueryTrace` every run builds, and ``shard_io`` the
+    per-shard I/O breakdown when the result came from the sharded
+    service.  ``request_id`` and
     ``trace_id`` echo the request's correlation ids when it was traced
     (``/trace/<trace_id>`` then serves the full span tree);
     ``deadline_exceeded`` is True when the request carried a
-    ``deadline_ms`` and the search overran it.  ``explain`` carries the
-    query's record (its trace's ``to_dict()``, a plain dict conforming
-    to :data:`~repro.obs.query_trace.TRACE_SCHEMA`) when the request
-    set ``explain=True``.
+    ``deadline_ms`` and the search overran it.
     """
 
     ids: IdArray
@@ -399,7 +396,6 @@ class SearchResult:
     request_id: str | None = None
     trace_id: str | None = None
     deadline_exceeded: bool = False
-    explain: dict | None = None
 
     def to_dict(self) -> dict:
         """JSON-serialisable form (used by the CLI and the service)."""
@@ -422,8 +418,6 @@ class SearchResult:
             record["trace_id"] = self.trace_id
         if self.deadline_exceeded:
             record["deadline_exceeded"] = True
-        if self.explain is not None:
-            record["explain"] = self.explain
         return record
 
 

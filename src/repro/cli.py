@@ -42,9 +42,9 @@ Commands
     configure structured logging for the ``repro.*`` namespace.
 
 ``explain``
-    Run one or more queries with ``explain=True`` through the sharded
-    service (or a running front door via ``--url``) and render each
-    query's record as the per-round plan/cost report — windows scanned,
+    Run one or more queries through the sharded service (or a running
+    front door via ``--url``, asking with ``"explain": true``) and render
+    each query's record as the per-round plan/cost report — windows scanned,
     candidates promoted, termination progress, per-shard skew
     (``--format json`` prints the record itself).
 
@@ -78,7 +78,7 @@ from repro.datasets import (
 )
 from repro.errors import ReproError, UnsupportedMetricError
 from repro.eval.harness import ResultTable, Timer
-from repro.obs import Telemetry
+from repro.obs import QueryTrace, Telemetry, summarize_traces, write_traces_jsonl
 from repro.persistence import load_index, save_index
 
 
@@ -203,8 +203,14 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_traced_workload(args: argparse.Namespace) -> tuple[Telemetry, int]:
-    """Run the shared ``trace``/``stats`` workload; returns telemetry."""
+def _run_traced_workload(
+    args: argparse.Namespace,
+) -> tuple[Telemetry, int, list[QueryTrace]]:
+    """Run the shared ``trace``/``stats`` workload.
+
+    Returns the telemetry that published it, the query count and the
+    results' records (query order, then ascending ``p``).
+    """
     index = load_index(args.index)
     queries = _workload_queries(index, args)
     metrics = _parse_p_list(args.p)
@@ -212,7 +218,7 @@ def _run_traced_workload(args: argparse.Namespace) -> tuple[Telemetry, int]:
     telemetry.observe_store(index.store)
     with telemetry.tracer.span("cli.workload", queries=int(queries.shape[0])):
         if len(metrics) == 1:
-            knn_batch(
+            batch = knn_batch(
                 index,
                 queries,
                 args.k,
@@ -220,8 +226,9 @@ def _run_traced_workload(args: argparse.Namespace) -> tuple[Telemetry, int]:
                 engine=args.engine,
                 telemetry=telemetry,
             )
+            traces = [result.trace for result in batch]
         else:
-            knn_batch(
+            batch = knn_batch(
                 index,
                 queries,
                 args.k,
@@ -229,18 +236,16 @@ def _run_traced_workload(args: argparse.Namespace) -> tuple[Telemetry, int]:
                 engine=args.engine,
                 telemetry=telemetry,
             )
+            traces = [r.trace for multi in batch for r in multi.results.values()]
     index.store.observer = None
-    return telemetry, int(queries.shape[0])
+    return telemetry, int(queries.shape[0]), traces
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    telemetry, num_queries = _run_traced_workload(args)
-    path = telemetry.export_traces_jsonl(args.output)
-    summary = telemetry.summary()
-    print(
-        f"traced {num_queries} queries ({len(telemetry.traces)} traces) "
-        f"-> {path}"
-    )
+    telemetry, num_queries, traces = _run_traced_workload(args)
+    path = write_traces_jsonl(traces, args.output)
+    summary = summarize_traces(traces)
+    print(f"traced {num_queries} queries ({len(traces)} traces) -> {path}")
     print(json.dumps(summary, indent=2, sort_keys=True))
     if args.spans:
         spans_path = telemetry.tracer.export_jsonl(args.spans)
@@ -292,7 +297,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.shards:
         telemetry, results = _run_sharded_workload(args)
     else:
-        telemetry, _num_queries = _run_traced_workload(args)
+        telemetry, _num_queries, _traces = _run_traced_workload(args)
         results = []
     if args.format == "json":
         report = telemetry.metrics_dict()
@@ -491,7 +496,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         trace_store = TraceStore(capacity=64)
         telemetry = Telemetry(
-            capture_traces=False,
             slowlog=slowlog,
             trace_store=trace_store,
             trace_sample=args.trace_sample,
@@ -957,10 +961,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
         index = load_index(args.index)
         queries = _workload_queries(index, args)
         with ShardedSearchService(index, n_shards=args.shards) as service:
-            results = service.search_batch(
-                queries, args.k, p=p, explain=True
-            )
-        records = [result.explain for result in results]
+            results = service.search_batch(queries, args.k, p=p)
+        records = [result.trace.to_dict() for result in results]
     for record in records:
         validate_trace_dict(record)
         if args.format == "json":

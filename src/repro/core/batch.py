@@ -103,10 +103,10 @@ def knn_batch(
     ``engine``, ``cap`` (candidate-budget override) and ``radius``
     (starting-radius override, single-metric only).
 
-    ``telemetry`` (a :class:`repro.obs.Telemetry`) captures one
-    :class:`~repro.obs.QueryTrace` per ``(query, metric)`` pair with
-    ``query_id`` set to the query's row; ``None`` (the default) runs the
-    no-op fast path.
+    Every ``(query, metric)`` result carries its record
+    (``result.trace``, a :class:`~repro.obs.QueryTrace` with ``query_id``
+    set to the query's row); ``telemetry`` (a
+    :class:`repro.obs.Telemetry`) publishes them.
     """
     if not index.is_built:
         raise InvalidParameterError("knn_batch needs a built LazyLSH index")

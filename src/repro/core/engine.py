@@ -350,9 +350,9 @@ class Lane:
         self.shard_random: np.ndarray | None = None
         self.delta = 1.0 / float(params.r_hat)
         self.c_delta = 0.0
-        # Telemetry: why the lane terminated, and an optional
-        # QueryTraceBuilder hook (None keeps the no-op fast path — the
-        # only disabled-telemetry cost is `is None` checks).
+        # Why the lane terminated, and the QueryTraceBuilder of its
+        # record: the engine or coordinator that merges the lane sets it
+        # (LazyLSH._lane_group); a shard worker's lanes only scan.
         self.stop_reason = ""
         self.trace = None
 
@@ -478,10 +478,7 @@ class LaneGroup:
                 lane.c_delta = self.c * lane.delta
         for lane in active:
             lane.begin_round_radius()
-            if lane.trace is not None:
-                lane.trace.begin_round(
-                    level=self.level, radius=lane.c_delta, io=lane.io
-                )
+            lane.trace.begin_round(level=self.level, radius=lane.c_delta, io=lane.io)
         self.f_round = max(lane.eta for lane in active)
         hq = self.query_hashes[: self.f_round]
         if self.rehashing == "query_centric":
@@ -636,15 +633,12 @@ class LaneGroup:
         seq = np.bincount(
             reader[consumed], weights=new[consumed], minlength=len(merged)
         )
+        # An absent run (first _HULL_EMPTY_FIRST, last -1) has length 0.
+        run_lens = np.maximum(hi - lo + 1, 0)
         for rank, m in enumerate(merged):
             if seq[rank]:
                 m.lane.io.add_sequential(int(seq[rank]))
-        if any(m.lane.trace is not None for m in merged):
-            run_lens = np.where(has, hi - lo + 1, 0)
-            entries_to = np.cumsum(run_lens[0::2] + run_lens[1::2])
-            for m in merged:
-                if m.lane.trace is not None:
-                    m.lane.trace.add_collisions(int(entries_to[m.last]))
+            m.lane.trace.add_collisions(int(run_lens[: 2 * m.last + 2].sum()))
 
         # Random I/O, promotion and termination.
         if self.fetched is None:
@@ -660,8 +654,7 @@ class LaneGroup:
         for m in merged:
             lane, kept = m.lane, m.kept
             if kept:
-                if lane.trace is not None:
-                    lane.trace.add_crossings(kept)
+                lane.trace.add_crossings(kept)
                 kept_dists = m.dists[:kept]
                 lane.id_chunks.append(m.ids[:kept])
                 lane.dist_chunks.append(kept_dists)
@@ -673,10 +666,7 @@ class LaneGroup:
             if m.stop is not None:
                 lane.active = False
                 lane.stop_reason = m.reason
-            if lane.trace is not None:
-                lane.trace.end_round(
-                    io=lane.io, candidates=lane.n_cand, within=lane.n_within
-                )
+            lane.trace.end_round(io=lane.io, candidates=lane.n_cand, within=lane.n_within)
         if self.style == "single":
             self.lanes[0].delta *= self.c
 

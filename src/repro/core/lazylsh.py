@@ -49,6 +49,7 @@ from repro.errors import (
     UnsupportedMetricError,
 )
 from repro.metrics.lp import lp_distance, validate_p
+from repro.obs.query_trace import QueryTraceBuilder
 from repro.storage.inverted_index import InvertedListStore
 from repro.storage.io_stats import IOStats
 from repro.storage.pages import PageLayout
@@ -61,11 +62,13 @@ def _entry_span(telemetry, name: str, **attributes):
     return telemetry.tracer.span(name, **attributes)
 
 
-def _lane_result(lane: Lane) -> "KnnResult":
-    """Assemble a :class:`KnnResult` from a finished engine lane.
+def _lane_result(lane: Lane, **serving) -> "KnnResult":
+    """Assemble a :class:`KnnResult` and its record from a finished lane.
 
     Mirrors the tail of the scalar loop exactly: same distance array,
     same ``argsort`` (so ties resolve identically), same bookkeeping.
+    ``serving`` holds the sharded service's ``shard_io``, ``request_id``
+    and ``trace_id``, set on the result and its record alike.
     """
     cand_ids, cand_dists = lane.candidate_arrays()
     order = np.argsort(cand_dists)[: lane.k]
@@ -78,6 +81,11 @@ def _lane_result(lane: Lane) -> "KnnResult":
         candidates=int(cand_ids.size),
         rounds=lane.rounds,
         termination=lane.stop_reason,
+        trace=lane.trace.finish(
+            termination=lane.stop_reason, io=lane.io,
+            candidates=int(cand_ids.size), **serving,
+        ),
+        **serving,
     )
 
 
@@ -201,7 +209,9 @@ class LazyLSH:
         """Validate an insert batch without mutating; returns the batch.
 
         Shared by :meth:`insert` and the durability layer, which must
-        reject a bad batch *before* journaling it to the write-ahead log.
+        reject a bad batch *before* journaling it to the write-ahead log:
+        it refuses every batch the store would, and every point the
+        index could not then answer as a query (:meth:`_check_reach`).
         """
         self._require_built()
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -214,6 +224,9 @@ class LazyLSH:
             raise InvalidParameterError("cannot insert an empty batch")
         if not np.all(np.isfinite(points)):
             raise InvalidParameterError("points contain non-finite values")
+        assert self._store is not None
+        self._store._check_ids_fit(self.num_rows + points.shape[0])
+        self._check_reach(points, "points", stored=True)
         return np.ascontiguousarray(points)
 
     def insert(self, points: PointMatrix) -> IdArray:
@@ -475,27 +488,22 @@ class LazyLSH:
     # ------------------------------------------------------------------
 
     def _check_query(self, query: PointVector) -> PointVector:
-        self._require_built()
+        """The one-row form of :meth:`_check_queries`."""
         query = np.asarray(query, dtype=np.float64)
         if query.ndim != 1:
             raise InvalidParameterError(
                 f"query must be a single vector, got shape {query.shape}"
             )
-        if query.shape[0] != self.dimensionality:
-            raise DimensionalityMismatchError(
-                f"query has dimensionality {query.shape[0]}, index expects "
-                f"{self.dimensionality}"
-            )
-        if not np.all(np.isfinite(query)):
-            raise InvalidParameterError("query contains non-finite values")
-        return query
+        return self._check_queries(query[None, :])[0]
 
     def _check_queries(self, queries: PointMatrix) -> np.ndarray:
-        """The one check of a query matrix: ``knn_batch`` and the service.
+        """The one query check: every kNN entry point and the front door.
 
         Returns a C-contiguous float64 ``(m, d)`` matrix; ``m`` may be 0
-        (an empty batch has an empty answer).
+        (an empty batch has an empty answer).  Refuses, before any scan,
+        a query the engine could not run (:meth:`_check_reach`).
         """
+        self._require_built()
         queries = np.ascontiguousarray(
             np.atleast_2d(np.asarray(queries, dtype=np.float64))
         )
@@ -510,7 +518,30 @@ class LazyLSH:
             )
         if not np.all(np.isfinite(queries)):
             raise InvalidParameterError("queries contain non-finite values")
+        if queries.shape[0]:
+            self._check_reach(queries, "queries")
         return queries
+
+    def _check_reach(self, points: np.ndarray, what: str, *, stored: bool = False) -> None:
+        """Refuse ``points`` whose windows could leave int64.
+
+        Algorithm 4 widens a point's windows around its base hash ``h``
+        by up to a factor ``c`` per round until they cover the store's
+        hash domain ``[lo, hi]``, so the last window it may need ends
+        less than ``c * (|h| + max(|lo|, |hi|) + 1)`` past ``h``.  That
+        end must stay inside int64.  ``stored`` points (an insert batch)
+        widen the domain first.
+        """
+        assert self._bank is not None and self._store is not None
+        top = float(np.abs(self._bank.projection_values(points)).max()) / self._bank.r0 + 1.0
+        lo, hi = self._store.value_range
+        span = max(-lo, hi, top if stored else 0.0)
+        reach = top + self.config.c * (top + span + 1.0)
+        if not reach < 2.0**63:  # also refuses inf and nan
+            raise InvalidParameterError(
+                f"{what} lie too far from the indexed data: base hashes up to "
+                f"{top:.3g} need windows reaching {reach:.3g}, past int64"
+            )
 
     def range_query(self, query: PointVector, delta: float, p: float = 1.0) -> RangeResult:
         """Answer ``Rp(q, delta, c)`` (Algorithm 3).
@@ -611,9 +642,9 @@ class LazyLSH:
         * ``cap`` — candidate-budget override (default ``k + beta * n``);
         * ``radius`` — starting-radius (``delta_0``) override (default
           ``1 / r_hat``);
-        * ``telemetry`` — a :class:`repro.obs.Telemetry` capturing one
-          structured :class:`~repro.obs.QueryTrace` per call; ``None``
-          (the default) runs the no-op fast path.
+        * ``telemetry`` — a :class:`repro.obs.Telemetry` that publishes
+          the call's record (``result.trace``, built on every run) to its
+          metrics and slow-query log.
         """
         check_knobs(k, cap=cap, radius=radius, engine=engine)
         query = self._check_query(query)
@@ -648,9 +679,8 @@ class LazyLSH:
         row's lane group (:meth:`_lane_group`: one lane for ``p``, one
         per metric of ``metrics``), runs :func:`execute_rounds` and
         returns one result list per row, a result per lane in ascending
-        ``p``.  With ``telemetry`` each lane's trace is finished and
-        recorded, numbered by its row when ``row_ids`` (else by the
-        telemetry's automatic ids).  Each lane's I/O is added to
+        ``p``, each with its record, numbered by its row when ``row_ids``.
+        ``telemetry`` publishes the records.  Each lane's I/O is added to
         :attr:`io_stats`.
         """
         assert self._bank is not None
@@ -659,28 +689,17 @@ class LazyLSH:
             self._lane_group(
                 queries[j], k, p, metrics=metrics, cap=cap, radius=radius,
                 query_hashes=np.ascontiguousarray(hashes[:, j]),
+                query_id=j if row_ids else None,
             )
             for j in range(queries.shape[0])
         ]
-        if telemetry is not None:
-            for j, group in enumerate(groups):
-                for lane in group.lanes:
-                    lane.trace = telemetry.query_trace_builder(
-                        p=lane.p, k=k, engine="flat", rehashing=self.rehashing,
-                        cap=lane.cap, query_id=j if row_ids else None,
-                    )
         execute_rounds(groups)
         rows = []
         for group in groups:
             row = []
             for lane in group.lanes:
                 result = _lane_result(lane)
-                if lane.trace is not None:
-                    result.trace = lane.trace.finish(
-                        termination=lane.stop_reason,
-                        io=lane.io,
-                        candidates=result.candidates,
-                    )
+                if telemetry is not None:
                     telemetry.record(result.trace)
                 self.io_stats.merge(lane.io)
                 row.append(result)
@@ -697,6 +716,8 @@ class LazyLSH:
         metrics=None,
         cap: float | None = None,
         radius: float | None = None,
+        engine: str = "flat",
+        query_id: int | None = None,
     ) -> LaneGroup:
         """Build the flat-engine lane group for one query point.
 
@@ -710,7 +731,9 @@ class LazyLSH:
         ``query_hashes`` is the point's column of one hashing matmul
         over all query points; ``cap``/``radius`` override the
         candidate budget and starting radius (``None`` keeps the paper's
-        ``k + beta * n`` and ``1 / r_hat``; single-metric only).
+        ``k + beta * n`` and ``1 / r_hat``; single-metric only).  Every
+        lane gets the builder of its record, labelled ``engine`` and
+        numbered ``query_id``.
         """
         if metrics is not None and self.rehashing != "query_centric":
             raise InvalidParameterError(
@@ -728,6 +751,11 @@ class LazyLSH:
         assert self._bank is not None and self._store is not None and self._data is not None
         cap_value = k + self._beta * n if cap is None else float(cap)
         lanes = [Lane(q, self.metric_params(q), k, cap_value) for q in p_values]
+        for lane in lanes:
+            lane.trace = QueryTraceBuilder(
+                p=lane.p, k=k, engine=engine, rehashing=self.rehashing,
+                cap=cap_value, query_id=query_id,
+            )
         if radius is not None:
             lanes[0].delta = float(radius)
         return LaneGroup(
@@ -759,6 +787,8 @@ class LazyLSH:
         ``cap``/``radius`` override the candidate budget and starting
         radius.  Pages re-touched by successive rehashing rounds (ring
         boundaries) stay in a per-query buffer pool and are charged once.
+        The result carries its record, numbered ``query_id``;
+        ``telemetry`` publishes it.
         """
         p = validate_p(p)
         n = self.num_points
@@ -770,16 +800,10 @@ class LazyLSH:
         params = self.metric_params(p)
         assert self._bank is not None and self._store is not None and self._data is not None
         cap = k + self._beta * n if cap is None else float(cap)
-        trace = None
-        if telemetry is not None:
-            trace = telemetry.query_trace_builder(
-                p=p,
-                k=k,
-                engine="scalar",
-                rehashing=self.rehashing,
-                cap=cap,
-                query_id=query_id,
-            )
+        trace = QueryTraceBuilder(
+            p=p, k=k, engine="scalar", rehashing=self.rehashing, cap=cap,
+            query_id=query_id,
+        )
         theta = params.theta
         counts = np.zeros(n_rows, dtype=np.int32)
         is_candidate = np.zeros(n_rows, dtype=bool)
@@ -798,8 +822,7 @@ class LazyLSH:
                 raise RuntimeError(_KNN_ABORT)
             level = params.r_hat * delta
             c_delta = self.config.c * delta
-            if trace is not None:
-                trace.begin_round(level=level, radius=c_delta, io=stats)
+            trace.begin_round(level=level, radius=c_delta, io=stats)
             windows: list[tuple[int, int]] = []
             for i in range(params.eta):
                 lo, hi = self._window(int(query_hashes[i]), level)
@@ -817,8 +840,7 @@ class LazyLSH:
                         # "original" rehashing ablation); re-scan fully.
                         ids = self._store.read_window(i, lo, hi, stats, seen_pages)
                 if ids.size > 0:
-                    if trace is not None:
-                        trace.add_collisions(int(ids.size))
+                    trace.add_collisions(int(ids.size))
                     counts[ids] += 1
                     crossed = ids[
                         (counts[ids] > theta)
@@ -827,8 +849,7 @@ class LazyLSH:
                     ]
                     if crossed.size > 0:
                         is_candidate[crossed] = True
-                        if trace is not None:
-                            trace.add_crossings(int(crossed.size))
+                        trace.add_crossings(int(crossed.size))
                         stats.add_random(int(crossed.size))
                         dists = lp_distance(self._data[crossed], query, p)
                         cand_ids.extend(int(x) for x in crossed)
@@ -844,23 +865,19 @@ class LazyLSH:
                     done = True
                     reason = TERMINATION_CAP
                     break
-            if trace is not None:
-                dist_arr = np.asarray(cand_dists, dtype=np.float64)
-                trace.end_round(
-                    io=stats,
-                    candidates=len(cand_ids),
-                    within=int(np.count_nonzero(dist_arr < c_delta)),
-                )
+            dist_arr = np.asarray(cand_dists, dtype=np.float64)
+            trace.end_round(
+                io=stats,
+                candidates=len(cand_ids),
+                within=int(np.count_nonzero(dist_arr < c_delta)),
+            )
             prev_windows = windows
             delta *= self.config.c
         order = np.argsort(np.asarray(cand_dists))[:k]
         ids = np.asarray(cand_ids, dtype=np.int64)[order]
         dists = np.asarray(cand_dists, dtype=np.float64)[order]
-        finished = None
-        if trace is not None:
-            finished = trace.finish(
-                termination=reason, io=stats, candidates=len(cand_ids)
-            )
+        finished = trace.finish(termination=reason, io=stats, candidates=len(cand_ids))
+        if telemetry is not None:
             telemetry.record(finished)
         return KnnResult(
             ids=ids,

@@ -42,6 +42,7 @@ from repro.core.lazylsh import KnnResult, LazyLSH, _entry_span
 from repro.core.params import MetricParams
 from repro.errors import InvalidParameterError
 from repro.metrics.lp import lp_distance
+from repro.obs.query_trace import QueryTraceBuilder
 from repro.storage.io_stats import IOStats
 
 
@@ -97,7 +98,10 @@ class MultiQueryResult:
 class _MetricState:
     """Per-metric Algorithm-4 state inside the shared batch loop."""
 
-    def __init__(self, p: float, params: MetricParams, n: int, k: int, cap: float) -> None:
+    def __init__(
+        self, p: float, params: MetricParams, n: int, k: int, cap: float,
+        trace: QueryTraceBuilder,
+    ) -> None:
         self.p = p
         self.params = params
         self.k = k
@@ -110,7 +114,7 @@ class _MetricState:
         self.rounds = 0
         self.io = IOStats()
         self.reason = ""
-        self.trace = None
+        self.trace = trace
 
     def delta_at_round(self, round_index: int, c: float) -> float:
         """The metric's search radius at round ``j``: ``c^j / r_hat``."""
@@ -129,6 +133,10 @@ class _MetricState:
             candidates=len(self.cand_ids),
             rounds=self.rounds,
             termination=self.reason,
+            trace=self.trace.finish(
+                termination=self.reason, io=self.io,
+                candidates=len(self.cand_ids),
+            ),
         )
 
 
@@ -175,7 +183,8 @@ class MultiQueryEngine:
         ``LazyLSH.knn``/``knn_batch``: ``metrics``, ``engine``
         (``"flat"`` or ``"scalar"``, bit-identical), ``cap``
         (candidate-budget override, applied to every metric) and
-        ``telemetry`` (one :class:`~repro.obs.QueryTrace` per metric).
+        ``telemetry``, which publishes each metric's record
+        (``result[p].trace``, built on every run).
         """
         metrics = check_knobs(
             k, metrics=() if metrics is None else metrics, cap=cap,
@@ -203,8 +212,8 @@ class MultiQueryEngine:
     ) -> MultiQueryResult:
         """The scalar reference loop (``engine="scalar"``).
 
-        ``query_id`` numbers the per-metric traces (``None`` takes the
-        telemetry's automatic ids).
+        ``query_id`` numbers the per-metric records; ``telemetry``
+        publishes them.
         """
         unique = sorted({float(p) for p in p_values})
         index = self.index
@@ -224,15 +233,13 @@ class MultiQueryEngine:
                 n_rows,
                 k,
                 cap_value,
+                QueryTraceBuilder(
+                    p=p, k=k, engine="scalar", rehashing=index.rehashing,
+                    cap=cap_value, query_id=query_id,
+                ),
             )
             for p in unique
         ]
-        if telemetry is not None:
-            for state in states:
-                state.trace = telemetry.query_trace_builder(
-                    p=state.p, k=k, engine="scalar", rehashing=index.rehashing,
-                    cap=cap_value, query_id=query_id,
-                )
         c = index.config.c
         data = index.data
         store = index.store
@@ -257,7 +264,7 @@ class MultiQueryEngine:
                 state.rounds += 1
             deltas = [state.delta_at_round(round_index, c) for state in states]
             for si, state in enumerate(states):
-                if state.active and state.trace is not None:
+                if state.active:
                     state.trace.begin_round(
                         level=level, radius=c * deltas[si], io=state.io
                     )
@@ -290,8 +297,7 @@ class MultiQueryEngine:
                     if not state.active or i >= state.params.eta:
                         continue
                     if ids.size > 0:
-                        if state.trace is not None:
-                            state.trace.add_collisions(int(ids.size))
+                        state.trace.add_collisions(int(ids.size))
                         state.counts[ids] += 1
                         crossed = ids[
                             (state.counts[ids] > state.params.theta)
@@ -300,8 +306,7 @@ class MultiQueryEngine:
                         ]
                         if crossed.size > 0:
                             state.is_candidate[crossed] = True
-                            if state.trace is not None:
-                                state.trace.add_crossings(int(crossed.size))
+                            state.trace.add_crossings(int(crossed.size))
                             fresh = crossed[~fetched[crossed]]
                             fetched[crossed] = True
                             state.io.add_random(int(fresh.size))
@@ -319,7 +324,7 @@ class MultiQueryEngine:
                         state.active = False
                         state.reason = TERMINATION_CAP
             for si, state in enumerate(states):
-                if state.trace is not None and state in rounders:
+                if state in rounders:
                     dist_arr = np.asarray(state.cand_dists, dtype=np.float64)
                     state.trace.end_round(
                         io=state.io,
@@ -333,12 +338,7 @@ class MultiQueryEngine:
         results: dict[float, KnnResult] = {}
         for state in states:
             results[state.p] = state.finish()
-            if state.trace is not None:
-                results[state.p].trace = state.trace.finish(
-                    termination=state.reason,
-                    io=state.io,
-                    candidates=len(state.cand_ids),
-                )
+            if telemetry is not None:
                 telemetry.record(results[state.p].trace)
             total.add_sequential(state.io.sequential)
             total.add_random(state.io.random)

@@ -566,13 +566,7 @@ class DurableIndex:
         start = self.index.num_rows
         ids = np.arange(start, start + points.shape[0], dtype=np.int64)
         lsn = self.wal.append_insert(points, ids)
-        applied = self.index.insert(points)
-        if not np.array_equal(applied, ids):  # pragma: no cover - invariant
-            raise ReproError(
-                f"WAL/index id divergence: logged {ids[:3]}..., index "
-                f"assigned {applied[:3]}..."
-            )
-        self._notify(WalRecord(lsn=lsn, op="insert", ids=ids, points=points))
+        self._apply(WalRecord(lsn=lsn, op="insert", ids=ids, points=points))
         return ids
 
     def remove(self, point_ids) -> None:
@@ -580,11 +574,11 @@ class DurableIndex:
         ids = self.index._validate_remove(point_ids)
         if ids.size == 0:
             return
-        lsn = self.wal.append_remove(ids)
-        self.index.remove(ids)
-        self._notify(WalRecord(lsn=lsn, op="remove", ids=ids))
+        self._apply(WalRecord(lsn=self.wal.append_remove(ids), op="remove", ids=ids))
 
-    def _notify(self, record: WalRecord) -> None:
+    def _apply(self, record: WalRecord) -> None:
+        """Apply one committed record as recovery would, then notify."""
+        apply_record(self.index, record)
         for listener in self._listeners:
             listener(record)
 

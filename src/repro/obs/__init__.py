@@ -8,9 +8,10 @@ Three layers, composable but independently usable:
   exporter;
 * :mod:`repro.obs.query_trace` — structured round-by-round
   :class:`QueryTrace` records with schema validation and JSONL I/O.
-  ``QueryTrace.to_dict()`` is the one record of a query run: EXPLAIN
-  and slow-query log entries are that record, checked by
-  :func:`validate_trace_dict`.
+  Every query run builds one and its result carries it
+  (``result.trace``); ``QueryTrace.to_dict()`` is the one record of a
+  query run: EXPLAIN and slow-query log entries are that record,
+  checked by :func:`validate_trace_dict`.
 
 On top of those, the distributed ops plane (DESIGN §10):
 
@@ -40,20 +41,22 @@ And the workload intelligence plane (DESIGN §15):
   daemon-thread sampling profiler with folded-stack output and
   per-phase (hash/scan/merge/wave) attribution, served at ``/profile``;
 * :mod:`repro.obs.explain` — :func:`render_explain`, the human view
-  of a query record (``SearchRequest(explain=True)``);
+  of a query record (a front-door request with ``"explain": true``
+  gets the record in its response);
 * :mod:`repro.obs.workload` — :class:`WorkloadAnalytics` with
   Space-Saving heavy-hitter sketches over query digests and base
   buckets, rolling ``(p, k)`` demand and cache-efficacy-by-heat stats.
 
 :class:`Telemetry` bundles all of it and is what the query entry points
-accept::
+accept; it publishes the records the runs build::
 
     from repro import LazyLSH, Telemetry
+    from repro.obs import write_traces_jsonl
 
     tel = Telemetry()
-    index.knn(query, k=10, p=0.5, telemetry=tel)
-    tel.traces[0].termination          # why the query stopped
-    tel.export_traces_jsonl("run.jsonl")
+    result = index.knn(query, k=10, p=0.5, telemetry=tel)
+    result.trace.termination           # why the query stopped
+    write_traces_jsonl([result.trace], "run.jsonl")
     print(tel.metrics_text())          # Prometheus exposition format
 """
 
@@ -68,6 +71,7 @@ from repro.obs.query_trace import (
     RoundRecord,
     TraceSchemaError,
     load_traces_jsonl,
+    summarize_traces,
     validate_trace_dict,
     write_traces_jsonl,
 )
@@ -158,6 +162,7 @@ __all__ = [
     "read_fault_counts",
     "render_explain",
     "residency_ratio",
+    "summarize_traces",
     "validate_span_dict",
     "validate_trace_dict",
     "write_traces_jsonl",

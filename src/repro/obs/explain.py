@@ -16,9 +16,9 @@ sharded service's per-shard ``shard_io`` and the request's
 ``request_id``/``trace_id``.  There is no second instrumentation path
 and no second schema: :func:`~repro.obs.query_trace.validate_trace_dict`
 checks it, including the rule that the per-round I/O deltas sum to the
-totals.  The service carries it on ``SearchResult.explain`` when asked
-with ``explain=True``, the v1 wire codec ships it as a plain dict, and
-:func:`render_explain` prints it for humans (the ``repro explain``
+totals.  Every run builds it (``result.trace``), so EXPLAIN is only a
+view: the front door adds it to the response of a v1 request with
+``"explain": true``, and :func:`render_explain` prints it for humans (the ``repro explain``
 subcommand), working out each round's progress towards ``k`` and the
 cap and the skew between the busiest shard and the mean as it prints.
 """

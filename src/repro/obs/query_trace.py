@@ -4,18 +4,20 @@ A :class:`QueryTrace` captures what the paper's evaluation (Section 5)
 reads off internal counters, but per query and per rehashing round:
 collision counts, threshold crossings (candidate promotions), cumulative
 candidate / within-radius counters, the simulated I/O delta of each
-round, and why the query terminated.  The flat and scalar engines emit
-traces through the same :class:`QueryTraceBuilder` hook surface, so a
-trace is comparable across execution plans — round structure, I/O deltas
-and the termination reason are bit-identical between the two.  The
-sharded service (:mod:`repro.serve`) emits one *merged* trace per query
-under ``engine="sharded"``, again through the same hooks and with the
-same cross-plan invariants.
+round, and why the query terminated.  Every run builds one, with or
+without telemetry, and its result carries it as ``result.trace``.  The
+flat and scalar engines build it through the same
+:class:`QueryTraceBuilder` hook surface, so a trace is comparable across
+execution plans — round structure, I/O deltas and the termination reason
+are bit-identical between the two.  The sharded service
+(:mod:`repro.serve`) builds one *merged* trace per query under
+``engine="sharded"``, again through the same hooks and with the same
+cross-plan invariants.
 
 Serialisation is one JSON object per query (JSONL for a whole run);
 :func:`validate_trace_dict` checks a record against :data:`TRACE_SCHEMA`
 without any external schema library.  That dict is the one record of a
-query run: the service's EXPLAIN (``result.explain``) is it, and a
+query run: EXPLAIN (the front door's ``"explain"`` section) is it, and a
 slow-query log entry is it plus ``captured_at``.  Four optional serving
 fields ride on it: the candidate budget ``cap``, the sharded service's
 per-shard I/O list ``shard_io`` and the request's ``request_id`` and
@@ -470,6 +472,27 @@ class QueryTraceBuilder:
             request_id=request_id,
             trace_id=trace_id,
         )
+
+
+def summarize_traces(traces: Iterable[QueryTrace]) -> dict:
+    """Compact run summary: queries, I/O, terminations, rounds, candidates."""
+    total = {"sequential": 0, "random": 0}
+    reasons: dict[str, int] = {}
+    queries = rounds = candidates = 0
+    for trace in traces:
+        queries += 1
+        total["sequential"] += trace.io.sequential
+        total["random"] += trace.io.random
+        reasons[trace.termination] = reasons.get(trace.termination, 0) + 1
+        rounds += trace.num_rounds
+        candidates += trace.candidates
+    return {
+        "queries": queries,
+        "io": total,
+        "terminations": reasons,
+        "rounds": rounds,
+        "candidates": candidates,
+    }
 
 
 def write_traces_jsonl(

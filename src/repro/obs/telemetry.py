@@ -1,9 +1,11 @@
-"""Telemetry facade: one object wiring traces, metrics and spans together.
+"""Telemetry facade: one object wiring records, metrics and spans together.
 
-Passing a :class:`Telemetry` to any query entry point (``LazyLSH.knn``,
-``MultiQueryEngine.knn``, ``knn_batch``, the CLI, the benchmark harness)
-turns on per-query :class:`~repro.obs.query_trace.QueryTrace` capture and
-keeps the standard instrument set updated:
+Every query run builds its :class:`~repro.obs.query_trace.QueryTrace`
+record (``result.trace``), with or without telemetry.  Passing a
+:class:`Telemetry` to a query entry point (``LazyLSH.knn``,
+``MultiQueryEngine.knn``, ``knn_batch``, the sharded service, the CLI,
+the benchmark harness) only publishes those records: it opens the entry
+point's span and keeps the standard instrument set updated:
 
 ======================================  =========  =============================
 metric                                  kind       labels
@@ -18,14 +20,11 @@ metric                                  kind       labels
 ======================================  =========  =============================
 
 An optional :class:`~repro.obs.slowlog.SlowQueryLog` can be attached at
-construction; :meth:`Telemetry.record` offers every finished trace to
+construction; :meth:`Telemetry.record` offers every published record to
 it, so slow-query capture rides the same single chokepoint as the
 instrument updates and core modules never touch the log directly.
-
-When no telemetry object is passed (the default), the engines run a
-no-op fast path: the only residue is one ``is None`` check per hook
-site, keeping the disabled-telemetry overhead within the documented
-<= 3% budget on the acceptance workload.
+Without a telemetry object (the default) nothing is published; the
+records stay on the results.
 
 :meth:`Telemetry.observe_store` additionally attaches a
 :class:`StoreObserver` to an :class:`~repro.storage.inverted_index.
@@ -36,15 +35,10 @@ entries at the storage layer.
 from __future__ import annotations
 
 import random
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.errors import InvalidParameterError
-from repro.obs.query_trace import (
-    QueryTrace,
-    QueryTraceBuilder,
-    write_traces_jsonl,
-)
+from repro.obs.query_trace import QueryTrace
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace_context import TraceContext, TraceStore, active_context
@@ -127,7 +121,7 @@ class StoreObserver:
 
 
 class Telemetry:
-    """Aggregates a metrics registry, a span tracer and captured traces.
+    """Publishes query records to a metrics registry; owns a span tracer.
 
     Parameters
     ----------
@@ -135,13 +129,9 @@ class Telemetry:
         Metrics registry to write into; a fresh private one by default.
         Pass :func:`repro.obs.get_default_registry` to aggregate across
         several telemetry objects process-wide.
-    capture_traces:
-        Keep every recorded :class:`QueryTrace` in :attr:`traces`
-        (default).  Disable for long-running servers that only want the
-        registry aggregates.
     slowlog:
-        Optional :class:`SlowQueryLog`; every recorded trace is offered
-        to it (the log applies its own thresholds).
+        Optional :class:`SlowQueryLog`; every published record is
+        offered to it (the log applies its own thresholds).
     trace_store:
         Optional :class:`~repro.obs.trace_context.TraceStore`; finished
         distributed traces are published here (via
@@ -167,7 +157,6 @@ class Telemetry:
         self,
         *,
         registry: MetricsRegistry | None = None,
-        capture_traces: bool = True,
         slowlog: SlowQueryLog | None = None,
         trace_store: TraceStore | None = None,
         trace_sample: float = 0.0,
@@ -180,14 +169,12 @@ class Telemetry:
             )
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = SpanTracer()
-        self.capture_traces = capture_traces
         self.slowlog = slowlog
         self.trace_store = trace_store
         self.trace_sample = float(trace_sample)
         self.flight_recorder = flight_recorder
         self.workload = workload
         self._sampler = random.Random(0xC0FFEE)
-        self.traces: list[QueryTrace] = []
         self._auto_query_id = 0
         reg = self.registry
         self._queries = reg.counter(
@@ -290,31 +277,7 @@ class Telemetry:
             self.trace_store.add(context.trace_id, records)
         return records
 
-    # -- query traces ---------------------------------------------------
-
-    def query_trace_builder(
-        self,
-        *,
-        p: float,
-        k: int,
-        engine: str,
-        rehashing: str,
-        cap: float,
-        query_id: int | None = None,
-    ) -> QueryTraceBuilder:
-        """A builder the engines thread through one query's execution.
-
-        ``cap`` is the lane's candidate budget, recorded on the trace.
-        """
-        if query_id is None:
-            query_id = self._auto_query_id
-            self._auto_query_id += 1
-        else:
-            self._auto_query_id = max(self._auto_query_id, query_id + 1)
-        return QueryTraceBuilder(
-            p=p, k=k, engine=engine, rehashing=rehashing, query_id=query_id,
-            cap=cap,
-        )
+    # -- query records --------------------------------------------------
 
     def record(
         self,
@@ -322,14 +285,19 @@ class Telemetry:
         *,
         query_digest: str | None = None,
         bucket: bytes | None = None,
-    ) -> QueryTrace:
-        """Fold one finished trace into the registry (and keep it).
+    ) -> None:
+        """Publish one finished record to the registry and the slow-query log.
 
-        The trace goes to the slow-query log as it is (a sharded
-        trace carries its ``shard_io``, ``request_id`` and
+        A record without a ``query_id`` is numbered here, from this
+        telemetry's automatic ids (a numbered one moves them past its
+        own).  The record goes to the slow-query log as it is (a sharded
+        record carries its ``shard_io``, ``request_id`` and
         ``trace_id``); ``query_digest`` / ``bucket`` feed the attached
         :class:`WorkloadAnalytics` when present.
         """
+        if trace.query_id is None:
+            trace.query_id = self._auto_query_id
+        self._auto_query_id = max(self._auto_query_id, trace.query_id + 1)
         self._queries.inc(engine=trace.engine, p=f"{trace.p:g}")
         self._terminations.inc(reason=trace.termination)
         self._rounds.observe(trace.num_rounds)
@@ -355,13 +323,6 @@ class Telemetry:
                     request_id=trace.request_id,
                     trace_id=trace.trace_id,
                 )
-        if self.capture_traces:
-            self.traces.append(trace)
-        return trace
-
-    def export_traces_jsonl(self, path: str | Path) -> Path:
-        """Write the captured traces as JSONL."""
-        return write_traces_jsonl(self.traces, path)
 
     # -- storage hooks --------------------------------------------------
 
@@ -383,23 +344,3 @@ class Telemetry:
     def metrics_dict(self) -> dict:
         """The registry as a JSON-serialisable dict."""
         return self.registry.to_dict()
-
-    def summary(self) -> dict:
-        """Compact run summary derived from the captured traces."""
-        total = {"sequential": 0, "random": 0}
-        reasons: dict[str, int] = {}
-        rounds = 0
-        candidates = 0
-        for trace in self.traces:
-            total["sequential"] += trace.io.sequential
-            total["random"] += trace.io.random
-            reasons[trace.termination] = reasons.get(trace.termination, 0) + 1
-            rounds += trace.num_rounds
-            candidates += trace.candidates
-        return {
-            "queries": len(self.traces),
-            "io": total,
-            "terminations": reasons,
-            "rounds": rounds,
-            "candidates": candidates,
-        }

@@ -96,9 +96,11 @@ def _measure_telemetry_overhead(
     zero and the gate keeps its teeth.  The fastest off/on wall-clock
     waves are still reported alongside for context.
 
-    ``intelligence=True`` additionally arms the workload-intelligence
-    plane on the "on" side: workload sketches fed per query, EXPLAIN
-    built for every result, and the continuous sampling profiler
+    Both sides build every query's record (every run does); the "on"
+    side publishes them.  ``intelligence=True`` additionally arms the
+    workload-intelligence plane on the "on" side: workload sketches fed
+    per query, the EXPLAIN view (``to_dict()``) of every result's
+    record, and the continuous sampling profiler
     running throughout each timed "on" wave (started/stopped outside
     the timed window so thread spawn transients don't pollute the
     steady-state number).
@@ -108,7 +110,7 @@ def _measure_telemetry_overhead(
     from repro.obs import ObsExporter, SlowQueryLog, Telemetry
 
     slowlog = SlowQueryLog(capacity=32)
-    telemetry = Telemetry(capture_traces=False, slowlog=slowlog)
+    telemetry = Telemetry(slowlog=slowlog)
     profiler = None
     if intelligence:
         from repro.obs import ContinuousProfiler, WorkloadAnalytics
@@ -135,6 +137,12 @@ def _measure_telemetry_overhead(
                 parent = time.process_time() - parent0
                 return parent + sum(service.cpu_seconds) - workers0
 
+            def explain(results: list) -> None:
+                """The EXPLAIN view of every result, on the intelligence side."""
+                if intelligence:
+                    for result in results:
+                        result.trace.to_dict()
+
             off_times = []
             on_times = []
             off_cpu = on_cpu = placebo_cpu = 0.0
@@ -154,12 +162,9 @@ def _measure_telemetry_overhead(
                 if profiler is not None:
                     profiler.start()
                 t0 = time.perf_counter()
-                on_cpu += wave_cpu(
-                    lambda: service.search_batch(
-                        queries, k, p=p, telemetry=telemetry,
-                        explain=intelligence,
-                    )
-                )
+                on_cpu += wave_cpu(lambda: explain(
+                    service.search_batch(queries, k, p=p, telemetry=telemetry)
+                ))
                 on_times.append(time.perf_counter() - t0)
                 if profiler is not None:
                     profiler.stop()

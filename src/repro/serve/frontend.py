@@ -22,7 +22,9 @@ between the socket and the shard fleet (DESIGN §14):
   requests sharing a query point but differing in ``p`` merge into one
   Section 4.3 multi-metric wave (``search_batch(metrics=...)``, run by
   the shard workers like any other) whose per-metric parts fan back to
-  their requesters.  Every path returns ids/distances bit-identical to
+  their requesters.  An EXPLAIN request (``"explain": true``) plans like
+  any other; its response adds the result's record under ``"explain"``.
+  Every path returns ids/distances bit-identical to
   issuing the request alone through
   :meth:`~repro.serve.ShardedSearchService.search` (single- and
   multi-metric waves are both pinned bit-identical to the
@@ -40,7 +42,7 @@ execution (on a single worker thread) against any other caller, so the
 event loop never blocks on index work and the pipe protocol stays
 single-threaded.  The front door never scans the index itself: every
 cache miss is answered by a service wave, which feeds the service's
-traces, EXPLAIN and workload sketches.
+records and workload sketches.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -577,6 +579,9 @@ class Frontend:
         elapsed = time.monotonic() - arrival
         self._m_latency.observe(elapsed)
         payload = result.to_dict()
+        if request.explain:
+            assert result.trace is not None  # every run builds its record
+            payload["explain"] = result.trace.to_dict()
         if request.request_id is not None:
             payload["request_id"] = request.request_id
         payload["cached"] = item.cache_hit
@@ -692,12 +697,13 @@ class Frontend:
         depend on the exact point.  ``key[0]`` is the bucket as raw
         int64 bytes — the same canonical form the workload sketches
         track, so the eviction policy can ask
-        :meth:`WorkloadAnalytics.is_hot` about any cached entry.
-        Explain requests key separately (their results carry the
-        EXPLAIN payload).
+        :meth:`WorkloadAnalytics.is_hot` about any cached entry.  The
+        index's query check runs first, so a query the index refuses
+        fails alone, before any wave.
         """
-        query = np.ascontiguousarray(request.query, dtype=np.float64)
-        bucket = self.service.index._bank.hash_points(query[None, :])[:, 0]
+        index = self.service.index
+        query = index._check_query(request.query)
+        bucket = index._bank.hash_points(query[None, :])[:, 0]
         return (
             np.ascontiguousarray(bucket).tobytes(),
             hashlib.sha1(query.tobytes()).hexdigest(),
@@ -705,7 +711,6 @@ class Frontend:
             float(request.p),
             None if request.cap is None else float(request.cap),
             None if request.radius is None else float(request.radius),
-            bool(request.explain),
         )
 
     def _cache_get(self, key: tuple) -> SearchResult | None:
@@ -808,8 +813,8 @@ class Frontend:
         override) across >= 2 distinct metrics become one Section 4.3
         multi-metric wave (query-centric rehashing only); the rest ride
         one wave per set of tuning knobs, identical rows deduplicated.
-        The cache key ``(bucket, digest, k, p, cap, radius, explain)``
-        carries every field the planner groups by.
+        The cache key ``(bucket, digest, k, p, cap, radius)`` carries
+        every field the planner groups by.
         """
         by_point: dict[tuple, list[tuple[_Pending, tuple]]] = {}
         if self.service.index.rehashing == "query_centric":
@@ -823,18 +828,13 @@ class Frontend:
             metrics = sorted({key[3] for _item, key in group})
             if len(metrics) >= 2:
                 merged.update(id(item) for item, _key in group)
-                explain = any(key[6] for _item, key in group)
-                self._run_wave(
-                    group, k, metrics=metrics, cap=cap, explain=explain
-                )
+                self._run_wave(group, k, metrics=metrics, cap=cap)
         by_knobs: dict[tuple, list[tuple[_Pending, tuple]]] = {}
         for item, key in misses:
             if id(item) not in merged:
                 by_knobs.setdefault(key[2:], []).append((item, key))
-        for (k, p, cap, radius, explain), group in by_knobs.items():
-            self._run_wave(
-                group, k, p=p, cap=cap, radius=radius, explain=explain
-            )
+        for (k, p, cap, radius), group in by_knobs.items():
+            self._run_wave(group, k, p=p, cap=cap, radius=radius)
 
     def _run_wave(
         self, group: list[tuple[_Pending, tuple]], k: int, **knobs
@@ -861,8 +861,6 @@ class Frontend:
             result = results[row_of[key[1]]]
             if "metrics" in knobs:
                 result = result[key[3]]
-                if knobs["explain"] and not key[6]:
-                    result = replace(result, explain=None)
             if key not in stored:
                 stored.add(key)
                 self._cache_put(key, result)

@@ -86,7 +86,6 @@ from repro.errors import (
     ReproError,
     WalGapError,
 )
-from repro.obs.query_trace import QueryTraceBuilder
 from repro.obs.trace_context import active_context, new_request_id
 from repro.obs.tracer import Span
 from repro.persistence import save_index
@@ -702,7 +701,6 @@ class ShardedSearchService:
         request_id: str | None = None,
         trace_context=None,
         deadline_ms: float | None = None,
-        explain: bool = False,
     ):
         """Answer one ``Np(q, k, c)`` query across all shards.
 
@@ -715,15 +713,13 @@ class ShardedSearchService:
         ``knn_batch(metrics=...)`` does.
         ``request_id``/``trace_context``/``deadline_ms`` opt the query
         into distributed tracing and the advisory deadline — see
-        :meth:`search_batch`.  ``explain=True`` attaches the query's
-        record (DESIGN §15) as ``result.explain``; answers stay
-        bit-identical.
+        :meth:`search_batch`.
         """
         return self.search_batch(
             self.index._check_query(query)[None, :], k, p=p, metrics=metrics,
             cap=cap, radius=radius, telemetry=telemetry,
             request_id=request_id, trace_context=trace_context,
-            deadline_ms=deadline_ms, explain=explain,
+            deadline_ms=deadline_ms,
         )[0]
 
     def search_batch(
@@ -739,7 +735,6 @@ class ShardedSearchService:
         request_id: str | None = None,
         trace_context=None,
         deadline_ms: float | None = None,
-        explain: bool = False,
     ) -> list:
         """Answer a ``(m, d)`` matrix of queries as one synchronised wave.
 
@@ -747,7 +742,9 @@ class ShardedSearchService:
         per-query radii and termination stay independent (a finished
         query simply drops out of later rounds).  Returns one
         :class:`~repro.api.SearchResult` per row, each with the
-        per-shard random-I/O breakdown in ``shard_io``.
+        per-shard random-I/O breakdown in ``shard_io`` and its record
+        in ``trace`` (``engine="sharded"``; EXPLAIN is a view of it,
+        DESIGN §15).
 
         ``metrics`` (instead of ``p``, default ``1.0``) answers every
         row under all listed metrics, one Section 4.3 shared scan per
@@ -763,9 +760,7 @@ class ShardedSearchService:
         the round payloads, workers open ``worker.round`` child spans
         under it, and the finished tree lands in the telemetry's trace
         store under one trace id.  ``deadline_ms`` is advisory: results
-        stay bit-identical, overruns are flagged/counted.  ``explain``
-        attaches each result's query record (its trace's ``to_dict()``,
-        DESIGN §15) as ``result.explain``.
+        stay bit-identical, overruns are flagged/counted.
 
         Thread-safe: the wave holds ``self.lock`` (re-entrant), so
         concurrent callers and ``ingest`` are serialised.
@@ -786,7 +781,7 @@ class ShardedSearchService:
                     index._lane_group(
                         queries[j], k, 1.0 if p is None else p,
                         metrics=metrics, cap=cap, radius=radius,
-                        query_hashes=hashes[:, j].copy(),
+                        query_hashes=hashes[:, j].copy(), engine="sharded",
                     )
                     for j in range(queries.shape[0])
                 ]
@@ -814,23 +809,17 @@ class ShardedSearchService:
             start = time.monotonic()
             with root:
                 rows = self._execute(
-                    groups, build, hashes, telemetry, explain=explain,
-                    request_id=request_id,
+                    groups, build, hashes, telemetry, request_id=request_id,
                     trace_id=None if ctx is None else ctx.trace_id,
                 )
             if telemetry is not None and ctx is not None:
                 telemetry.finish_trace(ctx)
-            answers = [result for row in rows for result in row]
-            if request_id is not None:
-                for result in answers:
-                    result.request_id = request_id
-                    if ctx is not None:
-                        result.trace_id = ctx.trace_id
             if deadline_ms is not None:
                 elapsed = time.monotonic() - start
                 if elapsed * 1000.0 > deadline_ms:
-                    for result in answers:
-                        result.deadline_exceeded = True
+                    for row in rows:
+                        for result in row:
+                            result.deadline_exceeded = True
                     if telemetry is not None:
                         telemetry.note_deadline_overrun(
                             deadline_ms=deadline_ms,
@@ -847,15 +836,15 @@ class ShardedSearchService:
     # ------------------------------------------------------------------
 
     def _execute(
-        self, groups, build, hashes, telemetry,
-        *, explain=False, request_id=None, trace_id=None,
+        self, groups, build, hashes, telemetry, *, request_id=None, trace_id=None,
     ) -> list[list]:
         """Run one wave of lane groups; one result list per group.
 
         ``build`` makes fresh groups for the replay after a repair.
         Every attempt fills its own :class:`_WaveObs`; the successful
-        one is published when the wave has telemetry.  Workers parent
-        their round spans to the wave's root span, if one is open.
+        one and the results' records are published when the wave has
+        telemetry.  Workers parent their round spans to the wave's root
+        span, if one is open.
         """
         trace = None if telemetry is None else telemetry.tracer.current_context()
         for attempt in range(2):
@@ -864,19 +853,6 @@ class ShardedSearchService:
             for group in groups:
                 for lane in group.lanes:
                     lane.shard_random = np.zeros(self.n_shards, dtype=np.int64)
-                    if telemetry is not None:
-                        lane.trace = telemetry.query_trace_builder(
-                            p=lane.p, k=lane.k, engine="sharded",
-                            rehashing=self.index.rehashing, cap=lane.cap,
-                        )
-                    elif explain:
-                        # EXPLAIN without telemetry: build the round
-                        # records through the same hooks, just without
-                        # recording them.
-                        lane.trace = QueryTraceBuilder(
-                            p=lane.p, k=lane.k, engine="sharded",
-                            rehashing=self.index.rehashing, cap=lane.cap,
-                        )
             wave = _WaveObs(self.n_shards)
             try:
                 self._run_wave(groups, wave, trace)
@@ -921,22 +897,13 @@ class ShardedSearchService:
                     bucket = hashes[:, j].tobytes()
                 row = []
                 for lane in group.lanes:
-                    result = _lane_result(lane)
-                    result.shard_io = [
-                        IOStats(random=int(x)) for x in lane.shard_random
-                    ]
+                    result = _lane_result(
+                        lane,
+                        shard_io=[IOStats(random=int(x)) for x in lane.shard_random],
+                        request_id=request_id,
+                        trace_id=trace_id,
+                    )
                     self.index.io_stats.merge(lane.io)
-                    if lane.trace is not None:
-                        result.trace = lane.trace.finish(
-                            termination=lane.stop_reason,
-                            io=lane.io,
-                            candidates=result.candidates,
-                            shard_io=result.shard_io,
-                            request_id=request_id,
-                            trace_id=trace_id,
-                        )
-                        if explain:
-                            result.explain = result.trace.to_dict()
                     if telemetry is not None:
                         telemetry.record(
                             result.trace,

@@ -308,6 +308,11 @@ class InvertedListStore:
         }
 
     @property
+    def value_range(self) -> tuple[int, int]:
+        """The exact ``(vmin, vmax)`` of the stored hash values."""
+        return self._vmin, self._vmin + self._stride - 2
+
+    @property
     def num_functions(self) -> int:
         """Number of base hash functions materialised."""
         return self._num_functions

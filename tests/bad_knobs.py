@@ -30,6 +30,9 @@ BAD_KNOBS = {
     ),
     "empty-metrics": ({"metrics": ()}, "metrics must be non-empty"),
     "non-finite-query": ({"query": np.nan}, "non-finite"),
+    # Base hashes near 4e20: the windows that cover the index's hash
+    # domain from them would leave int64.
+    "far-query": ({"query": 1e18}, "past int64"),
 }
 
 

@@ -41,7 +41,8 @@ def _config(seed: int = 13) -> LazyLSHConfig:
 
 
 def assert_results_identical(a, b) -> None:
-    """Flat and scalar KnnResults must match bit for bit, I/O included."""
+    """Flat and scalar KnnResults must match bit for bit, I/O and
+    records included."""
     assert np.array_equal(a.ids, b.ids)
     assert np.array_equal(a.distances, b.distances)
     assert a.ids.dtype == b.ids.dtype
@@ -51,6 +52,7 @@ def assert_results_identical(a, b) -> None:
     assert a.io.random == b.io.random
     assert a.termination == b.termination
     assert a.termination in TERMINATION_REASONS
+    assert_traces_identical(a.trace, b.trace)
 
 
 def assert_traces_identical(a, b) -> None:
@@ -329,21 +331,14 @@ class TestTraceEquivalence:
         self, dual_index, engine_split, p, block_budgets
     ):
         for query in engine_split.queries:
-            ts = Telemetry()
-            scalar = dual_index.knn(
-                query, 10, p=p, engine="scalar", telemetry=ts
-            )
+            scalar = dual_index.knn(query, 10, p=p, engine="scalar")
             for _ in block_budgets():
-                tf = Telemetry()
-                flat = dual_index.knn(
-                    query, 10, p=p, engine="flat", telemetry=tf
-                )
+                flat = dual_index.knn(query, 10, p=p, engine="flat")
                 assert_results_identical(flat, scalar)
-                assert len(tf.traces) == len(ts.traces) == 1
-                assert_traces_identical(tf.traces[0], ts.traces[0])
+                assert (flat.trace.engine, scalar.trace.engine) == ("flat", "scalar")
                 # The trace's totals mirror the result's I/O exactly.
-                assert tf.traces[0].io.to_dict() == flat.io.to_dict()
-                assert tf.traces[0].candidates == flat.candidates
+                assert flat.trace.io.to_dict() == flat.io.to_dict()
+                assert flat.trace.candidates == flat.candidates
 
     def test_traced_run_matches_untraced(self, dual_index, engine_split):
         for query in engine_split.queries:
@@ -356,65 +351,41 @@ class TestTraceEquivalence:
     def test_multiquery_traces_identical(self, engine_split, block_budgets):
         index = LazyLSH(_config()).build(engine_split.data)
         multi = MultiQueryEngine(index)
-        by_p = lambda t: t.p  # noqa: E731
         for query in engine_split.queries:
-            ts = Telemetry()
-            multi.knn(query, 10, metrics=P_VALUES, engine="scalar", telemetry=ts)
+            scalar = multi.knn(query, 10, metrics=P_VALUES, engine="scalar")
             for _ in block_budgets():
-                tf = Telemetry()
-                multi.knn(
-                    query, 10, metrics=P_VALUES, engine="flat", telemetry=tf
-                )
-                assert len(tf.traces) == len(ts.traces) == len(P_VALUES)
-                for a, b in zip(
-                    sorted(tf.traces, key=by_p), sorted(ts.traces, key=by_p)
-                ):
-                    assert_traces_identical(a, b)
+                flat = multi.knn(query, 10, metrics=P_VALUES, engine="flat")
+                for p in P_VALUES:
+                    assert flat[p].trace.p == p
+                    assert_traces_identical(flat[p].trace, scalar[p].trace)
 
     def test_batch_traces_per_query(self, engine_split, block_budgets):
         index = LazyLSH(_config()).build(engine_split.data)
-        scalar_tel = Telemetry()
-        knn_batch(
-            index,
-            engine_split.queries,
-            10,
-            p=0.5,
-            engine="scalar",
-            telemetry=scalar_tel,
-        )
+        scalar = knn_batch(index, engine_split.queries, 10, p=0.5, engine="scalar")
         for _ in block_budgets():
-            telemetry = Telemetry()
-            batch = knn_batch(
-                index, engine_split.queries, 10, p=0.5, telemetry=telemetry
-            )
-            assert len(telemetry.traces) == len(engine_split.queries)
-            assert [t.query_id for t in telemetry.traces] == list(
+            batch = knn_batch(index, engine_split.queries, 10, p=0.5)
+            assert [r.trace.query_id for r in batch] == list(
                 range(len(engine_split.queries))
             )
-            for a, b, result in zip(
-                telemetry.traces, scalar_tel.traces, batch.results
-            ):
-                assert a.query_id == b.query_id
-                assert_traces_identical(a, b)
-                assert a.io_delta_sum().to_dict() == result.io.to_dict()
+            for a, b in zip(batch, scalar):
+                assert a.trace.query_id == b.trace.query_id
+                assert_traces_identical(a.trace, b.trace)
+                assert a.trace.io_delta_sum().to_dict() == a.io.to_dict()
 
     def test_metrics_batch_traces_numbered_by_row(self, engine_split):
         """Each (row, metric) trace of a metrics batch carries the row."""
         index = LazyLSH(_config()).build(engine_split.data)
-        rows = len(engine_split.queries)
         traces = {}
         for engine_name in ("flat", "scalar"):
             telemetry = Telemetry()
             # An earlier call advances the telemetry's automatic ids.
-            index.knn(engine_split.queries[0], 10, p=0.5, telemetry=telemetry)
+            first = index.knn(engine_split.queries[0], 10, p=0.5, telemetry=telemetry)
+            assert first.trace.query_id == 0
             batch = knn_batch(
                 index, engine_split.queries, 10, metrics=P_VALUES,
                 engine=engine_name, telemetry=telemetry,
             )
-            traces[engine_name] = telemetry.traces[1:]
-            assert [t.query_id for t in traces[engine_name]] == [
-                row for row in range(rows) for _p in P_VALUES
-            ]
+            traces[engine_name] = [result[p].trace for result in batch for p in P_VALUES]
             for row, result in enumerate(batch):
                 for p in P_VALUES:
                     assert result[p].trace.query_id == row

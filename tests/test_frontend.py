@@ -17,6 +17,7 @@ Pins the front door's three contracts (DESIGN §14):
 """
 
 import gc
+import hashlib
 import json
 import logging
 import os
@@ -34,6 +35,7 @@ import pytest
 from repro import LazyLSH, LazyLSHConfig, ShardedSearchService
 from repro.core.engine import LaneGroup
 from repro.durability import WalRecord
+from repro.obs import validate_trace_dict
 from repro.serve import Frontend
 from repro.serve.frontend import HTTP_STATUS_BY_CODE, error_body
 
@@ -142,14 +144,17 @@ class TestMultiMetricWaves:
     def test_same_point_burst_is_one_service_wave(self, stack, monkeypatch):
         """A same-point burst across metrics costs one multi-metric
         service wave, never a scan on the coordinator, and its EXPLAIN
-        request gets its explain section."""
+        request gets its explain section.  A plain and an EXPLAIN request
+        for one point and metric ride one row and leave one cache entry."""
         data, service, door = stack
         waves = []
+        rows = []
         search_batch = service.search_batch
 
-        def spy(*args, **kwargs):
+        def spy(queries, *args, **kwargs):
             waves.append(kwargs)
-            return search_batch(*args, **kwargs)
+            rows.append(len(queries))
+            return search_batch(queries, *args, **kwargs)
 
         def local_scan(*_args, **_kwargs):
             raise AssertionError("the coordinator scanned the index")
@@ -159,12 +164,15 @@ class TestMultiMetricWaves:
         monkeypatch.setattr(door, "coalesce_ms", 250.0)
         query = (data[37] + 0.25).tolist()
         bodies = [{"v": 1, "query": query, "k": K, "p": p} for p in METRICS]
+        bodies.append(dict(bodies[1]))
         bodies[1]["explain"] = True
         with ThreadPoolExecutor(max_workers=len(bodies)) as pool:
             responses = list(pool.map(lambda b: _post(door.url, b), bodies))
         monkeypatch.undo()
-        assert len(waves) == 1
+        assert len(waves) == 1 and rows == [1]
         assert waves[0]["metrics"] == sorted(METRICS)
+        digest = hashlib.sha1(np.asarray(query, dtype=np.float64).tobytes()).hexdigest()
+        assert sorted(key[3] for key in door._cache if key[1] == digest) == sorted(METRICS)
         for body, (status, payload) in zip(bodies, responses):
             assert status == 200, payload
             assert payload["coalesced"] is True
@@ -175,6 +183,8 @@ class TestMultiMetricWaves:
                 float(d) for d in reference.distances
             ]
         assert responses[1][1]["explain"]["rounds"]
+        validate_trace_dict(responses[1][1]["explain"])
+        assert responses[1][1]["ids"] == responses[-1][1]["ids"]
 
 
 class TestResultCache:
@@ -398,6 +408,29 @@ class TestWireErrors:
         )
         assert status == 400
         assert payload["error"]["code"] == "invalid_parameter"
+
+    def test_far_query_fails_alone_in_its_flush(self, stack, monkeypatch):
+        """A query whose windows would leave int64 gets 400 before any
+        wave; a well-formed request coalesced beside it gets 200."""
+        data, service, door = stack
+        monkeypatch.setattr(door, "coalesce_ms", 50.0)
+        far = data[41].copy()
+        far[0] = 1e18
+        bodies = [
+            {"v": 1, "query": far.tolist(), "k": K, "p": 1.0},
+            {"v": 1, "query": data[43].tolist(), "k": K, "p": 1.0},
+        ]
+        with ThreadPoolExecutor(max_workers=len(bodies)) as pool:
+            (bad_status, bad), (good_status, good) = pool.map(
+                lambda b: _post(door.url, b), bodies
+            )
+        monkeypatch.undo()
+        assert bad_status == 400, bad
+        assert bad["error"]["code"] == "invalid_parameter"
+        assert "past int64" in bad["error"]["message"]
+        assert good_status == 200, good
+        reference = service.search(data[43], K, p=1.0)
+        assert good["ids"] == [int(i) for i in reference.ids]
 
     def test_metrics_list_is_rejected(self, stack):
         data, _service, door = stack

@@ -3,7 +3,7 @@
 Covers the metrics registry's counter/gauge/histogram semantics and
 exports, span nesting and JSONL round-trips, QueryTrace construction /
 schema validation, the Telemetry facade (instrument updates, store
-observer) and the disabled-telemetry no-op guard the engines rely on.
+observer) and the records every run builds with or without telemetry.
 """
 
 from __future__ import annotations
@@ -13,7 +13,15 @@ import json
 import numpy as np
 import pytest
 
-from repro import LazyLSH, Telemetry, knn_batch
+from repro import (
+    LazyLSH,
+    MultiQueryEngine,
+    MultiQueryResult,
+    ShardedSearchService,
+    Telemetry,
+    knn_batch,
+)
+from repro.core.lazylsh import KnnResult
 from repro.datasets import make_synthetic, sample_queries
 from repro.errors import InvalidParameterError
 from repro.obs import (
@@ -29,6 +37,7 @@ from repro.obs import (
     load_spans_jsonl,
     load_traces_jsonl,
     parse_prometheus_text,
+    summarize_traces,
     validate_trace_dict,
     write_traces_jsonl,
 )
@@ -295,29 +304,17 @@ class TestTelemetryFacade:
     def test_record_updates_instruments(self, obs_index):
         index, split = obs_index
         telemetry = Telemetry()
-        index.knn(split.queries[0], 5, p=0.5, telemetry=telemetry)
+        trace = index.knn(split.queries[0], 5, p=0.5, telemetry=telemetry).trace
         queries = telemetry.registry.get("lazylsh_queries_total")
         assert queries.value(engine="flat", p="0.5") == 1
-        trace = telemetry.traces[0]
+        assert trace.query_id == 0  # numbered when published
         terminations = telemetry.registry.get("lazylsh_query_terminations_total")
         assert terminations.value(reason=trace.termination) == 1
         rounds = telemetry.registry.get("lazylsh_query_rounds")
         assert rounds.count() == 1
         assert rounds.sum() == trace.num_rounds
         assert "lazylsh_queries_total" in telemetry.metrics_text()
-        assert telemetry.summary()["queries"] == 1
-
-    def test_capture_traces_disabled_keeps_metrics(self, obs_index):
-        index, split = obs_index
-        telemetry = Telemetry(capture_traces=False)
-        index.knn(split.queries[0], 5, p=0.5, telemetry=telemetry)
-        assert telemetry.traces == []
-        assert (
-            telemetry.registry.get("lazylsh_queries_total").value(
-                engine="flat", p="0.5"
-            )
-            == 1
-        )
+        assert summarize_traces([trace])["queries"] == 1
 
     def test_spans_wrap_query_entry_points(self, obs_index):
         index, split = obs_index
@@ -352,8 +349,39 @@ class TestTelemetryFacade:
         assert windows.value() > 0
 
 
+def _per_lane(answer) -> list:
+    """The per-(query, metric) results of one entry point's answer."""
+    if isinstance(answer, MultiQueryResult):
+        return list(answer.results.values())
+    if isinstance(answer, KnnResult):
+        return [answer]
+    return [result for part in answer for result in _per_lane(part)]
+
+
+def _record(result) -> dict:
+    """A result's record, checked, without its per-call fields."""
+    record = result.trace.to_dict()
+    validate_trace_dict(record)
+    assert result.trace.io_delta_sum().to_dict() == result.io.to_dict()
+    del record["query_id"], record["elapsed_seconds"]
+    return record
+
+
+def _assert_same_run(plain, traced) -> None:
+    """Answers, I/O and records agree with and without telemetry."""
+    plain, traced = _per_lane(plain), _per_lane(traced)
+    assert len(plain) == len(traced) > 0
+    for a, b in zip(plain, traced):
+        assert np.array_equal(a.ids, b.ids)
+        assert np.array_equal(a.distances, b.distances)
+        assert a.io.to_dict() == b.io.to_dict()
+        assert a.termination == b.termination
+        assert _record(a) == _record(b)
+
+
 class TestNoOpGuard:
-    """With telemetry=None the engines must leave no observable residue."""
+    """With telemetry=None the engines leave no observable residue, and
+    every run still carries its record."""
 
     def test_default_leaves_no_hooks(self, obs_index):
         index, split = obs_index
@@ -362,15 +390,39 @@ class TestNoOpGuard:
         assert result.termination in (TERMINATION_K_WITHIN, TERMINATION_CAP)
 
     def test_results_identical_with_and_without_telemetry(self, obs_index):
+        """Every kNN entry point: the same answers, I/O and record."""
         index, split = obs_index
+        queries, query, metrics = split.queries, split.queries[1], (0.5, 1.0)
+        multi = MultiQueryEngine(index)
         for engine in ("flat", "scalar"):
-            plain = index.knn(split.queries[1], 5, p=0.5, engine=engine)
-            traced = index.knn(
-                split.queries[1], 5, p=0.5, engine=engine, telemetry=Telemetry()
-            )
-            assert np.array_equal(plain.ids, traced.ids)
-            assert plain.io.to_dict() == traced.io.to_dict()
-            assert plain.termination == traced.termination
+            for call in (
+                lambda tel: index.knn(query, 5, p=0.5, engine=engine, telemetry=tel),
+                lambda tel: knn_batch(
+                    index, queries, 5, p=0.5, engine=engine, telemetry=tel
+                ),
+                lambda tel: knn_batch(
+                    index, queries, 5, metrics=metrics, engine=engine, telemetry=tel
+                ),
+                lambda tel: multi.knn(
+                    query, 5, metrics=metrics, engine=engine, telemetry=tel
+                ),
+            ):
+                _assert_same_run(call(None), call(Telemetry()))
+        for n_shards in (1, 2, 3):
+            with ShardedSearchService(index, n_shards=n_shards) as service:
+                for call in (
+                    lambda tel: service.search(query, 5, p=0.5, telemetry=tel),
+                    lambda tel: service.search(
+                        query, 5, metrics=metrics, telemetry=tel
+                    ),
+                    lambda tel: service.search_batch(
+                        queries, 5, p=0.5, telemetry=tel
+                    ),
+                    lambda tel: service.search_batch(
+                        queries, 5, metrics=metrics, telemetry=tel
+                    ),
+                ):
+                    _assert_same_run(call(None), call(Telemetry()))
 
     def test_batch_without_telemetry_records_nothing(self, obs_index):
         index, split = obs_index

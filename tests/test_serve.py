@@ -198,16 +198,19 @@ class TestMultiMetric:
             _assert_identical(reference.knn(query, 8, p=0.75), sharded)
 
     def test_explain_and_traces_per_metric(self, built_index, small_split):
+        """Each metric's result carries its sharded record (EXPLAIN is a
+        view of it); telemetry publishes them in ascending ``p``."""
         telemetry = Telemetry()
         with ShardedSearchService(built_index, n_shards=2) as svc:
             result = svc.search(
-                small_split.queries[0], 5, metrics=MULTI,
-                telemetry=telemetry, explain=True,
+                small_split.queries[0], 5, metrics=MULTI, telemetry=telemetry,
             )
-        assert [t.p for t in telemetry.traces] == list(MULTI)
-        for p in MULTI:
-            assert result[p].explain is not None
-            assert result[p].trace.engine == "sharded"
+        published = telemetry.registry.get("lazylsh_queries_total")
+        for query_id, p in enumerate(MULTI):
+            trace = result[p].trace
+            assert (trace.engine, trace.p, trace.query_id) == ("sharded", p, query_id)
+            validate_trace_dict(trace.to_dict())
+            assert published.value(engine="sharded", p=f"{p:g}") == 1
 
     def test_coordinator_groups_bind_no_row_state(
         self, built_index, small_split, service, monkeypatch
@@ -305,17 +308,12 @@ class TestPersistenceRoundTrip:
 
 class TestTelemetry:
     def test_merged_traces_match_flat_engine(self, built_index, small_split):
-        sharded_tel = Telemetry()
         with ShardedSearchService(built_index, n_shards=2) as svc:
-            svc.search_batch(
-                small_split.queries, 5, p=0.7, telemetry=sharded_tel
-            )
-        flat_tel = Telemetry()
-        for query in small_split.queries:
-            built_index.knn(query, 5, p=0.7, telemetry=flat_tel)
-        assert len(sharded_tel.traces) == len(flat_tel.traces)
-        for ts, tf in zip(sharded_tel.traces, flat_tel.traces):
-            ds, df = ts.to_dict(), tf.to_dict()
+            sharded = svc.search_batch(small_split.queries, 5, p=0.7)
+        flat = [built_index.knn(query, 5, p=0.7) for query in small_split.queries]
+        assert len(sharded) == len(flat)
+        for rs, rf in zip(sharded, flat):
+            ds, df = rs.trace.to_dict(), rf.trace.to_dict()
             validate_trace_dict(ds)
             assert ds["engine"] == "sharded"
             # Round-for-round: level, radius, collisions, crossings and
@@ -458,9 +456,10 @@ class TestFleetTelemetry:
         ) as svc:
             result = svc.search(small_split.queries[0], 5, p=0.8)
         # No per-call telemetry was passed; the service-level one
-        # captured the wave and the result carries its trace.
-        assert len(telemetry.traces) == 1
-        assert result.trace is not None
+        # published the result's record.
+        published = telemetry.registry.get("lazylsh_queries_total")
+        assert published.value(engine="sharded", p="0.8") == 1
+        assert result.trace.query_id == 0
         validate_trace_dict(result.trace.to_dict())
 
     def test_aborted_attempt_leaves_no_residue(

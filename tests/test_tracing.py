@@ -528,9 +528,7 @@ class TestEndToEndServiceTrace:
 
     def test_cross_process_trace_tree(self, built_index, small_split):
         store = TraceStore()
-        telemetry = Telemetry(
-            capture_traces=False, trace_store=store, trace_sample=0.0
-        )
+        telemetry = Telemetry(trace_store=store, trace_sample=0.0)
         ctx = TraceContext.new()
         with ShardedSearchService(
             built_index, n_shards=2, telemetry=telemetry
@@ -579,7 +577,7 @@ class TestEndToEndServiceTrace:
             exporter.stop()
 
     def test_deadline_overrun_flags_and_counts(self, built_index, small_split):
-        registry_telemetry = Telemetry(capture_traces=False)
+        registry_telemetry = Telemetry()
         recorder = FlightRecorder(
             registry=registry_telemetry.registry, min_interval_seconds=0.0
         )
@@ -599,9 +597,7 @@ class TestEndToEndServiceTrace:
 
     def test_unsampled_context_leaves_no_trace(self, built_index, small_split):
         store = TraceStore()
-        telemetry = Telemetry(
-            capture_traces=False, trace_store=store, trace_sample=0.0
-        )
+        telemetry = Telemetry(trace_store=store, trace_sample=0.0)
         ctx = TraceContext.new(sampled=False)
         with ShardedSearchService(
             built_index, n_shards=2, telemetry=telemetry

@@ -173,6 +173,28 @@ class TestDurableIndex:
         assert index._alive[5]
         durable.close()
 
+    def test_insert_the_index_cannot_apply_is_not_journaled(self, tmp_path):
+        """A finite point whose base hashes leave int64 is refused before
+        the log sees it; the next insert takes the next LSN and ids, and
+        the home recovers bit-identically."""
+        index, data = _build()
+        durable = create(index, tmp_path, sync=False)
+        durable.insert(_batch(2))
+        far = _batch(1, seed=51)
+        far[0, 0] = 1e18
+        with pytest.raises(InvalidParameterError, match="past int64"):
+            durable.insert(far)
+        assert durable.last_lsn == 1
+        assert index.num_rows == 242
+        ids = durable.insert(_batch(3, seed=52))
+        np.testing.assert_array_equal(ids, np.arange(242, 245))
+        assert durable.last_lsn == 2
+        durable.close()
+        recovered, report = recover(tmp_path, sync=False)
+        assert report["replayed_records"] == 2
+        assert states_identical(recovered.index, index, queries=data[:3], k=5)
+        recovered.close()
+
 
 @pytest.fixture
 def home(tmp_path):

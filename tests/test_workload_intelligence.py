@@ -5,7 +5,7 @@ Covers the Space-Saving heavy-hitter sketch and WorkloadAnalytics
 continuous sampling profiler (deterministic single samples, folded
 rendering, lifecycle, on-demand captures), query EXPLAIN (the query
 record, its validation and rendering, the per-round I/O delta-sum
-invariant, wire round-trips on SearchRequest/SearchResult, one record
+invariant, the request's wire round-trip, one record
 shared with the slow-query log), the slow-query log's
 request/trace correlation ids, structured logging configuration, and
 the /proc-based paging metrics' graceful degradation off Linux.
@@ -26,7 +26,7 @@ import pytest
 
 import repro
 import repro.obs.procstat as procstat
-from repro.api import SearchRequest, SearchResult
+from repro.api import SearchRequest
 from repro.errors import InvalidParameterError, WireFormatError
 from repro.logconfig import (
     ROOT_LOGGER_NAME,
@@ -503,9 +503,8 @@ class TestExplain:
             c=3.0, p_min=0.5, seed=11, mc_samples=20_000, mc_buckets=100
         )
         index = LazyLSH(cfg).build(data)
-        telemetry = Telemetry()
-        result = index.knn(rng.normal(size=8), 5, p=0.5, telemetry=telemetry)
-        record = telemetry.traces[0].to_dict()
+        result = index.knn(rng.normal(size=8), 5, p=0.5, telemetry=Telemetry())
+        record = result.trace.to_dict()
         validate_trace_dict(record)
         assert record["candidates"] == result.candidates
         assert record["num_rounds"] == result.rounds
@@ -528,15 +527,15 @@ class TestExplain:
             index, n_shards=2, telemetry=telemetry
         ) as service:
             results = service.search_batch(
-                data[:3] + 0.01, 5, p=0.5, explain=True,
-                request_id="req-1",
+                data[:3] + 0.01, 5, p=0.5, request_id="req-1",
             )
         entries = log.to_dicts()
         assert len(entries) == len(results) == 3
         for result, entry in zip(results, entries):
-            validate_trace_dict(result.explain)
+            explain = result.trace.to_dict()
+            validate_trace_dict(explain)
             assert entry.pop("captured_at") > 0
-            assert result.explain == entry
+            assert explain == entry
             assert entry["request_id"] == "req-1"
             assert entry["io"] == result.io.to_dict()
             assert entry["shard_io"] == [s.to_dict() for s in result.shard_io]
@@ -560,27 +559,6 @@ class TestExplainWire:
         record["explian"] = True  # typo must fail loudly
         with pytest.raises(WireFormatError, match="explian"):
             SearchRequest.from_dict(record)
-
-    def test_result_carries_explain_record(self):
-        explain = _explain_trace().to_dict()
-        result = SearchResult(
-            ids=np.asarray([1, 2], dtype=np.int64),
-            distances=np.asarray([0.1, 0.2]),
-            p=0.5,
-            k=2,
-            termination=TERMINATION_K_WITHIN,
-            explain=explain,
-        )
-        record = result.to_dict()
-        assert record["explain"] == explain
-        validate_trace_dict(record["explain"])
-        bare = SearchResult(
-            ids=np.asarray([1], dtype=np.int64),
-            distances=np.asarray([0.1]),
-            p=0.5,
-            k=1,
-        )
-        assert "explain" not in bare.to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,14 @@ The script verifies the two plans return bit-identical results and
 identical per-query I/O counts, then writes wall-clock / throughput /
 I/O numbers to ``benchmarks/results/BENCH_batch_knn.json``.
 
+A multi-metric pass then answers the same batch under
+``metrics=(0.5, 0.8, 1.0)`` (one Section 4.3 shared scan per query) on
+both engines.  It fails unless the two are bit-identical with identical
+per-query I/O, and unless every lane equals the single-metric flat run
+of its ``(query, p)`` in ids, distances, rounds, termination,
+candidates and every round's level and radius: every lane walks one
+radius schedule.
+
 Run ``--quick`` for a seconds-scale smoke version of the same pipeline
 (used by CI; writes ``BENCH_batch_knn.quick.json`` so the checked-in
 full-workload numbers are not clobbered).
@@ -39,6 +47,9 @@ from repro.obs import load_traces_jsonl, summarize_traces, write_traces_jsonl
 FULL = {"n": 10_000, "d": 50, "k": 10, "p": 0.5, "n_queries": 64}
 QUICK = {"n": 2_000, "d": 20, "k": 10, "p": 0.5, "n_queries": 16}
 
+#: The multi-metric pass's metrics.
+METRICS = (0.5, 0.8, 1.0)
+
 MC_SAMPLES = 50_000
 MC_BUCKETS = 150
 SEED = 7
@@ -58,6 +69,60 @@ def _results_match(scalar, flat) -> tuple[bool, bool]:
         for a, b in zip(scalar, flat)
     )
     return same_results, same_io
+
+
+def _same_lane(single, lane) -> bool:
+    """A single-metric result and a multi-metric lane of one ``(query,
+    p)`` agree in everything but the I/O attribution."""
+    return (
+        np.array_equal(single.ids, lane.ids)
+        and np.array_equal(single.distances, lane.distances)
+        and (single.rounds, single.termination, single.candidates)
+        == (lane.rounds, lane.termination, lane.candidates)
+        and [(r.level, r.radius) for r in single.trace.rounds]
+        == [(r.level, r.radius) for r in lane.trace.rounds]
+    )
+
+
+def _multi_metric_pass(index, split, k: int) -> dict:
+    """``knn_batch(metrics=METRICS)`` on both engines, checked.
+
+    Raises unless flat and scalar are bit-identical with identical
+    per-query I/O, and unless each lane equals the single-metric flat
+    run of its ``(query, p)`` (:func:`_same_lane`).
+    """
+    with Timer() as t_scalar:
+        scalar = knn_batch(index, split.queries, k, metrics=METRICS, engine="scalar")
+    flat, t_flat = time_knn_batch(index, split.queries, k, metrics=METRICS)
+    for p in METRICS:
+        same_results, same_io = _results_match(
+            [row[p] for row in scalar], [row[p] for row in flat]
+        )
+        if not (same_results and same_io):
+            raise AssertionError(
+                f"multi-metric flat engine diverges from the scalar path at p={p}"
+            )
+        singles = knn_batch(index, split.queries, k, p=p)
+        for j, (single, row) in enumerate(zip(singles, flat)):
+            if not _same_lane(single, row[p]):
+                raise AssertionError(
+                    f"query {j}: the p={p} lane of the multi-metric run "
+                    "diverges from the single-metric run"
+                )
+    return {
+        "metrics": list(METRICS),
+        "scalar": {
+            "seconds": round(t_scalar.seconds, 4),
+            "io": {"sequential": scalar.io.sequential, "random": scalar.io.random},
+        },
+        "flat": {
+            "seconds": round(t_flat, 4),
+            "io": {"sequential": flat.io.sequential, "random": flat.io.random},
+        },
+        "bit_identical_results": True,
+        "per_query_io_identical": True,
+        "lanes_equal_single_metric": True,
+    }
 
 
 def _traced_run(index, split, workload: dict, flat, t_flat: float, out_path: Path) -> dict:
@@ -117,6 +182,7 @@ def run(workload: dict, out_path: Path, trace: bool = False) -> dict:
         raise AssertionError("flat engine per-query I/O diverges from the scalar path")
 
     speedup = t_scalar.seconds / t_flat
+    multi_report = _multi_metric_pass(index, split, k)
     traced_report = (
         _traced_run(index, split, workload, flat, t_flat, out_path)
         if trace
@@ -137,6 +203,7 @@ def run(workload: dict, out_path: Path, trace: bool = False) -> dict:
         "speedup": round(speedup, 2),
         "bit_identical_results": same_results,
         "per_query_io_identical": same_io,
+        "multi_metric": multi_report,
         "python": platform.python_version(),
     }
     if traced_report is not None:

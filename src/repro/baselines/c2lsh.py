@@ -271,8 +271,3 @@ class C2LSH:
         self.io_stats.add_sequential(stats.sequential)
         self.io_stats.add_random(stats.random)
         return result
-
-    @property
-    def rounds_cap(self) -> int:
-        """Maximum rehashing rounds before the query loop aborts."""
-        return _MAX_ROUNDS

@@ -609,13 +609,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             base_lsn=base_lsn,
         ) as service:
             if feed is not None:
-                applied = service.ingest(feed.poll())
-                if applied:
-                    print(
-                        f"applied {applied} WAL records "
-                        f"(now at LSN {service.acked_lsn})",
-                        file=sys.stderr,
-                    )
+                _apply_wal(service, feed, service)
             if ops_plane:
                 flight.health = service.health
                 exporter = ObsExporter(
@@ -678,35 +672,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     "(ctrl-C to stop early)",
                     file=sys.stderr,
                 )
-                deadline = time.monotonic() + args.linger
-                try:
-                    while time.monotonic() < deadline:
-                        if feed is not None:
-                            # Through the front door so its result cache
-                            # sees the epoch bump (same call when no
-                            # --http-port: Frontend.ingest delegates).
-                            sink = (
-                                frontend if frontend is not None else service
-                            )
-                            applied = sink.ingest(feed.poll())
-                            if applied:
-                                print(
-                                    f"applied {applied} WAL records "
-                                    f"(now at LSN {service.acked_lsn})",
-                                    file=sys.stderr,
-                                )
-                        if ops_plane:
-                            paging.update(stores=index.mapped_regions())
-                        remaining = deadline - time.monotonic()
-                        step = (
-                            min(args.poll_interval, remaining)
-                            if feed is not None or ops_plane
-                            else remaining
+
+                def tick() -> None:
+                    if feed is not None:
+                        # Through the front door so its result cache sees
+                        # the epoch bump (Frontend.ingest delegates).
+                        _apply_wal(
+                            service if frontend is None else frontend,
+                            feed, service,
                         )
-                        if step > 0:
-                            time.sleep(step)
-                except KeyboardInterrupt:
-                    pass
+                    if ops_plane:
+                        paging.update(stores=index.mapped_regions())
+
+                _linger(args.linger, args.poll_interval, tick)
                 if frontend is not None:
                     # Re-snapshot: include the traffic served while
                     # lingering, not just the warm-up batch.
@@ -724,19 +702,33 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_linger(linger: float | None, tick) -> None:
-    """Run ``tick()`` every loop until ``linger`` elapses (None = forever).
+def _linger(linger: float | None, interval: float, tick) -> None:
+    """Call ``tick()`` every ``interval`` seconds until ``linger`` elapses.
 
-    Ctrl-C exits cleanly in either mode — cluster roles are daemons, so
-    the default is to serve until interrupted; ``--linger N`` bounds the
-    run for smoke tests and benchmarks.
+    ``None`` lingers until ctrl-C, which ends either mode cleanly: the
+    cluster roles are daemons and serve until interrupted, while
+    ``serve --linger N`` (and a cluster role's ``--linger N``) bounds
+    the run for watching it, smoke tests and benchmarks.
     """
     deadline = None if linger is None else time.monotonic() + float(linger)
     try:
         while deadline is None or time.monotonic() < deadline:
             tick()
+            remaining = interval if deadline is None else deadline - time.monotonic()
+            if remaining > 0:
+                time.sleep(min(interval, remaining))
     except KeyboardInterrupt:
         pass
+
+
+def _apply_wal(sink, feed, service) -> None:
+    """Apply the WAL records ``feed`` has seen through ``sink``'s ingest."""
+    applied = sink.ingest(feed.poll())
+    if applied:
+        print(
+            f"applied {applied} WAL records (now at LSN {service.acked_lsn})",
+            file=sys.stderr,
+        )
 
 
 def cmd_cluster_lead(args: argparse.Namespace) -> int:
@@ -796,17 +788,10 @@ def cmd_cluster_lead(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-            def tick() -> None:
-                applied = frontend.ingest(feed.poll())
-                if applied:
-                    print(
-                        f"applied {applied} WAL records "
-                        f"(now at LSN {service.acked_lsn})",
-                        file=sys.stderr,
-                    )
-                time.sleep(args.poll_interval)
-
-            _cluster_linger(args.linger, tick)
+            _linger(
+                args.linger, args.poll_interval,
+                lambda: _apply_wal(frontend, feed, service),
+            )
             report = {
                 "role": "leader",
                 "acked_lsn": service.acked_lsn,
@@ -859,7 +844,7 @@ def cmd_cluster_follow(args: argparse.Namespace) -> int:
             f"front door {node.url}",
             file=sys.stderr,
         )
-        _cluster_linger(args.linger, lambda: time.sleep(0.2))
+        _linger(args.linger, 0.2, lambda: None)
         report = dict(node.status(), role="follower")
     finally:
         if exporter is not None:
@@ -901,7 +886,7 @@ def cmd_cluster_route(args: argparse.Namespace) -> int:
             f"metrics {router.url}/metrics",
             file=sys.stderr,
         )
-        _cluster_linger(args.linger, lambda: time.sleep(0.2))
+        _linger(args.linger, 0.2, lambda: None)
         report = router.describe()
     finally:
         router.stop()

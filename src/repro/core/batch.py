@@ -15,8 +15,8 @@ in-process runner (``LazyLSH._run``), the same one ``LazyLSH.knn`` and
   looping :meth:`LazyLSH.knn` — the batch changes the execution plan,
   not the simulated cost model.
 
-``engine="scalar"`` loops the two scalar reference loops query by
-query instead.
+``engine="scalar"`` runs the scalar oracle (``LazyLSH._scalar_knn``)
+query by query instead, for ``p`` and ``metrics`` alike.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 from repro._typing import PointMatrix
 from repro.api import aggregate_io, check_knobs
 from repro.core.lazylsh import LazyLSH, _entry_span
-from repro.core.multiquery import MultiQueryEngine, MultiQueryResult
+from repro.core.multiquery import MultiQueryResult
 from repro.errors import InvalidParameterError
 from repro.storage.io_stats import IOStats
 
@@ -117,32 +117,15 @@ def knn_batch(
     if queries.shape[0] == 0:
         return BatchKnnResult(results=[])
     p = 1.0 if p is None else p
-    results: list
     with _entry_span(
         telemetry, "knn_batch", engine=engine, k=k, queries=int(queries.shape[0])
     ):
-        if engine == "flat":
-            rows = index._run(
-                queries, k, p=p, metrics=metrics, cap=cap, radius=radius,
-                telemetry=telemetry, row_ids=True,
-            )
-            results = (
-                [row[0] for row in rows] if metrics is None
-                else [MultiQueryResult.of(row) for row in rows]
-            )
-        elif metrics is None:
-            results = []
-            for j in range(queries.shape[0]):
-                stats = IOStats()
-                results.append(index._knn_impl(
-                    queries[j], k, p, stats,
-                    telemetry=telemetry, query_id=j, cap=cap, radius=radius,
-                ))
-                index.io_stats.merge(stats)
-        else:
-            multi = MultiQueryEngine(index)
-            results = [
-                multi._knn_impl(queries[j], k, metrics, telemetry, cap, query_id=j)
-                for j in range(queries.shape[0])
-            ]
+        rows = index._run(
+            queries, k, p=p, metrics=metrics, cap=cap, radius=radius,
+            engine=engine, telemetry=telemetry, row_ids=True,
+        )
+    results = (
+        [row[0] for row in rows] if metrics is None
+        else [MultiQueryResult.of(row) for row in rows]
+    )
     return BatchKnnResult(results=results, io=aggregate_io(results))

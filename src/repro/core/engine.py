@@ -35,12 +35,15 @@ promotion and termination over one or more scans).  The engine scans its
 full store in-process; the sharded service's workers run the same kernel
 over their sub-run stores and the coordinator merges their parts, so
 :func:`execute_rounds` is the one Algorithm-4 driver besides the scalar
-oracles.
+oracle.  Every lane group walks one radius schedule, Section 4.3's:
+round ``j`` searches level ``level0 * c**j`` (``level0`` is 1, or
+``r_hat * radius`` under a single-metric radius override) and each
+lane's radius is ``delta = level / r_hat``.
 
 The engine is a pure execution-plan change: candidate order, termination
 round/function, results, and the simulated sequential/random I/O counts
-are bit-identical to the scalar reference loops (``LazyLSH._knn_impl`` and
-``MultiQueryEngine``'s scalar path), which the paper's evaluation measures.
+are bit-identical to the scalar oracle (``LazyLSH._scalar_knn``), which
+the paper's evaluation measures.
 
 Why exactness holds
 -------------------
@@ -58,17 +61,17 @@ the scalar loop would actually have read.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from repro._typing import PointVector
+from repro.core.hashing import WINDOWS
 from repro.metrics.lp import lp_distance
 from repro.storage.io_stats import IOStats
 
 #: Hard cap on rehashing rounds, shared by every Algorithm-4 driver
-#: (:func:`execute_rounds` and the scalar oracles).  The level grows by
+#: (:func:`execute_rounds` and the scalar oracle).  The level grows by
 #: a factor ``c`` per round, so a legitimate query terminates in a few
 #: dozen rounds at most.
 _MAX_ROUNDS = 128
@@ -315,7 +318,6 @@ class Lane:
         "rounds",
         "io",
         "shard_random",
-        "delta",
         "c_delta",
         "stop_reason",
         "trace",
@@ -348,7 +350,7 @@ class Lane:
         self.io = IOStats()
         # Random I/O per scan part (per shard), when the caller tracks it.
         self.shard_random: np.ndarray | None = None
-        self.delta = 1.0 / float(params.r_hat)
+        # ``c * delta`` of the current round (LaneGroup.begin_round).
         self.c_delta = 0.0
         # Why the lane terminated, and the QueryTraceBuilder of its
         # record: the engine or coordinator that merges the lane sets it
@@ -403,18 +405,18 @@ class ScanPart(NamedTuple):
 class LaneGroup:
     """One query point's lanes, sharing windows, scans and page charging.
 
-    ``style`` selects the float arithmetic of the reference loop being
-    reproduced: ``"single"`` follows ``LazyLSH._knn_impl`` (radius state
-    ``delta`` multiplied by ``c`` each round), ``"multi"`` follows
-    ``MultiQueryEngine`` (``level = c ** round`` recomputed per round, one
-    shared scan feeding every metric, sequential I/O attributed to the
-    smallest active ``p``, random I/O deduplicated through a shared
-    ``fetched`` mask).
+    Every lane reads the group's one window per function and round:
+    round ``j`` searches level ``level0 * c**j`` and each lane's radius
+    is ``delta = level / r_hat`` (Section 4.3: ``r_hat`` cancels out of
+    ``level = r_hat * delta``).  Sequential I/O is attributed to the
+    smallest active ``p``; a group of several lanes deduplicates random
+    I/O through a shared ``fetched`` mask (one lane never re-fetches an
+    id).
 
     A round is :meth:`begin_round` (radii and windows), :meth:`scan`
     (the scan kernel, over one store) and :meth:`merge` (the merge
     step, over one or more scans).  A shard worker's group only scans,
-    so it needs no radius schedule (``c``, ``rehashing``,
+    so it needs no radius schedule (``c``, ``level0``, ``rehashing``,
     ``query_hashes``) and keeps the defaults; the sharded service's
     group only merges, so it never allocates per-row scan state.
     """
@@ -427,23 +429,23 @@ class LaneGroup:
         alive,
         query: PointVector,
         lanes: list[Lane],
-        style: str = "single",
         c: float = 0.0,
+        level0: float = 1.0,
         rehashing: str = "query_centric",
         query_hashes: np.ndarray | None = None,
     ) -> None:
         self.store = store
         self.data = data
         self.c = float(c)
+        self.level0 = float(level0)
         self.rehashing = rehashing
         self.query = query
         self.query_hashes = query_hashes
         self.lanes = lanes
-        self.style = style
         self.alive = alive
-        self.fetched = (
-            np.zeros(alive.shape[0], dtype=bool) if style == "multi" else None
-        )
+        # Ids any lane fetched, for a group of several lanes; allocated
+        # by the first merge that needs it (_fetch_shared).
+        self.fetched: np.ndarray | None = None
         # find_crossings scratch mask (always all-False between calls)
         # and the lanes' ``slack``: per-row state only the scan kernel
         # reads, allocated by the first scan, so a group that only merges
@@ -465,28 +467,14 @@ class LaneGroup:
         active = [lane for lane in self.lanes if lane.active]
         if not active:
             return None
+        self.level = self.level0 * self.c**round_index
         for lane in active:
             lane.rounds += 1
-        if self.style == "single":
-            lane = self.lanes[0]
-            self.level = float(lane.params.r_hat) * lane.delta
-            lane.c_delta = self.c * lane.delta
-        else:
-            self.level = self.c**round_index
-            for lane in active:
-                lane.delta = self.c**round_index / float(lane.params.r_hat)
-                lane.c_delta = self.c * lane.delta
-        for lane in active:
+            lane.c_delta = self.c * (self.level / float(lane.params.r_hat))
             lane.begin_round_radius()
             lane.trace.begin_round(level=self.level, radius=lane.c_delta, io=lane.io)
         self.f_round = max(lane.eta for lane in active)
-        hq = self.query_hashes[: self.f_round]
-        if self.rehashing == "query_centric":
-            half = int(math.floor(self.level / 2.0))
-            return hq - half, hq + half
-        width = max(1, int(math.floor(self.level)))
-        los = np.floor_divide(hq, width) * width
-        return los, los + width - 1
+        return WINDOWS[self.rehashing](self.query_hashes[: self.f_round], self.level)
 
     def scan(
         self,
@@ -609,9 +597,9 @@ class LaneGroup:
         :func:`first_stop`.  The consumed functions' page runs are
         charged against the hulls, each function to the smallest-``p``
         lane consuming it; the kept crossings are promoted, with random
-        fetches deduplicated through ``fetched`` in multi style (and
-        counted per part when ``shard_random`` is tracked); lanes that
-        stopped terminate.
+        fetches deduplicated through ``fetched`` when the group has
+        several lanes (and counted per part when ``shard_random`` is
+        tracked); lanes that stopped terminate.
         """
         lo, hi = parts[0].ext
         for part in parts[1:]:
@@ -641,7 +629,7 @@ class LaneGroup:
             m.lane.trace.add_collisions(int(run_lens[: 2 * m.last + 2].sum()))
 
         # Random I/O, promotion and termination.
-        if self.fetched is None:
+        if len(self.lanes) == 1:
             for m in merged:
                 if m.kept:
                     m.lane.io.add_random(m.kept)
@@ -667,8 +655,6 @@ class LaneGroup:
                 lane.active = False
                 lane.stop_reason = m.reason
             lane.trace.end_round(io=lane.io, candidates=lane.n_cand, within=lane.n_within)
-        if self.style == "single":
-            self.lanes[0].delta *= self.c
 
     # -- internals ------------------------------------------------------
 
@@ -743,6 +729,8 @@ class LaneGroup:
         kept = [m.kept for m in merged]
         if not sum(kept):
             return
+        if self.fetched is None:
+            self.fetched = np.zeros(self.alive.shape[0], dtype=bool)
         all_ids = np.concatenate([m.ids[: m.kept] for m in merged])
         all_func = np.concatenate([m.funcs[: m.kept] for m in merged])
         all_rank = np.repeat(np.arange(len(merged)), kept)

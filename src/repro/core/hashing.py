@@ -37,25 +37,33 @@ from repro.metrics.lp import validate_p
 _HASH_CHUNK = 8192
 
 
-def query_centric_window(hq: int, level: float) -> tuple[int, int]:
-    """Inclusive base-bucket window centred on the query bucket (Eq. 23)."""
+def query_centric_window(hq, level: float):
+    """Inclusive base-bucket window centred on the query bucket (Eq. 23).
+
+    ``hq`` is one base hash or an int64 array of them (one window each).
+    """
     if level < 0:
         raise InvalidParameterError(f"search level must be >= 0, got {level}")
     half = int(math.floor(level / 2.0))
     return hq - half, hq + half
 
 
-def original_window(hq: int, level: float) -> tuple[int, int]:
+def original_window(hq, level: float):
     """Inclusive base-bucket window of original virtual rehashing (Eq. 7).
 
     ``H_R(v) = floor(h(v) / R)``: the query's rehash bucket covers base
-    buckets ``[B*R, B*R + R - 1]`` where ``B = floor(hq / R)``.
+    buckets ``[B*R, B*R + R - 1]`` where ``B = floor(hq / R)``.  ``hq``
+    is one base hash or an int64 array of them.
     """
     if level < 0:
         raise InvalidParameterError(f"search level must be >= 0, got {level}")
     width = max(1, int(math.floor(level)))
-    base = int(np.floor_divide(hq, width))
-    return base * width, base * width + width - 1
+    lo = np.floor_divide(hq, width) * width
+    return lo, lo + width - 1
+
+
+#: The window function of each rehashing scheme, by name.
+WINDOWS = {"query_centric": query_centric_window, "original": original_window}
 
 
 class StableHashBank:
@@ -144,6 +152,16 @@ class StableHashBank:
                 f"hash_point expects a single vector, got shape {point.shape}"
             )
         return self.hash_points(point[None, :])[:, 0]
+
+    def projection_bound(self, points: PointMatrix) -> float:
+        """An upper bound on every ``|a_i . v + b*_i|`` over ``points``.
+
+        ``max |v_j| * max_i ||a_i||_1 + offset_upper``: O(n d + d eta)
+        work, where the projections themselves cost O(n d eta).
+        """
+        points = np.asarray(points, dtype=np.float64)
+        l1 = float(np.abs(self._projections).sum(axis=0).max())
+        return float(np.abs(points).max()) * l1 + self.offset_upper
 
     def projection_values(self, points: PointMatrix) -> np.ndarray:
         """Raw projections ``a_i . v + b*_i`` (shape ``(eta, n)``).

@@ -15,12 +15,22 @@ Public API
 their inverted lists; ``knn`` implements Algorithm 4 (a series of
 query-centric range scans with geometrically growing radii and collision
 counting) and ``range_query`` implements Algorithm 3.
+
+Every kNN entry point (``knn``, ``knn_batch``, ``MultiQueryEngine.knn``)
+runs through one in-process runner, ``LazyLSH._run``: one lane plan per
+search (``_lane_plan``), then the flat engine
+(:mod:`repro.core.engine`) or, for ``engine="scalar"``, the scalar
+oracle (``_scalar_knn``), which answers one query point under one or
+many metrics a hash function at a time.  Both walk Section 4.3's one
+radius schedule: round ``j`` searches level ``level0 * c**j`` and each
+metric's radius is ``level / r_hat``.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,11 +46,7 @@ from repro.core.engine import (
     LaneGroup,
     execute_rounds,
 )
-from repro.core.hashing import (
-    StableHashBank,
-    original_window,
-    query_centric_window,
-)
+from repro.core.hashing import WINDOWS, StableHashBank
 from repro.core.params import MetricParams, ParameterEngine
 from repro.errors import (
     DimensionalityMismatchError,
@@ -114,6 +120,61 @@ class RangeResult:
     candidates: int = 0
 
 
+class _LanePlan(NamedTuple):
+    """One search's lane setup (:meth:`LazyLSH._lane_plan`).
+
+    ``metrics`` holds ``(p, MetricParams)`` per lane in ascending ``p``;
+    every lane shares ``k``, the candidate cap and the first round's
+    level ``level0``.
+    """
+
+    metrics: list
+    k: int
+    cap: float
+    level0: float
+
+
+class _MetricState:
+    """One metric's Algorithm-4 state inside the scalar oracle."""
+
+    def __init__(
+        self, p: float, params: MetricParams, n_rows: int, k: int,
+        trace: QueryTraceBuilder,
+    ) -> None:
+        self.p = p
+        self.params = params
+        self.k = k
+        self.counts = np.zeros(n_rows, dtype=np.int32)
+        self.is_candidate = np.zeros(n_rows, dtype=bool)
+        self.cand_ids: list[int] = []
+        self.cand_dists: list[float] = []
+        self.active = True
+        self.rounds = 0
+        self.c_delta = 0.0
+        self.io = IOStats()
+        self.reason = ""
+        self.trace = trace
+
+    def finish(self) -> KnnResult:
+        order = np.argsort(np.asarray(self.cand_dists))[: self.k]
+        ids = np.asarray(self.cand_ids, dtype=np.int64)[order]
+        dists = np.asarray(self.cand_dists, dtype=np.float64)[order]
+        return KnnResult(
+            ids=ids,
+            distances=dists,
+            p=self.p,
+            k=self.k,
+            io=self.io,
+            candidates=len(self.cand_ids),
+            rounds=self.rounds,
+            termination=self.reason,
+            trace=self.trace.finish(
+                termination=self.reason, io=self.io,
+                candidates=len(self.cand_ids),
+            ),
+        )
+
+
 class LazyLSH:
     """Single-index approximate kNN across multiple ``lp`` metrics.
 
@@ -134,7 +195,7 @@ class LazyLSH:
         *,
         rehashing: str = "query_centric",
     ) -> None:
-        if rehashing not in ("query_centric", "original"):
+        if rehashing not in WINDOWS:
             raise InvalidParameterError(
                 f"rehashing must be 'query_centric' or 'original', got {rehashing!r}"
             )
@@ -158,7 +219,9 @@ class LazyLSH:
 
         Computes ``eta_{p_min}`` via the parameter engine, draws that many
         Cauchy hash functions, hashes every point and lays the sorted
-        inverted lists out on the simulated disk.
+        inverted lists out on the simulated disk.  Refuses, before
+        hashing, data the index could not then answer as queries
+        (:meth:`_check_reach`); the index is unchanged on any refusal.
         """
         data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         if data.ndim != 2:
@@ -171,32 +234,33 @@ class LazyLSH:
         if not np.all(np.isfinite(data)):
             raise InvalidParameterError("data contains non-finite values")
         cfg = self.config
-        self._beta = cfg.resolve_beta(n)
-        self._engine = ParameterEngine(
+        beta = cfg.resolve_beta(n)
+        engine = ParameterEngine(
             d,
             c=cfg.c,
             epsilon=cfg.epsilon,
-            beta=self._beta,
+            beta=beta,
             r0=cfg.r0,
             base_p=cfg.base_p,
             mc_samples=cfg.mc_samples,
             mc_buckets=cfg.mc_buckets,
             seed=cfg.seed,
         )
-        self._eta = self._engine.eta(cfg.p_min)
+        eta = engine.eta(cfg.p_min)
         t_max = float(np.abs(data).max())
-        self._bank = StableHashBank(
+        bank = StableHashBank(
             d,
-            self._eta,
+            eta,
             r0=cfg.r0,
             c=cfg.c,
             t_max=max(t_max, 1.0),
             base_p=cfg.base_p,
             seed=cfg.seed,
         )
-        hash_values = self._bank.hash_points(data)
+        self._check_reach(data, "data", stored=True, bank=bank)
         layout = PageLayout(page_size=cfg.page_size, entry_size=cfg.entry_size)
-        self._store = InvertedListStore(hash_values, layout)
+        self._store = InvertedListStore(bank.hash_points(data), layout)
+        self._beta, self._engine, self._eta, self._bank = beta, engine, eta, bank
         self._data = data
         self._alive = np.ones(n, dtype=bool)
         return self
@@ -475,15 +539,6 @@ class LazyLSH:
         return supported
 
     # ------------------------------------------------------------------
-    # Window helpers
-    # ------------------------------------------------------------------
-
-    def _window(self, hq: int, level: float) -> tuple[int, int]:
-        if self.rehashing == "query_centric":
-            return query_centric_window(hq, level)
-        return original_window(hq, level)
-
-    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
@@ -522,25 +577,41 @@ class LazyLSH:
             self._check_reach(queries, "queries")
         return queries
 
-    def _check_reach(self, points: np.ndarray, what: str, *, stored: bool = False) -> None:
+    def _check_reach(
+        self, points: np.ndarray, what: str, *, stored: bool = False,
+        level0: float = 1.0, bank: StableHashBank | None = None,
+    ) -> None:
         """Refuse ``points`` whose windows could leave int64.
 
         Algorithm 4 widens a point's windows around its base hash ``h``
-        by up to a factor ``c`` per round until they cover the store's
-        hash domain ``[lo, hi]``, so the last window it may need ends
-        less than ``c * (|h| + max(|lo|, |hi|) + 1)`` past ``h``.  That
-        end must stay inside int64.  ``stored`` points (an insert batch)
-        widen the domain first.
+        from level ``level0`` by a factor ``c`` per round until they
+        cover the store's hash domain ``[lo, hi]``, so the last window
+        it may need ends less than ``max(level0, c * (|h| + max(|lo|,
+        |hi|) + 1))`` past ``h`` under either rehashing.  That end must
+        stay inside int64.  ``stored`` points (an insert batch) widen the
+        domain first; ``bank`` is a new build's bank, whose domain is
+        ``points`` alone.
         """
-        assert self._bank is not None and self._store is not None
-        top = float(np.abs(self._bank.projection_values(points)).max()) / self._bank.r0 + 1.0
-        lo, hi = self._store.value_range
-        span = max(-lo, hi, top if stored else 0.0)
-        reach = top + self.config.c * (top + span + 1.0)
-        if not reach < 2.0**63:  # also refuses inf and nan
+        if bank is None:
+            assert self._bank is not None and self._store is not None
+            bank, (lo, hi) = self._bank, self._store.value_range
+        else:
+            lo = hi = 0
+
+        def reach(top: float) -> float:
+            span = max(-lo, hi, top if stored else 0.0)
+            return top + max(level0, self.config.c * (top + span + 1.0))
+
+        # The projections are computed only when a cheap bound on them
+        # could leave int64; ``reach`` grows with ``top``.
+        if reach(bank.projection_bound(points) / bank.r0 + 1.0) < 2.0**63:
+            return
+        projected = bank.projection_values(points)
+        top = max(float(projected.max()), -float(projected.min())) / bank.r0 + 1.0
+        if not reach(top) < 2.0**63:  # also refuses inf and nan
             raise InvalidParameterError(
-                f"{what} lie too far from the indexed data: base hashes up to "
-                f"{top:.3g} need windows reaching {reach:.3g}, past int64"
+                f"{what} would need windows reaching {reach(top):.3g} buckets "
+                f"from base hashes up to {top:.3g}, past int64"
             )
 
     def range_query(self, query: PointVector, delta: float, p: float = 1.0) -> RangeResult:
@@ -569,7 +640,7 @@ class LazyLSH:
         c_delta = self.config.c * delta
         outcome: RangeResult | None = None
         for i in range(params.eta):
-            lo, hi = self._window(int(query_hashes[i]), level)
+            lo, hi = WINDOWS[self.rehashing](int(query_hashes[i]), level)
             ids = self._store.read_window(i, lo, hi, stats)
             if ids.size == 0:
                 continue
@@ -638,7 +709,7 @@ class LazyLSH:
 
         * ``p`` — the ``lp`` metric;
         * ``engine`` — ``"flat"`` (vectorised, default) or ``"scalar"``
-          (reference loop); both are bit-identical in results and I/O;
+          (the scalar oracle); both are bit-identical in results and I/O;
         * ``cap`` — candidate-budget override (default ``k + beta * n``);
         * ``radius`` — starting-radius (``delta_0``) override (default
           ``1 / r_hat``);
@@ -649,17 +720,10 @@ class LazyLSH:
         check_knobs(k, cap=cap, radius=radius, engine=engine)
         query = self._check_query(query)
         with _entry_span(telemetry, "lazylsh.knn", engine=engine, k=k):
-            if engine == "flat":
-                return self._run(
-                    query[None, :], k, p=p, cap=cap, radius=radius,
-                    telemetry=telemetry,
-                )[0][0]
-            stats = IOStats()
-            result = self._knn_impl(
-                query, k, p, stats, telemetry=telemetry, cap=cap, radius=radius
-            )
-            self.io_stats.merge(stats)
-            return result
+            return self._run(
+                query[None, :], k, p=p, cap=cap, radius=radius, engine=engine,
+                telemetry=telemetry,
+            )[0][0]
 
     def _run(
         self,
@@ -670,75 +734,83 @@ class LazyLSH:
         metrics=None,
         cap: float | None = None,
         radius: float | None = None,
+        engine: str = "flat",
         telemetry=None,
         row_ids: bool = False,
     ) -> list[list[KnnResult]]:
-        """The in-process runner: the flat engine over validated rows.
+        """The in-process runner of every kNN entry point, over validated rows.
 
-        Hashes every row of ``queries`` with one matmul, builds each
-        row's lane group (:meth:`_lane_group`: one lane for ``p``, one
-        per metric of ``metrics``), runs :func:`execute_rounds` and
-        returns one result list per row, a result per lane in ascending
-        ``p``, each with its record, numbered by its row when ``row_ids``.
-        ``telemetry`` publishes the records.  Each lane's I/O is added to
-        :attr:`io_stats`.
+        Plans the search once (:meth:`_lane_plan`: one lane for ``p``,
+        one per metric of ``metrics``), then answers every row with the
+        flat engine — one hashing matmul, a lane group per row
+        (:meth:`_lane_group`), :func:`execute_rounds` — or, for
+        ``engine="scalar"``, with the scalar oracle row by row
+        (:meth:`_scalar_knn`).  Returns one result list per row, a result
+        per lane in ascending ``p``, each with its record, numbered by
+        its row when ``row_ids``.  ``telemetry`` publishes the records.
+        Each result's I/O is added to :attr:`io_stats`.
         """
-        assert self._bank is not None
-        hashes = self._bank.hash_points(queries)  # one matmul for all rows
-        groups = [
-            self._lane_group(
-                queries[j], k, p, metrics=metrics, cap=cap, radius=radius,
-                query_hashes=np.ascontiguousarray(hashes[:, j]),
-                query_id=j if row_ids else None,
-            )
-            for j in range(queries.shape[0])
-        ]
-        execute_rounds(groups)
-        rows = []
-        for group in groups:
-            row = []
-            for lane in group.lanes:
-                result = _lane_result(lane)
+        plan = self._lane_plan(
+            queries, k, p, metrics=metrics, cap=cap, radius=radius
+        )
+        row_range = range(queries.shape[0])
+        if engine == "scalar":
+            rows = [
+                self._scalar_knn(queries[j], plan, j if row_ids else None)
+                for j in row_range
+            ]
+        else:
+            assert self._bank is not None
+            hashes = self._bank.hash_points(queries)  # one matmul for all rows
+            groups = [
+                self._lane_group(
+                    queries[j], plan,
+                    query_hashes=np.ascontiguousarray(hashes[:, j]),
+                    query_id=j if row_ids else None,
+                )
+                for j in row_range
+            ]
+            execute_rounds(groups)
+            rows = [[_lane_result(lane) for lane in group.lanes] for group in groups]
+        for row in rows:
+            for result in row:
                 if telemetry is not None:
                     telemetry.record(result.trace)
-                self.io_stats.merge(lane.io)
-                row.append(result)
-            rows.append(row)
+                self.io_stats.merge(result.io)
         return rows
 
-    def _lane_group(
-        self,
-        query: PointVector,
-        k: int,
-        p: float = 1.0,
-        *,
-        query_hashes: np.ndarray,
-        metrics=None,
-        cap: float | None = None,
-        radius: float | None = None,
-        engine: str = "flat",
-        query_id: int | None = None,
-    ) -> LaneGroup:
-        """Build the flat-engine lane group for one query point.
-
-        One lane for ``p`` (``LazyLSH._knn_impl``'s arithmetic), or, given
-        ``metrics``, one lane per distinct metric in ascending order
-        sharing one Section 4.3 scan (``MultiQueryEngine``'s arithmetic;
-        query-centric rehashing only, which makes every metric's
-        round-``j`` window the same ``c^j``-bucket window).  ``query``
-        must already be validated; parameter checks run in the same
-        order as the scalar loop so error behaviour is unchanged.
-        ``query_hashes`` is the point's column of one hashing matmul
-        over all query points; ``cap``/``radius`` override the
-        candidate budget and starting radius (``None`` keeps the paper's
-        ``k + beta * n`` and ``1 / r_hat``; single-metric only).  Every
-        lane gets the builder of its record, labelled ``engine`` and
-        numbered ``query_id``.
-        """
-        if metrics is not None and self.rehashing != "query_centric":
+    def _require_query_centric(self) -> None:
+        """Section 4.3's shared scan needs query-centric rehashing."""
+        if self.rehashing != "query_centric":
             raise InvalidParameterError(
                 "the multi-query engine requires query-centric rehashing"
             )
+
+    def _lane_plan(
+        self,
+        queries: np.ndarray,
+        k: int,
+        p: float = 1.0,
+        *,
+        metrics=None,
+        cap: float | None = None,
+        radius: float | None = None,
+    ) -> _LanePlan:
+        """The one lane setup of a search, checked before any scan.
+
+        One lane for ``p``, or, given ``metrics``, one lane per distinct
+        metric in ascending order sharing one Section 4.3 scan
+        (query-centric rehashing only, which makes every metric's
+        round-``j`` window the same ``c^j``-bucket window).  Checks ``k``
+        against the live points, resolves each metric's parameters and
+        the candidate cap (``None`` keeps the paper's ``k + beta * n``)
+        and sets the first round's level: 1, or ``r_hat * radius`` under
+        a single-metric ``radius`` override, which is refused when its
+        windows could leave int64 for a row of ``queries`` (validated
+        rows, the search's own).
+        """
+        if metrics is not None:
+            self._require_query_centric()
         p_values = (
             [validate_p(p)] if metrics is None
             else sorted({float(q) for q in metrics})
@@ -748,145 +820,154 @@ class LazyLSH:
             raise InvalidParameterError(
                 f"k must lie in [1, {n}] for a dataset of {n} live points, got {k}"
             )
-        assert self._bank is not None and self._store is not None and self._data is not None
-        cap_value = k + self._beta * n if cap is None else float(cap)
-        lanes = [Lane(q, self.metric_params(q), k, cap_value) for q in p_values]
-        for lane in lanes:
-            lane.trace = QueryTraceBuilder(
-                p=lane.p, k=k, engine=engine, rehashing=self.rehashing,
-                cap=cap_value, query_id=query_id,
-            )
+        lanes = [(q, self.metric_params(q)) for q in p_values]
+        level0 = 1.0
         if radius is not None:
-            lanes[0].delta = float(radius)
+            level0 = float(lanes[0][1].r_hat) * float(radius)
+            self._check_reach(
+                queries, f"queries with radius {radius:g}", level0=level0
+            )
+        cap_value = k + self._beta * n if cap is None else float(cap)
+        return _LanePlan(lanes, k, cap_value, level0)
+
+    def _lane_group(
+        self,
+        query: PointVector,
+        plan: _LanePlan,
+        *,
+        query_hashes: np.ndarray,
+        engine: str = "flat",
+        query_id: int | None = None,
+    ) -> LaneGroup:
+        """The flat engine's lane group of one query point under ``plan``.
+
+        ``query`` must already be validated; ``query_hashes`` is the
+        point's column of one hashing matmul over all query points.
+        Every lane gets the builder of its record, labelled ``engine``
+        and numbered ``query_id``.
+        """
+        assert self._store is not None and self._data is not None
+        lanes = []
+        for p, params in plan.metrics:
+            lane = Lane(p, params, plan.k, plan.cap)
+            lane.trace = QueryTraceBuilder(
+                p=p, k=plan.k, engine=engine, rehashing=self.rehashing,
+                cap=plan.cap, query_id=query_id,
+            )
+            lanes.append(lane)
         return LaneGroup(
             store=self._store,
             data=self._data,
             alive=self._alive,
             query=query,
             lanes=lanes,
-            style="single" if metrics is None else "multi",
             c=self.config.c,
+            level0=plan.level0,
             rehashing=self.rehashing,
             query_hashes=query_hashes,
         )
 
-    def _knn_impl(
-        self,
-        query: PointVector,
-        k: int,
-        p: float,
-        stats: IOStats,
-        *,
-        telemetry=None,
-        query_id: int | None = None,
-        cap: float | None = None,
-        radius: float | None = None,
-    ) -> KnnResult:
-        """Algorithm 4 body: the scalar oracle of one query and metric.
+    def _scalar_knn(
+        self, query: PointVector, plan: _LanePlan, query_id: int | None = None
+    ) -> list[KnnResult]:
+        """The scalar oracle: Algorithm 4 one hash function at a time.
 
-        ``cap``/``radius`` override the candidate budget and starting
-        radius.  Pages re-touched by successive rehashing rounds (ring
-        boundaries) stay in a per-query buffer pool and are charged once.
-        The result carries its record, numbered ``query_id``;
-        ``telemetry`` publishes it.
+        Answers one validated query point under every metric of ``plan``
+        with one shared scan (Section 4.3): round ``j`` reads, per hash
+        function, the window of level ``level0 * c**j`` — only its ring
+        outside the previous round's window, or the whole window when
+        the two do not nest (original rehashing) — and feeds it to every
+        still-active metric consulting that function; each metric's
+        radius is ``delta = level / r_hat``.  A read is charged to the
+        smallest-``p`` metric consuming it, pages re-touched by later
+        rounds once per query; a candidate's fetch is charged once, to
+        the first metric promoting it.  Returns a result per metric in
+        ascending ``p``, each with its record numbered ``query_id``.
+        The flat engine reproduces this loop bit for bit.
         """
-        p = validate_p(p)
-        n = self.num_points
-        n_rows = self.num_rows
-        if not 1 <= k <= n:
-            raise InvalidParameterError(
-                f"k must lie in [1, {n}] for a dataset of {n} live points, got {k}"
-            )
-        params = self.metric_params(p)
         assert self._bank is not None and self._store is not None and self._data is not None
-        cap = k + self._beta * n if cap is None else float(cap)
-        trace = QueryTraceBuilder(
-            p=p, k=k, engine="scalar", rehashing=self.rehashing, cap=cap,
-            query_id=query_id,
-        )
-        theta = params.theta
-        counts = np.zeros(n_rows, dtype=np.int32)
-        is_candidate = np.zeros(n_rows, dtype=bool)
-        cand_ids: list[int] = []
-        cand_dists: list[float] = []
-        query_hashes = self._bank.hash_point(query)
-        seen_pages: set[tuple[int, int]] = set()
-        prev_windows: list[tuple[int, int]] | None = None
-        delta = 1.0 / params.r_hat if radius is None else float(radius)
-        rounds = 0
-        done = False
-        reason = ""
-        while not done:
-            rounds += 1
-            if rounds > _MAX_ROUNDS:
-                raise RuntimeError(_KNN_ABORT)
-            level = params.r_hat * delta
-            c_delta = self.config.c * delta
-            trace.begin_round(level=level, radius=c_delta, io=stats)
-            windows: list[tuple[int, int]] = []
-            for i in range(params.eta):
-                lo, hi = self._window(int(query_hashes[i]), level)
-                windows.append((lo, hi))
-                if prev_windows is None:
-                    ids = self._store.read_window(i, lo, hi, stats, seen_pages)
-                else:
-                    plo, phi = prev_windows[i]
-                    if lo <= plo and phi <= hi:
-                        ids = self._store.read_ring(
-                            i, lo, hi, plo, phi, stats, seen_pages
-                        )
-                    else:
-                        # Windows failed to nest (possible under the
-                        # "original" rehashing ablation); re-scan fully.
-                        ids = self._store.read_window(i, lo, hi, stats, seen_pages)
-                if ids.size > 0:
-                    trace.add_collisions(int(ids.size))
-                    counts[ids] += 1
-                    crossed = ids[
-                        (counts[ids] > theta)
-                        & ~is_candidate[ids]
-                        & self._alive[ids]
-                    ]
-                    if crossed.size > 0:
-                        is_candidate[crossed] = True
-                        trace.add_crossings(int(crossed.size))
-                        stats.add_random(int(crossed.size))
-                        dists = lp_distance(self._data[crossed], query, p)
-                        cand_ids.extend(int(x) for x in crossed)
-                        cand_dists.extend(float(x) for x in dists)
-                # Termination checks (Algorithm 4 lines 15-16).
-                if len(cand_ids) >= k:
-                    dist_arr = np.asarray(cand_dists)
-                    if np.count_nonzero(dist_arr < c_delta) >= k:
-                        done = True
-                        reason = TERMINATION_K_WITHIN
-                        break
-                if len(cand_ids) > cap:
-                    done = True
-                    reason = TERMINATION_CAP
-                    break
-            dist_arr = np.asarray(cand_dists, dtype=np.float64)
-            trace.end_round(
-                io=stats,
-                candidates=len(cand_ids),
-                within=int(np.count_nonzero(dist_arr < c_delta)),
+        n_rows = self.num_rows
+        states = [
+            _MetricState(
+                p, params, n_rows, plan.k,
+                QueryTraceBuilder(
+                    p=p, k=plan.k, engine="scalar", rehashing=self.rehashing,
+                    cap=plan.cap, query_id=query_id,
+                ),
             )
-            prev_windows = windows
-            delta *= self.config.c
-        order = np.argsort(np.asarray(cand_dists))[:k]
-        ids = np.asarray(cand_ids, dtype=np.int64)[order]
-        dists = np.asarray(cand_dists, dtype=np.float64)[order]
-        finished = trace.finish(termination=reason, io=stats, candidates=len(cand_ids))
-        if telemetry is not None:
-            telemetry.record(finished)
-        return KnnResult(
-            ids=ids,
-            distances=dists,
-            p=p,
-            k=k,
-            io=stats,
-            candidates=len(cand_ids),
-            rounds=rounds,
-            termination=reason,
-            trace=finished,
-        )
+            for p, params in plan.metrics
+        ]
+        c = self.config.c
+        store, data, alive = self._store, self._data, self._alive
+        window = WINDOWS[self.rehashing]
+        query_hashes = self._bank.hash_point(query)
+        eta_max = max(state.params.eta for state in states)
+        seen_pages: set[tuple[int, int]] = set()
+        fetched = np.zeros(n_rows, dtype=bool)
+        prev = None  # the previous round's windows
+        round_index = -1
+        while any(state.active for state in states):
+            round_index += 1
+            if round_index >= _MAX_ROUNDS:
+                raise RuntimeError(_KNN_ABORT)
+            level = plan.level0 * c**round_index
+            los, his = (w.tolist() for w in window(query_hashes[:eta_max], level))
+            rounders = [state for state in states if state.active]
+            for state in rounders:
+                state.rounds += 1
+                state.c_delta = c * (level / state.params.r_hat)
+                state.trace.begin_round(level=level, radius=state.c_delta, io=state.io)
+            for i in range(eta_max):
+                consumers = [
+                    state for state in states
+                    if state.active and i < state.params.eta
+                ]
+                if not consumers:
+                    continue
+                lo, hi = los[i], his[i]
+                # One shared read, charged to the smallest-p consumer.
+                reader_io = consumers[0].io
+                if prev is not None and lo <= prev[0][i] and prev[1][i] <= hi:
+                    ids = store.read_ring(
+                        i, lo, hi, prev[0][i], prev[1][i], reader_io, seen_pages
+                    )
+                else:
+                    ids = store.read_window(i, lo, hi, reader_io, seen_pages)
+                for state in consumers:
+                    if ids.size > 0:
+                        state.trace.add_collisions(int(ids.size))
+                        state.counts[ids] += 1
+                        crossed = ids[
+                            (state.counts[ids] > state.params.theta)
+                            & ~state.is_candidate[ids]
+                            & alive[ids]
+                        ]
+                        if crossed.size > 0:
+                            state.is_candidate[crossed] = True
+                            state.trace.add_crossings(int(crossed.size))
+                            fresh = crossed[~fetched[crossed]]
+                            fetched[crossed] = True
+                            state.io.add_random(int(fresh.size))
+                            dists = lp_distance(data[crossed], query, state.p)
+                            state.cand_ids.extend(int(x) for x in crossed)
+                            state.cand_dists.extend(float(x) for x in dists)
+                    # Termination checks (Algorithm 4 lines 15-16).
+                    if len(state.cand_ids) >= plan.k:
+                        dist_arr = np.asarray(state.cand_dists)
+                        if np.count_nonzero(dist_arr < state.c_delta) >= plan.k:
+                            state.active = False
+                            state.reason = TERMINATION_K_WITHIN
+                            continue
+                    if len(state.cand_ids) > plan.cap:
+                        state.active = False
+                        state.reason = TERMINATION_CAP
+            for state in rounders:
+                dist_arr = np.asarray(state.cand_dists, dtype=np.float64)
+                state.trace.end_round(
+                    io=state.io,
+                    candidates=len(state.cand_ids),
+                    within=int(np.count_nonzero(dist_arr < state.c_delta)),
+                )
+            prev = (los, his)
+        return [state.finish() for state in states]
+

@@ -69,11 +69,6 @@ class BallIntersectionTable:
         """
         return np.interp(r, self.radii, self.probabilities)
 
-    @property
-    def admissible_range(self) -> tuple[float, float]:
-        """The ``[delta_lower, min(delta_upper, c*delta_lower)]`` interval."""
-        return float(self.radii[0]), float(self.radii[-1])
-
 
 def admissible_radius_range(d: int, p: float, c: float, base_s: float = 1.0) -> tuple[float, float]:
     """Admissible base-space radii for approximating ``Bp(q, 1)``.

@@ -18,7 +18,7 @@ benchmark that ``benchmarks/bench_serve.py`` runs).
 
 from repro.serve.bench import run_serve_benchmark
 from repro.serve.frontend import HTTP_STATUS_BY_CODE, Frontend
-from repro.serve.service import ShardedSearchService, default_shards
+from repro.serve.service import ShardedSearchService
 from repro.serve.sharding import ShardSpec, plan_shards
 from repro.serve.worker import ShardSearcher, worker_main
 
@@ -28,7 +28,6 @@ __all__ = [
     "ShardSearcher",
     "ShardSpec",
     "ShardedSearchService",
-    "default_shards",
     "plan_shards",
     "run_serve_benchmark",
     "worker_main",

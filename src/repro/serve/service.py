@@ -773,20 +773,24 @@ class ShardedSearchService:
             queries = index._check_queries(queries)
             if queries.shape[0] == 0:
                 return []
+            # Checks k, the metrics and the radius before any wave.
+            plan = index._lane_plan(
+                queries, k, 1.0 if p is None else p,
+                metrics=metrics, cap=cap, radius=radius,
+            )
             hashes = index._bank.hash_points(queries)  # one matmul for the wave
 
             def build() -> list:
-                """The wave's lane groups, from the engine's own builders."""
+                """The wave's lane groups, from the engine's own builder."""
                 return [
                     index._lane_group(
-                        queries[j], k, 1.0 if p is None else p,
-                        metrics=metrics, cap=cap, radius=radius,
-                        query_hashes=hashes[:, j].copy(), engine="sharded",
+                        queries[j], plan, query_hashes=hashes[:, j].copy(),
+                        engine="sharded",
                     )
                     for j in range(queries.shape[0])
                 ]
 
-            groups = build()  # validates k and the metrics before any wave
+            groups = build()
             if telemetry is None:
                 telemetry = self.telemetry  # service-level fallback
             ctx = (
@@ -1044,15 +1048,3 @@ class ShardedSearchService:
                 span.attributes.setdefault("shard", sid)
                 span.attributes["origin"] = "worker"
                 telemetry.tracer.spans.append(span)
-
-
-def default_shards() -> int:
-    """A sensible shard count for this host: its CPU count, capped at 8."""
-    return max(1, min(os.cpu_count() or 1, 8))
-
-
-def timed(fn, *args, **kwargs):
-    """Run ``fn`` and return ``(result, wall_seconds)`` (bench helper)."""
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - t0

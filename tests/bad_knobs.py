@@ -33,6 +33,10 @@ BAD_KNOBS = {
     # Base hashes near 4e20: the windows that cover the index's hash
     # domain from them would leave int64.
     "far-query": ({"query": 1e18}, "past int64"),
+    # A first window of r_hat * 1e20 buckets would leave int64, on
+    # either engine.
+    "huge-radius": ({"radius": 1e20}, "past int64"),
+    "huge-radius-scalar": ({"radius": 1e20, "engine": "scalar"}, "past int64"),
 }
 
 

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import time
+
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -392,6 +395,35 @@ class TestDurabilityCommands:
         assert report["service"]["acked_lsn"] == 2
         assert report["service"]["epoch"] == 2
 
+    def test_serve_wal_lingers_polling_the_log(self, capsys, tmp_path, monkeypatch):
+        import json
+
+        home = self._init_home(tmp_path)
+        capsys.readouterr()
+        polls = []
+        apply_wal = cli._apply_wal
+
+        def counting(sink, feed, service):
+            polls.append(time.monotonic())
+            apply_wal(sink, feed, service)
+
+        monkeypatch.setattr(cli, "_apply_wal", counting)
+        start = time.monotonic()
+        rc = main(
+            [
+                "serve", "--wal", str(home), "--k", "3", "--shards", "1",
+                "--linger", "0.3", "--poll-interval", "0.05",
+            ]
+        )
+        assert rc == 0
+        assert time.monotonic() - start >= 0.3
+        captured = capsys.readouterr()
+        assert "serving ops endpoints for 0.3s" in captured.err
+        assert json.loads(captured.out)["service"]["acked_lsn"] == 2
+        # The start-up apply, then one poll per interval while lingering.
+        assert len(polls) >= 4
+        assert polls[-1] - polls[1] >= 0.15
+
     def test_serve_wal_skips_corrupt_newest_checkpoint(
         self, capsys, tmp_path, corrupt_newest_home
     ):
@@ -435,6 +467,26 @@ class TestDurabilityCommands:
         rc = main(["recover", str(tmp_path / "missing")])
         assert rc == 2
         assert "nothing to recover" in capsys.readouterr().err
+
+
+class TestLinger:
+    def test_interrupt_ends_an_unbounded_linger(self):
+        ticks = []
+
+        def tick():
+            ticks.append(1)
+            if len(ticks) == 3:
+                raise KeyboardInterrupt
+
+        cli._linger(None, 0.0, tick)
+        assert len(ticks) == 3
+
+    def test_bounded_linger_ticks_every_interval(self):
+        ticks = []
+        start = time.monotonic()
+        cli._linger(0.2, 0.05, lambda: ticks.append(time.monotonic()))
+        assert time.monotonic() - start >= 0.2
+        assert 2 <= len(ticks) <= 6
 
 
 class TestErrors:

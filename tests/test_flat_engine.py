@@ -34,9 +34,9 @@ P_VALUES = (0.5, 0.75, 1.0)
 BLOCK_BUDGETS = (0, engine._BLOCK_ROW_ENTRIES, 2**40)
 
 
-def _config(seed: int = 13) -> LazyLSHConfig:
+def _config(seed: int = 13, c: float = 3.0) -> LazyLSHConfig:
     return LazyLSHConfig(
-        c=3.0, p_min=0.5, seed=seed, mc_samples=20_000, mc_buckets=100
+        c=c, p_min=0.5, seed=seed, mc_samples=20_000, mc_buckets=100
     )
 
 
@@ -295,6 +295,63 @@ class TestMultiQuery:
                 # summed) must agree too.
                 assert flat.io.sequential == scalar.io.sequential
                 assert flat.io.random == scalar.io.random
+
+
+#: ``(p, p2)``: a single-metric search of ``p`` against the lane of ``p``
+#: in a ``metrics=(p, p2)`` search, with ``p`` the smaller and the larger
+#: metric.  In 8 dimensions ``r_hat * (1 / r_hat)`` rounds below 1 for
+#: ``p = 0.8``.
+SCHEDULE_PAIRS = ((0.8, 1.0), (1.0, 0.9), (0.9, 0.8))
+
+
+def assert_same_lane(a, b) -> None:
+    """One ``(query, p)`` answered alike by a single-metric search and a
+    multi-metric lane: everything but the I/O attribution."""
+    assert np.array_equal(a.ids, b.ids)
+    assert np.array_equal(a.distances, b.distances)
+    assert (a.rounds, a.termination, a.candidates) == (
+        b.rounds, b.termination, b.candidates
+    )
+    assert a.trace.num_rounds == b.trace.num_rounds
+    for ra, rb in zip(a.trace.rounds, b.trace.rounds):
+        assert (ra.level, ra.radius) == (rb.level, rb.radius)
+        assert (ra.collisions, ra.crossings, ra.candidates, ra.within) == (
+            rb.collisions, rb.crossings, rb.candidates, rb.within
+        )
+
+
+class TestOneSchedule:
+    """Every lane walks one radius schedule, so a ``(query, p)`` pair gets
+    one answer and one record whether or not it shares its scan."""
+
+    @pytest.fixture(scope="class")
+    def split(self):
+        data = make_synthetic(640, 8, value_range=(0, 200), seed=31)
+        return sample_queries(data, n_queries=3, seed=32)
+
+    @pytest.fixture(scope="class", params=[2.0, 3.0])
+    def index(self, request, split):
+        return LazyLSH(_config(c=request.param)).build(split.data)
+
+    @pytest.mark.parametrize("engine_name", ["flat", "scalar"])
+    def test_single_metric_equals_its_multi_metric_lane(
+        self, index, split, engine_name
+    ):
+        multi = MultiQueryEngine(index)
+        for query in split.queries:
+            for p, p2 in SCHEDULE_PAIRS:
+                single = index.knn(query, 10, p=p, engine=engine_name)
+                lane = multi.knn(query, 10, metrics=(p, p2), engine=engine_name)
+                assert_same_lane(single, lane[p])
+
+    def test_service_single_wave_equals_merged_wave(self, index, split):
+        with ShardedSearchService(index, n_shards=2, start_method="fork") as svc:
+            for p, p2 in SCHEDULE_PAIRS:
+                singles = svc.search_batch(split.queries, 10, p=p)
+                merged = svc.search_batch(split.queries, 10, metrics=(p, p2))
+                for query, single, row in zip(split.queries, singles, merged):
+                    assert_same_lane(single, row[p])
+                    assert_same_lane(single, index.knn(query, 10, p=p))
 
 
 class TestBatchApi:

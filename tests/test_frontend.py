@@ -432,6 +432,28 @@ class TestWireErrors:
         reference = service.search(data[43], K, p=1.0)
         assert good["ids"] == [int(i) for i in reference.ids]
 
+    def test_huge_radius_fails_alone_in_its_flush(self, stack, monkeypatch):
+        """A radius override whose first window would leave int64 fails
+        its own wave with 400; a request coalesced beside it gets 200."""
+        data, service, door = stack
+        monkeypatch.setattr(door, "coalesce_ms", 50.0)
+        bodies = [
+            {"v": 1, "query": data[44].tolist(), "k": K, "p": 1.0,
+             "radius": 1e20},
+            {"v": 1, "query": data[45].tolist(), "k": K, "p": 1.0},
+        ]
+        with ThreadPoolExecutor(max_workers=len(bodies)) as pool:
+            (bad_status, bad), (good_status, good) = pool.map(
+                lambda b: _post(door.url, b), bodies
+            )
+        monkeypatch.undo()
+        assert bad_status == 400, bad
+        assert bad["error"]["code"] == "invalid_parameter"
+        assert "past int64" in bad["error"]["message"]
+        assert good_status == 200, good
+        reference = service.search(data[45], K, p=1.0)
+        assert good["ids"] == [int(i) for i in reference.ids]
+
     def test_metrics_list_is_rejected(self, stack):
         data, _service, door = stack
         status, payload = _post(

@@ -1,5 +1,7 @@
 """Unit and behaviour tests for the LazyLSH index (Algorithms 3-4)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,48 @@ class TestBuild:
             LazyLSH(small_config).build(np.full((3, 2), np.nan))
         with pytest.raises(InvalidParameterError):
             LazyLSH(small_config).build(np.zeros((0, 4)))
+
+    @pytest.mark.parametrize("far", [1e16, 1e18])
+    def test_refuses_data_it_could_not_query(self, small_config, far):
+        """One coordinate far enough out that the windows covering the
+        data's own hash domain would leave int64: refused before any
+        hashing (no numpy cast warning), and a built index is kept."""
+        data = make_synthetic(600, 8, value_range=(0, 200), seed=41)
+        index = LazyLSH(small_config).build(data)
+        bad = data.copy()
+        bad[5, 2] = far
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="past int64"):
+                index.build(bad)
+        assert np.array_equal(index.data, data)
+        assert index.knn(data[3], 1, p=1.0).ids[0] == 3
+
+    def test_data_just_inside_the_reach_bound_answers_its_rows(self, small_config):
+        """Scale a dataset to within 10% of the largest scale ``build``
+        accepts: it builds, and each probed row is its own nearest
+        neighbour under both engines."""
+        base = make_synthetic(600, 8, value_range=(1, 200), seed=42)
+
+        def builds(scale):
+            try:
+                return LazyLSH(small_config).build(base * scale)
+            except InvalidParameterError:
+                return None
+
+        ok, bad = 1e10, 1e16
+        assert builds(ok) is not None and builds(bad) is None
+        while bad / ok > 1.1:
+            mid = (ok * bad) ** 0.5
+            if builds(mid) is None:
+                bad = mid
+            else:
+                ok = mid
+        index = builds(ok)
+        for row in (0, 299, 599):
+            for engine in ("flat", "scalar"):
+                result = index.knn(index.data[row], 1, p=0.5, engine=engine)
+                assert result.ids[0] == row and result.distances[0] == 0.0
 
     def test_query_before_build(self, small_config):
         index = LazyLSH(small_config)

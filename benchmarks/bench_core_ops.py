@@ -2,7 +2,9 @@
 
 Not a paper artifact — these track the implementation's own hot paths so
 regressions in the hash bank, window reads or the query loop show up in
-the pytest-benchmark comparison output.
+the pytest-benchmark comparison output.  CI runs each once, untimed::
+
+    python -m pytest benchmarks/bench_core_ops.py --benchmark-disable -q
 """
 
 import numpy as np
@@ -12,7 +14,6 @@ from repro import LazyLSH, LazyLSHConfig
 from repro.core.hashing import StableHashBank
 from repro.datasets import make_synthetic, sample_queries
 from repro.storage.inverted_index import InvertedListStore
-from repro.storage.io_stats import IOStats
 
 N = 2000
 D = 64
@@ -39,23 +40,28 @@ def test_hash_bank_throughput(benchmark, split):
 
 
 def test_inverted_list_window_read(benchmark):
+    """One round's reads: one search for every function's window, then
+    one gather of every window's entries."""
     rng = np.random.default_rng(2)
     store = InvertedListStore(rng.integers(0, 10_000, size=(200, N)).astype(np.int64))
-    stats = IOStats()
+    funcs = np.arange(200, dtype=np.int64)
+    los = np.full(200, 4000, dtype=np.int64)
+    his = np.full(200, 6000, dtype=np.int64)
 
-    def read_all():
-        for func in range(200):
-            store.read_window(func, 4000, 6000, stats)
+    def read_round():
+        starts, stops = store.batch_window_positions(funcs, los, his)
+        return store.gather_segments32(starts, stops - starts)
 
-    benchmark(read_all)
+    ids = benchmark(read_round)
+    assert 0 < ids.size < 200 * N
 
 
 def test_knn_l1_query(benchmark, index, split):
-    benchmark(index.knn, split.queries[0], 10, 1.0)
+    benchmark(index.knn, split.queries[0], 10, p=1.0)
 
 
 def test_knn_fractional_query(benchmark, index, split):
-    benchmark(index.knn, split.queries[0], 10, 0.5)
+    benchmark(index.knn, split.queries[0], 10, p=0.5)
 
 
 def test_build_small_index(benchmark, split):

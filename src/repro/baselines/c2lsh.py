@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._typing import PointMatrix, PointVector
+from repro.core.engine import RingReader
 from repro.core.hashing import StableHashBank, original_window
 from repro.core.lazylsh import KnnResult
 from repro.core.params import ParameterEngine
@@ -31,7 +32,7 @@ from repro.errors import (
 from repro.metrics.lp import lp_distance, validate_p
 from repro.storage.inverted_index import InvertedListStore
 from repro.storage.io_stats import IOStats
-from repro.storage.pages import PageLayout, PageTracker
+from repro.storage.pages import PageLayout
 
 _MAX_ROUNDS = 128
 
@@ -161,17 +162,14 @@ class C2LSH:
         if stats is None:
             stats = IOStats()
         # Per-query page cache, matching LazyLSH's accounting: a page
-        # re-touched at a later rehashing radius is charged once.  Tracked
-        # as page intervals, not a set — the window scans touch contiguous
-        # runs, so dedup is interval arithmetic with identical counts.
-        seen_pages = PageTracker()
+        # re-touched at a later rehashing radius is charged once.
+        reader = RingReader(self._store, self._eta)
         cap = k + self._beta * n
         counts = np.zeros(n, dtype=np.int32)
         is_candidate = np.zeros(n, dtype=bool)
         cand_ids: list[int] = []
         cand_dists: list[float] = []
         query_hashes = self._bank.hash_point(query)
-        prev_windows: list[tuple[int, int]] | None = None
         radius = 1.0
         rounds = 0
         done = False
@@ -182,20 +180,9 @@ class C2LSH:
                     "C2LSH query did not terminate; the index is corrupted"
                 )
             c_radius = self.config.c * radius
-            windows: list[tuple[int, int]] = []
+            reader.read(*original_window(query_hashes, radius))
             for i in range(self._eta):
-                lo, hi = original_window(int(query_hashes[i]), radius)
-                windows.append((lo, hi))
-                if prev_windows is None:
-                    ids = self._store.read_window(i, lo, hi, stats, seen_pages)
-                else:
-                    plo, phi = prev_windows[i]
-                    if lo <= plo and phi <= hi:
-                        ids = self._store.read_ring(
-                            i, lo, hi, plo, phi, stats, seen_pages
-                        )
-                    else:
-                        ids = self._store.read_window(i, lo, hi, stats, seen_pages)
+                ids = reader.take(i, stats)
                 if ids.size > 0:
                     counts[ids] += 1
                     crossed = ids[(counts[ids] > self._theta) & ~is_candidate[ids]]
@@ -213,7 +200,6 @@ class C2LSH:
                 if len(cand_ids) > cap:
                     done = True
                     break
-            prev_windows = windows
             radius *= self.config.c
         order = np.argsort(np.asarray(cand_dists))[:k]
         ids = np.asarray(cand_ids, dtype=np.int64)[order]

@@ -69,6 +69,7 @@ from repro._typing import PointVector
 from repro.core.hashing import WINDOWS
 from repro.metrics.lp import lp_distance
 from repro.storage.io_stats import IOStats
+from repro.storage.pages import PageTracker
 
 #: Hard cap on rehashing rounds, shared by every Algorithm-4 driver
 #: (:func:`execute_rounds` and the scalar oracle).  The level grows by
@@ -220,6 +221,63 @@ class RingCursor:
         self.pstarts[:f], self.pstops[:f] = starts, stops
         self.first_round = False
         return seg_starts, seg_lens
+
+
+class RingReader:
+    """One query's scalar reads of a store, a round at a time.
+
+    The reader of the scalar oracle, ``range_query`` and C2LSH, which
+    consume a round one hash function at a time.  :meth:`read` finds a
+    round's windows with one
+    :meth:`~repro.storage.inverted_index.InvertedListStore.batch_window_positions`
+    call, splits them into ring runs (:meth:`RingCursor.split`, as the
+    engine does) and gathers every run with one
+    :meth:`~repro.storage.inverted_index.InvertedListStore.gather_segments32`
+    call; :meth:`take` hands out one function's ids and charges the
+    pages of its runs through the query's one :class:`PageTracker`, so a
+    page re-read in a later round is charged once.
+    """
+
+    def __init__(self, store, eta: int) -> None:
+        self.store = store
+        self.ring = RingCursor(eta)
+        self.pages = PageTracker()
+        self._ids = np.empty(0, dtype=np.int32)
+        self._starts: list[int] = []
+        self._lens: list[int] = []
+        self._ends: list[int] = []
+
+    def read(self, los: np.ndarray, his: np.ndarray) -> None:
+        """Search and gather this round's rings of windows ``[los, his]``.
+
+        Window ``f`` belongs to function ``f``; a function's ring is its
+        whole window in the first round, and where the window does not
+        contain the previous round's (original rehashing).
+        """
+        funcs = np.arange(los.shape[0], dtype=np.int64)
+        starts, stops = self.store.batch_window_positions(funcs, los, his)
+        seg_starts, seg_lens = self.ring.split(los, his, starts, stops)
+        self._ids = self.store.gather_segments32(seg_starts, seg_lens)
+        # Pages are numbered within each function's own run.
+        run_base = np.repeat(funcs * self.store.num_points, 2)
+        self._starts = (seg_starts - run_base).tolist()
+        self._lens = seg_lens.tolist()
+        self._ends = np.cumsum(seg_lens).tolist()
+
+    def take(self, func: int, io: IOStats) -> np.ndarray:
+        """Function ``func``'s ring ids this round, left run first.
+
+        Charges ``io`` one sequential I/O per page of the two ring runs
+        not yet read by this query.
+        """
+        layout = self.store.layout
+        for run in (2 * func, 2 * func + 1):
+            if self._lens[run]:
+                start = self._starts[run]
+                first, stop = layout.page_span(start, start + self._lens[run])
+                io.add_sequential(self.pages.charge(func, first, stop))
+        begin = self._ends[2 * func - 1] if func else 0
+        return self._ids[begin : self._ends[2 * func + 1]]
 
 
 def find_crossings(

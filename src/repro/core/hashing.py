@@ -124,9 +124,18 @@ class StableHashBank:
             raise InvalidParameterError(
                 f"hash banks need a closed-form stable family, got base_p={base_p}"
             )
-        # C2LSH offset domain: b* uniform over [0, c^ceil(log_c(t*d)) * r0).
-        exponent = math.ceil(math.log(max(t_max * d, self.c)) / math.log(self.c))
-        self.offset_upper = self.c**exponent * self.r0
+        # C2LSH offset domain: b* uniform over [0, c^ceil(log_c(t*d)) * r0),
+        # refused where it would pass the float range (t * d near 1e308).
+        try:
+            exponent = math.ceil(math.log(max(t_max * d, self.c)) / math.log(self.c))
+            self.offset_upper = self.c**exponent * self.r0
+        except OverflowError:
+            self.offset_upper = math.inf
+        if self.offset_upper == math.inf:
+            raise InvalidParameterError(
+                f"coordinates up to {t_max:g} in {d} dimensions need an offset "
+                "domain past the float range"
+            )
         self._offsets = rng.uniform(0.0, self.offset_upper, self.eta)
 
     def hash_points(self, points: PointMatrix) -> np.ndarray:

@@ -28,6 +28,7 @@ metric's radius is ``level / r_hat``.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -44,6 +45,7 @@ from repro.core.engine import (
     TERMINATION_K_WITHIN,
     Lane,
     LaneGroup,
+    RingReader,
     execute_rounds,
 )
 from repro.core.hashing import WINDOWS, StableHashBank
@@ -619,29 +621,39 @@ class LazyLSH:
 
         Returns the first point found within ``c * delta`` of ``query`` in
         the ``lp`` space, or a not-found result once ``beta * n`` candidates
-        have been inspected without success.
+        have been inspected without success.  Each of the first ``eta_p``
+        hash functions' windows is read whole, once.  A ``delta`` that is
+        not finite and positive, or whose windows could leave int64
+        (:meth:`_check_reach`), is refused before any read.
         """
         query = self._check_query(query)
         p = validate_p(p)
-        if delta <= 0:
-            raise InvalidParameterError(f"range radius must be > 0, got {delta}")
+        if not 0 < delta < math.inf:  # also refuses nan
+            raise InvalidParameterError(
+                f"range radius must be finite and > 0, got {delta}"
+            )
         params = self.metric_params(p)
+        level = params.r_hat * delta
+        self._check_reach(
+            query[None, :], f"query with range radius {delta:g}", level0=level
+        )
         assert self._bank is not None and self._store is not None and self._data is not None
         stats = IOStats()
         n = self.num_points
         n_rows = self.num_rows
         cap = self._beta * n
-        level = params.r_hat * delta
         theta = params.theta
         counts = np.zeros(n_rows, dtype=np.int32)
         is_candidate = np.zeros(n_rows, dtype=bool)
         candidates = 0
-        query_hashes = self._bank.hash_point(query)
+        query_hashes = self._bank.hash_point(query)[: params.eta]
         c_delta = self.config.c * delta
         outcome: RangeResult | None = None
+        # Every function's whole window, read once: one round of a reader.
+        reader = RingReader(self._store, params.eta)
+        reader.read(*WINDOWS[self.rehashing](query_hashes, level))
         for i in range(params.eta):
-            lo, hi = WINDOWS[self.rehashing](int(query_hashes[i]), level)
-            ids = self._store.read_window(i, lo, hi, stats)
+            ids = reader.take(i, stats)
             if ids.size == 0:
                 continue
             counts[ids] += 1
@@ -878,12 +890,14 @@ class LazyLSH:
         outside the previous round's window, or the whole window when
         the two do not nest (original rehashing) — and feeds it to every
         still-active metric consulting that function; each metric's
-        radius is ``delta = level / r_hat``.  A read is charged to the
-        smallest-``p`` metric consuming it, pages re-touched by later
-        rounds once per query; a candidate's fetch is charged once, to
-        the first metric promoting it.  Returns a result per metric in
-        ascending ``p``, each with its record numbered ``query_id``.
-        The flat engine reproduces this loop bit for bit.
+        radius is ``delta = level / r_hat``.  A round's rings are found
+        by one search and read by one gather (:class:`RingReader`), then
+        consumed a function at a time.  A function's read is charged to
+        the smallest-``p`` metric consuming it, pages re-touched by
+        later rounds once per query; a candidate's fetch is charged
+        once, to the first metric promoting it.  Returns a result per
+        metric in ascending ``p``, each with its record numbered
+        ``query_id``.  The flat engine reproduces this loop bit for bit.
         """
         assert self._bank is not None and self._store is not None and self._data is not None
         n_rows = self.num_rows
@@ -898,41 +912,33 @@ class LazyLSH:
             for p, params in plan.metrics
         ]
         c = self.config.c
-        store, data, alive = self._store, self._data, self._alive
+        data, alive = self._data, self._alive
         window = WINDOWS[self.rehashing]
         query_hashes = self._bank.hash_point(query)
-        eta_max = max(state.params.eta for state in states)
-        seen_pages: set[tuple[int, int]] = set()
+        reader = RingReader(self._store, max(state.params.eta for state in states))
         fetched = np.zeros(n_rows, dtype=bool)
-        prev = None  # the previous round's windows
         round_index = -1
         while any(state.active for state in states):
             round_index += 1
             if round_index >= _MAX_ROUNDS:
                 raise RuntimeError(_KNN_ABORT)
             level = plan.level0 * c**round_index
-            los, his = (w.tolist() for w in window(query_hashes[:eta_max], level))
             rounders = [state for state in states if state.active]
             for state in rounders:
                 state.rounds += 1
                 state.c_delta = c * (level / state.params.r_hat)
                 state.trace.begin_round(level=level, radius=state.c_delta, io=state.io)
-            for i in range(eta_max):
+            f_round = max(state.params.eta for state in rounders)
+            reader.read(*window(query_hashes[:f_round], level))
+            for i in range(f_round):
                 consumers = [
                     state for state in states
                     if state.active and i < state.params.eta
                 ]
                 if not consumers:
                     continue
-                lo, hi = los[i], his[i]
                 # One shared read, charged to the smallest-p consumer.
-                reader_io = consumers[0].io
-                if prev is not None and lo <= prev[0][i] and prev[1][i] <= hi:
-                    ids = store.read_ring(
-                        i, lo, hi, prev[0][i], prev[1][i], reader_io, seen_pages
-                    )
-                else:
-                    ids = store.read_window(i, lo, hi, reader_io, seen_pages)
+                ids = reader.take(i, consumers[0].io)
                 for state in consumers:
                     if ids.size > 0:
                         state.trace.add_collisions(int(ids.size))
@@ -968,6 +974,5 @@ class LazyLSH:
                     candidates=len(state.cand_ids),
                     within=int(np.count_nonzero(dist_arr < state.c_delta)),
                 )
-            prev = (los, his)
         return [state.finish() for state in states]
 

@@ -61,7 +61,6 @@ _PHASE_RULES: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     ("scan", "engine", ("scan",)),
     ("merge", "engine", ("merge",)),
     ("merge", "lazylsh", ("_lane_result",)),
-    ("merge", "service", ("_merge_wave",)),
     ("wave", "service", ("_run_wave", "_broadcast", "_send", "_recv",
                          "_execute", "search_batch", "search")),
     ("wave", "frontend", ("_execute_plan", "_run_scans", "_run_wave")),

@@ -92,7 +92,9 @@ class StoreObserver:
 
     Attached via :meth:`Telemetry.observe_store`; every hook is one
     counter increment, and a detached store (``observer = None``) pays a
-    single ``is None`` check per storage call.
+    single ``is None`` check per storage call.  Every reader, flat or
+    scalar, reads through the store's one search and one gather, so
+    both are counted alike.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -100,21 +102,13 @@ class StoreObserver:
             "lazylsh_store_searches_total",
             "Batched window-endpoint searches answered by the store",
         )
-        self.windows = registry.counter(
-            "lazylsh_store_window_reads_total",
-            "Scalar window/ring reads answered by the store",
-        )
         self.entries = registry.counter(
             "lazylsh_store_entries_scanned_total",
-            "Inverted-list entries scanned (gathered or window-read)",
+            "Inverted-list entries gathered",
         )
 
     def on_search(self, needles: int) -> None:
         self.searches.inc(needles)
-
-    def on_window_read(self, entries: int) -> None:
-        self.windows.inc()
-        self.entries.inc(entries)
 
     def on_gather(self, entries: int) -> None:
         self.entries.inc(entries)

@@ -257,7 +257,7 @@ class ShardSearcher:
         order = np.argsort(values, axis=1, kind="stable")
         funcs = np.repeat(np.arange(num_funcs, dtype=np.int64), m_batch)
         at = self.store.batch_entry_positions(
-            funcs, np.take_along_axis(values, order, axis=1).ravel(), "right"
+            funcs, np.take_along_axis(values, order, axis=1).ravel()
         ) - funcs * m_old
         # Old entries between the sub-run insertion points of sorted batch
         # entries r - 1 and r shift by r (past the last one, by m_batch).

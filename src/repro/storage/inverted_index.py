@@ -5,7 +5,15 @@ function ``h*_i``, the list of ``(hash value, point id)`` pairs sorted by
 hash value.  Retrieving every point whose base bucket lies inside a hash
 window ``[lo, hi]`` is then one contiguous scan of the sorted run — exactly
 what virtual rehashing (C2LSH) and query-centric rehashing (LazyLSH)
-exploit.  Sequential I/O is charged per overlapped 4 KB page of the run.
+exploit.
+
+The store only stores, searches and gathers.  Every reader — the flat
+engine, the shard workers, the scalar oracle, ``range_query`` and C2LSH
+— finds a round's windows with one :meth:`batch_window_positions` call
+and reads their entries with one :meth:`gather_segments32` call, and
+charges sequential I/O itself, per overlapped 4 KB page of the run and
+once per query (the scalar readers through a
+:class:`~repro.storage.pages.PageTracker`).
 
 Storage layout (flat-array execution engine)
 --------------------------------------------
@@ -23,8 +31,8 @@ windows of a whole query batch — be answered with one small
 ``np.searchsorted`` plus a fixed-stride refinement, both window ends in
 one call (:meth:`batch_window_positions`).  Every search is a left
 search: on integer keys the right end of ``[lo, hi]`` is the left
-position of ``hi + 1``.  The engine gathers the entry ranges it found
-with :meth:`gather_segments32` and charges their pages itself.
+position of ``hi + 1``, and :meth:`batch_entry_positions` (where an
+insert lands) is the left search of ``value + 1``.
 
 :meth:`insert` merges a batch straight into fresh ``rel``/``ids`` arrays
 and recomputes only ``row_top``; ``vmin``/``stride`` always bound the
@@ -47,10 +55,8 @@ from typing import Any
 
 import numpy as np
 
-from repro._typing import IdArray
 from repro.errors import InvalidParameterError
-from repro.storage.io_stats import IOStats
-from repro.storage.pages import PageLayout, PageTracker
+from repro.storage.pages import PageLayout
 
 
 @dataclass(frozen=True)
@@ -335,26 +341,8 @@ class InvertedListStore:
         """Simulated index size in mebibytes."""
         return self.size_bytes() / (1024.0 * 1024.0)
 
-    def _entry_range(self, func: int, lo: int, hi: int) -> tuple[int, int]:
-        """Half-open entry range of hash values inside ``[lo, hi]``."""
-        n = self._num_points
-        row = self._rel[func * n : (func + 1) * n]
-        bounds = np.clip(
-            np.array([lo, hi], dtype=np.int64) - self._vmin, -1, self._stride - 1
-        ).astype(row.dtype)
-        start = int(np.searchsorted(row, bounds[0], side="left"))
-        stop = int(np.searchsorted(row, bounds[1], side="right"))
-        return start, stop
-
-    def _check_func(self, func: int) -> None:
-        if not 0 <= func < self._num_functions:
-            raise InvalidParameterError(
-                f"hash function index {func} out of range "
-                f"[0, {self._num_functions})"
-            )
-
     # ------------------------------------------------------------------
-    # Batched window search (the flat engine's storage primitive)
+    # Batched search and gather (every reader's storage primitives)
     # ------------------------------------------------------------------
 
     def batch_window_positions(
@@ -376,19 +364,16 @@ class InvertedListStore:
         pos = self._search(np.concatenate([funcs, funcs]), keys)
         return pos[:m], pos[m:]
 
-    def batch_entry_positions(
-        self, funcs: np.ndarray, bounds: np.ndarray, side: str
-    ) -> np.ndarray:
-        """Exact batched per-run ``searchsorted``.
+    def batch_entry_positions(self, funcs: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Where ``values`` would be inserted, in one search.
 
-        For every pair ``(funcs[j], bounds[j])`` returns the *absolute*
+        For every pair ``(funcs[j], values[j])`` returns the *absolute*
         flat position ``funcs[j] * num_points + searchsorted(run_values,
-        bounds[j], side)``.  ``side="right"`` is the left search at
-        ``bounds[j] + 1`` (where inserts land: after equal values).
+        values[j], "right")``: after equal values, where :meth:`insert`
+        and the shard workers land new entries.  It is the left search
+        at ``values[j] + 1``.
         """
-        keys = self._relative(bounds)
-        if side == "right":
-            keys += 1
+        keys = self._relative(values) + 1
         return self._search(np.asarray(funcs, dtype=np.int64), keys)
 
     def _relative(self, bounds: np.ndarray) -> np.ndarray:
@@ -482,103 +467,6 @@ class InvertedListStore:
             cache.setflags(write=False)
             self._iota_cache = cache
         return cache[:total]
-
-    # ------------------------------------------------------------------
-    # Scalar reads (legacy / baseline API)
-    # ------------------------------------------------------------------
-
-    def _charge_pages(
-        self,
-        func: int,
-        start: int,
-        stop: int,
-        stats: IOStats | None,
-        seen_pages: set[tuple[int, int]] | PageTracker | None,
-    ) -> None:
-        """Charge sequential I/O for entries ``[start, stop)`` of ``func``.
-
-        When ``seen_pages`` is given (multi-query optimisation, Sec. 4.3),
-        only pages not previously read in this batch are charged, and the
-        tracker is updated in place.  A :class:`PageTracker` dedups by
-        interval arithmetic; a plain ``set`` of ``(func, page)`` keys is
-        still supported for backward compatibility.
-        """
-        if stats is None and seen_pages is None:
-            return
-        first, last_plus_one = self._layout.page_span(start, stop)
-        if seen_pages is None:
-            if stats is not None:
-                stats.add_sequential(last_plus_one - first)
-            return
-        if isinstance(seen_pages, PageTracker):
-            new_pages = seen_pages.charge(func, first, last_plus_one)
-        else:
-            new_pages = 0
-            for page in range(first, last_plus_one):
-                key = (func, page)
-                if key not in seen_pages:
-                    seen_pages.add(key)
-                    new_pages += 1
-        if stats is not None:
-            stats.add_sequential(new_pages)
-
-    def read_window(
-        self,
-        func: int,
-        lo: int,
-        hi: int,
-        stats: IOStats | None = None,
-        seen_pages: set[tuple[int, int]] | PageTracker | None = None,
-    ) -> IdArray:
-        """Ids of points whose base hash value lies in ``[lo, hi]``.
-
-        Charges one sequential I/O per 4 KB page overlapped by the scanned
-        entry range (deduplicated against ``seen_pages`` when provided).
-        """
-        self._check_func(func)
-        if hi < lo:
-            return np.empty(0, dtype=np.int64)
-        start, stop = self._entry_range(func, lo, hi)
-        if self.observer is not None:
-            self.observer.on_window_read(int(stop - start))
-        if stop > start:
-            self._charge_pages(func, start, stop, stats, seen_pages)
-        base = func * self._num_points
-        return self._ids[base + start : base + stop].astype(np.int64)
-
-    def read_ring(
-        self,
-        func: int,
-        lo: int,
-        hi: int,
-        inner_lo: int,
-        inner_hi: int,
-        stats: IOStats | None = None,
-        seen_pages: set[tuple[int, int]] | PageTracker | None = None,
-    ) -> IdArray:
-        """Ids in ``[lo, hi]`` but outside the already-visited ``[inner_lo,
-        inner_hi]`` window (Algorithm 4 line 10).
-
-        Reads the two side runs ``[lo, inner_lo - 1]`` and
-        ``[inner_hi + 1, hi]``, charging pages for each run separately (they
-        are disjoint scans on disk).
-        """
-        self._check_func(func)
-        if inner_lo > inner_hi:
-            # Nothing was visited before; degenerate to a plain window read.
-            return self.read_window(func, lo, hi, stats, seen_pages)
-        if not (lo <= inner_lo and inner_hi <= hi):
-            raise InvalidParameterError(
-                f"inner window [{inner_lo}, {inner_hi}] must nest inside "
-                f"[{lo}, {hi}]"
-            )
-        left = self.read_window(func, lo, inner_lo - 1, stats, seen_pages)
-        right = self.read_window(func, inner_hi + 1, hi, stats, seen_pages)
-        if left.size == 0:
-            return right
-        if right.size == 0:
-            return left
-        return np.concatenate([left, right])
 
     # ------------------------------------------------------------------
     # Whole runs and shards (persistence, repro.serve)
@@ -695,7 +583,7 @@ class InvertedListStore:
         sorted_values = np.take_along_axis(values, order, axis=1)
         funcs_rep = np.repeat(np.arange(num_funcs, dtype=np.int64), m)
         positions = (
-            self.batch_entry_positions(funcs_rep, sorted_values.ravel(), "right")
+            self.batch_entry_positions(funcs_rep, sorted_values.ravel())
             - funcs_rep * n
         ).reshape(num_funcs, m).astype(np.int32)
         lo = int(sorted_values[:, 0].min())
@@ -721,35 +609,6 @@ class InvertedListStore:
         # store mapped from a v3 file materialises on its first insert.
         self._refresh_row_top()
         return InsertPlan((values - self._vmin).astype(dtype), self._vmin, positions)
-
-    # ------------------------------------------------------------------
-    # Diagnostics
-    # ------------------------------------------------------------------
-
-    def window_page_cost(self, func: int, lo: int, hi: int) -> int:
-        """Pages a :meth:`read_window` call would charge, without reading."""
-        self._check_func(func)
-        if hi < lo:
-            return 0
-        start, stop = self._entry_range(func, lo, hi)
-        return self._layout.pages_for_range(start, stop)
-
-    def bucket_of(self, func: int, point_id: int) -> int:
-        """Base hash value of ``point_id`` under function ``func``.
-
-        Intended for tests and diagnostics (the forward map is normally the
-        hash bank's job, not the store's): one O(n) scan of the run.
-        """
-        self._check_func(func)
-        base = func * self._num_points
-        hits = np.flatnonzero(
-            self._ids[base : base + self._num_points] == point_id
-        )
-        if hits.size == 0:
-            raise InvalidParameterError(
-                f"point id {point_id} is not stored in the inverted lists"
-            )
-        return int(self._rel[base + hits[0]]) + self._vmin
 
 
 def _top_keys(rel: np.ndarray, stride: int) -> np.ndarray | None:

@@ -3,8 +3,12 @@
 The inverted lists of the base index are modelled as densely packed runs of
 fixed-size entries (a 4-byte hash value plus a 4-byte point id, as in the
 C2LSH/LazyLSH C++ implementations).  A :class:`PageLayout` translates entry
-ranges into page ranges so that the store can charge the right number of
-sequential I/Os for a window read.
+ranges into page ranges, and a :class:`PageTracker` is one query's buffer
+pool: a reader charges the pages of every entry range it reads through
+it, so a page re-read later in the query costs one sequential I/O.  The
+store itself charges nothing; the scalar readers use a tracker, and the
+flat engine's merge step does the same interval arithmetic on
+per-function page hulls.
 """
 
 from __future__ import annotations
@@ -93,12 +97,11 @@ class PageLayout:
 class PageTracker:
     """Per-query buffer pool tracked as disjoint page intervals.
 
-    Replaces the page-``set`` bookkeeping of early versions: a query's
-    window scans touch contiguous, mostly-nested page runs, so the pages
-    already charged for one inverted list form one (rarely a few)
-    intervals.  Charging a new scan is then interval arithmetic — O(number
-    of intervals) instead of O(pages in the scan) — while producing
-    exactly the same counts as the set-based dedup.
+    A query's window scans touch contiguous, mostly-nested page runs, so
+    the pages already charged for one inverted list form one (rarely a
+    few) intervals.  Charging a new scan is then interval arithmetic —
+    O(number of intervals) instead of O(pages in the scan) — with
+    exactly the counts of a ``set`` of ``(function, page)`` keys.
     """
 
     __slots__ = ("_intervals",)
@@ -132,15 +135,3 @@ class PageTracker:
                 hi = max(hi, b)
         self._intervals[func] = left + [(lo, hi)] + right
         return new
-
-    def pages(self, func: int | None = None) -> int:
-        """Distinct pages charged so far (for ``func``, or in total)."""
-        if func is not None:
-            return sum(b - a for a, b in self._intervals.get(func, []))
-        return sum(
-            b - a for runs in self._intervals.values() for a, b in runs
-        )
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        func, page = key
-        return any(a <= page < b for a, b in self._intervals.get(func, []))

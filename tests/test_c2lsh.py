@@ -41,6 +41,12 @@ class TestBuild:
         with pytest.raises(InvalidParameterError):
             C2LSH().build(np.zeros((2, 2)) * np.nan)
 
+    def test_data_past_the_float_range_refused(self):
+        data = make_synthetic(600, 8, value_range=(0, 200), seed=41)
+        data[5, 2] = 1e308
+        with pytest.raises(InvalidParameterError, match="float range"):
+            C2LSH().build(data)
+
 
 class TestL1Queries:
     def test_result_sorted(self, c2, c2_split):
@@ -104,6 +110,29 @@ class TestIOAccounting:
         l1_io = c2.knn(query, 105, p=1.0).io
         lp_io = c2.knn(query, 5, p=0.5).io
         assert lp_io.total == l1_io.total
+
+
+class TestPinnedAnswers:
+    @pytest.mark.parametrize(
+        "row, p, want",
+        [
+            # (ids, sequential, random, rounds, candidates)
+            (0, 1.0, ([331, 825, 804, 614, 380], 271, 5, 8, 5)),
+            (0, 0.5, ([825, 821, 331, 865, 66], 286, 108, 8, 108)),
+            (1, 1.0, ([48, 703, 992, 282, 772], 276, 6, 8, 6)),
+            (1, 0.5, ([48, 334, 816, 383, 703], 290, 109, 8, 109)),
+            (2, 1.0, ([428, 184, 667, 992, 405], 274, 6, 8, 6)),
+            (2, 0.5, ([355, 428, 992, 951, 140], 288, 108, 8, 108)),
+        ],
+    )
+    def test_answers_and_io(self, c2, c2_split, row, p, want):
+        """Recorded answers and simulated I/O: rings of nested aligned
+        windows, each page charged once per query."""
+        result = c2.knn(c2_split.queries[row], 5, p=p)
+        assert (
+            result.ids.tolist(), result.io.sequential, result.io.random,
+            result.rounds, result.candidates,
+        ) == want
 
 
 class TestDeterminism:

@@ -104,8 +104,10 @@ class TestStoreInsert:
         hash_values = np.array([[0, 10, 20]], dtype=np.int64)
         store = InvertedListStore(hash_values)
         store.insert(np.array([[15]], dtype=np.int64), np.array([3]))
-        got = store.read_window(0, 14, 16)
-        assert got.tolist() == [3]
+        starts, stops = store.batch_window_positions(
+            np.array([0]), np.array([14]), np.array([16])
+        )
+        assert store.gather_segments32(starts, stops - starts).tolist() == [3]
 
     def test_insert_shape_validation(self):
         store = InvertedListStore(np.zeros((2, 3), dtype=np.int64))

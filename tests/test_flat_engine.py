@@ -525,6 +525,14 @@ class TestValidation:
             MultiQueryEngine(index)
 
 
+def _search(store, funcs, bounds, side):
+    """The store's left search (window starts) or right search (insert
+    positions) of ``bounds``."""
+    if side == "left":
+        return store.batch_window_positions(funcs, bounds, bounds)[0]
+    return store.batch_entry_positions(funcs, bounds)
+
+
 class TestTwoLevelSearch:
     """The batched two-level window search against a searchsorted loop."""
 
@@ -537,7 +545,7 @@ class TestTwoLevelSearch:
         store = InvertedListStore(hashes, PageLayout(page_size=256, entry_size=8))
         funcs = rng.integers(0, num_functions, size=4_000)
         bounds = rng.integers(-span - 5, span + 5, size=4_000)
-        got = store.batch_entry_positions(funcs, bounds, side)
+        got = _search(store, funcs, bounds, side)
         values = store.runs()[0]
         for j in range(funcs.size):
             f = int(funcs[j])
@@ -558,7 +566,7 @@ class TestTwoLevelSearch:
         )
         funcs = np.zeros(bounds.size, dtype=np.int64)
         for side in ("left", "right"):
-            got = store.batch_entry_positions(funcs, bounds, side)
+            got = _search(store, funcs, bounds, side)
             expect = np.searchsorted(store.runs()[0][0], bounds, side=side)
             assert np.array_equal(got, expect)
 

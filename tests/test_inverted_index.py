@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import LazyLSH, LazyLSHConfig
+from repro.core.engine import RingReader
 from repro.datasets import make_synthetic
 from repro.errors import InvalidParameterError
 from repro.persistence import load_index, open_v3_arrays, save_index
@@ -47,105 +48,117 @@ class TestConstruction:
         assert tiny_store.size_mb() == pytest.approx(128 / 1024.0 / 1024.0)
 
 
+def _read(store, func, lo, hi):
+    """Ids of function ``func``'s entries in ``[lo, hi]``: one search and
+    one gather, as every reader reads a window."""
+    starts, stops = store.batch_window_positions(
+        np.array([func]), np.array([lo]), np.array([hi])
+    )
+    return store.gather_segments32(starts, np.maximum(stops - starts, 0))
+
+
+def _rounds(store, windows, io=None):
+    """A :class:`RingReader`'s ids of every function, round by round.
+
+    ``windows`` holds one ``(los, his)`` pair per round; returns each
+    round's per-function id lists, charging pages to ``io``.
+    """
+    reader = RingReader(store, len(windows[0][0]))
+    io = IOStats() if io is None else io
+    out = []
+    for los, his in windows:
+        reader.read(np.array(los, dtype=np.int64), np.array(his, dtype=np.int64))
+        out.append([reader.take(f, io).tolist() for f in range(len(los))])
+    return out
+
+
 class TestReadWindow:
     def test_exact_bucket(self, tiny_store):
-        ids = tiny_store.read_window(0, 1, 1)
+        ids = _read(tiny_store, 0, 1, 1)
         assert sorted(ids.tolist()) == [1, 3]
 
     def test_inclusive_range(self, tiny_store):
-        ids = tiny_store.read_window(0, 3, 7)
+        ids = _read(tiny_store, 0, 3, 7)
         assert sorted(ids.tolist()) == [0, 4, 5]
 
     def test_empty_window(self, tiny_store):
-        assert tiny_store.read_window(0, 100, 200).size == 0
+        assert _read(tiny_store, 0, 100, 200).size == 0
 
     def test_inverted_bounds_return_empty(self, tiny_store):
-        assert tiny_store.read_window(0, 5, 4).size == 0
+        starts, stops = tiny_store.batch_window_positions(
+            np.array([0]), np.array([5]), np.array([4])
+        )
+        assert stops[0] <= starts[0]
+        assert _rounds(tiny_store, [([5], [4])]) == [[[]]]
 
     def test_sequential_io_charged_per_page(self, tiny_store):
         stats = IOStats()
         # Function 0 sorted values: [1,1,3,5,7,9]; window [1,5] covers
         # entries 0..3 -> exactly the first page (4 entries/page).
-        tiny_store.read_window(0, 1, 5, stats)
+        _rounds(tiny_store, [([1], [5])], stats)
         assert stats.sequential == 1
         stats.reset()
         # Window [1,9] covers entries 0..5 -> 2 pages.
-        tiny_store.read_window(0, 1, 9, stats)
+        _rounds(tiny_store, [([1], [9])], stats)
         assert stats.sequential == 2
 
     def test_empty_window_costs_nothing(self, tiny_store):
         stats = IOStats()
-        tiny_store.read_window(0, 100, 200, stats)
+        _rounds(tiny_store, [([100], [200])], stats)
         assert stats.total == 0
-
-    def test_function_index_validated(self, tiny_store):
-        with pytest.raises(InvalidParameterError):
-            tiny_store.read_window(2, 0, 1)
-        with pytest.raises(InvalidParameterError):
-            tiny_store.read_window(-1, 0, 1)
 
 
 class TestReadRing:
+    """A reader's later rounds read only the ring outside the previous
+    round's window."""
+
     def test_ring_excludes_inner(self, tiny_store):
         # Window [1,9] minus inner [3,7] -> hash values 1,1 and 9.
-        ids = tiny_store.read_ring(0, 1, 9, 3, 7)
-        assert sorted(ids.tolist()) == [1, 2, 3]
+        rounds = _rounds(tiny_store, [([3], [7]), ([1], [9])])
+        assert sorted(rounds[1][0]) == [1, 2, 3]
 
     def test_ring_with_empty_inner_degenerates(self, tiny_store):
-        ids_ring = tiny_store.read_ring(0, 1, 9, 5, 4)
-        ids_win = tiny_store.read_window(0, 1, 9)
-        assert sorted(ids_ring.tolist()) == sorted(ids_win.tolist())
-
-    def test_non_nested_inner_rejected(self, tiny_store):
-        with pytest.raises(InvalidParameterError):
-            tiny_store.read_ring(0, 3, 7, 1, 9)
+        rounds = _rounds(tiny_store, [([5], [4]), ([1], [9])])
+        assert sorted(rounds[1][0]) == sorted(_read(tiny_store, 0, 1, 9).tolist())
 
     def test_ring_plus_inner_equals_window(self, tiny_store):
-        inner = tiny_store.read_window(1, 0, 2)
-        ring = tiny_store.read_ring(1, 0, 4, 0, 2)
-        window = tiny_store.read_window(1, 0, 4)
-        assert sorted(inner.tolist() + ring.tolist()) == sorted(window.tolist())
+        inner, ring = _rounds(tiny_store, [([0, 0], [0, 2]), ([0, 0], [0, 4])])
+        window = _read(tiny_store, 1, 0, 4)
+        assert sorted(inner[1] + ring[1]) == sorted(window.tolist())
 
-    def test_ring_charges_both_side_runs(self, tiny_store):
-        stats = IOStats()
-        # Function 0: entries [1,1,3,5,7,9].  Ring [1,9] \\ [3,7] reads
-        # entries {0,1} (page 0) and {5} (page 1) -> 2 sequential I/Os.
-        tiny_store.read_ring(0, 1, 9, 3, 7, stats)
-        assert stats.sequential == 2
+    def test_ring_charges_both_side_runs(self):
+        # Function 0: entries [1,1,3,5,7,9] at 2 entries per page.  The
+        # inner window [3,7] reads entries 2..4 (pages 1 and 2); the ring
+        # [1,9] minus [3,7] reads entries {0,1} (page 0, new) and {5}
+        # (page 2, already read) -> 1 more sequential I/O.
+        store = InvertedListStore(
+            np.array([[5, 1, 9, 1, 7, 3]]), PageLayout(page_size=16, entry_size=8)
+        )
+        inner, ring = IOStats(), IOStats()
+        reader = RingReader(store, 1)
+        reader.read(np.array([3]), np.array([7]))
+        reader.take(0, inner)
+        reader.read(np.array([1]), np.array([9]))
+        assert sorted(reader.take(0, ring).tolist()) == [1, 2, 3]
+        assert (inner.sequential, ring.sequential) == (2, 1)
 
 
 class TestSeenPages:
     def test_pages_charged_once(self, tiny_store):
         stats = IOStats()
-        seen: set = set()
-        tiny_store.read_window(0, 1, 5, stats, seen)
-        assert stats.sequential == 1
-        tiny_store.read_window(0, 1, 5, stats, seen)
-        assert stats.sequential == 1  # second read hits the cache
-        tiny_store.read_window(0, 1, 9, stats, seen)
-        assert stats.sequential == 2  # only the new page is charged
+        reader = RingReader(tiny_store, 1)
+        # [3,5] does not contain [1,5], so it is read whole, from the
+        # cached page 0; the ring of [1,9] adds page 1 only.
+        for (lo, hi), charged in [((1, 5), 1), ((3, 5), 1), ((1, 9), 2)]:
+            reader.read(np.array([lo]), np.array([hi]))
+            reader.take(0, stats)
+            assert stats.sequential == charged
 
     def test_seen_pages_are_per_function(self, tiny_store):
         stats = IOStats()
-        seen: set = set()
-        tiny_store.read_window(0, 1, 5, stats, seen)
-        tiny_store.read_window(1, 0, 4, stats, seen)
+        _rounds(tiny_store, [([1, 0], [5, 4])], stats)
         # Function 1's pages are distinct cache keys.
         assert stats.sequential > 1
-
-
-class TestWindowPageCost:
-    def test_matches_actual_charge(self, tiny_store):
-        for lo, hi in [(1, 5), (1, 9), (100, 200), (3, 3)]:
-            stats = IOStats()
-            tiny_store.read_window(0, lo, hi, stats)
-            assert tiny_store.window_page_cost(0, lo, hi) == stats.sequential
-
-
-class TestBucketOf:
-    def test_roundtrip(self, tiny_store):
-        assert tiny_store.bucket_of(0, 2) == 9
-        assert tiny_store.bucket_of(1, 5) == 4
 
 
 def _shard(store, lo, hi):
@@ -255,7 +268,7 @@ class TestLargeStore:
         store = InvertedListStore(hash_values)
         for func in range(3):
             for lo, hi in [(-10, 10), (0, 0), (-50, 49), (20, 45)]:
-                got = sorted(store.read_window(func, lo, hi).tolist())
+                got = sorted(_read(store, func, lo, hi).tolist())
                 want = sorted(
                     np.flatnonzero(
                         (hash_values[func] >= lo) & (hash_values[func] <= hi)
@@ -279,23 +292,28 @@ class TestWideHashDomain:
         bounds = np.concatenate(
             [rng.integers(-span - 9, span + 9, size=200), values[funcs[200:], 7]]
         )
-        for side in ("left", "right"):
-            got = store.batch_entry_positions(funcs, bounds, side)
+        # Window starts are left searches, insert positions right ones.
+        starts, _stops = store.batch_window_positions(funcs, bounds, bounds)
+        inserts = store.batch_entry_positions(funcs, bounds)
+        for got, side in ((starts, "left"), (inserts, "right")):
             want = [
                 f * 600 + np.searchsorted(values[f], b, side=side)
                 for f, b in zip(funcs, bounds)
             ]
             assert got.tolist() == want
-        for f in range(4):
-            lo, ilo, ihi, hi = np.sort(rng.integers(-span, span, size=4))
+        bounds = np.sort(rng.integers(-span, span, size=(4, 4)), axis=1)
+        rounds = _rounds(
+            store, [(bounds[:, 1], bounds[:, 2]), (bounds[:, 0], bounds[:, 3])]
+        )
+        for f, (lo, ilo, ihi, hi) in enumerate(bounds):
             start = np.searchsorted(values[f], lo, side="left")
             stop = np.searchsorted(values[f], hi, side="right")
-            assert store.read_window(f, lo, hi).tolist() == ids[f, start:stop].tolist()
+            assert _read(store, f, lo, hi).tolist() == ids[f, start:stop].tolist()
             left = np.searchsorted(values[f], ilo, side="left")
             right = np.searchsorted(values[f], ihi, side="right")
+            assert rounds[0][f] == ids[f, left:right].tolist()
             ring = np.concatenate([ids[f, start:left], ids[f, right:stop]])
-            got_ring = store.read_ring(f, lo, hi, ilo, ihi)
-            assert got_ring.tolist() == ring.tolist()
+            assert rounds[1][f] == ring.tolist()
         starts = np.array([0, 650, 1_799], dtype=np.int64)
         lens = np.array([30, 0, 400], dtype=np.int64)
         want = np.concatenate([ids.ravel()[a : a + b] for a, b in zip(starts, lens)])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import LazyLSH, LazyLSHConfig
+from repro.core.engine import RingReader
 from repro.datasets import make_synthetic, sample_queries
 from repro.storage.inverted_index import InvertedListStore
 from repro.storage.io_stats import IOStats
@@ -68,10 +69,13 @@ class TestBufferPoolSemantics:
         hash_values = np.arange(1000, dtype=np.int64)[None, :]
         store = InvertedListStore(hash_values)
         stats = IOStats()
-        pool: set = set()
-        store.read_window(0, 0, 400, stats, pool)
+        reader = RingReader(store, 1)
+        reader.read(np.array([0]), np.array([400]))
+        reader.take(0, stats)
         first = stats.sequential
-        store.read_window(0, 100, 300, stats, pool)  # fully cached
+        # A narrower window is read whole, its pages all cached.
+        reader.read(np.array([100]), np.array([300]))
+        assert reader.take(0, stats).size == 201
         assert stats.sequential == first
 
     def test_distinct_queries_do_not_share_cache(self, io_setup):

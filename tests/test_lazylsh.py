@@ -61,6 +61,14 @@ class TestBuild:
         assert np.array_equal(index.data, data)
         assert index.knn(data[3], 1, p=1.0).ids[0] == 3
 
+    def test_refuses_data_past_the_float_range(self, small_config):
+        """Data whose hash offsets would pass the float range (one
+        coordinate at 1e308) is refused before the bank is sized."""
+        data = make_synthetic(600, 8, value_range=(0, 200), seed=41)
+        data[5, 2] = 1e308
+        with pytest.raises(InvalidParameterError, match="float range"):
+            LazyLSH(small_config).build(data)
+
     def test_data_just_inside_the_reach_bound_answers_its_rows(self, small_config):
         """Scale a dataset to within 10% of the largest scale ``build``
         accepts: it builds, and each probed row is its own nearest
@@ -221,6 +229,39 @@ class TestRangeQueries:
     def test_radius_validation(self, built_index, small_split):
         with pytest.raises(InvalidParameterError):
             built_index.range_query(small_split.queries[0], 0.0, 1.0)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), 1e20])
+    def test_radius_refused_before_any_read(self, built_index, small_split, delta):
+        """A radius that is not finite, or whose windows would leave
+        int64, is refused before the index reads anything (a large one
+        that stays inside int64, 1e12, answers: see the pinned cases)."""
+        before = built_index.io_stats.total
+        match = "past int64" if delta == 1e20 else "finite"
+        with pytest.raises(InvalidParameterError, match=match):
+            built_index.range_query(small_split.queries[0], delta, 0.5)
+        assert built_index.io_stats.total == before
+
+    @pytest.mark.parametrize(
+        "row, delta, p, want",
+        [
+            # (found, point_id, distance, sequential, random, candidates)
+            (0, 600.0, 1.0, (False, None, None, 281, 0, 0)),
+            (0, 1500.0, 1.0, (True, 142, 1262.0, 192, 1, 1)),
+            (1, 1500.0, 1.0, (True, 170, 1725.0, 186, 1, 1)),
+            (1, 4000.0, 0.5, (False, None, None, 960, 0, 0)),
+            (1, 8000.0, 0.5, (True, 893, 14430.21079, 980, 1, 1)),
+            (0, 1e12, 0.5, (True, 142, 16094.091949, 570, 1196, 1196)),
+        ],
+    )
+    def test_pinned_answers_and_io(self, built_index, small_split, row, delta, p, want):
+        """Recorded Algorithm-3 answers and simulated I/O: every window
+        read whole once, its pages charged once."""
+        result = built_index.range_query(small_split.queries[row], delta, p)
+        distance = None if result.distance is None else round(result.distance, 6)
+        assert (
+            result.found, result.point_id, distance,
+            result.io.sequential, result.io.random, result.candidates,
+        ) == want
 
     def test_io_recorded(self, built_index, small_split):
         _, true_dists = exact_knn(built_index.data, small_split.queries[0], 1, 0.8)

@@ -340,13 +340,20 @@ class TestTelemetryFacade:
         assert searches.value() == before
 
     def test_scalar_path_counts_window_reads(self, obs_index):
+        # The oracle reads through the store's one search and one gather,
+        # so its window reads are counted as the flat engine's are.
         index, split = obs_index
         telemetry = Telemetry()
         telemetry.observe_store(index.store)
-        index.knn(split.queries[0], 5, p=0.5, engine="scalar")
+        result = index.knn(split.queries[0], 5, p=0.5, engine="scalar")
         index.store.observer = None
-        windows = telemetry.registry.get("lazylsh_store_window_reads_total")
-        assert windows.value() > 0
+        searches = telemetry.registry.get("lazylsh_store_searches_total")
+        entries = telemetry.registry.get("lazylsh_store_entries_scanned_total")
+        # One search needle per window end, every round.
+        assert searches.value() == 2 * index.metric_params(0.5).eta * result.rounds
+        consumed = sum(record.collisions for record in result.trace.rounds)
+        assert entries.value() >= consumed > 0
+        assert "lazylsh_store_window_reads_total" not in telemetry.metrics_text()
 
 
 def _per_lane(answer) -> list:

@@ -23,7 +23,7 @@ from repro.metrics.lp import l1_bounds, lp_distance, lp_norm, norm_equivalence_b
 from repro.persistence import load_index, save_index
 from repro.serve.worker import ShardSearcher
 from repro.storage.inverted_index import InvertedListStore
-from repro.storage.pages import PageLayout
+from repro.storage.pages import PageLayout, PageTracker
 
 # Strategies ---------------------------------------------------------------
 
@@ -43,6 +43,41 @@ finite_vectors = hnp.arrays(
 )
 
 p_values = st.sampled_from([0.4, 0.5, 0.7, 1.0, 1.3, 2.0])
+
+
+@st.composite
+def _page_charges(draw):
+    """``(func, first, stop)`` page ranges over three functions, each
+    nested in, enclosing, overlapping, touching or disjoint from its
+    function's previous range, or empty."""
+    charges, last = [], {}
+    for _ in range(draw(st.integers(min_value=1, max_value=24))):
+        func = draw(st.integers(min_value=0, max_value=2))
+        a, b = last.get(func, (40, 44))
+        size = draw(st.integers(min_value=1, max_value=6))
+        gap = draw(st.integers(min_value=1, max_value=6))
+        below = draw(st.booleans())
+        kind = draw(st.sampled_from(
+            ["nested", "enclosing", "overlapping", "touching", "disjoint", "empty"]
+        ))
+        if kind == "nested":
+            first = draw(st.integers(min_value=a, max_value=b))
+            stop = draw(st.integers(min_value=first, max_value=b))
+        elif kind == "enclosing":
+            first, stop = a - size, b + gap
+        elif kind == "overlapping":
+            first, stop = (a - size, a + 1) if below else (b - 1, b + size)
+        elif kind == "touching":
+            first, stop = (a - size, a) if below else (b, b + size)
+        elif kind == "disjoint":
+            first, stop = (a - gap - size, a - gap) if below else (b + gap, b + gap + size)
+        else:
+            first = draw(st.integers(min_value=a - 6, max_value=b + 6))
+            stop = first - draw(st.integers(min_value=0, max_value=2))
+        charges.append((func, first, stop))
+        if stop > first:
+            last[func] = (first, stop)
+    return charges
 
 
 def paired_vectors():
@@ -225,6 +260,16 @@ class TestPageProperties:
         whole = layout.pages_for_range(start, stop)
         pieces = layout.pages_for_range(start, mid) + layout.pages_for_range(mid, stop)
         assert pieces >= whole
+
+    @given(charges=_page_charges())
+    @example(charges=[(0, 3, 6), (0, 4, 5), (0, 6, 9), (0, 1, 3), (0, 12, 14), (0, 2, 13)])
+    def test_page_tracker_counts_new_pages(self, charges):
+        # The tracker's interval arithmetic against a set of pages.
+        tracker, seen = PageTracker(), set()
+        for func, first, stop in charges:
+            pages = {(func, page) for page in range(first, stop)}
+            assert tracker.charge(func, first, stop) == len(pages - seen)
+            seen |= pages
 
 
 class TestRatioProperties:
@@ -422,16 +467,18 @@ class TestStoreInsertProperties:
 
         funcs = rng.integers(0, eta, size=64)
         bounds = rng.integers(columns.min() - 3, columns.max() + 3, size=64)
-        for side in ("left", "right"):
-            np.testing.assert_array_equal(
-                store.batch_entry_positions(funcs, bounds, side),
-                fresh.batch_entry_positions(funcs, bounds, side),
-            )
-        for f, lo in zip(funcs[:16].tolist(), bounds[:16].tolist()):
-            hi = lo + int(rng.integers(0, 40))
-            np.testing.assert_array_equal(
-                store.read_window(f, lo, hi), fresh.read_window(f, lo, hi)
-            )
+        np.testing.assert_array_equal(
+            store.batch_entry_positions(funcs, bounds),
+            fresh.batch_entry_positions(funcs, bounds),
+        )
+        his = bounds + rng.integers(0, 40, size=64)
+        windows = [s.batch_window_positions(funcs, bounds, his) for s in (store, fresh)]
+        np.testing.assert_array_equal(windows[0], windows[1])
+        starts, stops = windows[0]
+        lens = np.maximum(stops - starts, 0)
+        np.testing.assert_array_equal(
+            store.gather_segments32(starts, lens), fresh.gather_segments32(starts, lens)
+        )
 
         for searcher in searchers:
             owned = np.flatnonzero(owner == searcher.shard_id)

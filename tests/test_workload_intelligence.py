@@ -329,6 +329,12 @@ class TestContinuousProfiler:
         assert classify_frames(
             [("/x/service.py", "_run_wave"), ("/x/engine.py", "merge")]
         ) == "merge"
+        # Publishing a wave's per-shard telemetry is wave work, not the
+        # engine's merge step.
+        for func in ("_merge_wave_obs", "_record_repair"):
+            assert classify_frames(
+                [("/x/serve/service.py", "_execute"), ("/x/serve/service.py", func)]
+            ) == "wave"
         assert classify_frames([("/x/threading.py", "wait")]) == "idle"
         assert classify_frames([("/x/mymodule.py", "helper")]) == "other"
         assert classify_frames([]) == "other"

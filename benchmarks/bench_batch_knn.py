@@ -9,7 +9,8 @@ over a synthetic n=10k, d=50 dataset at k=10, p=0.5, answered
 
 The script verifies the two plans return bit-identical results and
 identical per-query I/O counts, then writes wall-clock / throughput /
-I/O numbers to ``benchmarks/results/BENCH_batch_knn.json``.
+I/O numbers to ``benchmarks/results/BENCH_batch_knn.json``, with the
+index build's wall-clock time as ``build.seconds``.
 
 A multi-metric pass then answers the same batch under
 ``metrics=(0.5, 0.8, 1.0)`` (one Section 4.3 shared scan per query) on
@@ -168,7 +169,8 @@ def run(workload: dict, out_path: Path, trace: bool = False) -> dict:
     cfg = LazyLSHConfig(
         c=3.0, p_min=0.5, seed=SEED, mc_samples=MC_SAMPLES, mc_buckets=MC_BUCKETS
     )
-    index = LazyLSH(cfg).build(split.data)
+    with Timer() as t_build:
+        index = LazyLSH(cfg).build(split.data)
     index.metric_params(p)  # warm the offline parameter tables
 
     with Timer() as t_scalar:
@@ -190,6 +192,7 @@ def run(workload: dict, out_path: Path, trace: bool = False) -> dict:
     )
     report = {
         "workload": {**workload, "eta": index.eta, "c": cfg.c},
+        "build": {"seconds": round(t_build.seconds, 4)},
         "scalar": {
             "seconds": round(t_scalar.seconds, 4),
             "queries_per_second": round(n_queries / t_scalar.seconds, 2),

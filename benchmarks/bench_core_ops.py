@@ -71,3 +71,17 @@ def test_build_small_index(benchmark, split):
         return LazyLSH(cfg).build(split.data)
 
     benchmark.pedantic(build, rounds=3, iterations=1)
+
+
+def test_build_perfbench_index(benchmark):
+    """The perfbench index's build (n = 8,000, d = 16, p_min = 0.5, c = 3):
+    hashing, then one sort of every inverted list."""
+    data = make_synthetic(8000, 16, seed=0)
+    cfg = LazyLSHConfig(c=3.0, p_min=0.5, mc_samples=20_000, mc_buckets=100)
+    LazyLSH(cfg).build(data[:100])  # the parameter tables, outside the timing
+
+    def build():
+        return LazyLSH(cfg).build(data)
+
+    index = benchmark.pedantic(build, rounds=3, iterations=1)
+    assert index.num_points == 8000

@@ -73,7 +73,8 @@ class C2LSH:
         self._beta: float = 0.0
 
     def build(self, data: PointMatrix) -> "C2LSH":
-        """Materialise the l1 base index over ``data``."""
+        """Materialise the l1 base index over ``data``; refuses data it could
+        not query (:meth:`StableHashBank.check_reach`), unchanged on refusal."""
         data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         if data.ndim != 2 or data.shape[0] < 1:
             raise InvalidParameterError(
@@ -83,31 +84,32 @@ class C2LSH:
             raise InvalidParameterError("data contains non-finite values")
         n, d = data.shape
         cfg = self.config
-        self._beta = cfg.resolve_beta(n)
+        beta = cfg.resolve_beta(n)
         engine = ParameterEngine(
             d,
             c=cfg.c,
             epsilon=cfg.epsilon,
-            beta=self._beta,
+            beta=beta,
             r0=cfg.r0,
             base_p=1.0,
             seed=cfg.seed,
         )
         params = engine.metric_params(1.0)
-        self._eta = params.eta
-        self._theta = params.theta
         t_max = float(np.abs(data).max())
-        self._bank = StableHashBank(
+        bank = StableHashBank(
             d,
-            self._eta,
+            params.eta,
             r0=cfg.r0,
             c=cfg.c,
             t_max=max(t_max, 1.0),
             base_p=1.0,
             seed=cfg.seed,
         )
+        bank.check_reach(data, "data", stored=True)
         layout = PageLayout(page_size=cfg.page_size, entry_size=cfg.entry_size)
-        self._store = InvertedListStore(self._bank.hash_points(data), layout)
+        self._store = InvertedListStore(bank.hash_points(data), layout)
+        self._beta, self._eta, self._theta = beta, params.eta, params.theta
+        self._bank = bank
         self._data = data
         return self
 

@@ -149,8 +149,10 @@ class StableHashBank:
         out = np.empty((self.eta, n), dtype=np.int64)
         for start in range(0, n, _HASH_CHUNK):
             stop = min(n, start + _HASH_CHUNK)
-            projected = points[start:stop] @ self._projections + self._offsets
-            out[:, start:stop] = np.floor(projected / self.r0).astype(np.int64).T
+            projected = points[start:stop] @ self._projections
+            projected += self._offsets
+            projected /= self.r0
+            out[:, start:stop] = np.floor(projected, out=projected).T
         return out
 
     def hash_point(self, point: PointVector) -> np.ndarray:
@@ -179,3 +181,38 @@ class StableHashBank:
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         return (points @ self._projections + self._offsets).T
+
+    def check_reach(
+        self, points: PointMatrix, what: str, *, domain: tuple[int, int] = (0, 0),
+        stored: bool = False, level0: float = 1.0,
+    ) -> None:
+        """Refuse ``points`` whose windows could leave int64.
+
+        Algorithm 4 (and C2LSH's query loop) widens a point's windows
+        around its base hash ``h`` from level ``level0`` by a factor
+        ``c`` per round until they cover the stored hash domain ``[lo,
+        hi]``, so the last window it may need ends less than
+        ``max(level0, c * (|h| + max(|lo|, |hi|) + 1))`` past ``h`` under
+        either rehashing.  That end must stay inside int64.  ``stored``
+        points (a build's data, an insert batch) widen ``domain`` first;
+        a new build's domain is its data alone, the default ``(0, 0)``.
+        """
+        lo, hi = domain
+
+        def reach(top: float) -> float:
+            span = max(-lo, hi, top if stored else 0.0)
+            return top + max(level0, self.c * (top + span + 1.0))
+
+        # The projections are computed only when a cheap bound on them
+        # could leave int64; ``reach`` grows with ``top``.
+        if reach(self.projection_bound(points) / self.r0 + 1.0) < 2.0**63:
+            return
+        # Far-out points overflow to inf or nan: refused below, unwarned.
+        with np.errstate(over="ignore", invalid="ignore"):
+            projected = self.projection_values(points)
+        top = max(float(projected.max()), -float(projected.min())) / self.r0 + 1.0
+        if not reach(top) < 2.0**63:  # also refuses inf and nan
+            raise InvalidParameterError(
+                f"{what} would need windows reaching {reach(top):.3g} buckets "
+                f"from base hashes up to {top:.3g}, past int64"
+            )

@@ -223,7 +223,8 @@ class LazyLSH:
         Cauchy hash functions, hashes every point and lays the sorted
         inverted lists out on the simulated disk.  Refuses, before
         hashing, data the index could not then answer as queries
-        (:meth:`_check_reach`); the index is unchanged on any refusal.
+        (:meth:`StableHashBank.check_reach`); the index is unchanged on
+        any refusal.
         """
         data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         if data.ndim != 2:
@@ -259,7 +260,7 @@ class LazyLSH:
             base_p=cfg.base_p,
             seed=cfg.seed,
         )
-        self._check_reach(data, "data", stored=True, bank=bank)
+        bank.check_reach(data, "data", stored=True)
         layout = PageLayout(page_size=cfg.page_size, entry_size=cfg.entry_size)
         self._store = InvertedListStore(bank.hash_points(data), layout)
         self._beta, self._engine, self._eta, self._bank = beta, engine, eta, bank
@@ -579,42 +580,10 @@ class LazyLSH:
             self._check_reach(queries, "queries")
         return queries
 
-    def _check_reach(
-        self, points: np.ndarray, what: str, *, stored: bool = False,
-        level0: float = 1.0, bank: StableHashBank | None = None,
-    ) -> None:
-        """Refuse ``points`` whose windows could leave int64.
-
-        Algorithm 4 widens a point's windows around its base hash ``h``
-        from level ``level0`` by a factor ``c`` per round until they
-        cover the store's hash domain ``[lo, hi]``, so the last window
-        it may need ends less than ``max(level0, c * (|h| + max(|lo|,
-        |hi|) + 1))`` past ``h`` under either rehashing.  That end must
-        stay inside int64.  ``stored`` points (an insert batch) widen the
-        domain first; ``bank`` is a new build's bank, whose domain is
-        ``points`` alone.
-        """
-        if bank is None:
-            assert self._bank is not None and self._store is not None
-            bank, (lo, hi) = self._bank, self._store.value_range
-        else:
-            lo = hi = 0
-
-        def reach(top: float) -> float:
-            span = max(-lo, hi, top if stored else 0.0)
-            return top + max(level0, self.config.c * (top + span + 1.0))
-
-        # The projections are computed only when a cheap bound on them
-        # could leave int64; ``reach`` grows with ``top``.
-        if reach(bank.projection_bound(points) / bank.r0 + 1.0) < 2.0**63:
-            return
-        projected = bank.projection_values(points)
-        top = max(float(projected.max()), -float(projected.min())) / bank.r0 + 1.0
-        if not reach(top) < 2.0**63:  # also refuses inf and nan
-            raise InvalidParameterError(
-                f"{what} would need windows reaching {reach(top):.3g} buckets "
-                f"from base hashes up to {top:.3g}, past int64"
-            )
+    def _check_reach(self, points: np.ndarray, what: str, **kwargs) -> None:
+        """:meth:`StableHashBank.check_reach` over the store's hash domain."""
+        assert self._bank is not None and self._store is not None
+        self._bank.check_reach(points, what, domain=self._store.value_range, **kwargs)
 
     def range_query(self, query: PointVector, delta: float, p: float = 1.0) -> RangeResult:
         """Answer ``Rp(q, delta, c)`` (Algorithm 3).

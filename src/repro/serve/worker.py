@@ -96,7 +96,7 @@ from repro.obs.trace_context import TraceContext
 from repro.obs.tracer import SpanTracer
 from repro.persistence import load_index
 from repro.serve.sharding import ShardSpec
-from repro.storage.inverted_index import InvertedListStore, merge_runs
+from repro.storage.inverted_index import InvertedListStore, merge_runs, sort_rows
 
 logger = logging.getLogger("repro.serve.worker")
 
@@ -254,10 +254,11 @@ class ShardSearcher:
         values = plan.hash_values()
         num_funcs, m_batch = values.shape
         m_old = self.m
-        order = np.argsort(values, axis=1, kind="stable")
+        # The plan's values are relative to a ``vmin`` at or below them all.
+        rel, order = sort_rows(plan.rel_values, 0, int(plan.rel_values.max(initial=0)))
         funcs = np.repeat(np.arange(num_funcs, dtype=np.int64), m_batch)
         at = self.store.batch_entry_positions(
-            funcs, np.take_along_axis(values, order, axis=1).ravel()
+            funcs, rel.ravel() + plan.vmin
         ) - funcs * m_old
         # Old entries between the sub-run insertion points of sorted batch
         # entries r - 1 and r shift by r (past the last one, by m_batch).

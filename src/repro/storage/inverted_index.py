@@ -125,6 +125,34 @@ _LIFT_STEPS = tuple(
 ) + (1,)
 
 
+def sort_rows(
+    values: np.ndarray, vmin: int, vmax: int, dtype: type = np.int64
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of the integer matrix ``values`` in (value, column) order.
+
+    ``[vmin, vmax]`` must bound ``values``.  Returns the sorted values
+    less ``vmin``, in ``dtype``, and their int32 columns, in exactly a
+    stable argsort's order: each entry is sorted as the unique int64 key
+    ``(value - vmin) << bits | column``, so numpy's unstable SIMD sort
+    cannot reorder ties.  A domain whose keys would pass
+    ``_MAX_COMPOSITE_KEY`` keeps the stable argsort.
+    """
+    n = values.shape[1]
+    bits = max(n - 1, 0).bit_length()
+    if (vmax - vmin + 1) << bits > _MAX_COMPOSITE_KEY:
+        order = np.argsort(values, axis=1, kind="stable")
+        rel = np.take_along_axis(values, order, axis=1) - np.int64(vmin)
+        return rel.astype(dtype, copy=False), order.astype(np.int32)
+    keys = np.subtract(values, vmin, dtype=np.int64)
+    keys <<= bits
+    keys |= np.arange(n, dtype=np.int64)
+    keys.sort(axis=1)
+    rel, cols = np.empty(keys.shape, dtype=dtype), np.empty(keys.shape, dtype=np.int32)
+    np.right_shift(keys, bits, out=rel, casting="unsafe")
+    np.bitwise_and(keys, (1 << bits) - 1, out=cols, casting="unsafe")
+    return rel, cols
+
+
 def merge_runs(
     olds: list[np.ndarray], news: list[np.ndarray], positions: np.ndarray
 ) -> list[np.ndarray]:
@@ -182,17 +210,21 @@ class InvertedListStore:
             raise InvalidParameterError(
                 f"hash values must be integers, got dtype {hash_values.dtype}"
             )
-        order = np.argsort(hash_values, axis=1, kind="stable")
-        values = np.take_along_axis(hash_values, order, axis=1)
-        self._set_runs(values.astype(np.int64, copy=False), order, layout)
+        self._init_common(hash_values.shape, layout)
+        self._set_domain(*_bounds(hash_values))
+        self._set_runs(*sort_rows(hash_values, *self.value_range, self._rel_dtype()))
 
     @classmethod
     def from_runs(
         cls, values: np.ndarray, ids: np.ndarray, layout: PageLayout | None = None
     ) -> "InvertedListStore":
         """A store over already sorted int64 ``(values, ids)`` run matrices."""
+        values = np.asarray(values)
         store = cls.__new__(cls)
-        store._set_runs(np.asarray(values), np.asarray(ids), layout)
+        store._init_common(values.shape, layout)
+        store._set_domain(*_bounds(values))
+        rel = values - np.int64(store._vmin)
+        store._set_runs(rel.astype(store._rel_dtype(), copy=False), np.array(ids, np.int32))
         return store
 
     @classmethod
@@ -232,22 +264,10 @@ class InvertedListStore:
         self._check_ids_fit(self._num_points)
         self._iota_cache: np.ndarray | None = None
 
-    def _set_runs(
-        self, values: np.ndarray, ids: np.ndarray, layout: PageLayout | None
-    ) -> None:
-        """Compact sorted int64 runs: exact domain, ``rel``, ids, ``row_top``."""
-        self._init_common(values.shape, layout)
-        if values.size:
-            # Runs are sorted, so their first and last columns bound them.
-            self._set_domain(int(values[:, 0].min()), int(values[:, -1].max()))
-        else:
-            self._set_domain(0, 0)
-        self._rel = np.subtract(
-            values.ravel(), self._vmin,
-            out=np.empty(values.size, dtype=self._rel_dtype()),
-            casting="unsafe",
-        )
-        self._ids = ids.ravel().astype(np.int32)
+    def _set_runs(self, rel: np.ndarray, ids: np.ndarray) -> None:
+        """Adopt sorted ``(F, n)`` runs relative to ``vmin`` and their int32 ids."""
+        self._rel = rel.ravel()
+        self._ids = ids.ravel()
         self._refresh_row_top()
 
     def _set_domain(self, vmin: int, vmax: int) -> None:
@@ -577,31 +597,27 @@ class InvertedListStore:
                 np.empty((num_funcs, 0), dtype=np.int32),
             )
         self._check_ids_fit(max(int(ids.max()) + 1, n + m))
-        # Sort each function's batch (stably) so the merged runs stay
-        # sorted and equal new values keep their batch order.
-        order = np.argsort(values, axis=1, kind="stable")
-        sorted_values = np.take_along_axis(values, order, axis=1)
-        funcs_rep = np.repeat(np.arange(num_funcs, dtype=np.int64), m)
-        positions = (
-            self.batch_entry_positions(funcs_rep, sorted_values.ravel())
-            - funcs_rep * n
-        ).reshape(num_funcs, m).astype(np.int32)
-        lo = int(sorted_values[:, 0].min())
-        hi = int(sorted_values[:, -1].max())
+        lo, hi = _bounds(values)
         old_vmin, old_rel = self._vmin, self._rel
         if n:
             lo = min(lo, old_vmin)
             hi = max(hi, old_vmin + self._stride - 2)
+        # Sort each function's batch in (value, column) order so the
+        # merged runs stay sorted and equal new values keep their batch
+        # order; ``rel`` is relative to the post-insert ``vmin``, ``lo``.
+        rel, order = sort_rows(values, lo, hi)
+        funcs_rep = np.repeat(np.arange(num_funcs, dtype=np.int64), m)
+        positions = (
+            self.batch_entry_positions(funcs_rep, rel.ravel() + lo)
+            - funcs_rep * n
+        ).reshape(num_funcs, m).astype(np.int32)
         self._set_domain(lo, hi)
         dtype = self._rel_dtype()
         if self._vmin != old_vmin or old_rel.dtype != dtype:
             old_rel = np.add(old_rel, old_vmin - self._vmin, dtype=dtype)
         self._rel, self._ids = merge_runs(
             [old_rel, self._ids],
-            [
-                (sorted_values - self._vmin).astype(dtype),
-                ids[order].astype(np.int32),
-            ],
+            [rel.astype(dtype), ids[order].astype(np.int32)],
             positions,
         )
         self._num_points = n + m
@@ -609,6 +625,11 @@ class InvertedListStore:
         # store mapped from a v3 file materialises on its first insert.
         self._refresh_row_top()
         return InsertPlan((values - self._vmin).astype(dtype), self._vmin, positions)
+
+
+def _bounds(values: np.ndarray) -> tuple[int, int]:
+    """The smallest and largest entry of ``values`` (``(0, 0)`` if empty)."""
+    return (int(values.min()), int(values.max())) if values.size else (0, 0)
 
 
 def _top_keys(rel: np.ndarray, stride: int) -> np.ndarray | None:

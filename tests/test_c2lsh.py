@@ -1,5 +1,7 @@
 """Tests for the C2LSH baseline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,22 @@ class TestBuild:
     def test_bad_data(self):
         with pytest.raises(InvalidParameterError):
             C2LSH().build(np.zeros((2, 2)) * np.nan)
+
+    @pytest.mark.parametrize("far", [1e18, 1e300])
+    def test_refuses_data_it_could_not_query(self, far):
+        """One far coordinate is refused before hashing, with no numpy
+        warning: 1e300 once hashed every entry to -2**63 (one bucket for
+        all points) and 1e18 failed inside the store; a built index is
+        kept."""
+        data = make_synthetic(600, 8, value_range=(0, 200), seed=41)
+        index = C2LSH(C2LSHConfig(c=3.0, seed=11)).build(data)
+        bad = data.copy()
+        bad[5, 2] = far
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="past int64"):
+                index.build(bad)
+        assert index.knn(data[3], 1).ids[0] == 3
 
     def test_data_past_the_float_range_refused(self):
         data = make_synthetic(600, 8, value_range=(0, 200), seed=41)

@@ -45,11 +45,12 @@ class TestBuild:
         with pytest.raises(InvalidParameterError):
             LazyLSH(small_config).build(np.zeros((0, 4)))
 
-    @pytest.mark.parametrize("far", [1e16, 1e18])
+    @pytest.mark.parametrize("far", [1e16, 1e18, 1e300, 2e307])
     def test_refuses_data_it_could_not_query(self, small_config, far):
         """One coordinate far enough out that the windows covering the
         data's own hash domain would leave int64: refused before any
-        hashing (no numpy cast warning), and a built index is kept."""
+        hashing with no numpy warning (no cast warning, and no overflow
+        in the reach check's own projections), and a built index is kept."""
         data = make_synthetic(600, 8, value_range=(0, 200), seed=41)
         index = LazyLSH(small_config).build(data)
         bad = data.copy()

@@ -15,14 +15,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import LazyLSH, LazyLSHConfig, ShardedSearchService
-from repro.core.hashing import original_window, query_centric_window
+from repro.core.hashing import (
+    _HASH_CHUNK,
+    StableHashBank,
+    original_window,
+    query_centric_window,
+)
 from repro.durability import WalRecord
 from repro.eval.ratio import overall_ratio
 from repro.metrics.collision import collision_probability
 from repro.metrics.lp import l1_bounds, lp_distance, lp_norm, norm_equivalence_bounds
 from repro.persistence import load_index, save_index
 from repro.serve.worker import ShardSearcher
-from repro.storage.inverted_index import InvertedListStore
+from repro.storage.inverted_index import _MAX_COMPOSITE_KEY, InvertedListStore
 from repro.storage.pages import PageLayout, PageTracker
 
 # Strategies ---------------------------------------------------------------
@@ -492,3 +497,91 @@ class TestStoreInsertProperties:
             np.testing.assert_array_equal(searcher.gids, owned)
             np.testing.assert_array_equal(searcher.positions, attached.positions)
             np.testing.assert_array_equal(searcher.alive, attached.alive)
+
+
+def _stable_reference(values):
+    """The reference store: runs in a stable argsort's (value, id) order."""
+    order = np.argsort(values, axis=1, kind="stable")
+    return InvertedListStore.from_runs(np.take_along_axis(values, order, axis=1), order)
+
+
+def _assert_same_store(got, want):
+    """Equal ``rel``, ``ids``, ``row_top``, ``vmin`` and ``stride``, dtypes
+    included."""
+    assert (got._vmin, got._stride) == (want._vmin, want._stride)
+    assert (got._row_top is None) == (want._row_top is None)
+    for name in ("_rel", "_ids", "_row_top"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is not None:
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def _tied_matrices(draw):
+    """``(values, batch)``: an integer ``(F, n)`` matrix drawn from a few
+    values (heavy ties, negatives), n in {1, 2, 2**k, 2**k + 1}, spanning
+    a few buckets or just below or just above the widest span whose
+    (value, column) keys stay under ``_MAX_COMPOSITE_KEY``; and an insert
+    batch of ties and values one past either end."""
+    funcs = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=2, max_value=7))
+    n = draw(st.sampled_from([1, 2, 2**k, 2**k + 1]))
+    limit = _MAX_COMPOSITE_KEY >> max(n - 1, 0).bit_length()
+    span = draw(st.sampled_from([draw(st.integers(0, 6)), limit - 1, limit]))
+    lo = -(span // 2) - draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+    pool = np.unique(np.concatenate([[lo, lo + span], lo + rng.integers(0, span + 1, 3)]))
+    values = rng.choice(pool, size=(funcs, n))
+    values.flat[0], values.flat[-1] = lo, lo + span
+    m = draw(st.integers(min_value=1, max_value=9))
+    batch = rng.choice(np.concatenate([pool, [lo - 1, lo + span + 1]]), size=(funcs, m))
+    return values.astype(np.int64), batch.astype(np.int64)
+
+
+class TestRowSortProperties:
+    @given(case=_tied_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_store_equals_the_stable_argsort_build(self, case):
+        """A built store equals one over stably argsorted runs, and an
+        insert gives both the same plan and the runs of a stable build
+        over every column (new entries after equal-valued old ones, in
+        batch order)."""
+        values, batch = case
+        store, ref = InvertedListStore(values), _stable_reference(values)
+        _assert_same_store(store, ref)
+        n, m = values.shape[1], batch.shape[1]
+        plans = [s.insert(batch, np.arange(n, n + m)) for s in (store, ref)]
+        assert plans[0].vmin == plans[1].vmin
+        for name in ("rel_values", "positions"):
+            a, b = getattr(plans[0], name), getattr(plans[1], name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b)
+        _assert_same_store(store, ref)
+        _assert_same_store(
+            store, _stable_reference(np.concatenate([values, batch], axis=1))
+        )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        d=st.integers(min_value=1, max_value=4),
+        eta=st.integers(min_value=1, max_value=6),
+        n=st.sampled_from([1, 2, 3, _HASH_CHUNK - 1, _HASH_CHUNK, _HASH_CHUNK + 1]),
+        r0=st.sampled_from([1.0, 0.7, 3.0]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_hash_points_floors_each_projection(self, seed, d, eta, n, r0):
+        """``hash_points`` is ``floor((X @ A + b) / r0)`` as int64, one
+        function per row.  BLAS rounding may depend on a matmul's row
+        count, so the reference multiplies in the bank's own chunks."""
+        rng = np.random.default_rng(seed)
+        bank = StableHashBank(d, eta, r0=r0, t_max=100.0, seed=seed)
+        points = rng.uniform(-100.0, 100.0, size=(n, d))
+        A, b = bank._projections, bank._offsets
+        want = np.concatenate([
+            np.floor((points[s : s + _HASH_CHUNK] @ A + b) / r0).astype(np.int64).T
+            for s in range(0, n, _HASH_CHUNK)
+        ], axis=1)
+        got = bank.hash_points(points)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)

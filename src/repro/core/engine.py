@@ -226,8 +226,8 @@ class RingCursor:
 class RingReader:
     """One query's scalar reads of a store, a round at a time.
 
-    The reader of the scalar oracle, ``range_query`` and C2LSH, which
-    consume a round one hash function at a time.  :meth:`read` finds a
+    The reader of the scalar oracle and ``range_query``, which consume
+    a round one hash function at a time.  :meth:`read` finds a
     round's windows with one
     :meth:`~repro.storage.inverted_index.InvertedListStore.batch_window_positions`
     call, splits them into ring runs (:meth:`RingCursor.split`, as the

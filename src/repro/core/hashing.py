@@ -188,10 +188,10 @@ class StableHashBank:
     ) -> None:
         """Refuse ``points`` whose windows could leave int64.
 
-        Algorithm 4 (and C2LSH's query loop) widens a point's windows
-        around its base hash ``h`` from level ``level0`` by a factor
-        ``c`` per round until they cover the stored hash domain ``[lo,
-        hi]``, so the last window it may need ends less than
+        Algorithm 4 widens a point's windows around its base hash ``h``
+        from level ``level0`` by a factor ``c`` per round until they
+        cover the stored hash domain ``[lo, hi]``, so the last window it
+        may need ends less than
         ``max(level0, c * (|h| + max(|lo|, |hi|) + 1))`` past ``h`` under
         either rehashing.  That end must stay inside int64.  ``stored``
         points (a build's data, an insert batch) widen ``domain`` first;

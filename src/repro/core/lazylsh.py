@@ -188,7 +188,8 @@ class LazyLSH:
     rehashing:
         ``"query_centric"`` (the paper's contribution, Eq. 21) or
         ``"original"`` (C2LSH's aligned virtual rehashing, Eq. 7) — the
-        latter exists for the Figure 13 ablation.
+        latter serves the Figure 13 ablation and, at ``p_min = 1``, the
+        C2LSH comparator (:class:`repro.baselines.C2LSH`).
     """
 
     def __init__(
@@ -796,11 +797,7 @@ class LazyLSH:
             [validate_p(p)] if metrics is None
             else sorted({float(q) for q in metrics})
         )
-        n = self.num_points
-        if not 1 <= k <= n:
-            raise InvalidParameterError(
-                f"k must lie in [1, {n}] for a dataset of {n} live points, got {k}"
-            )
+        self._check_k(k)
         lanes = [(q, self.metric_params(q)) for q in p_values]
         level0 = 1.0
         if radius is not None:
@@ -808,8 +805,16 @@ class LazyLSH:
             self._check_reach(
                 queries, f"queries with radius {radius:g}", level0=level0
             )
-        cap_value = k + self._beta * n if cap is None else float(cap)
+        cap_value = k + self._beta * self.num_points if cap is None else float(cap)
         return _LanePlan(lanes, k, cap_value, level0)
+
+    def _check_k(self, k: int) -> None:
+        """Refuse a ``k`` outside ``[1, n]`` for the ``n`` live points."""
+        n = self.num_points
+        if not 1 <= k <= n:
+            raise InvalidParameterError(
+                f"k must lie in [1, {n}] for a dataset of {n} live points, got {k}"
+            )
 
     def _lane_group(
         self,

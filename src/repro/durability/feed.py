@@ -116,10 +116,7 @@ class WalFeed:
             seg = self._segment
             stop = False
             try:
-                entries = iter_segment_records(seg)
-                for record, end in entries:
-                    if end <= self._offset:
-                        continue
+                for record, end in iter_segment_records(seg, self._offset):
                     self._offset = end
                     if record.lsn <= self.last_lsn:
                         continue

@@ -248,14 +248,19 @@ def _decode_body(body: bytes) -> WalRecord:
     raise ValueError(f"unknown WAL op code {op}")
 
 
-def iter_segment_records(path: Path) -> Iterator[tuple[WalRecord, int]]:
+def iter_segment_records(path: Path, start: int = 0) -> Iterator[tuple[WalRecord, int]]:
     """Yield ``(record, end_offset)`` for each intact frame in ``path``.
 
-    Stops silently at the first torn or corrupt frame — callers decide
-    whether that position is an acceptable tail (last segment) or fatal
-    corruption (earlier segments, via :func:`read_segment`).
+    Reads only the bytes from ``start`` on, which must be a frame
+    boundary (0, or an ``end_offset`` yielded before); offsets stay
+    absolute.  Stops silently at the first torn or corrupt frame —
+    callers decide whether that position is an acceptable tail (last
+    segment) or fatal corruption (earlier segments, via
+    :func:`read_segment`).
     """
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read()
     offset = 0
     size = len(data)
     while True:
@@ -272,7 +277,7 @@ def iter_segment_records(path: Path) -> Iterator[tuple[WalRecord, int]]:
             record = _decode_body(body)
         except (ValueError, struct.error):
             return
-        yield record, body_end
+        yield record, start + body_end
         offset = body_end
 
 

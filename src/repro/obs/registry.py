@@ -99,23 +99,12 @@ class _Instrument:
         return lines
 
 
-class Counter(_Instrument):
-    """Monotonically increasing counter, optionally labelled."""
-
-    kind = "counter"
+class _Series(_Instrument):
+    """One float per label set: the body Counter and Gauge share."""
 
     def __init__(self, name: str, help: str = "") -> None:
         super().__init__(name, help)
         self._values: dict[LabelKey, float] = {}
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        """Add ``amount`` (must be >= 0) to the labelled series."""
-        if amount < 0:
-            raise InvalidParameterError(
-                f"counter {self.name} cannot decrease (amount={amount})"
-            )
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
 
     def value(self, **labels: Any) -> float:
         """Current value of the labelled series (0 if never written)."""
@@ -152,14 +141,25 @@ class Counter(_Instrument):
         return lines
 
 
-class Gauge(_Instrument):
+class Counter(_Series):
+    """Monotonically increasing counter, optionally labelled."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: Any) -> None:
+        """Add ``amount`` (must be >= 0) to the labelled series."""
+        if amount < 0:
+            raise InvalidParameterError(
+                f"counter {self.name} cannot decrease (amount={amount})"
+            )
+        key = _label_key(labels)
+        self._values[key] = self._values.get(key, 0.0) + amount
+
+
+class Gauge(_Series):
     """Last-written value, optionally labelled."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._values: dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: Any) -> None:
         """Overwrite the labelled series with ``value``."""
@@ -171,35 +171,6 @@ class Gauge(_Instrument):
 
     def dec(self, amount: float = 1.0, **labels: Any) -> None:
         self.inc(-amount, **labels)
-
-    def value(self, **labels: Any) -> float:
-        return self._values.get(_label_key(labels), 0.0)
-
-    def total(self) -> float:
-        """Sum over every labelled series (0.0 when never written)."""
-        return sum(self._values.values())
-
-    def reset(self) -> None:
-        self._values.clear()
-
-    def to_dict(self) -> dict:
-        return {
-            "type": self.kind,
-            "help": self.help,
-            "values": [
-                {"labels": dict(key), "value": value}
-                for key, value in sorted(self._values.items())
-            ],
-        }
-
-    def render(self) -> list[str]:
-        lines = self._header()
-        for key in sorted(self._values):
-            lines.append(
-                f"{self.name}{_render_labels(key)} "
-                f"{_format_number(self._values[key])}"
-            )
-        return lines
 
 
 class Histogram(_Instrument):

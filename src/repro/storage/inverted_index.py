@@ -8,8 +8,8 @@ what virtual rehashing (C2LSH) and query-centric rehashing (LazyLSH)
 exploit.
 
 The store only stores, searches and gathers.  Every reader — the flat
-engine, the shard workers, the scalar oracle, ``range_query`` and C2LSH
-— finds a round's windows with one :meth:`batch_window_positions` call
+engine, the shard workers, the scalar oracle and ``range_query`` —
+finds a round's windows with one :meth:`batch_window_positions` call
 and reads their entries with one :meth:`gather_segments32` call, and
 charges sequential I/O itself, per overlapped 4 KB page of the run and
 once per query (the scalar readers through a

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import LazyLSH, LazyLSHConfig
 from repro.baselines import C2LSH
 from repro.baselines.c2lsh import C2LSHConfig
 from repro.datasets import exact_knn, make_synthetic, sample_queries
@@ -21,6 +22,13 @@ def c2_split():
 @pytest.fixture(scope="module")
 def c2(c2_split) -> C2LSH:
     return C2LSH(C2LSHConfig(c=3.0, seed=11)).build(c2_split.data)
+
+
+@pytest.fixture(scope="module")
+def c2_by_c(c2_split) -> dict[float, C2LSH]:
+    return {
+        c: C2LSH(C2LSHConfig(c=c, seed=11)).build(c2_split.data) for c in (2.0, 2.5)
+    }
 
 
 class TestBuild:
@@ -151,6 +159,89 @@ class TestPinnedAnswers:
             result.ids.tolist(), result.io.sequential, result.io.random,
             result.rounds, result.candidates,
         ) == want
+
+    @pytest.mark.parametrize(
+        "c, row, p, want",
+        [
+            # (ids, sequential, random, rounds, candidates)
+            (2.0, 0, 1.0, ([178, 865, 66, 804, 84], 542, 5, 12, 5)),
+            (2.0, 0, 0.5, ([825, 821, 331, 865, 178], 558, 105, 12, 105)),
+            (2.0, 1, 1.0, ([334, 48, 816, 703, 43], 557, 5, 12, 5)),
+            (2.0, 1, 0.5, ([48, 334, 816, 383, 703], 581, 105, 12, 105)),
+            (2.0, 2, 1.0, ([951, 428, 184, 380, 332], 551, 5, 11, 5)),
+            (2.0, 2, 0.5, ([355, 428, 992, 951, 140], 571, 105, 12, 105)),
+            (2.5, 0, 1.0, ([331, 825, 994, 961, 485], 356, 5, 9, 5)),
+            (2.5, 0, 0.5, ([825, 821, 331, 865, 178], 369, 106, 9, 106)),
+            (2.5, 1, 1.0, ([334, 383, 124, 417, 120], 354, 5, 9, 5)),
+            (2.5, 1, 0.5, ([48, 334, 816, 383, 703], 363, 106, 9, 106)),
+            (2.5, 2, 1.0, ([428, 184, 373, 667, 254], 340, 5, 9, 5)),
+            (2.5, 2, 0.5, ([355, 428, 992, 951, 140], 352, 106, 9, 106)),
+        ],
+    )
+    def test_answers_and_io_across_c(self, c2_by_c, c2_split, c, row, p, want):
+        """Recorded answers at c = 2 and 2.5 (r0 = 1), where the radius
+        schedule and eta differ from the c = 3 rows."""
+        result = c2_by_c[c].knn(c2_split.queries[row], 5, p=p)
+        assert (
+            result.ids.tolist(), result.io.sequential, result.io.random,
+            result.rounds, result.candidates,
+        ) == want
+
+
+class TestRefusals:
+    @pytest.fixture(scope="class")
+    def small(self):
+        data = make_synthetic(600, 8, value_range=(0, 200), seed=41)
+        return data, C2LSH(C2LSHConfig(c=3.0, seed=11)).build(data)
+
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    @pytest.mark.parametrize(
+        "coordinate, k, match",
+        [
+            (np.nan, 5, "non-finite"),
+            (np.inf, 5, "non-finite"),
+            (1e18, 5, "past int64"),
+            (None, -3, "k must lie in"),
+            (None, 0, "k must lie in"),
+            (None, 700, "k must lie in"),
+        ],
+    )
+    def test_refuses_what_lazylsh_refuses(self, small, p, coordinate, k, match):
+        """A query LazyLSH refuses, or a k outside [1, n], is refused
+        before any scan and unwarned at every p: such a query once
+        failed inside numpy, and the re-ranked path answered k = -3 with
+        94 ids and k = 700 with all 600."""
+        data, index = small
+        query = data[3].copy()
+        if coordinate is not None:
+            query[2] = coordinate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=match):
+                index.knn(query, k, p=p)
+
+
+class TestOneEngine:
+    def test_r0_half_equals_the_lazylsh_oracle(self, c2_split):
+        """C2LSH is LazyLSH at p_min = 1 with original rehashing: at
+        r0 = 0.5 it stops at that index's radius c * level / r_hat
+        (r_hat = 1), as its scalar oracle does, not at c * level * r0."""
+        c2 = C2LSH(C2LSHConfig(c=2.5, r0=0.5, seed=11)).build(c2_split.data)
+        oracle = LazyLSH(
+            LazyLSHConfig(c=2.5, r0=0.5, p_min=1.0, seed=11), rehashing="original"
+        ).build(c2_split.data)
+        for query in c2_split.queries:
+            for k in (5, 10):
+                got = c2.knn(query, k, p=1.0)
+                want = oracle.knn(query, k, p=1.0, engine="scalar")
+                assert (
+                    got.ids.tolist(), got.distances.tolist(), got.io.sequential,
+                    got.io.random, got.rounds, got.candidates, got.termination,
+                ) == (
+                    want.ids.tolist(), want.distances.tolist(), want.io.sequential,
+                    want.io.random, want.rounds, want.candidates, want.termination,
+                )
+                assert got.trace is not None and got.trace.termination == got.termination
 
 
 class TestDeterminism:

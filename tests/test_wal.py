@@ -314,6 +314,31 @@ class TestWalFeed:
         assert feed.lag() == 0
         wal.close()
 
+    def test_idle_poll_decodes_no_frame(self, tmp_path, monkeypatch):
+        """A poll reads only the bytes past the feed's offset: once the
+        tail segment is drained, polling it decodes nothing, and a new
+        record costs one decode."""
+        import repro.durability.wal as wal_module
+
+        with WriteAheadLog(tmp_path, sync=False) as wal:
+            for i in range(20):
+                wal.append_insert(_batch(2, seed=i), np.arange(2 * i, 2 * i + 2))
+            feed = WalFeed(tmp_path)
+            assert [r.lsn for r in feed.poll()] == list(range(1, 21))
+            decoded = []
+            decode = wal_module._decode_body
+
+            def counting_decode(body):
+                decoded.append(body)
+                return decode(body)
+
+            monkeypatch.setattr(wal_module, "_decode_body", counting_decode)
+            assert feed.poll() == [] and feed.poll() == []
+            assert decoded == []
+            wal.append_remove(np.array([3]))
+            assert [r.lsn for r in feed.poll()] == [21]
+            assert len(decoded) == 1
+
     def test_start_lsn_skips_checkpointed_prefix(self, tmp_path):
         with WriteAheadLog(tmp_path, sync=False) as wal:
             for i in range(4):

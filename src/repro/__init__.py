@@ -25,7 +25,7 @@ from repro.cluster import FollowerNode, Router, WalShipper
 from repro.core.batch import BatchKnnResult, knn_batch
 from repro.durability import DurableIndex, WalFeed, WriteAheadLog
 from repro.core.config import LazyLSHConfig
-from repro.core.lazylsh import KnnResult, LazyLSH, RangeResult
+from repro.core.lazylsh import LazyLSH, RangeResult
 from repro.core.multiquery import MultiQueryEngine, MultiQueryResult
 from repro.core.params import MetricParams, ParameterEngine
 from repro.errors import (
@@ -68,7 +68,6 @@ __all__ = [
     "IOStats",
     "IndexNotBuiltError",
     "InvalidParameterError",
-    "KnnResult",
     "LazyLSH",
     "LazyLSHConfig",
     "MetricParams",

@@ -6,13 +6,16 @@ query, one metric), ``MultiQueryEngine.knn`` (one query, many metrics),
 :class:`~repro.serve.ShardedSearchService` — takes the query and ``k``
 positionally and every tuning knob (``p`` or ``metrics``, ``cap``,
 ``radius``, ``engine``) by keyword, and checks those knobs with the one
-:func:`check_knobs`.  Its two types:
+:func:`check_knobs`.  Every index — LazyLSH and each comparator in
+:mod:`repro.baselines` — checks its build data and queries with the one
+:func:`check_points` and its ``k`` with the one :func:`check_k`.  Its
+two types:
 
-* :class:`SearchResult` is the common result core carrying ``ids``,
+* :class:`SearchResult` is the one result of a kNN query — LazyLSH's and
+  every comparator's — carrying ``ids``,
   ``distances``, the simulated :class:`~repro.storage.io_stats.IOStats`,
-  the Algorithm-4 ``termination`` reason and an optional
-  :class:`~repro.obs.QueryTrace`.  ``KnnResult`` is a thin subclass kept
-  for backwards compatibility; ``MultiQueryResult`` and
+  the ``termination`` reason and an optional
+  :class:`~repro.obs.QueryTrace`.  ``MultiQueryResult`` and
   ``BatchKnnResult`` expose the same attribute protocol
   (:class:`SearchResultLike`) over their per-metric / per-query parts;
 * :class:`SearchRequest` is the v1 wire codec of the HTTP front door and
@@ -31,7 +34,11 @@ from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 import numpy as np
 
 from repro._typing import IdArray
-from repro.errors import InvalidParameterError, WireFormatError
+from repro.errors import (
+    DimensionalityMismatchError,
+    InvalidParameterError,
+    WireFormatError,
+)
 from repro.storage.io_stats import IOStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -83,8 +90,8 @@ def check_knobs(
     ``metrics`` are not both given, ``metrics`` is non-empty, and a
     ``radius`` override is single-metric only (the shared Section 4.3
     scan relies on every metric's round-``j`` radius being
-    ``c**j / r_hat``).  ``k``'s range depends on the index and is
-    checked where the lanes are built.
+    ``c**j / r_hat``).  ``k``'s range depends on the index
+    (:func:`check_k`).
     """
     if engine not in ("flat", "scalar"):
         raise InvalidParameterError(
@@ -110,6 +117,56 @@ def check_knobs(
             "radius override is only supported for single-metric searches"
         )
     return metrics
+
+
+def check_points(
+    points: Any,
+    what: str,
+    *,
+    width: int | None = None,
+    empty: bool = False,
+    vector: bool = False,
+) -> np.ndarray:
+    """The one point check: build data, insert batches and queries.
+
+    Run by :class:`SearchRequest`, every index's ``build`` and ``knn``
+    (LazyLSH's and every comparator's) and LazyLSH's inserts.  Returns
+    ``points`` as a C-contiguous float64 ``(m, d)`` matrix, or, with
+    ``vector``, as one ``(d,)`` point.  Refuses, naming the input
+    ``what``: any other shape, a width other than ``width``
+    (:class:`~repro.errors.DimensionalityMismatchError`), no values
+    unless ``empty`` (an empty query batch has an empty answer) and
+    non-finite values.
+    """
+    try:
+        points = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{what} must be numeric") from None
+    if points.ndim != (1 if vector else 2):
+        shape = "a single vector" if vector else "a 2-D (m, d) matrix"
+        raise InvalidParameterError(
+            f"{what} must be {shape}, got shape {points.shape}"
+        )
+    if width is not None and points.shape[-1] != width:
+        raise DimensionalityMismatchError(
+            f"{what} must have dimensionality {width}, got {points.shape[-1]}"
+        )
+    if points.size == 0 and not empty:
+        raise InvalidParameterError(
+            f"{what} must be non-empty, got shape {points.shape}"
+        )
+    if not np.all(np.isfinite(points)):
+        raise InvalidParameterError(f"{what} must be finite, got non-finite values")
+    return np.ascontiguousarray(points)
+
+
+def check_k(k: int, n: int) -> None:
+    """The one ``k`` check: refuse a ``k`` outside ``[1, n]`` for an index
+    of ``n`` live points, before any work."""
+    if not 1 <= k <= n:
+        raise InvalidParameterError(
+            f"k must lie in [1, {n}] for a dataset of {n} live points, got {k}"
+        )
 
 
 def _coerce_trace_context(value: Any) -> Any:
@@ -227,14 +284,9 @@ class SearchRequest:
             raise InvalidParameterError(
                 "query must be a numeric vector or matrix"
             ) from None
-        if query.ndim not in (1, 2) or query.size == 0:
-            raise InvalidParameterError(
-                f"query must be a non-empty vector or (m, d) matrix, got "
-                f"shape {query.shape}"
-            )
-        if not np.all(np.isfinite(query)):
-            raise InvalidParameterError("query contains non-finite values")
-        object.__setattr__(self, "query", query)
+        object.__setattr__(
+            self, "query", check_points(query, "query", vector=query.ndim == 1)
+        )
         if self.request_id is not None:
             rid = str(self.request_id)
             if not rid or set(rid) - _HEX_DIGITS:
@@ -368,12 +420,18 @@ class SearchRequest:
 
 @dataclass
 class SearchResult:
-    """Common result core of every query path.
+    """The one result of a kNN query: LazyLSH's and every comparator's.
 
     ``ids``/``distances`` are sorted by ascending ``lp`` distance;
-    ``io`` is the query's simulated I/O, ``termination`` why Algorithm 4
-    stopped (``"k_within_radius"`` or ``"candidate_cap"``).  ``trace``
-    carries the query's record, the per-round
+    ``io`` is the query's simulated I/O and ``candidates`` the points it
+    verified (none for the linear scan).  ``rounds`` counts Algorithm 4's rounds (E2LSH: its radius
+    levels; 0 for comparators without rounds) and ``termination`` says
+    why the search stopped: Algorithm 4's ``"k_within_radius"`` or
+    ``"candidate_cap"`` (LazyLSH, C2LSH); SRS's ``"early_stop"`` or
+    ``"candidate_cap"``; LSB-forest's ``"E1"``, ``"E2"`` or
+    ``"exhausted"``; ``""`` for E2LSH, multi-probe LSH and the linear
+    scan, which report none.
+    ``trace`` carries the query's record (LazyLSH and C2LSH), the per-round
     :class:`~repro.obs.QueryTrace` every run builds, and ``shard_io`` the
     per-shard I/O breakdown when the result came from the sharded
     service.  ``request_id`` and
@@ -425,9 +483,9 @@ class SearchResult:
 class SearchResultLike(Protocol):
     """Structural protocol every result type satisfies.
 
-    ``KnnResult`` implements it directly (it *is* a
-    :class:`SearchResult`); ``MultiQueryResult`` exposes per-metric
-    dicts and ``BatchKnnResult`` per-query lists under the same names.
+    :class:`SearchResult` implements it directly; ``MultiQueryResult``
+    exposes per-metric dicts and ``BatchKnnResult`` per-query lists under
+    the same names.
     """
 
     @property

@@ -24,8 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro._typing import PointMatrix, PointVector
+from repro.api import SearchResult, check_k
 from repro.core.config import LazyLSHConfig
-from repro.core.lazylsh import KnnResult, LazyLSH
+from repro.core.lazylsh import LazyLSH
 from repro.errors import InvalidParameterError
 from repro.metrics.lp import lp_distance, validate_p
 from repro.storage.io_stats import IOStats
@@ -97,10 +98,10 @@ class C2LSH:
         self,
         query: PointVector,
         k: int,
-        p: float = 1.0,
         *,
+        p: float = 1.0,
         rerank_extra: int = DEFAULT_RERANK_EXTRA,
-    ) -> KnnResult:
+    ) -> SearchResult:
         """Approximate kNN under ``lp`` via the paper's comparator recipe.
 
         Retrieves ``min(k + rerank_extra, n)`` approximate l1 neighbours,
@@ -117,7 +118,7 @@ class C2LSH:
         if p == 1.0:
             result = index.knn(query, k, p=1.0)
         else:
-            index._check_k(k)
+            check_k(k, index.num_points)
             pool = index.knn(query, min(k + rerank_extra, index.num_points), p=1.0)
             query = np.asarray(query, dtype=np.float64)
             dists = lp_distance(index.data[pool.ids], query, p)

@@ -10,17 +10,20 @@ virtual rehashing and, transitively, LazyLSH.
 
 Tables for a radius are built lazily on first use so that the storage cost
 of the radius series is visible (``index_size_mb`` grows as queries reach
-farther radii).
+farther radii).  One radius's tables are a :class:`_Level`, which
+multi-probe LSH (:mod:`repro.baselines.multiprobe`) also builds, once, and
+reads through the same :meth:`_Level.probe`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro._typing import IdArray, PointMatrix, PointVector
+from repro._typing import PointMatrix, PointVector
+from repro.api import SearchResult, check_k, check_points
 from repro.baselines._autoscale import estimate_nn_distance
 from repro.errors import IndexNotBuiltError, InvalidParameterError
 from repro.metrics.collision import collision_probability
@@ -29,6 +32,8 @@ from repro.storage.io_stats import IOStats
 from repro.storage.pages import PageLayout
 
 _MAX_LEVELS = 48
+
+_NO_IDS = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -54,35 +59,26 @@ class E2LSHConfig:
     entry_size: int = 8
 
 
-@dataclass
-class E2LSHResult:
-    """Outcome of an E2LSH kNN query."""
-
-    ids: IdArray
-    distances: np.ndarray
-    p: float
-    k: int
-    io: IOStats = field(default_factory=IOStats)
-    candidates: int = 0
-    levels: int = 0
-
-
 class _Level:
-    """The ``L`` compound hash tables materialised for one radius."""
+    """``num_tables`` compound hash tables of ``m`` functions at one width.
+
+    E2LSH builds one per search radius (bucket width ``r0 * R``);
+    multi-probe LSH builds one.  Both draw the projections, then the
+    offsets, from ``rng``.
+    """
 
     def __init__(
         self,
         data: PointMatrix,
-        radius: float,
-        cfg: E2LSHConfig,
+        width: float,
+        base_p: float,
         m: int,
         num_tables: int,
         rng: np.random.Generator,
+        layout: PageLayout,
     ) -> None:
         n, d = data.shape
-        self.radius = radius
-        width = cfg.r0 * radius
-        if cfg.base_p == 2.0:
+        if base_p == 2.0:
             projections = rng.standard_normal((num_tables, d, m))
         else:
             projections = rng.standard_cauchy((num_tables, d, m))
@@ -91,6 +87,7 @@ class _Level:
         self._query_proj = projections
         self._query_off = offsets
         self._width = width
+        self._layout = layout
         for t in range(num_tables):
             keys = np.floor((data @ projections[t] + offsets[t]) / width).astype(
                 np.int64
@@ -102,13 +99,34 @@ class _Level:
                 {key: np.asarray(ids, dtype=np.int64) for key, ids in table.items()}
             )
 
+    def project(self, query: PointVector, t: int) -> np.ndarray:
+        """``query``'s compound hash in table ``t``, in buckets, unfloored."""
+        return (query @ self._query_proj[t] + self._query_off[t]) / self._width
+
     def query_keys(self, query: PointVector) -> list[tuple[int, ...]]:
         """Compound key of ``query`` in each of the ``L`` tables."""
-        keys = []
-        for t in range(len(self.tables)):
-            raw = (query @ self._query_proj[t] + self._query_off[t]) / self._width
-            keys.append(tuple(int(x) for x in np.floor(raw)))
-        return keys
+        return [
+            tuple(int(x) for x in np.floor(self.project(query, t)))
+            for t in range(len(self.tables))
+        ]
+
+    def probe(
+        self, t: int, key: tuple[int, ...], seen: np.ndarray, stats: IOStats
+    ) -> np.ndarray:
+        """Read bucket ``key`` of table ``t``; returns its ids not ``seen``.
+
+        The bucket's pages are charged to ``stats`` as sequential I/O;
+        each returned id is marked ``seen`` and charged one random I/O.
+        """
+        bucket = self.tables[t].get(key)
+        if bucket is None:
+            return _NO_IDS
+        stats.add_sequential(self._layout.pages_for_range(0, int(bucket.size)))
+        fresh = bucket[~seen[bucket]]
+        if fresh.size:
+            seen[fresh] = True
+            stats.add_random(int(fresh.size))
+        return fresh
 
     def num_entries(self) -> int:
         """Total bucket entries across the level's tables."""
@@ -138,11 +156,7 @@ class E2LSH:
 
     def build(self, data: PointMatrix) -> "E2LSH":
         """Record the dataset and derive ``(m, L)``; tables build lazily."""
-        data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        if data.ndim != 2 or data.shape[0] < 1:
-            raise InvalidParameterError(
-                f"data must be a non-empty 2-D matrix, got shape {data.shape}"
-            )
+        data = check_points(data, "data")
         n = data.shape[0]
         cfg = self.config
         p1 = collision_probability(1.0, cfg.r0, cfg.base_p)
@@ -202,11 +216,12 @@ class E2LSH:
         if level is None:
             level = _Level(
                 self._data,
-                radius,
-                self.config,
+                self.config.r0 * radius,
+                self.config.base_p,
                 self._m,
                 self._num_tables,
                 self._rng,
+                self._layout,
             )
             self._levels[radius] = level
         return level
@@ -223,22 +238,22 @@ class E2LSH:
         )
         return total_bytes / (1024.0 * 1024.0)
 
-    def knn(self, query: PointVector, k: int, p: float | None = None) -> E2LSHResult:
+    def knn(
+        self, query: PointVector, k: int, *, p: float | None = None
+    ) -> SearchResult:
         """Approximate kNN via range queries at growing radii.
 
         ``p`` defaults to the base metric; passing a different exponent
         re-ranks retrieved candidates by their ``lp`` distance, matching
         how the paper adapts single-space baselines to fractional metrics.
+        ``rounds`` counts the radius levels searched.
         """
         self._require_built()
         assert self._data is not None
+        n, d = self._data.shape
+        query = check_points(query, "query", width=d, vector=True)
         p = validate_p(p if p is not None else self.config.base_p)
-        n = self._data.shape[0]
-        if not 1 <= k <= n:
-            raise InvalidParameterError(
-                f"k must lie in [1, {n}] for a dataset of {n} points, got {k}"
-            )
-        query = np.asarray(query, dtype=np.float64)
+        check_k(k, n)
         stats = IOStats()
         seen = np.zeros(n, dtype=bool)
         cand_ids: list[int] = []
@@ -252,17 +267,9 @@ class E2LSH:
             keys = level.query_keys(query)
             probed = 0
             for t, key in enumerate(keys):
-                bucket = level.tables[t].get(key)
-                if bucket is None:
-                    continue
-                stats.add_sequential(
-                    self._layout.pages_for_range(0, int(bucket.size))
-                )
-                fresh = bucket[~seen[bucket]]
+                fresh = level.probe(t, key, seen, stats)
                 if fresh.size == 0:
                     continue
-                seen[fresh] = True
-                stats.add_random(int(fresh.size))
                 dists = lp_distance(self._data[fresh], query, p)
                 cand_ids.extend(int(x) for x in fresh)
                 cand_dists.extend(float(x) for x in dists)
@@ -280,14 +287,13 @@ class E2LSH:
         order = np.argsort(np.asarray(cand_dists))[:k]
         ids = np.asarray(cand_ids, dtype=np.int64)[order]
         dists = np.asarray(cand_dists, dtype=np.float64)[order]
-        self.io_stats.add_sequential(stats.sequential)
-        self.io_stats.add_random(stats.random)
-        return E2LSHResult(
+        self.io_stats.merge(stats)
+        return SearchResult(
             ids=ids,
             distances=dists,
             p=p,
             k=k,
             io=stats,
             candidates=len(cand_ids),
-            levels=levels_used,
+            rounds=levels_used,
         )

@@ -2,36 +2,23 @@
 
 The linear-scan baseline of Appendix B.2 reads the entire dataset
 sequentially (one sequential I/O per 4 KB page of raw vectors) and computes
-every distance.  It is exact, so it also doubles as the ground-truth oracle
-for the overall-ratio metric.
+every distance.  It is exact: its neighbours are
+:func:`repro.datasets.exact_knn`'s, the ground truth of the overall-ratio
+metric, and the scan adds only the cost of reading the file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro._typing import IdArray, PointMatrix, PointVector
-from repro.errors import InvalidParameterError
-from repro.metrics.lp import lp_distance, validate_p
+from repro._typing import PointMatrix, PointVector
+from repro.api import SearchResult, check_k, check_points
+from repro.datasets.ground_truth import exact_knn
+from repro.metrics.lp import validate_p
 from repro.storage.io_stats import IOStats
 from repro.storage.pages import PageLayout
 
 #: Bytes per stored coordinate in the simulated raw file (float32, as the
 #: datasets are small-integer valued).
 _VALUE_SIZE = 4
-
-
-@dataclass
-class ScanResult:
-    """Exact kNN result of a linear scan."""
-
-    ids: IdArray
-    distances: np.ndarray
-    p: float
-    k: int
-    io: IOStats = field(default_factory=IOStats)
 
 
 class LinearScan:
@@ -46,12 +33,7 @@ class LinearScan:
     """
 
     def __init__(self, data: PointMatrix, *, page_size: int = 4096) -> None:
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] < 1:
-            raise InvalidParameterError(
-                f"data must be a non-empty 2-D matrix, got shape {data.shape}"
-            )
-        self._data = data
+        self._data = check_points(data, "data")
         self._layout = PageLayout(page_size=page_size, entry_size=_VALUE_SIZE)
         self.io_stats = IOStats()
 
@@ -70,38 +52,13 @@ class LinearScan:
         n, d = self._data.shape
         return self._layout.pages_for_bytes(n * d * _VALUE_SIZE)
 
-    def knn(self, query: PointVector, k: int, p: float = 1.0) -> ScanResult:
+    def knn(self, query: PointVector, k: int, *, p: float = 1.0) -> SearchResult:
         """Exact ``k`` nearest neighbours of ``query`` under ``lp``."""
+        query = check_points(query, "query", width=self.dimensionality, vector=True)
         p = validate_p(p)
-        n = self.num_points
-        if not 1 <= k <= n:
-            raise InvalidParameterError(
-                f"k must lie in [1, {n}] for a dataset of {n} points, got {k}"
-            )
-        query = np.asarray(query, dtype=np.float64)
-        if query.shape != (self.dimensionality,):
-            raise InvalidParameterError(
-                f"query must have shape ({self.dimensionality},), got {query.shape}"
-            )
+        check_k(k, self.num_points)
+        ids, dists = exact_knn(self._data, query, k, p)
         stats = IOStats()
         stats.add_sequential(self.scan_cost_pages())
-        dists = lp_distance(self._data, query, p)
-        if k < n:
-            part = np.argpartition(dists, k - 1)[:k]
-        else:
-            part = np.arange(n)
-        order = part[np.argsort(dists[part], kind="stable")]
-        self.io_stats.add_sequential(stats.sequential)
-        return ScanResult(
-            ids=order.astype(np.int64),
-            distances=dists[order],
-            p=p,
-            k=k,
-            io=stats,
-        )
-
-    def knn_batch(
-        self, queries: PointMatrix, k: int, p: float = 1.0
-    ) -> list[ScanResult]:
-        """Exact kNN for each row of ``queries``."""
-        return [self.knn(q, k, p=p) for q in np.atleast_2d(queries)]
+        self.io_stats.merge(stats)
+        return SearchResult(ids=ids[0], distances=dists[0], p=p, k=k, io=stats)

@@ -21,16 +21,19 @@ Termination follows the paper's two events, adapted to this simulator:
 
 Fractional-metric queries re-rank retrieved candidates by true ``lp``
 distance, the same comparator recipe the LazyLSH paper applies to
-single-space baselines.
+single-space baselines.  A result's ``termination`` names the event that
+stopped the walk: ``"E1"``, ``"E2"``, or ``"exhausted"`` when every
+entry was visited.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro._typing import IdArray, PointMatrix, PointVector
+from repro._typing import PointMatrix, PointVector
+from repro.api import SearchResult, check_k, check_points
 from repro.errors import IndexNotBuiltError, InvalidParameterError
 from repro.metrics.lp import lp_distance, validate_p
 from repro.storage.io_stats import IOStats
@@ -55,19 +58,6 @@ class LSBConfig:
     seed: int | None = 7
     page_size: int = 4096
     entry_size: int = 16
-
-
-@dataclass
-class LSBResult:
-    """Outcome of an LSB-forest kNN query."""
-
-    ids: IdArray
-    distances: np.ndarray
-    p: float
-    k: int
-    io: IOStats = field(default_factory=IOStats)
-    candidates: int = 0
-    terminated_by: str = "budget"
 
 
 def interleave_bits(values: np.ndarray, bits_per_dim: int) -> np.ndarray:
@@ -185,11 +175,7 @@ class LSBForest:
 
     def build(self, data: PointMatrix) -> "LSBForest":
         """Materialise the ``L`` Z-order-sorted trees."""
-        data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        if data.ndim != 2 or data.shape[0] < 1:
-            raise InvalidParameterError(
-                f"data must be a non-empty 2-D matrix, got shape {data.shape}"
-            )
+        data = check_points(data, "data")
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
         self._trees = [
@@ -215,18 +201,17 @@ class LSBForest:
         per_tree = self._layout.size_bytes(self._data.shape[0])
         return len(self._trees) * per_tree / (1024.0 * 1024.0)
 
-    def knn(self, query: PointVector, k: int, p: float | None = None) -> LSBResult:
+    def knn(
+        self, query: PointVector, k: int, *, p: float | None = None
+    ) -> SearchResult:
         """Approximate kNN by merged bidirectional Z-order walks."""
         self._require_built()
         assert self._data is not None
         cfg = self.config
+        n, d = self._data.shape
+        query = check_points(query, "query", width=d, vector=True)
         p = validate_p(p if p is not None else cfg.base_p)
-        n = self._data.shape[0]
-        if not 1 <= k <= n:
-            raise InvalidParameterError(
-                f"k must lie in [1, {n}] for a dataset of {n} points, got {k}"
-            )
-        query = np.asarray(query, dtype=np.float64)
+        check_k(k, n)
         stats = IOStats()
         total_bits = cfg.m * cfg.bits_per_dim
         # Cursor pair (left, right) per tree around the query's position.
@@ -241,7 +226,7 @@ class LSBForest:
         cand_ids: list[int] = []
         cand_l2: list[float] = []
         budget = max(k, cfg.visit_factor * cfg.num_trees * k)
-        terminated_by = "exhausted"
+        termination = "exhausted"
         while len(cand_ids) < n:
             # Pick the (tree, side) whose next entry has the largest LLCP
             # with its query Z-value — the LSB visit order.
@@ -294,10 +279,10 @@ class LSBForest:
                 coarse = cfg.bits_per_dim - min(level // cfg.m, cfg.bits_per_dim)
                 side_length = tree.width * float(2**coarse)
                 if d_k * cfg.c <= side_length:
-                    terminated_by = "E1"
+                    termination = "E1"
                     break
                 if len(cand_ids) >= budget:
-                    terminated_by = "E2"
+                    termination = "E2"
                     break
         cand_arr = np.asarray(cand_ids, dtype=np.int64)
         if p == cfg.base_p:
@@ -305,14 +290,13 @@ class LSBForest:
         else:
             dists = lp_distance(self._data[cand_arr], query, p)
         top = np.argsort(dists, kind="stable")[:k]
-        self.io_stats.add_sequential(stats.sequential)
-        self.io_stats.add_random(stats.random)
-        return LSBResult(
+        self.io_stats.merge(stats)
+        return SearchResult(
             ids=cand_arr[top],
             distances=np.asarray(dists)[top],
             p=p,
             k=k,
             io=stats,
             candidates=len(cand_ids),
-            terminated_by=terminated_by,
+            termination=termination,
         )

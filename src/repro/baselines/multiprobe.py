@@ -11,18 +11,24 @@ The probing sequence is generated with the original paper's heap algorithm
 over perturbation sets (subsets of the ``2m`` sorted boundary distances,
 expanded via *shift* and *expand* operations), restricted to valid sets
 that never perturb the same coordinate in both directions.
+
+The compound tables are E2LSH's (:class:`repro.baselines.e2lsh._Level`),
+built once at the index's width and read through the same
+:meth:`~repro.baselines.e2lsh._Level.probe`.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro._typing import IdArray, PointMatrix, PointVector
-from repro.errors import IndexNotBuiltError, InvalidParameterError
+from repro._typing import PointMatrix, PointVector
+from repro.api import SearchResult, check_k, check_points
 from repro.baselines._autoscale import estimate_nn_distance
+from repro.baselines.e2lsh import _Level
+from repro.errors import IndexNotBuiltError, InvalidParameterError
 from repro.metrics.lp import lp_distance, validate_p
 from repro.storage.io_stats import IOStats
 from repro.storage.pages import PageLayout
@@ -48,19 +54,6 @@ class MultiProbeConfig:
     seed: int | None = 7
     page_size: int = 4096
     entry_size: int = 8
-
-
-@dataclass
-class MultiProbeResult:
-    """Outcome of a multi-probe kNN query."""
-
-    ids: IdArray
-    distances: np.ndarray
-    p: float
-    k: int
-    io: IOStats = field(default_factory=IOStats)
-    candidates: int = 0
-    probes: int = 0
 
 
 def probing_sequence(scores: np.ndarray, num_probes: int) -> list[list[tuple[int, int]]]:
@@ -155,45 +148,24 @@ class MultiProbeLSH:
         validate_p(cfg.base_p, allow_above_two=False)
         self.config = cfg
         self.io_stats = IOStats()
-        self._width: float = 0.0
         self._data: PointMatrix | None = None
-        self._projections: np.ndarray | None = None
-        self._offsets: np.ndarray | None = None
-        self._tables: list[dict[tuple[int, ...], np.ndarray]] = []
+        self._level: _Level | None = None
         self._layout = PageLayout(page_size=cfg.page_size, entry_size=cfg.entry_size)
 
     def build(self, data: PointMatrix) -> "MultiProbeLSH":
         """Materialise the ``num_tables`` compound hash tables."""
-        data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        if data.ndim != 2 or data.shape[0] < 1:
-            raise InvalidParameterError(
-                f"data must be a non-empty 2-D matrix, got shape {data.shape}"
-            )
+        data = check_points(data, "data")
         cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        n, d = data.shape
         if cfg.width is not None:
-            self._width = cfg.width
+            width = cfg.width
         else:
-            self._width = cfg.width_scale * estimate_nn_distance(
+            width = cfg.width_scale * estimate_nn_distance(
                 data, cfg.base_p, seed=cfg.seed
             )
-        if cfg.base_p == 2.0:
-            self._projections = rng.standard_normal((cfg.num_tables, d, cfg.m))
-        else:
-            self._projections = rng.standard_cauchy((cfg.num_tables, d, cfg.m))
-        self._offsets = rng.uniform(0.0, self._width, (cfg.num_tables, cfg.m))
-        self._tables = []
-        for t in range(cfg.num_tables):
-            keys = np.floor(
-                (data @ self._projections[t] + self._offsets[t]) / self._width
-            ).astype(np.int64)
-            table: dict[tuple[int, ...], list[int]] = {}
-            for idx in range(n):
-                table.setdefault(tuple(keys[idx]), []).append(idx)
-            self._tables.append(
-                {key: np.asarray(ids, dtype=np.int64) for key, ids in table.items()}
-            )
+        self._level = _Level(
+            data, width, cfg.base_p, cfg.m, cfg.num_tables,
+            np.random.default_rng(cfg.seed), self._layout,
+        )
         self._data = data
         return self
 
@@ -209,33 +181,25 @@ class MultiProbeLSH:
     def index_size_mb(self) -> float:
         """Simulated index size of the compound tables, in MB."""
         self._require_built()
-        entries = sum(
-            sum(ids.size for ids in table.values()) for table in self._tables
-        )
-        return self._layout.size_bytes(entries) / (1024.0 * 1024.0)
+        assert self._level is not None
+        return self._layout.size_bytes(self._level.num_entries()) / (1024.0 * 1024.0)
 
-    def knn(self, query: PointVector, k: int, p: float | None = None) -> MultiProbeResult:
+    def knn(
+        self, query: PointVector, k: int, *, p: float | None = None
+    ) -> SearchResult:
         """Approximate kNN probing ``num_probes`` buckets per table."""
         self._require_built()
-        assert (
-            self._data is not None
-            and self._projections is not None
-            and self._offsets is not None
-        )
+        assert self._data is not None and self._level is not None
         cfg = self.config
+        n, d = self._data.shape
+        query = check_points(query, "query", width=d, vector=True)
         p = validate_p(p if p is not None else cfg.base_p)
-        n = self._data.shape[0]
-        if not 1 <= k <= n:
-            raise InvalidParameterError(
-                f"k must lie in [1, {n}] for a dataset of {n} points, got {k}"
-            )
-        query = np.asarray(query, dtype=np.float64)
+        check_k(k, n)
         stats = IOStats()
         seen = np.zeros(n, dtype=bool)
-        cand_ids: list[int] = []
-        probes = 0
+        found: list[np.ndarray] = []
         for t in range(cfg.num_tables):
-            raw = (query @ self._projections[t] + self._offsets[t]) / self._width
+            raw = self._level.project(query, t)
             base_key = np.floor(raw).astype(np.int64)
             frac = raw - base_key
             # scores[2j] = squared distance to lower boundary (delta -1),
@@ -249,33 +213,16 @@ class MultiProbeLSH:
                 for coord, delta in perturbation:
                     key[coord] += delta
                 keys.append(tuple(int(x) for x in key))
-            for key in keys:
-                probes += 1
-                bucket = self._tables[t].get(key)
-                if bucket is None:
-                    continue
-                stats.add_sequential(self._layout.pages_for_range(0, int(bucket.size)))
-                fresh = bucket[~seen[bucket]]
-                if fresh.size == 0:
-                    continue
-                seen[fresh] = True
-                stats.add_random(int(fresh.size))
-                cand_ids.extend(int(x) for x in fresh)
-        cand_arr = np.asarray(cand_ids, dtype=np.int64)
-        if cand_arr.size == 0:
-            dists = np.empty(0)
-            top = np.empty(0, dtype=np.int64)
-        else:
-            dists = lp_distance(self._data[cand_arr], query, p)
-            top = np.argsort(dists, kind="stable")[:k]
-        self.io_stats.add_sequential(stats.sequential)
-        self.io_stats.add_random(stats.random)
-        return MultiProbeResult(
-            ids=cand_arr[top] if cand_arr.size else cand_arr,
-            distances=np.asarray(dists)[top] if cand_arr.size else dists,
+            found += [self._level.probe(t, key, seen, stats) for key in keys]
+        cand_arr = np.concatenate(found)
+        dists = lp_distance(self._data[cand_arr], query, p)
+        top = np.argsort(dists, kind="stable")[:k]
+        self.io_stats.merge(stats)
+        return SearchResult(
+            ids=cand_arr[top],
+            distances=dists[top],
             p=p,
             k=k,
             io=stats,
-            candidates=len(cand_ids),
-            probes=probes,
+            candidates=int(cand_arr.size),
         )

@@ -15,20 +15,24 @@ is distributed as ``s^2 * chi^2_m``, whose sharp concentration lets SRS:
 
 Fractional-metric queries follow the paper's comparator recipe (Sec. 5.2):
 candidates are collected by the l2 machinery and the top ``k`` by true
-``lp`` distance are returned.
+``lp`` distance are returned.  A result's ``termination`` is
+``"early_stop"`` (step 2 fired) or ``"candidate_cap"`` (the budget ran
+out).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2
 
-from repro._typing import IdArray, PointMatrix, PointVector
+from repro._typing import PointMatrix, PointVector
+from repro.api import SearchResult, check_k, check_points
 from repro.errors import IndexNotBuiltError, InvalidParameterError
 from repro.metrics.lp import lp_distance, validate_p
+from repro.obs.query_trace import TERMINATION_CAP
 from repro.storage.io_stats import IOStats
 from repro.storage.pages import PageLayout
 
@@ -50,19 +54,6 @@ class SRSConfig:
     early_stop_confidence: float = 0.99
     seed: int | None = 7
     page_size: int = 4096
-
-
-@dataclass
-class SRSResult:
-    """Outcome of an SRS kNN query."""
-
-    ids: IdArray
-    distances: np.ndarray
-    p: float
-    k: int
-    io: IOStats = field(default_factory=IOStats)
-    candidates: int = 0
-    stopped_early: bool = False
 
 
 class SRS:
@@ -96,11 +87,7 @@ class SRS:
 
     def build(self, data: PointMatrix) -> "SRS":
         """Project the dataset into the ``m``-dimensional index space."""
-        data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        if data.ndim != 2 or data.shape[0] < 1:
-            raise InvalidParameterError(
-                f"data must be a non-empty 2-D matrix, got shape {data.shape}"
-            )
+        data = check_points(data, "data")
         rng = np.random.default_rng(self.config.seed)
         d = data.shape[1]
         self._projection = rng.standard_normal((d, self.config.num_projections))
@@ -138,7 +125,7 @@ class SRS:
             1024.0 * 1024.0
         )
 
-    def knn(self, query: PointVector, k: int, p: float = 2.0) -> SRSResult:
+    def knn(self, query: PointVector, k: int, *, p: float = 2.0) -> SearchResult:
         """Approximate kNN of ``query``; candidates ranked by true ``lp``."""
         self._require_built()
         assert (
@@ -146,13 +133,10 @@ class SRS:
             and self._projected is not None
             and self._projection is not None
         )
+        query = check_points(query, "query", width=self._data.shape[1], vector=True)
         p = validate_p(p)
         n = self.num_points
-        if not 1 <= k <= n:
-            raise InvalidParameterError(
-                f"k must lie in [1, {n}] for a dataset of {n} points, got {k}"
-            )
-        query = np.asarray(query, dtype=np.float64)
+        check_k(k, n)
         stats = IOStats()
         m = self.config.num_projections
         projected_query = query @ self._projection
@@ -166,7 +150,7 @@ class SRS:
         # True distances under both the guarantee metric (l2) and the
         # requested metric; the early-stop test is an l2 statement.
         cand_l2: list[float] = []
-        stopped_early = False
+        termination = TERMINATION_CAP
         for rank in range(min(budget, n)):
             idx = int(order[rank])
             stats.add_random(1)
@@ -179,12 +163,10 @@ class SRS:
                     # Any unseen point at l2 distance <= d_k / c would have
                     # projected distance^2 ~ (d_k/c)^2 * chi^2_m; once the
                     # frontier exceeds the tail quantile of that law, such
-                    # a point is unlikely to exist and we can stop.
-                    if d_k > 0 and next_proj**2 > (d_k / self.config.c) ** 2 * tail_quantile:
-                        stopped_early = True
-                        break
-                    if d_k == 0.0:
-                        stopped_early = True
+                    # a point is unlikely to exist and we can stop (at
+                    # once when d_k = 0).
+                    if d_k == 0.0 or next_proj**2 > (d_k / self.config.c) ** 2 * tail_quantile:
+                        termination = "early_stop"
                         break
         cand_arr = np.asarray(cand_ids, dtype=np.int64)
         if p == 2.0:
@@ -192,14 +174,13 @@ class SRS:
         else:
             dists = lp_distance(self._data[cand_arr], query, p)
         top = np.argsort(dists, kind="stable")[:k]
-        self.io_stats.add_random(stats.random)
-        self.io_stats.add_sequential(stats.sequential)
-        return SRSResult(
+        self.io_stats.merge(stats)
+        return SearchResult(
             ids=cand_arr[top],
             distances=np.asarray(dists)[top],
             p=p,
             k=k,
             io=stats,
             candidates=len(cand_ids),
-            stopped_early=stopped_early,
+            termination=termination,
         )

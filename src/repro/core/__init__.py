@@ -5,7 +5,7 @@ substrates.
 
 from repro.core.batch import BatchKnnResult, knn_batch
 from repro.core.config import LazyLSHConfig
-from repro.core.lazylsh import LazyLSH, KnnResult, RangeResult
+from repro.core.lazylsh import LazyLSH, RangeResult
 from repro.core.montecarlo import BallIntersectionTable, estimate_ball_intersection
 from repro.core.multiquery import MultiQueryEngine, MultiQueryResult
 from repro.core.params import MetricParams, ParameterEngine
@@ -13,7 +13,6 @@ from repro.core.params import MetricParams, ParameterEngine
 __all__ = [
     "BallIntersectionTable",
     "BatchKnnResult",
-    "KnnResult",
     "LazyLSH",
     "LazyLSHConfig",
     "MetricParams",

@@ -36,7 +36,7 @@ from repro.storage.io_stats import IOStats
 class BatchKnnResult:
     """Results of a batched kNN call, in query order.
 
-    ``results`` holds one :class:`KnnResult` per query (or one
+    ``results`` holds one :class:`~repro.api.SearchResult` per query (or one
     :class:`MultiQueryResult` per query when ``metrics`` was given);
     ``io`` aggregates the whole batch's simulated I/O.  Satisfies the
     :class:`~repro.api.SearchResultLike` protocol: ``ids``,

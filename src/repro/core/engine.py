@@ -68,6 +68,7 @@ import numpy as np
 from repro._typing import PointVector
 from repro.core.hashing import WINDOWS
 from repro.metrics.lp import lp_distance
+from repro.obs.query_trace import TERMINATION_CAP, TERMINATION_K_WITHIN
 from repro.storage.io_stats import IOStats
 from repro.storage.pages import PageTracker
 
@@ -79,11 +80,6 @@ _MAX_ROUNDS = 128
 
 #: Non-termination diagnostic of every Algorithm-4 driver.
 _KNN_ABORT = "knn did not terminate; this indicates a corrupted index"
-
-#: Algorithm-4 termination reasons, shared by the flat and scalar paths
-#: (and re-exported by :mod:`repro.obs` for trace consumers).
-TERMINATION_K_WITHIN = "k_within_radius"
-TERMINATION_CAP = "candidate_cap"
 
 #: Ring entries per stored row that a round's first block may gather;
 #: the budget doubles on every later block (:func:`block_ends`), so a

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro._typing import IdArray, PointMatrix, PointVector
-from repro.api import SearchResult, check_knobs
+from repro.api import SearchResult, check_k, check_knobs, check_points
 from repro.core.config import LazyLSHConfig
 from repro.core.engine import (
     _KNN_ABORT,
@@ -51,7 +51,6 @@ from repro.core.engine import (
 from repro.core.hashing import WINDOWS, StableHashBank
 from repro.core.params import MetricParams, ParameterEngine
 from repro.errors import (
-    DimensionalityMismatchError,
     IndexNotBuiltError,
     InvalidParameterError,
     UnsupportedMetricError,
@@ -70,8 +69,8 @@ def _entry_span(telemetry, name: str, **attributes):
     return telemetry.tracer.span(name, **attributes)
 
 
-def _lane_result(lane: Lane, **serving) -> "KnnResult":
-    """Assemble a :class:`KnnResult` and its record from a finished lane.
+def _lane_result(lane: Lane, **serving) -> SearchResult:
+    """Assemble a :class:`SearchResult` and its record from a finished lane.
 
     Mirrors the tail of the scalar loop exactly: same distance array,
     same ``argsort`` (so ties resolve identically), same bookkeeping.
@@ -80,7 +79,7 @@ def _lane_result(lane: Lane, **serving) -> "KnnResult":
     """
     cand_ids, cand_dists = lane.candidate_arrays()
     order = np.argsort(cand_dists)[: lane.k]
-    return KnnResult(
+    return SearchResult(
         ids=cand_ids[order].astype(np.int64),
         distances=cand_dists[order],
         p=lane.p,
@@ -95,18 +94,6 @@ def _lane_result(lane: Lane, **serving) -> "KnnResult":
         ),
         **serving,
     )
-
-
-@dataclass
-class KnnResult(SearchResult):
-    """Outcome of an ``Np(q, k, c)`` query (Definition 5).
-
-    A compatibility subclass of the unified
-    :class:`~repro.api.SearchResult` — same fields (``ids`` /
-    ``distances`` sorted by ascending ``lp`` distance, ``io``,
-    ``termination``, ...), kept under its historical name so existing
-    imports and isinstance checks continue to work.
-    """
 
 
 @dataclass
@@ -157,11 +144,11 @@ class _MetricState:
         self.reason = ""
         self.trace = trace
 
-    def finish(self) -> KnnResult:
+    def finish(self) -> SearchResult:
         order = np.argsort(np.asarray(self.cand_dists))[: self.k]
         ids = np.asarray(self.cand_ids, dtype=np.int64)[order]
         dists = np.asarray(self.cand_dists, dtype=np.float64)[order]
-        return KnnResult(
+        return SearchResult(
             ids=ids,
             distances=dists,
             p=self.p,
@@ -227,16 +214,8 @@ class LazyLSH:
         (:meth:`StableHashBank.check_reach`); the index is unchanged on
         any refusal.
         """
-        data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        if data.ndim != 2:
-            raise InvalidParameterError(
-                f"data must be a 2-D (n, d) matrix, got shape {data.shape}"
-            )
+        data = check_points(data, "data")
         n, d = data.shape
-        if n < 1:
-            raise InvalidParameterError("cannot build an index over zero points")
-        if not np.all(np.isfinite(data)):
-            raise InvalidParameterError("data contains non-finite values")
         cfg = self.config
         beta = cfg.resolve_beta(n)
         engine = ParameterEngine(
@@ -281,21 +260,13 @@ class LazyLSH:
         it refuses every batch the store would, and every point the
         index could not then answer as a query (:meth:`_check_reach`).
         """
-        self._require_built()
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if points.ndim != 2 or points.shape[1] != self.dimensionality:
-            raise DimensionalityMismatchError(
-                f"points have dimensionality {points.shape[1] if points.ndim == 2 else '?'}, "
-                f"index expects {self.dimensionality}"
-            )
-        if points.shape[0] == 0:
-            raise InvalidParameterError("cannot insert an empty batch")
-        if not np.all(np.isfinite(points)):
-            raise InvalidParameterError("points contain non-finite values")
+        points = check_points(
+            np.atleast_2d(points), "points", width=self.dimensionality
+        )
         assert self._store is not None
         self._store._check_ids_fit(self.num_rows + points.shape[0])
         self._check_reach(points, "points", stored=True)
-        return np.ascontiguousarray(points)
+        return points
 
     def insert(self, points: PointMatrix) -> IdArray:
         """Insert new points into the built index; returns their ids.
@@ -548,35 +519,23 @@ class LazyLSH:
 
     def _check_query(self, query: PointVector) -> PointVector:
         """The one-row form of :meth:`_check_queries`."""
-        query = np.asarray(query, dtype=np.float64)
-        if query.ndim != 1:
-            raise InvalidParameterError(
-                f"query must be a single vector, got shape {query.shape}"
-            )
-        return self._check_queries(query[None, :])[0]
+        query = check_points(query, "query", width=self.dimensionality, vector=True)
+        self._check_reach(query[None, :], "queries")
+        return query
 
     def _check_queries(self, queries: PointMatrix) -> np.ndarray:
         """The one query check: every kNN entry point and the front door.
 
-        Returns a C-contiguous float64 ``(m, d)`` matrix; ``m`` may be 0
-        (an empty batch has an empty answer).  Refuses, before any scan,
-        a query the engine could not run (:meth:`_check_reach`).
+        :func:`~repro.api.check_points` over the index's width, then,
+        before any scan, a refusal of a query the engine could not run
+        (:meth:`_check_reach`).  Returns a C-contiguous float64
+        ``(m, d)`` matrix; ``m`` may be 0 (an empty batch has an empty
+        answer).
         """
-        self._require_built()
-        queries = np.ascontiguousarray(
-            np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        queries = check_points(
+            np.atleast_2d(queries), "queries", width=self.dimensionality,
+            empty=True,
         )
-        if queries.ndim != 2:
-            raise InvalidParameterError(
-                f"queries must be a 2-D (m, d) matrix, got shape {queries.shape}"
-            )
-        if queries.shape[1] != self.dimensionality:
-            raise DimensionalityMismatchError(
-                f"queries have dimensionality {queries.shape[1]}, index expects "
-                f"{self.dimensionality}"
-            )
-        if not np.all(np.isfinite(queries)):
-            raise InvalidParameterError("queries contain non-finite values")
         if queries.shape[0]:
             self._check_reach(queries, "queries")
         return queries
@@ -675,7 +634,7 @@ class LazyLSH:
         telemetry=None,
         cap: float | None = None,
         radius: float | None = None,
-    ) -> KnnResult:
+    ) -> SearchResult:
         """Answer ``Np(q, k, c)`` (Algorithm 4).
 
         Runs range scans with geometrically increasing radii, counting
@@ -719,7 +678,7 @@ class LazyLSH:
         engine: str = "flat",
         telemetry=None,
         row_ids: bool = False,
-    ) -> list[list[KnnResult]]:
+    ) -> list[list[SearchResult]]:
         """The in-process runner of every kNN entry point, over validated rows.
 
         Plans the search once (:meth:`_lane_plan`: one lane for ``p``,
@@ -797,7 +756,7 @@ class LazyLSH:
             [validate_p(p)] if metrics is None
             else sorted({float(q) for q in metrics})
         )
-        self._check_k(k)
+        check_k(k, self.num_points)
         lanes = [(q, self.metric_params(q)) for q in p_values]
         level0 = 1.0
         if radius is not None:
@@ -807,14 +766,6 @@ class LazyLSH:
             )
         cap_value = k + self._beta * self.num_points if cap is None else float(cap)
         return _LanePlan(lanes, k, cap_value, level0)
-
-    def _check_k(self, k: int) -> None:
-        """Refuse a ``k`` outside ``[1, n]`` for the ``n`` live points."""
-        n = self.num_points
-        if not 1 <= k <= n:
-            raise InvalidParameterError(
-                f"k must lie in [1, {n}] for a dataset of {n} live points, got {k}"
-            )
 
     def _lane_group(
         self,
@@ -855,7 +806,7 @@ class LazyLSH:
 
     def _scalar_knn(
         self, query: PointVector, plan: _LanePlan, query_id: int | None = None
-    ) -> list[KnnResult]:
+    ) -> list[SearchResult]:
         """The scalar oracle: Algorithm 4 one hash function at a time.
 
         Answers one validated query point under every metric of ``plan``

@@ -37,8 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from repro._typing import PointVector
-from repro.api import aggregate_io, check_knobs
-from repro.core.lazylsh import KnnResult, LazyLSH, _entry_span
+from repro.api import SearchResult, aggregate_io, check_knobs
+from repro.core.lazylsh import LazyLSH, _entry_span
 from repro.errors import InvalidParameterError
 from repro.storage.io_stats import IOStats
 
@@ -52,7 +52,7 @@ class MultiQueryResult:
     by ``p``, ``io`` the batch's aggregated simulated I/O.
     """
 
-    results: dict[float, KnnResult]
+    results: dict[float, SearchResult]
     io: IOStats = field(default_factory=IOStats)
 
     @property
@@ -83,11 +83,11 @@ class MultiQueryResult:
             "results": {f"{p:g}": r.to_dict() for p, r in self.results.items()},
         }
 
-    def __getitem__(self, p: float) -> KnnResult:
+    def __getitem__(self, p: float) -> SearchResult:
         return self.results[p]
 
     @classmethod
-    def of(cls, row: list[KnnResult]) -> "MultiQueryResult":
+    def of(cls, row: list[SearchResult]) -> "MultiQueryResult":
         """One point's per-metric results, with their I/O total."""
         return cls(results={r.p: r for r in row}, io=aggregate_io(row))
 
@@ -124,7 +124,7 @@ class MultiQueryEngine:
 
         Results are identical to issuing the queries one at a time; the
         I/O and CPU of the index scan are paid once.  Each per-metric
-        :class:`KnnResult` carries its *marginal* I/O (sequential reads
+        :class:`~repro.api.SearchResult` carries its *marginal* I/O (sequential reads
         are attributed to the smallest-``p`` active metric consuming
         them); the batch total is in :attr:`MultiQueryResult.io`.
 

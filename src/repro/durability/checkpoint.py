@@ -7,11 +7,13 @@ stamped with the WAL LSN it covers, written atomically::
         checkpoint-00000000000000000000.npz      # initial (build-time)
         checkpoint-00000000000000000431.npz      # covers LSNs 1..431
 
-Atomicity: the snapshot is first written to a ``tmp-`` prefixed file
-(never matched by the recovery glob), fsynced, then :func:`os.replace`\\ d
-to its final name — so a crash mid-checkpoint leaves either no new
-checkpoint (plus an ignorable temp file) or a complete one, never a
-half-written file under a recoverable name.
+Atomicity: :func:`~repro.persistence.save_index` writes the snapshot to
+a ``.tmp-<pid>`` sibling (never matched by the recovery glob), fsyncs
+it and :func:`os.replace`\\ s it onto its final name; the checkpoint
+then fsyncs the directory so the name itself survives power loss.  A
+crash mid-checkpoint leaves either no new checkpoint (plus an ignorable
+temp file) or a complete one, never a half-written file under a
+recoverable name.
 
 Recovery (:func:`recover`) is the classic ARIES-lite sequence:
 
@@ -56,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 logger = logging.getLogger("repro.durability.checkpoint")
 
 _CHECKPOINT_PREFIX = "checkpoint-"
-_CHECKPOINT_TMP_PREFIX = "tmp-checkpoint-"
 _CHECKPOINT_SUFFIX = ".npz"
 
 #: Subdirectory names of a durable index home directory.
@@ -86,7 +87,8 @@ def _checkpoint_lsn(path: Path) -> int | None:
 def list_checkpoints(directory: str | Path) -> list[tuple[int, Path]]:
     """``(lsn, path)`` of every checkpoint file, ascending by LSN.
 
-    ``tmp-`` files (crashed half-writes) are deliberately excluded.
+    Temp files of crashed half-writes (``checkpoint-<lsn>.npz.tmp-<pid>``)
+    are deliberately excluded.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -110,21 +112,15 @@ def write_checkpoint(
     """Atomically snapshot ``index`` as the checkpoint covering ``lsn``.
 
     The snapshot is a format-v3 file, so recovery maps it in O(1)
-    without re-hashing.
+    without re-hashing.  :func:`~repro.persistence.save_index` fsyncs
+    it and renames it into place; the directory fsync here makes the
+    new name itself survive power loss.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    final = directory / checkpoint_name(lsn)
-    tmp = directory / f"{_CHECKPOINT_TMP_PREFIX}{lsn:020d}{_CHECKPOINT_SUFFIX}"
-    save_index(index, tmp, wal_lsn=lsn, wal_epoch=epoch)
-    # fsync file contents, atomically rename, then fsync the directory so
-    # the new name itself survives power loss.
-    fd = os.open(tmp, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.replace(tmp, final)
+    final = save_index(
+        index, directory / checkpoint_name(lsn), wal_lsn=lsn, wal_epoch=epoch
+    )
     dir_fd = os.open(directory, os.O_RDONLY)
     try:
         os.fsync(dir_fd)

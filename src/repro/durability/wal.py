@@ -182,31 +182,49 @@ def encode_wal_record(record: WalRecord) -> bytes:
     raise InvalidParameterError(f"unknown WAL op {record.op!r}")
 
 
+def _parse_frame(data: bytes, offset: int) -> tuple[WalRecord, int]:
+    """The one frame parser: the record framed at ``offset`` in ``data``
+    and the offset where its frame ends.
+
+    Raises :class:`WalCorruptionError` on a frame too short for its
+    headers, a body running past the end of ``data``, a CRC mismatch or
+    an undecodable body.
+    """
+    if offset + _FRAME.size + _BODY.size > len(data):
+        raise WalCorruptionError(
+            f"WAL frame too short: {len(data) - offset} bytes"
+        )
+    crc, body_len = _FRAME.unpack_from(data, offset)
+    body_end = offset + _FRAME.size + body_len
+    if body_end > len(data):
+        raise WalCorruptionError(
+            f"WAL frame length mismatch: header says {body_len} body "
+            f"bytes, frame carries {len(data) - offset - _FRAME.size}"
+        )
+    body = data[offset + _FRAME.size:body_end]
+    if zlib.crc32(body) & 0xFFFFFFFF != crc:
+        raise WalCorruptionError("WAL frame CRC mismatch")
+    try:
+        return _decode_body(body), body_end
+    except (ValueError, struct.error) as exc:
+        raise WalCorruptionError(f"undecodable WAL body: {exc}") from exc
+
+
 def decode_wal_record(frame: bytes) -> WalRecord:
     """Decode one CRC-framed record (the inverse of
     :func:`encode_wal_record`).
 
-    Raises :class:`WalCorruptionError` on a short frame, a CRC mismatch
-    or an undecodable body — a wire consumer has no "torn tail" excuse,
-    so every defect is fatal for the frame.
+    Raises :class:`WalCorruptionError` on a short frame, trailing bytes,
+    a CRC mismatch or an undecodable body — a wire consumer has no
+    "torn tail" excuse, so every defect is fatal for the frame.
     """
-    if len(frame) < _FRAME.size + _BODY.size:
+    record, end = _parse_frame(frame, 0)
+    if end != len(frame):
         raise WalCorruptionError(
-            f"WAL frame too short: {len(frame)} bytes"
+            f"WAL frame length mismatch: header says {end - _FRAME.size} "
+            f"body bytes, frame carries {len(frame) - _FRAME.size}"
         )
-    crc, body_len = _FRAME.unpack_from(frame, 0)
-    body = frame[_FRAME.size:_FRAME.size + body_len]
-    if len(body) != body_len or _FRAME.size + body_len != len(frame):
-        raise WalCorruptionError(
-            f"WAL frame length mismatch: header says {body_len} body "
-            f"bytes, frame carries {len(frame) - _FRAME.size}"
-        )
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise WalCorruptionError("WAL frame CRC mismatch")
-    try:
-        return _decode_body(body)
-    except (ValueError, struct.error) as exc:
-        raise WalCorruptionError(f"undecodable WAL body: {exc}") from exc
+    return record
 
 
 def _encode_insert(points: np.ndarray, ids: np.ndarray) -> bytes:
@@ -262,23 +280,12 @@ def iter_segment_records(path: Path, start: int = 0) -> Iterator[tuple[WalRecord
         fh.seek(start)
         data = fh.read()
     offset = 0
-    size = len(data)
     while True:
-        if offset + _FRAME.size > size:
-            return
-        crc, body_len = _FRAME.unpack_from(data, offset)
-        body_end = offset + _FRAME.size + body_len
-        if body_len < _BODY.size or body_end > size:
-            return
-        body = data[offset + _FRAME.size: body_end]
-        if zlib.crc32(body) & 0xFFFFFFFF != crc:
-            return
         try:
-            record = _decode_body(body)
-        except (ValueError, struct.error):
+            record, offset = _parse_frame(data, offset)
+        except WalCorruptionError:
             return
-        yield record, start + body_end
-        offset = body_end
+        yield record, start + offset
 
 
 def read_segment(path: Path) -> tuple[list[WalRecord], int]:

@@ -232,7 +232,7 @@ class GuaranteeAuditor:
 
     def _audit(self, item: dict) -> None:
         k = min(item["k"], self._oracle.num_points)
-        truth = self._oracle.knn(item["query"], k, item["p"])
+        truth = self._oracle.knn(item["query"], k, p=item["p"])
         true_ids = self._alive_ids[truth.ids]
         true_dists = truth.distances
         reported_ids = item["ids"][:k]

@@ -84,7 +84,7 @@ class TestQueries:
     def test_io_counted(self, e2, e2_split):
         result = e2.knn(e2_split.queries[2], 5)
         assert result.io.random > 0
-        assert result.levels >= 1
+        assert result.rounds >= 1
 
     def test_k_validation(self, e2, e2_split):
         with pytest.raises(InvalidParameterError):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines import LinearScan
 from repro.datasets import make_synthetic
-from repro.errors import InvalidParameterError
+from repro.errors import DimensionalityMismatchError, InvalidParameterError
 from repro.metrics.lp import lp_distance
 
 
@@ -69,19 +69,10 @@ class TestValidation:
             scan.knn(np.zeros(12), 301, p=1.0)
 
     def test_bad_query_shape(self, scan):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(DimensionalityMismatchError):
             scan.knn(np.zeros(5), 1, p=1.0)
 
     def test_properties(self, scan):
         assert scan.num_points == 300
         assert scan.dimensionality == 12
 
-
-class TestBatch:
-    def test_batch_matches_singles(self, scan):
-        queries = np.vstack([np.zeros(12), np.full(12, 100.0)])
-        batch = scan.knn_batch(queries, 3, p=1.0)
-        assert len(batch) == 2
-        for q, res in zip(queries, batch):
-            single = scan.knn(q, 3, p=1.0)
-            np.testing.assert_array_equal(res.ids, single.ids)

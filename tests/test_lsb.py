@@ -109,7 +109,7 @@ class TestLSBForest:
 
     def test_termination_reason_reported(self, forest, split):
         result = forest.knn(split.queries[2], 5)
-        assert result.terminated_by in ("E1", "E2", "exhausted")
+        assert result.termination in ("E1", "E2", "exhausted")
 
     def test_fractional_rerank(self, forest, split):
         from repro.metrics.lp import lp_distance

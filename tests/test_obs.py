@@ -21,7 +21,7 @@ from repro import (
     Telemetry,
     knn_batch,
 )
-from repro.core.lazylsh import KnnResult
+from repro.api import SearchResult
 from repro.datasets import make_synthetic, sample_queries
 from repro.errors import InvalidParameterError
 from repro.obs import (
@@ -360,7 +360,7 @@ def _per_lane(answer) -> list:
     """The per-(query, metric) results of one entry point's answer."""
     if isinstance(answer, MultiQueryResult):
         return list(answer.results.values())
-    if isinstance(answer, KnnResult):
+    if isinstance(answer, SearchResult):
         return [answer]
     return [result for part in answer for result in _per_lane(part)]
 

@@ -62,7 +62,7 @@ class TestQueries:
     def test_early_stop_bounds_candidates(self, srs, srs_split):
         result = srs.knn(srs_split.queries[1], 5, p=2.0)
         assert result.candidates <= srs.num_points
-        if result.stopped_early:
+        if result.termination == "early_stop":
             assert result.candidates < srs.num_points
 
     def test_budget_respected(self, srs_split):

@@ -12,7 +12,6 @@ import pytest
 from repro import (
     BatchKnnResult,
     IOStats,
-    KnnResult,
     MultiQueryEngine,
     MultiQueryResult,
     SearchRequest,
@@ -206,7 +205,7 @@ class TestResultProtocol:
         assert isinstance(batch, BatchKnnResult)
         assert len(batch.ids) == 3
         for result in batch.results:
-            assert isinstance(result, KnnResult)
+            assert isinstance(result, SearchResult)
 
 
 class TestIOAggregation:

@@ -23,8 +23,11 @@ from repro.durability import (
     RecoveryError,
     WalCorruptionError,
     WalFeed,
+    WalRecord,
     WriteAheadLog,
     create,
+    decode_wal_record,
+    encode_wal_record,
     latest_checkpoint,
     list_checkpoints,
     recover,
@@ -34,7 +37,7 @@ from repro.durability.checkpoint import (
     checkpoint_now,
     states_identical,
 )
-from repro.durability.wal import list_segments
+from repro.durability.wal import encode_record, list_segments
 from repro.errors import InvalidParameterError, ReproError
 from repro.persistence import load_index, save_index
 
@@ -99,6 +102,31 @@ class TestFraming:
                 wal.append_remove(np.array([1]))
             with WriteAheadLog(tmp_path / sub, sync=False) as wal:
                 assert wal.last_lsn == 1
+
+    @pytest.mark.parametrize(
+        "defect, match",
+        [
+            ("short", "too short"),
+            ("truncated", "length mismatch"),
+            ("trailing", "length mismatch"),
+            ("crc", "CRC mismatch"),
+            ("body", "undecodable"),
+        ],
+    )
+    def test_decode_refuses_every_defect(self, defect, match):
+        """A wire frame has no torn-tail excuse: every defect the segment
+        reader stops at is a WalCorruptionError for decode_wal_record."""
+        frame = encode_wal_record(WalRecord(lsn=3, op="remove", ids=np.array([7, 11])))
+        bad = {
+            "short": frame[:10],
+            "truncated": frame[:-1],
+            "trailing": frame + b"\0",
+            "crc": frame[:-1] + bytes([frame[-1] ^ 1]),
+            "body": encode_record(3, 9, b""),  # intact CRC, unknown op code
+        }[defect]
+        assert decode_wal_record(frame).ids.tolist() == [7, 11]
+        with pytest.raises(WalCorruptionError, match=match):
+            decode_wal_record(bad)
 
 
 class TestTornTail:
@@ -256,14 +284,14 @@ class TestRecovery:
         durable, _ = recover(directory, sync=False)
         path = checkpoint_now(durable, directory)
         durable.close()
-        # Simulate a crash mid-checkpoint: a half-written tmp- file plus
-        # a truncated (corrupt) newest checkpoint.
+        # Simulate a crash mid-checkpoint: the temp file save_index
+        # leaves (complete, its header LSN matching, yet never taken for
+        # a checkpoint) plus a truncated (corrupt) newest checkpoint.
         ckpt_dir = directory / CHECKPOINT_SUBDIR
-        (ckpt_dir / "tmp-checkpoint-00000000000000000099.npz").write_bytes(
-            path.read_bytes()[:100]
-        )
         good = path.read_bytes()
+        path.with_name(f"{path.name}.tmp-4242").write_bytes(good)
         path.write_bytes(good[: len(good) // 2])
+        assert [lsn for lsn, _ in list_checkpoints(ckpt_dir)] == [0, 4]
         recovered, report = recover(directory, sync=False)
         assert report["checkpoint_lsn"] == 0
         assert [s for s in report["checkpoints_skipped"]]
